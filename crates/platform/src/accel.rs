@@ -3,15 +3,15 @@
 //! The paper's platform library "contains implementations of some time
 //! critical algorithms, such as Cyclic Redundancy Check (CRC), that can be
 //! used for hardware acceleration of protocol functions" (§4). This module
-//! models that block: functionally a table-driven CRC-32 (IEEE 802.3,
-//! bit-exact with the bitwise software reference in
-//! [`tut_uml::action::crc32_bitwise`]) with hardware-like timing — a fixed
-//! setup cost plus one cycle per input byte.
+//! models that block: functionally the table-driven CRC-32
+//! [`tut_uml::action::crc32`] (IEEE 802.3, bit-exact with the bitwise
+//! software reference [`tut_uml::action::crc32_bitwise`]) with
+//! hardware-like timing — a fixed setup cost plus one cycle per input
+//! byte.
 
 /// A table-driven CRC-32 engine with a hardware timing model.
 #[derive(Clone, Debug)]
 pub struct Crc32Accelerator {
-    table: [u32; 256],
     /// Fixed cycles to load the descriptor and start the engine.
     pub setup_cycles: u64,
     /// Bytes consumed per cycle once streaming.
@@ -19,20 +19,10 @@ pub struct Crc32Accelerator {
 }
 
 impl Crc32Accelerator {
-    /// Builds the engine (precomputes the lookup table) with the default
-    /// timing: 4 setup cycles, 1 byte per cycle.
+    /// Builds the engine with the default timing: 4 setup cycles, 1 byte
+    /// per cycle.
     pub fn new() -> Crc32Accelerator {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
-            *entry = crc;
-        }
         Crc32Accelerator {
-            table,
             setup_cycles: 4,
             bytes_per_cycle: 1,
         }
@@ -41,12 +31,7 @@ impl Crc32Accelerator {
     /// Computes the CRC-32 of `data` (IEEE 802.3: reflected,
     /// init `!0`, xorout `!0`).
     pub fn compute(&self, data: &[u8]) -> u32 {
-        let mut crc: u32 = !0;
-        for &byte in data {
-            let index = ((crc ^ u32::from(byte)) & 0xFF) as usize;
-            crc = (crc >> 8) ^ self.table[index];
-        }
-        !crc
+        tut_uml::action::crc32(data)
     }
 
     /// The cycles the engine needs for `len` input bytes.

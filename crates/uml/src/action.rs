@@ -13,6 +13,7 @@
 //! statements that report [`Effect`]s to the caller, so the simulator stays
 //! in control of time and communication.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
 use std::ops::Index;
@@ -114,8 +115,10 @@ pub enum Builtin {
     PackInt,
     /// `unpack_int(bytes) -> int`, big-endian over at most 8 bytes.
     UnpackInt,
-    /// `crc32(bytes) -> int` — the reference software CRC-32 (IEEE 802.3
-    /// polynomial), matching the hardware accelerator in `tut-platform`.
+    /// `crc32(bytes) -> int` — the table-driven CRC-32 [`crc32`] (IEEE
+    /// 802.3 polynomial), bit-exact with the bitwise reference
+    /// [`crc32_bitwise`] and with the hardware accelerator in
+    /// `tut-platform`.
     Crc32,
     /// `min(int, int) -> int`.
     Min,
@@ -241,25 +244,32 @@ impl Expr {
     /// Returns [`Error::Action`] for unbound variables/parameters, type
     /// mismatches, division by zero, and out-of-range accesses.
     pub fn eval(&self, env: &Env) -> Result<Value> {
+        self.eval_cow(env).map(Cow::into_owned)
+    }
+
+    /// Evaluates without copying what is only read: literals, variables
+    /// and parameters are borrowed from the AST and `env`; only computed
+    /// results (operators, builtins) are owned.
+    fn eval_cow<'a>(&'a self, env: &'a Env) -> Result<Cow<'a, Value>> {
         match self {
-            Expr::Lit(v) => Ok(v.clone()),
+            Expr::Lit(v) => Ok(Cow::Borrowed(v)),
             Expr::Var(name) => env
                 .vars
                 .get(name)
-                .cloned()
+                .map(Cow::Borrowed)
                 .ok_or_else(|| Error::Action(format!("unbound variable `{name}`"))),
             Expr::Param(name) => env
                 .params
                 .get(name)
-                .cloned()
+                .map(Cow::Borrowed)
                 .ok_or_else(|| Error::Action(format!("unbound signal parameter `{name}`"))),
             Expr::Unary(op, e) => {
-                let v = e.eval(env)?;
+                let v = e.eval_cow(env)?;
                 match op {
-                    UnaryOp::Not => Ok(Value::Bool(!v.is_truthy())),
-                    UnaryOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
-                        other => Err(Error::Action(format!(
+                    UnaryOp::Not => Ok(Cow::Owned(Value::Bool(!v.is_truthy()))),
+                    UnaryOp::Neg => match *v {
+                        Value::Int(i) => Ok(Cow::Owned(Value::Int(i.wrapping_neg()))),
+                        ref other => Err(Error::Action(format!(
                             "cannot negate {} value",
                             other.data_type()
                         ))),
@@ -269,23 +279,24 @@ impl Expr {
             Expr::Binary(op, lhs, rhs) => {
                 // Short-circuit logical ops before evaluating the rhs.
                 if matches!(op, BinOp::And | BinOp::Or) {
-                    let l = lhs.eval(env)?.is_truthy();
-                    return match (op, l) {
-                        (BinOp::And, false) => Ok(Value::Bool(false)),
-                        (BinOp::Or, true) => Ok(Value::Bool(true)),
-                        _ => Ok(Value::Bool(rhs.eval(env)?.is_truthy())),
+                    let l = lhs.eval_cow(env)?.is_truthy();
+                    let v = match (op, l) {
+                        (BinOp::And, false) => false,
+                        (BinOp::Or, true) => true,
+                        _ => rhs.eval_cow(env)?.is_truthy(),
                     };
+                    return Ok(Cow::Owned(Value::Bool(v)));
                 }
-                let l = lhs.eval(env)?;
-                let r = rhs.eval(env)?;
-                eval_binary(*op, l, r)
+                let l = lhs.eval_cow(env)?;
+                let r = rhs.eval_cow(env)?;
+                eval_binary(*op, l, r).map(Cow::Owned)
             }
             Expr::Call(builtin, args) => {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
-                    vals.push(a.eval(env)?);
+                    vals.push(a.eval_cow(env)?);
                 }
-                eval_builtin(*builtin, &vals)
+                eval_builtin(*builtin, &vals).map(Cow::Owned)
             }
         }
     }
@@ -312,23 +323,31 @@ impl Expr {
     }
 }
 
-fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
+fn eval_binary(op: BinOp, l: Cow<'_, Value>, r: Cow<'_, Value>) -> Result<Value> {
     use BinOp::*;
     match op {
         Eq => return Ok(Value::Bool(l == r)),
         Ne => return Ok(Value::Bool(l != r)),
         _ => {}
     }
-    // `+` on two buffers/strings concatenates.
+    // `+` on two buffers/strings concatenates by extending the left
+    // operand in place: an owned one (a previous `+`'s result) is reused,
+    // a borrowed one is copied once.
     if op == Add {
-        match (&l, &r) {
-            (Value::Bytes(a), Value::Bytes(b)) => {
-                let mut out = a.clone();
+        match (&*l, &*r) {
+            (Value::Bytes(_), Value::Bytes(b)) => {
+                let Value::Bytes(mut out) = l.into_owned() else {
+                    unreachable!("matched Bytes above")
+                };
                 out.extend_from_slice(b);
                 return Ok(Value::Bytes(out));
             }
-            (Value::Str(a), Value::Str(b)) => {
-                return Ok(Value::Str(format!("{a}{b}")));
+            (Value::Str(_), Value::Str(b)) => {
+                let Value::Str(mut out) = l.into_owned() else {
+                    unreachable!("matched Str above")
+                };
+                out.push_str(b);
+                return Ok(Value::Str(out));
             }
             _ => {}
         }
@@ -377,8 +396,9 @@ fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
 /// Reference software CRC-32 (IEEE 802.3, reflected, init/xorout `!0`).
 ///
 /// This bitwise implementation is the *functional specification*; the
-/// table-driven "hardware accelerator" model in `tut-platform` must agree
-/// with it bit-for-bit (checked by property tests there).
+/// table-driven [`crc32`] (used by the `crc32` builtin and by the
+/// hardware-accelerator model in `tut-platform`) must agree with it
+/// bit-for-bit (checked by property tests here and there).
 pub fn crc32_bitwise(data: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &byte in data {
@@ -391,7 +411,35 @@ pub fn crc32_bitwise(data: &[u8]) -> u32 {
     !crc
 }
 
-fn eval_builtin(builtin: Builtin, args: &[Value]) -> Result<Value> {
+/// The byte-at-a-time lookup table for [`crc32`], built at compile time
+/// from the same polynomial as [`crc32_bitwise`].
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// Table-driven CRC-32, bit-exact with [`crc32_bitwise`] but one table
+/// lookup per byte instead of eight shift/xor rounds.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut crc: u32 = !0;
+    for &byte in data {
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
+    }
+    !crc
+}
+
+fn eval_builtin(builtin: Builtin, args: &[Cow<'_, Value>]) -> Result<Value> {
     if args.len() != builtin.arity() {
         return Err(Error::Action(format!(
             "builtin `{}` expects {} arguments, got {}",
@@ -421,7 +469,7 @@ fn eval_builtin(builtin: Builtin, args: &[Value]) -> Result<Value> {
         })
     };
     match builtin {
-        Builtin::Len => match &args[0] {
+        Builtin::Len => match &*args[0] {
             Value::Bytes(b) => Ok(Value::Int(b.len() as i64)),
             Value::Str(s) => Ok(Value::Int(s.len() as i64)),
             other => Err(Error::Action(format!(
@@ -476,13 +524,13 @@ fn eval_builtin(builtin: Builtin, args: &[Value]) -> Result<Value> {
             }
             Ok(Value::Int(v))
         }
-        Builtin::Crc32 => Ok(Value::Int(i64::from(crc32_bitwise(bytes_arg(0)?)))),
+        Builtin::Crc32 => Ok(Value::Int(i64::from(crc32(bytes_arg(0)?)))),
         Builtin::Min => Ok(Value::Int(int_arg(0)?.min(int_arg(1)?))),
         Builtin::Max => Ok(Value::Int(int_arg(0)?.max(int_arg(1)?))),
         Builtin::Fill => {
             let byte = int_arg(0)?;
             let count = int_arg(1)?;
-            if !(0..=256).contains(&byte) {
+            if !(0..=255).contains(&byte) {
                 return Err(Error::Action(format!("fill byte {byte} out of range")));
             }
             if !(0..=1 << 20).contains(&count) {
@@ -822,7 +870,7 @@ pub fn execute(
                 else_branch,
             } => {
                 *weight += cond.weight();
-                if cond.eval(env)?.is_truthy() {
+                if cond.eval_cow(env)?.is_truthy() {
                     execute(then_branch, env, effects, weight)?;
                 } else {
                     execute(else_branch, env, effects, weight)?;
@@ -836,7 +884,7 @@ pub fn execute(
                 let mut iterations = 0u32;
                 loop {
                     *weight += cond.weight();
-                    if !cond.eval(env)?.is_truthy() {
+                    if !cond.eval_cow(env)?.is_truthy() {
                         break;
                     }
                     if iterations >= *max_iter {
@@ -850,7 +898,7 @@ pub fn execute(
             }
             Statement::Compute { class, amount } => {
                 let units = amount
-                    .eval(env)?
+                    .eval_cow(env)?
                     .as_int()
                     .ok_or_else(|| Error::Action("compute amount must evaluate to Int".into()))?;
                 *weight += amount.weight();
@@ -867,7 +915,7 @@ pub fn execute(
                     rendered.push_str(&rest[..pos]);
                     match vals.next() {
                         Some(a) => {
-                            let v = a.eval(env)?;
+                            let v = a.eval_cow(env)?;
                             *weight += a.weight();
                             rendered.push_str(&v.to_string());
                         }
@@ -880,7 +928,7 @@ pub fn execute(
             }
             Statement::SetTimer { name, duration } => {
                 let d = duration
-                    .eval(env)?
+                    .eval_cow(env)?
                     .as_int()
                     .ok_or_else(|| Error::Action("timer duration must evaluate to Int".into()))?;
                 *weight += duration.weight();
@@ -894,7 +942,7 @@ pub fn execute(
             }
             Statement::Count { counter, amount } => {
                 let n = amount
-                    .eval(env)?
+                    .eval_cow(env)?
                     .as_int()
                     .ok_or_else(|| Error::Action("count amount must evaluate to Int".into()))?;
                 *weight += amount.weight();
@@ -1193,6 +1241,7 @@ impl CheckCx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tut_trace::SplitMix64;
 
     fn eval(expr: &Expr) -> Value {
         expr.eval(&Env::new()).expect("eval")
@@ -1265,12 +1314,113 @@ mod tests {
         // CRC-32 of "123456789" is the classic check value 0xCBF43926.
         assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32_bitwise(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    /// The `crc32` builtin (table-driven) equals the bitwise reference on
+    /// random buffers.
+    #[test]
+    fn crc32_builtin_matches_bitwise_reference() {
+        let mut rng = SplitMix64::new(0xC4C3_2003);
+        let expr = Expr::call(Builtin::Crc32, vec![Expr::var("buf")]);
+        for _ in 0..128 {
+            let mut data = vec![0u8; rng.next_index(2049)];
+            rng.fill_bytes(&mut data);
+            let expected = i64::from(crc32_bitwise(&data));
+            let env = Env::new().with_var("buf", data);
+            assert_eq!(expr.eval(&env).unwrap(), Value::Int(expected));
+        }
+    }
+
+    #[test]
+    fn fill_rejects_bytes_above_255() {
+        let fill = |byte| Expr::call(Builtin::Fill, vec![Expr::int(byte), Expr::int(1)]);
+        assert_eq!(eval(&fill(255)), Value::Bytes(vec![0xFF]));
+        let err = fill(256).eval(&Env::new()).unwrap_err();
+        assert!(matches!(err, Error::Action(_)), "{err:?}");
     }
 
     #[test]
     fn bytes_concat_via_plus() {
         let e = Expr::Lit(Value::Bytes(vec![1])).bin(BinOp::Add, Expr::Lit(Value::Bytes(vec![2])));
         assert_eq!(eval(&e), Value::Bytes(vec![1, 2]));
+        let e =
+            Expr::Lit(Value::Str("ab".into())).bin(BinOp::Add, Expr::Lit(Value::Str("c".into())));
+        assert_eq!(eval(&e), Value::Str("abc".into()));
+    }
+
+    /// Evaluates `expr` twice in `env`, checks both results agree and
+    /// that evaluation left `env` and the AST untouched.
+    fn eval_twice(expr: &Expr, env: &Env) -> Value {
+        let (ast, vars) = (expr.clone(), env.vars.clone());
+        let first = expr.eval(env).unwrap();
+        assert_eq!(expr.eval(env).unwrap(), first, "second eval of {expr}");
+        assert_eq!(*expr, ast, "eval mutated the AST of {expr}");
+        assert_eq!(env.vars, vars, "eval mutated env for {expr}");
+        first
+    }
+
+    #[test]
+    fn concat_never_writes_through_a_borrowed_operand() {
+        let env = Env::new().with_var("buf", vec![3u8, 4]);
+        let twice = Expr::var("buf").bin(BinOp::Add, Expr::var("buf"));
+        assert_eq!(eval_twice(&twice, &env), Value::Bytes(vec![3, 4, 3, 4]));
+        let lit = Expr::Lit(Value::Bytes(vec![1, 2])).bin(BinOp::Add, Expr::var("buf"));
+        assert_eq!(eval_twice(&lit, &env), Value::Bytes(vec![1, 2, 3, 4]));
+        // An owned left operand (the inner `+`'s result) is extended.
+        let chain = lit.bin(BinOp::Add, Expr::var("buf"));
+        assert_eq!(
+            eval_twice(&chain, &env),
+            Value::Bytes(vec![1, 2, 3, 4, 3, 4])
+        );
+    }
+
+    #[test]
+    fn borrowed_reads_match_owned_results() {
+        let env = Env::new()
+            .with_var("buf", vec![0x01u8, 0x02, 0xAA, 0xBB])
+            .with_param("pdu", vec![0x01u8, 0x02, 0xAA, 0xBB]);
+        let len = Expr::call(Builtin::Len, vec![Expr::var("buf")]);
+        assert_eq!(eval_twice(&len, &env), Value::Int(4));
+        let head = Expr::call(
+            Builtin::Slice,
+            vec![Expr::var("buf"), Expr::int(0), Expr::int(2)],
+        );
+        let unpack = Expr::call(Builtin::UnpackInt, vec![head]);
+        assert_eq!(eval_twice(&unpack, &env), Value::Int(0x0102));
+        let eq = Expr::var("buf").bin(BinOp::Eq, Expr::param("pdu"));
+        assert_eq!(eval_twice(&eq, &env), Value::Bool(true));
+        let ne = Expr::var("buf").bin(BinOp::Ne, Expr::Lit(Value::Bytes(vec![1])));
+        assert_eq!(eval_twice(&ne, &env), Value::Bool(true));
+        let byte = Expr::call(Builtin::ByteAt, vec![Expr::param("pdu"), Expr::int(3)]);
+        assert_eq!(eval_twice(&byte, &env), Value::Int(0xBB));
+    }
+
+    #[test]
+    fn self_slice_assignment_pops_the_prefix() {
+        let prog = vec![Statement::Assign {
+            var: "buf".into(),
+            expr: Expr::call(
+                Builtin::Slice,
+                vec![
+                    Expr::var("buf"),
+                    Expr::int(2),
+                    Expr::call(Builtin::Len, vec![Expr::var("buf")]),
+                ],
+            ),
+        }];
+        let start = Env::new().with_var("buf", vec![1u8, 2, 3, 4, 5]);
+        let run = || {
+            let mut env = start.clone();
+            let (mut fx, mut w) = (Vec::new(), 0);
+            execute(&prog, &mut env, &mut fx, &mut w).unwrap();
+            env.vars
+        };
+        let first = run();
+        assert_eq!(first["buf"], Value::Bytes(vec![3, 4, 5]));
+        assert_eq!(run(), first);
+        assert_eq!(start.vars["buf"], Value::Bytes(vec![1, 2, 3, 4, 5]));
     }
 
     #[test]

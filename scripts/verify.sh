@@ -17,6 +17,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --workspace -q (every crate's unit and integration tests)"
+cargo test --workspace -q
+
 echo "==> cargo test -q --test exploration (parallel == serial properties)"
 cargo test -q --test exploration
 
