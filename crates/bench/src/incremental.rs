@@ -295,7 +295,6 @@ pub struct Checker {
     tut: TutProfile,
     rules: ConstraintSet,
     docs: HashMap<String, DocState>,
-    runs: u64,
 }
 
 impl Default for Checker {
@@ -332,7 +331,6 @@ impl Checker {
             tut,
             rules,
             docs: HashMap::new(),
-            runs: 0,
         }
     }
 
@@ -355,7 +353,6 @@ impl Checker {
     /// Checks one document. `name` labels the source in the report.
     pub fn check(&mut self, name: &str, text: &str) -> CheckOutcome {
         self.db.begin_run();
-        self.runs += 1;
         let text_fp = Fp::of_str(text);
         let key = FpBuilder::new().str(name).fp(text_fp).finish();
         let db = &mut self.db;
@@ -377,8 +374,7 @@ impl Checker {
     /// Drops cached values not touched in the last `keep_last` runs
     /// (the `repro watch` loop calls this so long sessions stay flat).
     pub fn trim(&mut self, keep_last: u64) {
-        let keep = self.runs.saturating_sub(keep_last);
-        self.db.evict_older_than(keep);
+        self.db.evict_older_than(keep_last);
     }
 
     /// Number of live memoized values (observability for tests).

@@ -89,6 +89,29 @@ fn random_edits_stay_byte_identical_to_the_cold_pipeline() {
     }
 }
 
+/// A long edit session trimmed after every edit, as `repro watch` does,
+/// keeps the memo table bounded by a few runs' worth of entries, and
+/// eviction never changes a report: every warm result still matches the
+/// cold pipeline byte for byte.
+#[test]
+fn trimmed_session_stays_bounded_and_byte_identical() {
+    let base = paper_xml();
+    let mut checker = Checker::new();
+    check_against_oracle(&mut checker, &base, "base document");
+    let one_run = checker.memo_len();
+    let mut peak = 0;
+    for n in 0..200 {
+        let edited = edit_behavior(&base, n).expect("fixture has a compute site");
+        check_against_oracle(&mut checker, &edited, &format!("edit {n}"));
+        checker.trim(2);
+        peak = peak.max(checker.memo_len());
+    }
+    assert!(
+        peak <= 3 * one_run,
+        "memo table grew to {peak} entries (one cold run holds {one_run})"
+    );
+}
+
 /// A behaviour-body edit recomputes exactly the queries downstream of
 /// the edited segment: the report, the outline, one segment parse, one
 /// state-machine decode, one per-class behaviour check — and nothing

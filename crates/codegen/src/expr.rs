@@ -98,11 +98,11 @@ mod tests {
         assert_eq!(emit_expr(&E::int(5)), "tut_rt_int(INT64_C(5))");
         assert_eq!(emit_expr(&E::bool(true)), "tut_rt_bool(1)");
         assert_eq!(
-            emit_expr(&E::Lit(Value::Bytes(vec![0xab, 0x01]))),
+            emit_expr(&E::Lit(Value::Bytes(vec![0xab, 0x01].into()))),
             "tut_rt_bytes_lit((const uint8_t[]){0xab, 0x01}, 2)"
         );
         assert_eq!(
-            emit_expr(&E::Lit(Value::Bytes(vec![]))),
+            emit_expr(&E::Lit(Value::Bytes(vec![].into()))),
             "tut_rt_bytes_empty()"
         );
     }

@@ -12,12 +12,12 @@
 //!   events hash into time-ordered buckets ("days") of width
 //!   `width_ns`; popping scans the current day and wraps around the
 //!   "year". With the width adapted to the inter-event gap the expected
-//!   cost is O(1) per operation. Payloads live in a slab so bucket
-//!   entries stay small and `Copy`.
+//!   cost is O(1) per operation. Payloads move in and out of the
+//!   buckets; the queue never clones one.
 //!
 //! The calendar's buckets are **structure-of-arrays**: a dense `times`
 //! vector searched on its own cache lines, with a parallel `(seq, event)`
-//! vector carrying the tie-break and the payload, both sorted ascending
+//! deque carrying the tie-break and the payload, both sorted ascending
 //! by `(time, seq)` behind a `head` cursor. The hot hold pattern — push a
 //! little ahead of now, pop the minimum — then appends at the tail and
 //! pops at the head in O(1), and a search never drags payload bytes
@@ -30,7 +30,7 @@
 //! by tests and by the engine's byte-identical-log property tests.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Which future-event-set implementation a simulation uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -81,7 +81,7 @@ impl<T> Ord for HeapEntry<T> {
 }
 
 /// One calendar bucket: a contiguous `times` vector searched on its own
-/// cache lines, with a parallel `(seq, payload)` vector, both sorted
+/// cache lines, with a parallel `(seq, payload)` deque, both sorted
 /// **ascending** by `(time, seq)` behind a `head` cursor. The hold
 /// pattern's monotone pushes append at the tail in O(1) — including a
 /// same-timestamp burst, whose rising seqs are always the bucket tail —
@@ -91,10 +91,13 @@ impl<T> Ord for HeapEntry<T> {
 /// compacted amortised-O(1) once it dominates the vector.
 #[derive(Clone, Debug)]
 struct Bucket<T> {
-    /// Index of the bucket minimum; everything before it is dead.
+    /// Index of the bucket minimum in `times`; everything before it is
+    /// dead.
     head: usize,
     times: Vec<u64>,
-    entries: Vec<(u64, T)>,
+    /// `(seq, payload)` of the live entries only: `entries[i]` belongs to
+    /// `times[head + i]`, and a pop moves the payload out of the front.
+    entries: VecDeque<(u64, T)>,
 }
 
 impl<T> Default for Bucket<T> {
@@ -102,12 +105,12 @@ impl<T> Default for Bucket<T> {
         Bucket {
             head: 0,
             times: Vec::new(),
-            entries: Vec::new(),
+            entries: VecDeque::new(),
         }
     }
 }
 
-impl<T: Clone> Bucket<T> {
+impl<T> Bucket<T> {
     #[inline]
     fn live(&self) -> usize {
         self.times.len() - self.head
@@ -116,9 +119,7 @@ impl<T: Clone> Bucket<T> {
     /// Minimum `(time, seq)` key, if any.
     #[inline]
     fn first_key(&self) -> Option<(u64, u64)> {
-        self.times
-            .get(self.head)
-            .map(|&t| (t, self.entries[self.head].0))
+        self.times.get(self.head).map(|&t| (t, self.entries[0].0))
     }
 
     /// Inserts keeping ascending `(time, seq)` order; returns how many
@@ -128,47 +129,46 @@ impl<T: Clone> Bucket<T> {
         if len == self.head {
             // Live part empty: drop any dead prefix and start over.
             self.times.clear();
-            self.entries.clear();
             self.head = 0;
             self.times.push(time_ns);
-            self.entries.push((seq, item));
+            self.entries.push_back((seq, item));
             return 0;
         }
         // Hold-pattern fast path: not earlier than the current tail.
-        if (self.times[len - 1], self.entries[len - 1].0) < (time_ns, seq) {
+        let tail_seq = self.entries.back().expect("live bucket").0;
+        if (self.times[len - 1], tail_seq) < (time_ns, seq) {
             self.times.push(time_ns);
-            self.entries.push((seq, item));
+            self.entries.push_back((seq, item));
             return 0;
         }
         let mut pos = self.head + self.times[self.head..].partition_point(|&t| t < time_ns);
-        while pos < len && self.times[pos] == time_ns && self.entries[pos].0 < seq {
+        while pos < len && self.times[pos] == time_ns && self.entries[pos - self.head].0 < seq {
             pos += 1;
         }
         if pos == self.head && self.head > 0 {
             // New bucket minimum: reuse the dead slot in front of head.
             self.head -= 1;
             self.times[self.head] = time_ns;
-            self.entries[self.head] = (seq, item);
+            self.entries.push_front((seq, item));
             return 0;
         }
         self.times.insert(pos, time_ns);
-        self.entries.insert(pos, (seq, item));
+        self.entries.insert(pos - self.head, (seq, item));
         len - pos
     }
 
-    /// Removes and returns the minimum by advancing the head cursor.
+    /// Removes and returns the minimum by advancing the head cursor; the
+    /// payload is moved out, not cloned.
     fn pop_min(&mut self) -> (u64, u64, T) {
         let time_ns = self.times[self.head];
-        let (seq, item) = self.entries[self.head].clone();
+        let (seq, item) = self.entries.pop_front().expect("live bucket");
         self.head += 1;
         if self.head == self.times.len() {
             self.times.clear();
-            self.entries.clear();
             self.head = 0;
         } else if self.head >= 32 && 2 * self.head >= self.times.len() {
             // Dead prefix dominates: compact (amortised O(1) per pop).
             self.times.drain(..self.head);
-            self.entries.drain(..self.head);
             self.head = 0;
         }
         (time_ns, seq, item)
@@ -176,15 +176,10 @@ impl<T: Clone> Bucket<T> {
 
     /// Moves every live entry out, clearing the bucket.
     fn drain_into(&mut self, out: &mut Vec<(u64, u64, T)>) {
-        for (time_ns, (seq, item)) in self
-            .times
-            .drain(self.head..)
-            .zip(self.entries.drain(self.head..))
-        {
+        for (time_ns, (seq, item)) in self.times.drain(self.head..).zip(self.entries.drain(..)) {
             out.push((time_ns, seq, item));
         }
         self.times.clear();
-        self.entries.clear();
         self.head = 0;
     }
 }
@@ -242,13 +237,13 @@ const GAP_WINDOW: u32 = 32;
 /// memmoves a few 16-byte entries.
 const ENTRIES_PER_BUCKET: usize = 4;
 
-impl<T: Clone> Default for CalendarQueue<T> {
+impl<T> Default for CalendarQueue<T> {
     fn default() -> Self {
         CalendarQueue::new()
     }
 }
 
-impl<T: Clone> CalendarQueue<T> {
+impl<T> CalendarQueue<T> {
     /// An empty queue with the initial bucket geometry.
     pub fn new() -> CalendarQueue<T> {
         CalendarQueue {
@@ -486,7 +481,7 @@ enum Inner<T> {
     Calendar(CalendarQueue<T>),
 }
 
-impl<T: Clone> EventQueue<T> {
+impl<T> EventQueue<T> {
     /// An empty queue of the requested kind.
     pub fn new(kind: QueueKind) -> EventQueue<T> {
         let inner = match kind {
@@ -648,6 +643,45 @@ mod tests {
         assert_eq!(cal.pop(), Some((10, 0, 1)));
         assert_eq!(cal.pop(), Some((10_000_000_000, 1, 2)));
         assert_eq!(cal.pop(), None);
+    }
+
+    /// A payload that counts how often it is cloned.
+    #[derive(Debug)]
+    struct Counted(u64, std::rc::Rc<std::cell::Cell<u64>>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.1.set(self.1.get() + 1);
+            Counted(self.0, self.1.clone())
+        }
+    }
+
+    /// Push (tail appends, head-slot reuse, mid-bucket inserts), pop and
+    /// resize all move payloads: none is ever cloned, and the pop order
+    /// is still `(time, seq)`.
+    #[test]
+    fn payloads_are_moved_never_cloned() {
+        let clones = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut cal: CalendarQueue<Counted> = CalendarQueue::new();
+        let mut reference: EventQueue<u64> = EventQueue::new(QueueKind::Heap);
+        let mut rng = SplitMix64::new(0xC10E);
+        let mut now = 0;
+        let pop_both = |cal: &mut CalendarQueue<Counted>, reference: &mut EventQueue<u64>| {
+            let got = cal.pop().map(|(t, s, item)| (t, s, item.0));
+            assert_eq!(got, reference.pop(), "pop order changed");
+            got
+        };
+        for seq in 0..6_000u64 {
+            let t = now + rng.next_below(20_000);
+            cal.push(t, seq, Counted(seq, clones.clone()));
+            reference.push(t, seq, seq);
+            if seq % 3 == 2 {
+                now = pop_both(&mut cal, &mut reference).expect("non-empty").0;
+            }
+        }
+        assert!(cal.resizes() > 0, "the population must force resizes");
+        while pop_both(&mut cal, &mut reference).is_some() {}
+        assert_eq!(clones.get(), 0, "the queue cloned a payload");
     }
 
     #[test]

@@ -1448,13 +1448,15 @@ impl Simulation {
 /// value, or perturbs the first `Int` through its little-endian byte
 /// image when the signal carries no raw bytes. Signals with no
 /// corruptible value (e.g. `Bool`/`Str` only) keep the fault record but
-/// arrive unchanged.
+/// arrive unchanged. A `Bytes` buffer shared with the sender or another
+/// receiver is copied before the flip (copy-on-write), so only this
+/// delivery sees the error.
 fn corrupt_values<F: FaultModel>(values: &mut [Value], faults: &mut F, now_ns: u64, salt: u64) {
     if let Some(bytes) = values.iter_mut().find_map(|v| match v {
         Value::Bytes(b) if !b.is_empty() => Some(b),
         _ => None,
     }) {
-        faults.corrupt_payload(now_ns, bytes, salt);
+        faults.corrupt_payload(now_ns, bytes.make_mut(), salt);
         return;
     }
     if let Some(value) = values.iter_mut().find(|v| matches!(v, Value::Int(_))) {
@@ -1510,7 +1512,7 @@ mod tests {
     use tut_profile::application::ProcessType;
     use tut_profile::platform::ComponentKind;
     use tut_profile_core::TagValue;
-    use tut_uml::action::{BinOp, CostClass, Expr, Statement};
+    use tut_uml::action::{BinOp, Builtin, CostClass, Expr, Statement};
     use tut_uml::statemachine::StateMachine;
     use tut_uml::value::DataType;
 
@@ -1630,6 +1632,19 @@ mod tests {
         s.assign_to_group(ping_part, g1);
         s.assign_to_group(pong_part, g2);
 
+        let (cpu1, cpu2) = two_cpus_on_one_segment(&mut s);
+        s.map_group(g1, cpu1, false);
+        if same_pe {
+            s.map_group(g2, cpu1, false);
+        } else {
+            s.map_group(g2, cpu2, false);
+        }
+        s
+    }
+
+    /// Two Nios CPUs, `cpu1` and `cpu2`, each behind a HIBI wrapper on
+    /// one shared segment.
+    fn two_cpus_on_one_segment(s: &mut SystemModel) -> (PropertyId, PropertyId) {
         let platform = s.model.add_class("Platform");
         s.apply(platform, |t| t.platform).unwrap();
         let nios = s.add_platform_component("Nios", ComponentKind::General, 50, 2.0, 0.5);
@@ -1685,14 +1700,139 @@ mod tests {
                 },
             );
         }
+        (cpu1, cpu2)
+    }
 
-        s.map_group(g1, cpu1, false);
-        if same_pe {
-            s.map_group(g2, cpu1, false);
-        } else {
-            s.map_group(g2, cpu2, false);
+    /// `src` multicasts one 64-byte `Bytes` payload through a single port
+    /// to `near` (on its own CPU: a local delivery) and `far` (across the
+    /// HIBI segment). Each logs the CRC of the bytes it holds afterwards.
+    fn multicast_bytes(far_first: bool) -> SystemModel {
+        let mut s = SystemModel::new("Multicast");
+        let top = s.model.add_class("Top");
+        s.apply(top, |t| t.application).unwrap();
+        let data = s.model.add_signal("Data");
+        s.model
+            .signal_mut(data)
+            .add_param("payload", DataType::Bytes);
+        let crc = |e: Expr| Expr::call(Builtin::Crc32, vec![e]);
+
+        let source = s.model.add_class("Source");
+        s.apply(source, |t| t.application_component).unwrap();
+        let out = s.model.add_port(source, "out");
+        s.model.port_mut(out).add_required(data);
+        let mut sm = StateMachine::new("SourceB");
+        sm.add_variable("buf", DataType::Bytes, Value::from(vec![0xA5; 64]));
+        let idle = sm.add_state_with_entry(
+            "Idle",
+            vec![Statement::Send {
+                port: "out".into(),
+                signal: data,
+                args: vec![Expr::var("buf")],
+            }],
+        );
+        let done = sm.add_state("Done");
+        sm.set_initial(idle);
+        sm.add_transition(
+            idle,
+            done,
+            Trigger::Completion,
+            None,
+            vec![Statement::Log {
+                message: "crc {}".into(),
+                args: vec![crc(Expr::var("buf"))],
+            }],
+        );
+        s.model.add_state_machine(source, sm);
+
+        let sink = s.model.add_class("Sink");
+        s.apply(sink, |t| t.application_component).unwrap();
+        let inp = s.model.add_port(sink, "in");
+        s.model.port_mut(inp).add_provided(data);
+        let mut sm = StateMachine::new("SinkB");
+        let st = sm.add_state("S");
+        sm.set_initial(st);
+        sm.add_transition(
+            st,
+            st,
+            Trigger::Signal(data),
+            None,
+            vec![Statement::Log {
+                message: "crc {}".into(),
+                args: vec![crc(Expr::param("payload"))],
+            }],
+        );
+        s.model.add_state_machine(sink, sm);
+
+        let src = s.model.add_part(top, "src", source);
+        let near = s.model.add_part(top, "near", sink);
+        let far = s.model.add_part(top, "far", sink);
+        let receivers = if far_first { [far, near] } else { [near, far] };
+        for (i, part) in receivers.into_iter().enumerate() {
+            s.model.add_connector(
+                top,
+                format!("wire{i}"),
+                tut_uml::model::ConnectorEnd {
+                    part: Some(src),
+                    port: out,
+                },
+                tut_uml::model::ConnectorEnd {
+                    part: Some(part),
+                    port: inp,
+                },
+            );
         }
+        for part in [src, near, far] {
+            s.apply(part, |t| t.application_process).unwrap();
+        }
+        let g1 = s.add_process_group("group1", false, ProcessType::General);
+        let g2 = s.add_process_group("group2", false, ProcessType::General);
+        s.assign_to_group(src, g1);
+        s.assign_to_group(near, g1);
+        s.assign_to_group(far, g2);
+        let (cpu1, cpu2) = two_cpus_on_one_segment(&mut s);
+        s.map_group(g1, cpu1, false);
+        s.map_group(g2, cpu2, false);
         s
+    }
+
+    /// Multicast copies share the sender's buffer; corrupting the copy
+    /// that crosses the bus must change neither the local receiver's
+    /// payload nor the sender's variable (copy-on-write), whichever
+    /// receiver the engine serves last.
+    #[test]
+    fn corrupting_one_multicast_copy_leaves_the_others_intact() {
+        let intact = format!("crc {}", tut_uml::action::crc32(&[0xA5; 64]));
+        for far_first in [false, true] {
+            let mut plan = FaultPlan::new(FaultConfig::with_ber(7, 1.0));
+            let report = Simulation::from_system(&multicast_bytes(far_first), SimConfig::default())
+                .unwrap()
+                .run_with_faults(&mut plan, &mut NoopSink)
+                .unwrap();
+            assert_eq!(report.faults.corrupted, 1, "only the bus copy is corrupted");
+            let logged = |who: &str| -> String {
+                report
+                    .log
+                    .iter()
+                    .find_map(|r| match r {
+                        RecordRef::User {
+                            process, message, ..
+                        } if process == who => Some(message.to_owned()),
+                        _ => None,
+                    })
+                    .unwrap_or_else(|| panic!("{who} logged nothing"))
+            };
+            assert_eq!(
+                logged("src"),
+                intact,
+                "sender's variable (far_first={far_first})"
+            );
+            assert_eq!(
+                logged("near"),
+                intact,
+                "local receiver (far_first={far_first})"
+            );
+            assert_ne!(logged("far"), intact, "bus receiver sees the corruption");
+        }
     }
 
     #[test]

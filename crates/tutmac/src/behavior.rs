@@ -5,7 +5,7 @@
 
 use tut_uml::action::{BinOp, Builtin, CostClass, Expr, Statement, UnaryOp};
 use tut_uml::statemachine::{StateMachine, Trigger};
-use tut_uml::value::{DataType, Value};
+use tut_uml::value::{Bytes, DataType, Value};
 
 use crate::config::TutmacConfig;
 use crate::signals::Signals;
@@ -167,9 +167,9 @@ fn emit_fragment(config: &TutmacConfig, signals: &Signals) -> Vec<Statement> {
 /// flight; further MSDUs queue in a length-prefixed byte backlog).
 pub fn frag(config: &TutmacConfig, signals: &Signals) -> StateMachine {
     let mut sm = StateMachine::new("FragBehavior");
-    sm.add_variable("backlog", DataType::Bytes, Value::Bytes(vec![]));
-    sm.add_variable("current", DataType::Bytes, Value::Bytes(vec![]));
-    sm.add_variable("piece", DataType::Bytes, Value::Bytes(vec![]));
+    sm.add_variable("backlog", DataType::Bytes, Value::Bytes(Bytes::new()));
+    sm.add_variable("current", DataType::Bytes, Value::Bytes(Bytes::new()));
+    sm.add_variable("piece", DataType::Bytes, Value::Bytes(Bytes::new()));
     sm.add_variable("seq", DataType::Int, Value::Int(0));
     sm.add_variable("busy", DataType::Bool, Value::Bool(false));
     let run = sm.add_state("Run");
@@ -285,7 +285,7 @@ pub fn defrag(config: &TutmacConfig, signals: &Signals) -> StateMachine {
 pub fn crc(config: &TutmacConfig, signals: &Signals) -> StateMachine {
     let per_unit = config.crc_bytes_per_unit.max(1);
     let mut sm = StateMachine::new("CrcBehavior");
-    sm.add_variable("data", DataType::Bytes, Value::Bytes(vec![]));
+    sm.add_variable("data", DataType::Bytes, Value::Bytes(Bytes::new()));
     sm.add_variable("errors", DataType::Int, Value::Int(0));
     let run = sm.add_state("Run");
     sm.set_initial(run);
@@ -366,7 +366,7 @@ pub fn crc(config: &TutmacConfig, signals: &Signals) -> StateMachine {
 /// report's per-group counters expose the protocol's reliability figures.
 pub fn rca(config: &TutmacConfig, signals: &Signals) -> StateMachine {
     let mut sm = StateMachine::new("RcaBehavior");
-    sm.add_variable("buf", DataType::Bytes, Value::Bytes(vec![]));
+    sm.add_variable("buf", DataType::Bytes, Value::Bytes(Bytes::new()));
     sm.add_variable("cur_seq", DataType::Int, Value::Int(-1));
     sm.add_variable("retries", DataType::Int, Value::Int(0));
     sm.add_variable(
@@ -606,7 +606,7 @@ pub fn channel(config: &TutmacConfig, signals: &Signals) -> StateMachine {
     let mut sm = StateMachine::new("ChannelBehavior");
     sm.add_variable("count", DataType::Int, Value::Int(0));
     sm.add_variable("rxn", DataType::Int, Value::Int(0));
-    sm.add_variable("data", DataType::Bytes, Value::Bytes(vec![]));
+    sm.add_variable("data", DataType::Bytes, Value::Bytes(Bytes::new()));
     let run = sm.add_state_with_entry(
         "Run",
         vec![

@@ -22,7 +22,7 @@ use tut_diag::{Diagnostic, DiagnosticBag};
 
 use crate::error::{Error, Result};
 use crate::ids::SignalId;
-use crate::value::{DataType, Value};
+use crate::value::{Bytes, DataType, Value};
 
 /// Binary operators of the action language.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -115,7 +115,7 @@ pub enum Builtin {
     PackInt,
     /// `unpack_int(bytes) -> int`, big-endian over at most 8 bytes.
     UnpackInt,
-    /// `crc32(bytes) -> int` — the table-driven CRC-32 [`crc32`] (IEEE
+    /// `crc32(bytes) -> int` — the slice-by-8 CRC-32 [`crc32`] (IEEE
     /// 802.3 polynomial), bit-exact with the bitwise reference
     /// [`crc32_bitwise`] and with the hardware accelerator in
     /// `tut-platform`.
@@ -301,6 +301,17 @@ impl Expr {
         }
     }
 
+    /// True when the variable `name` occurs anywhere in the expression.
+    fn mentions_var(&self, name: &str) -> bool {
+        match self {
+            Expr::Var(v) => v == name,
+            Expr::Lit(_) | Expr::Param(_) => false,
+            Expr::Unary(_, e) => e.mentions_var(name),
+            Expr::Binary(_, l, r) => l.mentions_var(name) || r.mentions_var(name),
+            Expr::Call(_, args) => args.iter().any(|a| a.mentions_var(name)),
+        }
+    }
+
     /// A rough static weight of the expression: number of AST nodes. The
     /// simulator uses this as the base execution cost of evaluating the
     /// expression on a processing element.
@@ -354,14 +365,7 @@ fn eval_binary(op: BinOp, l: Cow<'_, Value>, r: Cow<'_, Value>) -> Result<Value>
     }
     let (a, b) = match (l.as_int(), r.as_int()) {
         (Some(a), Some(b)) => (a, b),
-        _ => {
-            return Err(Error::Action(format!(
-                "operator `{}` requires integer operands, got {} and {}",
-                op.token(),
-                l.data_type(),
-                r.data_type()
-            )))
-        }
+        _ => return Err(int_operands_error(op, l.data_type(), r.data_type())),
     };
     let v = match op {
         Add => Value::Int(a.wrapping_add(b)),
@@ -393,6 +397,13 @@ fn eval_binary(op: BinOp, l: Cow<'_, Value>, r: Cow<'_, Value>) -> Result<Value>
     Ok(v)
 }
 
+fn int_operands_error(op: BinOp, l: DataType, r: DataType) -> Error {
+    Error::Action(format!(
+        "operator `{}` requires integer operands, got {l} and {r}",
+        op.token()
+    ))
+}
+
 /// Reference software CRC-32 (IEEE 802.3, reflected, init/xorout `!0`).
 ///
 /// This bitwise implementation is the *functional specification*; the
@@ -411,8 +422,8 @@ pub fn crc32_bitwise(data: &[u8]) -> u32 {
     !crc
 }
 
-/// The byte-at-a-time lookup table for [`crc32`], built at compile time
-/// from the same polynomial as [`crc32_bitwise`].
+/// The byte-at-a-time CRC-32 lookup table, built at compile time from
+/// the same polynomial as [`crc32_bitwise`].
 const CRC32_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -429,11 +440,45 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
-/// Table-driven CRC-32, bit-exact with [`crc32_bitwise`] but one table
-/// lookup per byte instead of eight shift/xor rounds.
+/// The slice-by-8 tables for [`crc32`], built at compile time from
+/// [`CRC32_TABLE`]: entry `i` of table `k` is the CRC register after
+/// feeding byte `i` followed by `k` zero bytes, so table `k` advances a
+/// byte that sits `k` positions before the end of an 8-byte block.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [CRC32_TABLE; 8];
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ CRC32_TABLE[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// Slice-by-8 CRC-32, bit-exact with [`crc32_bitwise`]: eight table
+/// lookups fold each 8-byte block into the register at once, and the
+/// tail of fewer than 8 bytes goes through [`CRC32_TABLE`] one byte at a
+/// time.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc: u32 = !0;
-    for &byte in data {
+    let mut blocks = data.chunks_exact(8);
+    for b in &mut blocks {
+        let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(b[4])]
+            ^ t[2][usize::from(b[5])]
+            ^ t[1][usize::from(b[6])]
+            ^ t[0][usize::from(b[7])];
+    }
+    for &byte in blocks.remainder() {
         crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
@@ -458,15 +503,16 @@ fn eval_builtin(builtin: Builtin, args: &[Cow<'_, Value>]) -> Result<Value> {
             ))
         })
     };
-    let bytes_arg = |i: usize| -> Result<&[u8]> {
-        args[i].as_bytes().ok_or_else(|| {
-            Error::Action(format!(
+    let bytes_arg = |i: usize| -> Result<&Bytes> {
+        match &*args[i] {
+            Value::Bytes(b) => Ok(b),
+            other => Err(Error::Action(format!(
                 "builtin `{}` argument {} must be Bytes, got {}",
                 builtin.name(),
                 i,
-                args[i].data_type()
-            ))
-        })
+                other.data_type()
+            ))),
+        }
     };
     match builtin {
         Builtin::Len => match &*args[0] {
@@ -481,12 +527,12 @@ fn eval_builtin(builtin: Builtin, args: &[Cow<'_, Value>]) -> Result<Value> {
             let b = bytes_arg(0)?;
             let from = int_arg(1)?.clamp(0, b.len() as i64) as usize;
             let to = int_arg(2)?.clamp(from as i64, b.len() as i64) as usize;
-            Ok(Value::Bytes(b[from..to].to_vec()))
+            Ok(Value::Bytes(b.slice(from..to)))
         }
         Builtin::Concat => {
             let mut out = bytes_arg(0)?.to_vec();
             out.extend_from_slice(bytes_arg(1)?);
-            Ok(Value::Bytes(out))
+            Ok(Value::from(out))
         }
         Builtin::ByteAt => {
             let b = bytes_arg(0)?;
@@ -508,7 +554,7 @@ fn eval_builtin(builtin: Builtin, args: &[Cow<'_, Value>]) -> Result<Value> {
                 )));
             }
             let be = v.to_be_bytes();
-            Ok(Value::Bytes(be[8 - width as usize..].to_vec()))
+            Ok(Value::from(be[8 - width as usize..].to_vec()))
         }
         Builtin::UnpackInt => {
             let b = bytes_arg(0)?;
@@ -519,7 +565,7 @@ fn eval_builtin(builtin: Builtin, args: &[Cow<'_, Value>]) -> Result<Value> {
                 )));
             }
             let mut v: i64 = 0;
-            for &byte in b {
+            for &byte in b.iter() {
                 v = (v << 8) | i64::from(byte);
             }
             Ok(Value::Int(v))
@@ -536,7 +582,7 @@ fn eval_builtin(builtin: Builtin, args: &[Cow<'_, Value>]) -> Result<Value> {
             if !(0..=1 << 20).contains(&count) {
                 return Err(Error::Action(format!("fill count {count} out of range")));
             }
-            Ok(Value::Bytes(vec![byte as u8; count as usize]))
+            Ok(Value::from(vec![byte as u8; count as usize]))
         }
     }
 }
@@ -758,6 +804,13 @@ impl Scope {
         self.entries.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
+    fn get_mut(&mut self, name: &str) -> Option<&mut Value> {
+        self.entries
+            .iter_mut()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v)
+    }
+
     /// Binds `name` to `value`, replacing an existing binding in place
     /// (the stored key is reused — no allocation for repeat names).
     pub fn set(&mut self, name: &str, value: Value) {
@@ -848,7 +901,13 @@ pub fn execute(
         *weight += 1;
         match statement {
             Statement::Assign { var, expr } => {
-                let v = expr.eval(env)?;
+                let v = match env.vars.get_mut(var) {
+                    Some(Value::Bytes(slot)) if is_self_append(var, expr) => {
+                        let acc = std::mem::take(slot);
+                        Value::Bytes(append_in_place(var, acc, expr, env)?)
+                    }
+                    _ => expr.eval(env)?,
+                };
                 *weight += expr.weight();
                 env.vars.set(var, v);
             }
@@ -954,6 +1013,50 @@ pub fn execute(
         }
     }
     Ok(())
+}
+
+/// True when `expr` is `var + e1 + … + en` (n ≥ 1) with `var` in none of
+/// the `ei`: the append [`execute`] runs on `var`'s own buffer.
+fn is_self_append(var: &str, expr: &Expr) -> bool {
+    match expr {
+        Expr::Binary(BinOp::Add, lhs, rhs) => {
+            !rhs.mentions_var(var)
+                && (matches!(&**lhs, Expr::Var(v) if v == var) || is_self_append(var, lhs))
+        }
+        _ => false,
+    }
+}
+
+/// Evaluates the self-append `expr` (see [`is_self_append`]) with the
+/// variable's value moved out of `env` into `acc`, so each `+ ei` extends
+/// `acc` in place whenever no other value shares its buffer. On error
+/// `var` is put back unchanged.
+fn append_in_place(var: &str, mut acc: Bytes, expr: &Expr, env: &mut Env) -> Result<Bytes> {
+    fn extend(acc: &mut Bytes, expr: &Expr, env: &Env) -> Result<()> {
+        let Expr::Binary(_, lhs, rhs) = expr else {
+            return Ok(());
+        };
+        extend(acc, lhs, env)?;
+        match &*rhs.eval_cow(env)? {
+            Value::Bytes(b) => acc.extend_from_slice(b),
+            other => {
+                return Err(int_operands_error(
+                    BinOp::Add,
+                    DataType::Bytes,
+                    other.data_type(),
+                ))
+            }
+        }
+        Ok(())
+    }
+    let len = acc.len();
+    match extend(&mut acc, expr, env) {
+        Ok(()) => Ok(acc),
+        Err(e) => {
+            env.vars.set(var, Value::Bytes(acc.slice(0..len)));
+            Err(e)
+        }
+    }
 }
 
 /// Infers the static data type of an expression where possible (literals
@@ -1291,20 +1394,20 @@ mod tests {
             Builtin::Slice,
             vec![Expr::var("buf"), Expr::int(1), Expr::int(3)],
         );
-        assert_eq!(sl.eval(&env).unwrap(), Value::Bytes(vec![2, 3]));
+        assert_eq!(sl.eval(&env).unwrap(), Value::Bytes(vec![2, 3].into()));
         // Slice clamps out-of-range bounds.
         let sl = Expr::call(
             Builtin::Slice,
             vec![Expr::var("buf"), Expr::int(3), Expr::int(99)],
         );
-        assert_eq!(sl.eval(&env).unwrap(), Value::Bytes(vec![4, 5]));
+        assert_eq!(sl.eval(&env).unwrap(), Value::Bytes(vec![4, 5].into()));
     }
 
     #[test]
     fn pack_unpack_round_trip() {
         let packed = Expr::call(Builtin::PackInt, vec![Expr::int(0xABCD), Expr::int(2)]);
         let v = eval(&packed);
-        assert_eq!(v, Value::Bytes(vec![0xAB, 0xCD]));
+        assert_eq!(v, Value::Bytes(vec![0xAB, 0xCD].into()));
         let unpacked = Expr::call(Builtin::UnpackInt, vec![Expr::Lit(v)]);
         assert_eq!(eval(&unpacked), Value::Int(0xABCD));
     }
@@ -1333,18 +1436,32 @@ mod tests {
         }
     }
 
+    /// Every tail length (0..8 bytes after the last full block) and every
+    /// start offset goes through the slice-by-8 loop correctly.
+    #[test]
+    fn slice_by_8_matches_bitwise_at_every_length_and_offset() {
+        let data: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        for start in 0..8 {
+            for end in start..=data.len() {
+                let part = &data[start..end];
+                assert_eq!(crc32(part), crc32_bitwise(part), "bytes {start}..{end}");
+            }
+        }
+    }
+
     #[test]
     fn fill_rejects_bytes_above_255() {
         let fill = |byte| Expr::call(Builtin::Fill, vec![Expr::int(byte), Expr::int(1)]);
-        assert_eq!(eval(&fill(255)), Value::Bytes(vec![0xFF]));
+        assert_eq!(eval(&fill(255)), Value::Bytes(vec![0xFF].into()));
         let err = fill(256).eval(&Env::new()).unwrap_err();
         assert!(matches!(err, Error::Action(_)), "{err:?}");
     }
 
     #[test]
     fn bytes_concat_via_plus() {
-        let e = Expr::Lit(Value::Bytes(vec![1])).bin(BinOp::Add, Expr::Lit(Value::Bytes(vec![2])));
-        assert_eq!(eval(&e), Value::Bytes(vec![1, 2]));
+        let e = Expr::Lit(Value::Bytes(vec![1].into()))
+            .bin(BinOp::Add, Expr::Lit(Value::Bytes(vec![2].into())));
+        assert_eq!(eval(&e), Value::Bytes(vec![1, 2].into()));
         let e =
             Expr::Lit(Value::Str("ab".into())).bin(BinOp::Add, Expr::Lit(Value::Str("c".into())));
         assert_eq!(eval(&e), Value::Str("abc".into()));
@@ -1365,14 +1482,20 @@ mod tests {
     fn concat_never_writes_through_a_borrowed_operand() {
         let env = Env::new().with_var("buf", vec![3u8, 4]);
         let twice = Expr::var("buf").bin(BinOp::Add, Expr::var("buf"));
-        assert_eq!(eval_twice(&twice, &env), Value::Bytes(vec![3, 4, 3, 4]));
-        let lit = Expr::Lit(Value::Bytes(vec![1, 2])).bin(BinOp::Add, Expr::var("buf"));
-        assert_eq!(eval_twice(&lit, &env), Value::Bytes(vec![1, 2, 3, 4]));
+        assert_eq!(
+            eval_twice(&twice, &env),
+            Value::Bytes(vec![3, 4, 3, 4].into())
+        );
+        let lit = Expr::Lit(Value::Bytes(vec![1, 2].into())).bin(BinOp::Add, Expr::var("buf"));
+        assert_eq!(
+            eval_twice(&lit, &env),
+            Value::Bytes(vec![1, 2, 3, 4].into())
+        );
         // An owned left operand (the inner `+`'s result) is extended.
         let chain = lit.bin(BinOp::Add, Expr::var("buf"));
         assert_eq!(
             eval_twice(&chain, &env),
-            Value::Bytes(vec![1, 2, 3, 4, 3, 4])
+            Value::Bytes(vec![1, 2, 3, 4, 3, 4].into())
         );
     }
 
@@ -1391,7 +1514,7 @@ mod tests {
         assert_eq!(eval_twice(&unpack, &env), Value::Int(0x0102));
         let eq = Expr::var("buf").bin(BinOp::Eq, Expr::param("pdu"));
         assert_eq!(eval_twice(&eq, &env), Value::Bool(true));
-        let ne = Expr::var("buf").bin(BinOp::Ne, Expr::Lit(Value::Bytes(vec![1])));
+        let ne = Expr::var("buf").bin(BinOp::Ne, Expr::Lit(Value::Bytes(vec![1].into())));
         assert_eq!(eval_twice(&ne, &env), Value::Bool(true));
         let byte = Expr::call(Builtin::ByteAt, vec![Expr::param("pdu"), Expr::int(3)]);
         assert_eq!(eval_twice(&byte, &env), Value::Int(0xBB));
@@ -1418,9 +1541,143 @@ mod tests {
             env.vars
         };
         let first = run();
-        assert_eq!(first["buf"], Value::Bytes(vec![3, 4, 5]));
+        assert_eq!(first["buf"], Value::Bytes(vec![3, 4, 5].into()));
         assert_eq!(run(), first);
-        assert_eq!(start.vars["buf"], Value::Bytes(vec![1, 2, 3, 4, 5]));
+        assert_eq!(start.vars["buf"], Value::Bytes(vec![1, 2, 3, 4, 5].into()));
+    }
+
+    fn assign(var: &str, expr: Expr) -> Statement {
+        Statement::Assign {
+            var: var.into(),
+            expr,
+        }
+    }
+
+    /// Runs `prog` in `env`, returning the accumulated weight.
+    fn run(prog: &[Statement], env: &mut Env) -> Result<u64> {
+        let (mut fx, mut w) = (Vec::new(), 0);
+        execute(prog, env, &mut fx, &mut w)?;
+        Ok(w)
+    }
+
+    fn data_ptr(env: &Env, var: &str) -> *const u8 {
+        env.vars[var].as_bytes().expect("Bytes").as_ptr()
+    }
+
+    #[test]
+    fn self_append_detection() {
+        let x = || Expr::var("x");
+        let lit = || Expr::Lit(vec![9u8].into());
+        assert!(is_self_append("x", &x().bin(BinOp::Add, lit())));
+        assert!(is_self_append(
+            "x",
+            &x().bin(BinOp::Add, Expr::param("p")).bin(BinOp::Add, lit())
+        ));
+        assert!(!is_self_append("x", &x()), "no append");
+        assert!(!is_self_append("x", &x().bin(BinOp::Add, x())), "x + x");
+        assert!(
+            !is_self_append("x", &Expr::var("y").bin(BinOp::Add, x())),
+            "y + x"
+        );
+        assert!(
+            !is_self_append("x", &lit().bin(BinOp::Add, x())),
+            "x not leftmost"
+        );
+        assert!(!is_self_append("x", &x().bin(BinOp::Sub, lit())));
+        let len_x = Expr::call(Builtin::Len, vec![x()]);
+        let packed = Expr::call(Builtin::PackInt, vec![len_x, Expr::int(2)]);
+        assert!(
+            !is_self_append("x", &x().bin(BinOp::Add, packed)),
+            "x read inside a term"
+        );
+    }
+
+    /// `x = x + e1 + e2` appends to `x`'s own buffer when nothing else
+    /// shares it, with the same result and weight as the general path.
+    #[test]
+    fn self_append_reuses_the_sole_owners_buffer() {
+        let mut spare = Vec::with_capacity(64);
+        spare.extend_from_slice(&[1u8, 2]);
+        let mut env = Env::new()
+            .with_var("x", Value::Bytes(spare.into()))
+            .with_param("p", vec![3u8]);
+        let before = data_ptr(&env, "x");
+        let expr = Expr::var("x")
+            .bin(BinOp::Add, Expr::param("p"))
+            .bin(BinOp::Add, Expr::Lit(vec![4u8].into()));
+        let expected = expr.eval(&env).unwrap();
+        let w = run(&[assign("x", expr.clone())], &mut env).unwrap();
+        assert_eq!(env.vars["x"], expected);
+        assert_eq!(env.vars["x"], Value::from(vec![1, 2, 3, 4]));
+        assert_eq!(data_ptr(&env, "x"), before, "appended in place");
+        assert_eq!(w, 1 + expr.weight(), "weight is unchanged");
+    }
+
+    #[test]
+    fn self_append_never_writes_through_an_alias() {
+        let mut spare = Vec::with_capacity(64);
+        spare.extend_from_slice(&[1u8, 2]);
+        let mut env = Env::new().with_var("a", Value::Bytes(spare.into()));
+        let prog = [
+            assign("b", Expr::var("a")),
+            assign(
+                "a",
+                Expr::var("a").bin(BinOp::Add, Expr::Lit(vec![3u8].into())),
+            ),
+        ];
+        run(&prog, &mut env).unwrap();
+        assert_eq!(env.vars["a"], Value::from(vec![1, 2, 3]));
+        assert_eq!(env.vars["b"], Value::from(vec![1, 2]), "b = a; a = a + x");
+    }
+
+    #[test]
+    fn appends_that_read_x_take_the_general_path() {
+        let mut env = Env::new()
+            .with_var("x", vec![1u8, 2])
+            .with_var("y", vec![7u8]);
+        run(
+            &[assign("x", Expr::var("x").bin(BinOp::Add, Expr::var("x")))],
+            &mut env,
+        )
+        .unwrap();
+        assert_eq!(env.vars["x"], Value::from(vec![1, 2, 1, 2]), "x = x + x");
+        run(
+            &[assign("x", Expr::var("y").bin(BinOp::Add, Expr::var("x")))],
+            &mut env,
+        )
+        .unwrap();
+        assert_eq!(env.vars["x"], Value::from(vec![7, 1, 2, 1, 2]), "x = y + x");
+        assert_eq!(env.vars["y"], Value::from(vec![7]), "y is unchanged");
+    }
+
+    /// A failing self-append reports the general path's error and leaves
+    /// `x` as it was; an unbound `x` reports the usual message.
+    #[test]
+    fn self_append_errors_match_the_general_path() {
+        let unbound = assign(
+            "x",
+            Expr::var("x").bin(BinOp::Add, Expr::Lit(vec![1u8].into())),
+        );
+        let err = run(&[unbound], &mut Env::new()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            Error::Action("unbound variable `x`".into()).to_string()
+        );
+
+        let start = Env::new().with_var("x", vec![1u8, 2]);
+        let cases = [
+            Expr::var("x").bin(BinOp::Add, Expr::int(5)),
+            Expr::var("x")
+                .bin(BinOp::Add, Expr::Lit(vec![3u8].into()))
+                .bin(BinOp::Add, Expr::param("missing")),
+        ];
+        for expr in cases {
+            let general = expr.eval(&start).unwrap_err().to_string();
+            let mut env = start.clone();
+            let err = run(&[assign("x", expr)], &mut env).unwrap_err();
+            assert_eq!(err.to_string(), general);
+            assert_eq!(env.vars["x"], Value::from(vec![1, 2]), "x is unchanged");
+        }
     }
 
     #[test]

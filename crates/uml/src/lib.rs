@@ -60,4 +60,4 @@ pub use ids::{
     StateMachineId, TransitionId,
 };
 pub use model::Model;
-pub use value::{DataType, Value};
+pub use value::{Bytes, DataType, Value};

@@ -531,7 +531,7 @@ impl<'a> Parser<'a> {
                     .map_err(|_| self.error_code(E_LITERAL, "bad hex digit in byte literal"))?;
                 bytes.push(byte);
             }
-            return Ok(Expr::Lit(Value::Bytes(bytes)));
+            return Ok(Expr::Lit(Value::from(bytes)));
         }
         // String literal.
         if rest.starts_with('"') {
@@ -878,7 +878,7 @@ mod tests {
         assert_eq!(eval("\"hi\""), Value::Str("hi".into()));
         assert_eq!(
             eval("x\"dead beef\""),
-            Value::Bytes(vec![0xde, 0xad, 0xbe, 0xef])
+            Value::Bytes(vec![0xde, 0xad, 0xbe, 0xef].into())
         );
         assert_eq!(eval("-5"), Value::Int(-5));
     }

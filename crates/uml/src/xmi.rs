@@ -630,7 +630,7 @@ fn decode_value(node: &XmlNode) -> Result<Value> {
                 .map_err(|_| Error::XmiStructure(format!("bad int literal `{data}`")))?,
         ),
         DataType::Bool => Value::Bool(data == "true"),
-        DataType::Bytes => Value::Bytes(hex_decode(data)?),
+        DataType::Bytes => Value::from(hex_decode(data)?),
         DataType::Str => Value::Str(data.to_owned()),
     };
     Ok(v)
@@ -1022,7 +1022,11 @@ mod tests {
 
         let mut sm = StateMachine::new("WorkerBehavior");
         sm.add_variable("n", DataType::Int, Value::Int(0));
-        sm.add_variable("buf", DataType::Bytes, Value::Bytes(vec![0xde, 0xad]));
+        sm.add_variable(
+            "buf",
+            DataType::Bytes,
+            Value::Bytes(vec![0xde, 0xad].into()),
+        );
         let idle = sm.add_state("Idle");
         let busy = sm.add_state_with_entry(
             "Busy",
@@ -1088,7 +1092,7 @@ mod tests {
     fn expr_round_trip() {
         let exprs = [
             Expr::int(5),
-            Expr::Lit(Value::Bytes(vec![1, 2, 3])),
+            Expr::Lit(Value::Bytes(vec![1, 2, 3].into())),
             Expr::Lit(Value::Str("hi <&> there".into())),
             Expr::var("x"),
             Expr::param("p"),

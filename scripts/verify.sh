@@ -121,6 +121,16 @@ if ! grep -q '"speedup"' BENCH_check.json; then
     echo "repro bench-check did not write BENCH_check.json"; exit 1;
 fi
 
+echo "==> perfbench smoke (each flow workload builds, runs 1 s, fails no check)"
+# perfbench is a workspace of its own, so the steps above never build it.
+for workload in paper_flow fault_campaign edit_check; do
+    perf_last=$(cargo run --quiet --release --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    if ! grep -q '"failed": 0,' <<< "$perf_last"; then
+        echo "perfbench $workload: a check failed: $perf_last"; exit 1;
+    fi
+done
+
 if [[ "$quick" -eq 0 ]]; then
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings

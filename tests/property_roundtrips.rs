@@ -38,7 +38,7 @@ fn rand_value(rng: &mut SplitMix64) -> Value {
         2 => {
             let mut bytes = vec![0u8; rng.next_index(32)];
             rng.fill_bytes(&mut bytes);
-            Value::Bytes(bytes)
+            Value::from(bytes)
         }
         _ => Value::Str(rand_text(rng)),
     }
