@@ -301,10 +301,51 @@ impl NetworkBuilder {
         Ok(Network {
             segments: self.segments,
             agents: self.agents,
-            next_hop,
+            routes: Routes::build(&next_hop),
             hop_latency,
             unroutable: 0,
         })
+    }
+}
+
+/// Every segment pair's route. The topology is fixed once the network is
+/// built, so each route is walked once there and transfers borrow it.
+#[derive(Clone, Debug)]
+pub(crate) struct Routes {
+    segments: usize,
+    /// `table[a * segments + b]` = the segments from `a` to `b`, both
+    /// included; `None` when they are disconnected.
+    table: Vec<Option<Box<[SegmentId]>>>,
+}
+
+impl Routes {
+    /// Walks `next_hop[a][b]` (first segment after `a` on the way to
+    /// `b`) for every pair.
+    fn build(next_hop: &[Vec<Option<SegmentId>>]) -> Routes {
+        let n = next_hop.len();
+        let walk = |start: usize, goal: usize| {
+            let (start, goal) = (SegmentId(start as u32), SegmentId(goal as u32));
+            let mut route = vec![start];
+            let mut current = start;
+            while current != goal {
+                let next = next_hop[current.index()][goal.index()]?;
+                route.push(next);
+                current = next;
+                if route.len() > n {
+                    return None;
+                }
+            }
+            Some(route.into_boxed_slice())
+        };
+        Routes {
+            segments: n,
+            table: (0..n * n).map(|i| walk(i / n, i % n)).collect(),
+        }
+    }
+
+    /// The route from segment `start` to segment `goal`.
+    pub(crate) fn get(&self, start: SegmentId, goal: SegmentId) -> Option<&[SegmentId]> {
+        self.table[start.index() * self.segments + goal.index()].as_deref()
     }
 }
 
@@ -315,8 +356,9 @@ impl NetworkBuilder {
 pub struct Network {
     pub(crate) segments: Vec<Segment>,
     pub(crate) agents: Vec<Agent>,
-    /// `next_hop[a][b]` = first segment after `a` on the route to `b`.
-    pub(crate) next_hop: Vec<Vec<Option<SegmentId>>>,
+    pub(crate) routes: Routes,
+    /// `hop_latency[a][b]` = latency of the first bridge on the route
+    /// from segment `a` to segment `b`.
     pub(crate) hop_latency: Vec<Vec<u64>>,
     /// Transfers that found no route and fell back to local delivery.
     pub(crate) unroutable: u64,
@@ -360,37 +402,19 @@ impl Network {
     }
 
     /// The ordered list of segments a transfer from `from` to `to`
-    /// traverses (both endpoints' segments included).
+    /// traverses (both endpoints' segments included), precomputed when
+    /// the network was built.
     ///
     /// # Errors
     ///
     /// Returns [`HibiError::NoRoute`] when the segments are disconnected.
-    pub fn route(&self, from: AgentId, to: AgentId) -> Result<Vec<SegmentId>, HibiError> {
-        let start = self.segment_of(from);
-        let goal = self.segment_of(to);
-        let mut route = vec![start];
-        let mut current = start;
-        while current != goal {
-            match self.next_hop[current.index()][goal.index()] {
-                Some(next) => {
-                    route.push(next);
-                    current = next;
-                    if route.len() > self.segments.len() {
-                        return Err(HibiError::NoRoute {
-                            from: self.address_of(from),
-                            to: self.address_of(to),
-                        });
-                    }
-                }
-                None => {
-                    return Err(HibiError::NoRoute {
-                        from: self.address_of(from),
-                        to: self.address_of(to),
-                    })
-                }
-            }
-        }
-        Ok(route)
+    pub fn route(&self, from: AgentId, to: AgentId) -> Result<&[SegmentId], HibiError> {
+        self.routes
+            .get(self.segment_of(from), self.segment_of(to))
+            .ok_or_else(|| HibiError::NoRoute {
+                from: self.address_of(from),
+                to: self.address_of(to),
+            })
     }
 
     /// Statistics gathered by the transfers on one segment.

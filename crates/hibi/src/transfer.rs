@@ -94,7 +94,9 @@ impl Network {
                 routed: true,
             };
         }
-        let Ok(route) = self.route(from, to) else {
+        // Borrowing the route from its own field leaves the segments free
+        // to update below.
+        let Some(route) = self.routes.get(self.segment_of(from), self.segment_of(to)) else {
             // Fall back to free local delivery so a broken platform
             // model cannot wedge the simulation — but make it visible:
             // count it and flag the result.

@@ -1,9 +1,9 @@
 //! Stage 3: combine the simulation log-file with the process-group
 //! information and analyse.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
-use tut_sim::{RecordRef, SimLog};
+use tut_sim::{Record, SimLog, Sym};
 
 use crate::error::ProfilingError;
 use crate::groups::ProcessGroupInfo;
@@ -25,43 +25,58 @@ pub fn analyze(
 }
 
 /// Like [`analyze`], starting from an already parsed log.
+///
+/// The pass reads the log's interned records ([`SimLog::records`]): each
+/// process symbol's group is resolved once, tallies go into tables
+/// indexed or keyed by [`Sym`], and names become strings only when the
+/// report is built, so no record costs an allocation or a string lookup.
+/// Report rows are sorted by name, as before.
 pub fn analyze_log(groups: &ProcessGroupInfo, log: &SimLog) -> ProfilingReport {
     let labels = groups.labels();
-    let index_of = |label: &str| -> usize {
-        labels
-            .iter()
-            .position(|l| l == label)
-            .expect("labels() covers every group_of() result")
+    let symbols = log.symbol_count();
+    // Group index of each process symbol, resolved on first use.
+    let mut group_of: Vec<Option<usize>> = vec![None; symbols];
+    let mut group = |process: Sym| -> usize {
+        *group_of[process.index()].get_or_insert_with(|| {
+            let label = groups.group_of(log.resolve(process));
+            labels
+                .iter()
+                .position(|l| l == label)
+                .expect("labels() covers every group_of() result")
+        })
     };
 
     let mut group_cycles: Vec<u64> = vec![0; labels.len()];
     let mut group_busy_ns: Vec<u64> = vec![0; labels.len()];
     let mut matrix = vec![vec![0u64; labels.len()]; labels.len()];
-    let mut transfers: BTreeMap<(String, String, String), (u64, u64)> = BTreeMap::new();
-    let mut process_cycles: BTreeMap<String, u64> = BTreeMap::new();
+    let mut transfers: HashMap<(Sym, Sym, Sym), (u64, u64)> = HashMap::new();
+    // Cycle total of each process symbol that has an `EXEC` record.
+    let mut process_cycles: Vec<Option<(Sym, u64)>> = vec![None; symbols];
     let mut horizon_ns = 0;
     let mut drops = 0;
     let mut losses = 0;
     let mut latency_total_ns = 0u64;
     let mut latency_count = 0u64;
     let mut faults = tut_sim::FaultTally::default();
-    let mut counters: BTreeMap<(String, String), i64> = BTreeMap::new();
+    let mut counters: HashMap<(usize, Sym), i64> = HashMap::new();
 
-    for record in log.iter() {
+    for record in log.records() {
         horizon_ns = horizon_ns.max(record.time_ns());
-        match record {
-            RecordRef::Exec {
+        match *record {
+            Record::Exec {
                 process,
                 cycles,
                 duration_ns,
                 ..
             } => {
-                let g = index_of(groups.group_of(process));
+                let g = group(process);
                 group_cycles[g] += cycles;
                 group_busy_ns[g] += duration_ns;
-                *process_cycles.entry(process.to_owned()).or_default() += cycles;
+                process_cycles[process.index()]
+                    .get_or_insert((process, 0))
+                    .1 += cycles;
             }
-            RecordRef::Sig {
+            Record::Sig {
                 sender,
                 receiver,
                 signal,
@@ -69,35 +84,30 @@ pub fn analyze_log(groups: &ProcessGroupInfo, log: &SimLog) -> ProfilingReport {
                 latency_ns,
                 ..
             } => {
-                let from = index_of(groups.group_of(sender));
-                let to = index_of(groups.group_of(receiver));
-                matrix[from][to] += 1;
-                let entry = transfers
-                    .entry((sender.to_owned(), receiver.to_owned(), signal.to_owned()))
-                    .or_default();
+                matrix[group(sender)][group(receiver)] += 1;
+                let entry = transfers.entry((sender, receiver, signal)).or_default();
                 entry.0 += 1;
                 entry.1 += bytes;
                 latency_total_ns += latency_ns;
                 latency_count += 1;
             }
-            RecordRef::Drop { .. } => drops += 1,
-            RecordRef::Lost { .. } => losses += 1,
-            RecordRef::Fault { kind, .. } => match kind {
+            Record::Drop { .. } => drops += 1,
+            Record::Lost { .. } => losses += 1,
+            Record::Fault { kind, .. } => match log.resolve(kind) {
                 "corrupt" => faults.corrupted += 1,
                 "drop" => faults.dropped += 1,
                 "unroutable" => faults.unroutable += 1,
                 _ => {}
             },
-            RecordRef::Count {
+            Record::Count {
                 process,
                 counter,
                 amount,
                 ..
             } => {
-                let group = groups.group_of(process).to_owned();
-                *counters.entry((group, counter.to_owned())).or_default() += amount;
+                *counters.entry((group(process), counter)).or_default() += amount;
             }
-            RecordRef::User { .. } => {}
+            Record::User { .. } => {}
         }
     }
 
@@ -118,18 +128,37 @@ pub fn analyze_log(groups: &ProcessGroupInfo, log: &SimLog) -> ProfilingReport {
         })
         .collect();
 
-    let process_transfers = transfers
+    let name = |sym: Sym| log.resolve(sym).to_owned();
+    let mut process_transfers: Vec<ProcessTransfer> = transfers
         .into_iter()
         .map(
             |((sender, receiver, signal), (count, bytes))| ProcessTransfer {
-                sender,
-                receiver,
-                signal,
+                sender: name(sender),
+                receiver: name(receiver),
+                signal: name(signal),
                 count,
                 bytes,
             },
         )
         .collect();
+    process_transfers.sort_unstable_by(|a, b| {
+        (&a.sender, &a.receiver, &a.signal).cmp(&(&b.sender, &b.receiver, &b.signal))
+    });
+    let mut process_cycles: Vec<(String, u64)> = process_cycles
+        .into_iter()
+        .flatten()
+        .map(|(process, cycles)| (name(process), cycles))
+        .collect();
+    process_cycles.sort_unstable();
+    let mut group_counters: Vec<GroupCounter> = counters
+        .into_iter()
+        .map(|((group, counter), total)| GroupCounter {
+            group: labels[group].clone(),
+            counter: name(counter),
+            total,
+        })
+        .collect();
+    group_counters.sort_unstable_by(|a, b| (&a.group, &a.counter).cmp(&(&b.group, &b.counter)));
 
     ProfilingReport {
         horizon_ns,
@@ -140,7 +169,7 @@ pub fn analyze_log(groups: &ProcessGroupInfo, log: &SimLog) -> ProfilingReport {
             counts: matrix,
         },
         process_transfers,
-        process_cycles: process_cycles.into_iter().collect(),
+        process_cycles,
         drops,
         losses,
         mean_signal_latency_ns: if latency_count == 0 {
@@ -149,14 +178,7 @@ pub fn analyze_log(groups: &ProcessGroupInfo, log: &SimLog) -> ProfilingReport {
             latency_total_ns as f64 / latency_count as f64
         },
         faults,
-        group_counters: counters
-            .into_iter()
-            .map(|((group, counter), total)| GroupCounter {
-                group,
-                counter,
-                total,
-            })
-            .collect(),
+        group_counters,
     }
 }
 

@@ -250,8 +250,12 @@ pub struct Simulation {
     /// Interned `unroutable` fault kind.
     unroutable_sym: Sym,
     /// Recycled parameter scope handed to each step's `Env`; cleared
-    /// between steps, keeping its allocation.
+    /// between steps, keeping its slots and key buffers.
     scratch_params: Scope,
+    /// Recycled effect buffer, empty between steps. Effects borrow their
+    /// names from the step's machine, so the buffer is stored with a
+    /// `'static` element type and re-typed (in place) while empty.
+    scratch_effects: Vec<Effect<'static>>,
     /// Injected-fault totals (corruptions/drops; unroutable transfers
     /// are tallied by the network itself).
     pub(crate) fault_tally: FaultTally,
@@ -553,6 +557,7 @@ impl Simulation {
             corrupt_sym,
             unroutable_sym,
             scratch_params: Scope::new(),
+            scratch_effects: Vec::new(),
             fault_tally: FaultTally::default(),
             last_useful_ns: 0,
             proc_perf: Vec::new(),
@@ -833,11 +838,11 @@ impl Simulation {
             };
             (time_ns, kind, lp.creations())
         };
-        let log_mark = self.log.records_len();
+        let log_mark = self.log.len();
         let steps_mark = self.steps;
         self.now_ns = time_ns;
         self.handle_event(kind, faults, &mut NoopSink, perf::NoProf, None)?;
-        let log_records = (self.log.records_len() - log_mark) as u32;
+        let log_records = (self.log.len() - log_mark) as u32;
         let steps = (self.steps - steps_mark) as u32;
         self.lp.as_mut().expect("lp context").record_processed(
             time_ns,
@@ -968,7 +973,7 @@ impl Simulation {
             vars: std::mem::take(&mut self.processes[proc_index].vars),
             params: std::mem::take(&mut self.scratch_params),
         };
-        let mut effects: Vec<Effect> = Vec::new();
+        let mut effects: Vec<Effect<'_>> = retype_empty(std::mem::take(&mut self.scratch_effects));
         let mut weight: u64 = 0;
         let mut to_state = from_state;
         let mut fired = false;
@@ -1054,10 +1059,11 @@ impl Simulation {
             self.finish_step(
                 proc_index, pe_index, start_ns, 0, from_sym, from_sym, drop_sym, tracer,
             );
-            // Nothing fired, so the moved-out scopes go straight back.
+            // Nothing fired, so the moved-out scratch goes straight back.
             env.params.clear();
             self.processes[proc_index].vars = env.vars;
             self.scratch_params = env.params;
+            self.scratch_effects = retype_empty(effects);
             return Ok(());
         }
 
@@ -1129,17 +1135,17 @@ impl Simulation {
         self.processes[proc_index].state = to_state;
 
         // ---- Effects ---------------------------------------------------
-        for effect in effects {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send {
                     port,
                     signal,
                     values,
                 } => {
-                    self.dispatch_send(proc_index, &port, signal, values, end_ns, faults, tracer);
+                    self.dispatch_send(proc_index, port, signal, values, end_ns, faults, tracer);
                 }
                 Effect::SetTimer { name, duration } => {
-                    let slot = machine_rt.timer_slot(&name);
+                    let slot = machine_rt.timer_slot(name);
                     let generation = {
                         let g = &mut self.processes[proc_index].timer_gens[slot];
                         *g += 1;
@@ -1161,21 +1167,23 @@ impl Simulation {
                     );
                 }
                 Effect::CancelTimer { name } => {
-                    let slot = machine_rt.timer_slot(&name);
+                    let slot = machine_rt.timer_slot(name);
                     self.processes[proc_index].timer_gens[slot] += 1;
                 }
                 Effect::Log(message) => {
                     self.log.push_user(end_ns, name_sym, &message);
                 }
                 Effect::Count { counter, amount } => {
-                    self.log.push_count(end_ns, name_sym, &counter, amount);
+                    self.log.push_count(end_ns, name_sym, counter, amount);
                 }
                 Effect::Compute { .. } => {}
             }
         }
 
-        // Hand the (already cleared) parameter scope back for reuse.
+        // Hand the (already cleared) parameter scope and the drained
+        // effect buffer back for reuse.
         self.scratch_params = env.params;
+        self.scratch_effects = retype_empty(effects);
         let from_sym = machine_rt.state_syms[from_state.index()];
         let to_sym = machine_rt.state_syms[to_state.index()];
         self.finish_step(
@@ -1272,10 +1280,10 @@ impl Simulation {
                 .push_lost(send_time_ns, sender_sym, port_sym, signal_sym);
             return;
         };
-        let receivers: Vec<_> = self
-            .routing
-            .receivers(sender_instance, port, signal)
-            .to_vec();
+        // A local handle on the shared table lets the receiver slice stay
+        // borrowed while deliveries mutate `self`.
+        let routing = Arc::clone(&self.routing);
+        let receivers = routing.receivers(sender_instance, port, signal);
         if receivers.is_empty() {
             let port_sym = self.log.intern(port_name);
             self.log
@@ -1290,7 +1298,7 @@ impl Simulation {
         // receivers (multicast) get clones.
         let last = receivers.len() - 1;
         let mut payload = Some(values);
-        for (i, endpoint) in receivers.into_iter().enumerate() {
+        for (i, endpoint) in receivers.iter().enumerate() {
             let Some(&target) = self.by_instance.get(&endpoint.instance) else {
                 continue;
             };
@@ -1442,6 +1450,14 @@ impl Simulation {
         }
         report
     }
+}
+
+/// Changes the lifetime of an empty effect buffer, keeping its
+/// allocation: `Effect<'a>` has one layout for every `'a`, so std
+/// collects the mapped iterator in place.
+fn retype_empty<'b>(effects: Vec<Effect<'_>>) -> Vec<Effect<'b>> {
+    debug_assert!(effects.is_empty(), "only an empty buffer is re-typed");
+    effects.into_iter().map(|_| unreachable!()).collect()
 }
 
 /// Corrupts an in-flight payload: flips one bit of the first `Bytes`

@@ -45,6 +45,6 @@ pub use config::{SimConfig, TraceOptions, Watchdog};
 pub use engine::{setup_diagnostic, Simulation};
 pub use error::{SimError, E_PARAM_RANGE};
 pub use intern::{Interner, Sym};
-pub use log::{LogRecord, RecordRef, SimLog};
+pub use log::{LogRecord, Record, RecordRef, SimLog};
 pub use parallel::{ParallelPlan, ParallelStats};
 pub use report::{FaultTally, SimReport};

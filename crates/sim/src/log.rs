@@ -28,12 +28,14 @@
 //! Internally a [`SimLog`] stores **interned** records: every name field
 //! is a [`Sym`] into the log's [`Interner`], so the simulation hot path
 //! appends `Copy`-cheap structs and strings are resolved only when the
-//! text form is rendered. [`SimLog::iter`] yields [`RecordRef`]s
-//! (borrowed string slices); [`LogRecord`] (owned strings) remains the
-//! type for single-line parsing and construction.
+//! text form is rendered. One generic [`Record`] serves every form:
+//! [`SimLog::records`] exposes the interned `Record<Sym>`s,
+//! [`SimLog::iter`] yields [`RecordRef`]s (borrowed string slices), and
+//! [`LogRecord`] (owned strings) remains the type for single-line
+//! parsing and construction.
 
 use std::collections::HashMap;
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 use crate::intern::{Interner, Sym};
 
@@ -81,38 +83,46 @@ fn unescape_field(text: &str) -> String {
     out
 }
 
-/// One record of the simulation log (owned strings; the construction and
-/// single-line parsing type — a [`SimLog`] stores the interned form).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum LogRecord {
+/// One record of the simulation log, generic over how its name fields
+/// (process, state, signal, trigger, counter…) are held:
+///
+/// * [`LogRecord`] owns `String`s: the type for construction and
+///   single-line parsing;
+/// * [`RecordRef`] borrows `&str`s resolved from a log
+///   ([`SimLog::iter`]);
+/// * `Record<Sym>` is the interned storage form ([`SimLog::records`]):
+///   `Copy`, so the simulation hot path appends without allocating and
+///   readers can key tables by [`Sym`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Record<N> {
     /// A run-to-completion step executed.
     Exec {
         /// Step start time (ns).
         time_ns: u64,
         /// Process instance name (dotted path, e.g. `ui.msduRec`).
-        process: String,
+        process: N,
         /// Cycles charged on the processing element.
         cycles: u64,
         /// Wall-clock duration on the element (ns).
         duration_ns: u64,
         /// State before the step.
-        from_state: String,
+        from_state: N,
         /// State after the step.
-        to_state: String,
+        to_state: N,
         /// What triggered the step (signal name, `timer:<name>`, or
         /// `start`).
-        trigger: String,
+        trigger: N,
     },
     /// A signal was delivered from one process to another.
     Sig {
         /// Delivery time (ns).
         time_ns: u64,
         /// Sending process instance name.
-        sender: String,
+        sender: N,
         /// Receiving process instance name.
-        receiver: String,
+        receiver: N,
         /// Signal type name.
-        signal: String,
+        signal: N,
         /// Payload bytes (including header).
         bytes: u64,
         /// End-to-end latency from send to delivery (ns).
@@ -123,29 +133,29 @@ pub enum LogRecord {
         /// Time of the discard (ns).
         time_ns: u64,
         /// The discarding process.
-        process: String,
+        process: N,
         /// The discarded signal.
-        signal: String,
+        signal: N,
     },
     /// A sent signal had no connected receiver.
     Lost {
         /// Send time (ns).
         time_ns: u64,
         /// The sending process.
-        process: String,
+        process: N,
         /// The port it was sent through.
-        port: String,
+        port: N,
         /// The signal type name.
-        signal: String,
+        signal: N,
     },
     /// A `Log` action emitted by the model itself.
     User {
         /// Emission time (ns).
         time_ns: u64,
         /// The emitting process.
-        process: String,
+        process: N,
         /// The rendered message.
-        message: String,
+        message: N,
     },
     /// A fault was injected (or a platform-model defect surfaced): a
     /// transfer was corrupted or dropped by the fault model, or a
@@ -154,30 +164,50 @@ pub enum LogRecord {
         /// Injection time (ns).
         time_ns: u64,
         /// The sending process whose transfer was hit.
-        process: String,
+        process: N,
         /// Fault kind: `corrupt`, `drop`, or `unroutable`.
-        kind: String,
+        kind: N,
         /// The signal type name of the affected transfer.
-        signal: String,
+        signal: N,
     },
     /// A `count` action: a named per-process counter was incremented.
     Count {
         /// Emission time (ns).
         time_ns: u64,
         /// The counting process.
-        process: String,
+        process: N,
         /// The counter name (dotted names group related tallies).
-        counter: String,
+        counter: N,
         /// Signed increment.
         amount: i64,
     },
 }
 
-impl LogRecord {
-    /// The record's canonical text line (no trailing newline).
-    pub fn to_line(&self) -> String {
+/// One record with owned strings (construction and single-line parsing).
+pub type LogRecord = Record<String>;
+
+/// One record borrowing its strings from a [`SimLog`]'s symbol table.
+pub type RecordRef<'a> = Record<&'a str>;
+
+impl<N> Record<N> {
+    /// The record's timestamp.
+    pub fn time_ns(&self) -> u64 {
         match self {
-            LogRecord::Exec {
+            Record::Exec { time_ns, .. }
+            | Record::Sig { time_ns, .. }
+            | Record::Drop { time_ns, .. }
+            | Record::Lost { time_ns, .. }
+            | Record::User { time_ns, .. }
+            | Record::Fault { time_ns, .. }
+            | Record::Count { time_ns, .. } => *time_ns,
+        }
+    }
+
+    /// The same record with every name field mapped through `f`, called
+    /// in field order.
+    pub fn map_names<M>(&self, mut f: impl FnMut(&N) -> M) -> Record<M> {
+        match self {
+            Record::Exec {
                 time_ns,
                 process,
                 cycles,
@@ -185,77 +215,175 @@ impl LogRecord {
                 from_state,
                 to_state,
                 trigger,
-            } => format!(
-                "EXEC {time_ns} {} {cycles} {duration_ns} {} {} {}",
-                escape_field(process),
-                escape_field(from_state),
-                escape_field(to_state),
-                escape_field(trigger)
-            ),
-            LogRecord::Sig {
+            } => Record::Exec {
+                time_ns: *time_ns,
+                process: f(process),
+                cycles: *cycles,
+                duration_ns: *duration_ns,
+                from_state: f(from_state),
+                to_state: f(to_state),
+                trigger: f(trigger),
+            },
+            Record::Sig {
                 time_ns,
                 sender,
                 receiver,
                 signal,
                 bytes,
                 latency_ns,
-            } => format!(
-                "SIG {time_ns} {} {} {} {bytes} {latency_ns}",
-                escape_field(sender),
-                escape_field(receiver),
-                escape_field(signal)
-            ),
-            LogRecord::Drop {
+            } => Record::Sig {
+                time_ns: *time_ns,
+                sender: f(sender),
+                receiver: f(receiver),
+                signal: f(signal),
+                bytes: *bytes,
+                latency_ns: *latency_ns,
+            },
+            Record::Drop {
                 time_ns,
                 process,
                 signal,
-            } => format!(
-                "DROP {time_ns} {} {}",
-                escape_field(process),
-                escape_field(signal)
-            ),
-            LogRecord::Lost {
+            } => Record::Drop {
+                time_ns: *time_ns,
+                process: f(process),
+                signal: f(signal),
+            },
+            Record::Lost {
                 time_ns,
                 process,
                 port,
                 signal,
-            } => format!(
-                "LOST {time_ns} {} {} {}",
-                escape_field(process),
-                escape_field(port),
-                escape_field(signal)
-            ),
-            LogRecord::User {
+            } => Record::Lost {
+                time_ns: *time_ns,
+                process: f(process),
+                port: f(port),
+                signal: f(signal),
+            },
+            Record::User {
                 time_ns,
                 process,
                 message,
-            } => format!(
-                "USER {time_ns} {} {}",
-                escape_field(process),
-                escape_field(message)
-            ),
-            LogRecord::Fault {
+            } => Record::User {
+                time_ns: *time_ns,
+                process: f(process),
+                message: f(message),
+            },
+            Record::Fault {
                 time_ns,
                 process,
                 kind,
                 signal,
-            } => format!(
-                "FAULT {time_ns} {} {} {}",
-                escape_field(process),
-                escape_field(kind),
-                escape_field(signal)
-            ),
-            LogRecord::Count {
+            } => Record::Fault {
+                time_ns: *time_ns,
+                process: f(process),
+                kind: f(kind),
+                signal: f(signal),
+            },
+            Record::Count {
                 time_ns,
                 process,
                 counter,
                 amount,
-            } => format!(
+            } => Record::Count {
+                time_ns: *time_ns,
+                process: f(process),
+                counter: f(counter),
+                amount: *amount,
+            },
+        }
+    }
+
+    /// Writes the record's text line (no newline), rendering each name
+    /// field through `field` (which must escape it).
+    fn write_line<D: fmt::Display>(
+        &self,
+        out: &mut impl fmt::Write,
+        field: impl Fn(&N) -> D,
+    ) -> fmt::Result {
+        match self {
+            Record::Exec {
+                time_ns,
+                process,
+                cycles,
+                duration_ns,
+                from_state,
+                to_state,
+                trigger,
+            } => write!(
+                out,
+                "EXEC {time_ns} {} {cycles} {duration_ns} {} {} {}",
+                field(process),
+                field(from_state),
+                field(to_state),
+                field(trigger)
+            ),
+            Record::Sig {
+                time_ns,
+                sender,
+                receiver,
+                signal,
+                bytes,
+                latency_ns,
+            } => write!(
+                out,
+                "SIG {time_ns} {} {} {} {bytes} {latency_ns}",
+                field(sender),
+                field(receiver),
+                field(signal)
+            ),
+            Record::Drop {
+                time_ns,
+                process,
+                signal,
+            } => write!(out, "DROP {time_ns} {} {}", field(process), field(signal)),
+            Record::Lost {
+                time_ns,
+                process,
+                port,
+                signal,
+            } => write!(
+                out,
+                "LOST {time_ns} {} {} {}",
+                field(process),
+                field(port),
+                field(signal)
+            ),
+            Record::User {
+                time_ns,
+                process,
+                message,
+            } => write!(out, "USER {time_ns} {} {}", field(process), field(message)),
+            Record::Fault {
+                time_ns,
+                process,
+                kind,
+                signal,
+            } => write!(
+                out,
+                "FAULT {time_ns} {} {} {}",
+                field(process),
+                field(kind),
+                field(signal)
+            ),
+            Record::Count {
+                time_ns,
+                process,
+                counter,
+                amount,
+            } => write!(
+                out,
                 "CNT {time_ns} {} {} {amount}",
-                escape_field(process),
-                escape_field(counter)
+                field(process),
+                field(counter)
             ),
         }
+    }
+}
+
+impl LogRecord {
+    /// The record's canonical text line (no trailing newline).
+    pub fn to_line(&self) -> String {
+        self.to_string()
     }
 
     /// Parses one log line.
@@ -362,269 +490,18 @@ impl LogRecord {
         };
         Ok(Some(record))
     }
-
-    /// The record's timestamp.
-    pub fn time_ns(&self) -> u64 {
-        match self {
-            LogRecord::Exec { time_ns, .. }
-            | LogRecord::Sig { time_ns, .. }
-            | LogRecord::Drop { time_ns, .. }
-            | LogRecord::Lost { time_ns, .. }
-            | LogRecord::User { time_ns, .. }
-            | LogRecord::Fault { time_ns, .. }
-            | LogRecord::Count { time_ns, .. } => *time_ns,
-        }
-    }
 }
 
 impl fmt::Display for LogRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_line())
+        self.write_line(f, |s| escape_field(s))
     }
-}
-
-/// The interned storage form of one record: every name field is a
-/// [`Sym`], so the struct is `Copy` and the hot path never allocates.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum CompactRecord {
-    Exec {
-        time_ns: u64,
-        process: Sym,
-        cycles: u64,
-        duration_ns: u64,
-        from_state: Sym,
-        to_state: Sym,
-        trigger: Sym,
-    },
-    Sig {
-        time_ns: u64,
-        sender: Sym,
-        receiver: Sym,
-        signal: Sym,
-        bytes: u64,
-        latency_ns: u64,
-    },
-    Drop {
-        time_ns: u64,
-        process: Sym,
-        signal: Sym,
-    },
-    Lost {
-        time_ns: u64,
-        process: Sym,
-        port: Sym,
-        signal: Sym,
-    },
-    User {
-        time_ns: u64,
-        process: Sym,
-        message: Sym,
-    },
-    Fault {
-        time_ns: u64,
-        process: Sym,
-        kind: Sym,
-        signal: Sym,
-    },
-    Count {
-        time_ns: u64,
-        process: Sym,
-        counter: Sym,
-        amount: i64,
-    },
-}
-
-/// A borrowed view of one log record: the field layout of [`LogRecord`]
-/// with string slices resolved from the log's interner. Yielded by
-/// [`SimLog::iter`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RecordRef<'a> {
-    /// A run-to-completion step executed.
-    Exec {
-        /// Step start time (ns).
-        time_ns: u64,
-        /// Process instance name.
-        process: &'a str,
-        /// Cycles charged on the processing element.
-        cycles: u64,
-        /// Wall-clock duration on the element (ns).
-        duration_ns: u64,
-        /// State before the step.
-        from_state: &'a str,
-        /// State after the step.
-        to_state: &'a str,
-        /// What triggered the step.
-        trigger: &'a str,
-    },
-    /// A signal was delivered from one process to another.
-    Sig {
-        /// Delivery time (ns).
-        time_ns: u64,
-        /// Sending process instance name.
-        sender: &'a str,
-        /// Receiving process instance name.
-        receiver: &'a str,
-        /// Signal type name.
-        signal: &'a str,
-        /// Payload bytes (including header).
-        bytes: u64,
-        /// End-to-end latency from send to delivery (ns).
-        latency_ns: u64,
-    },
-    /// A delivered signal found no enabled transition and was discarded.
-    Drop {
-        /// Time of the discard (ns).
-        time_ns: u64,
-        /// The discarding process.
-        process: &'a str,
-        /// The discarded signal.
-        signal: &'a str,
-    },
-    /// A sent signal had no connected receiver.
-    Lost {
-        /// Send time (ns).
-        time_ns: u64,
-        /// The sending process.
-        process: &'a str,
-        /// The port it was sent through.
-        port: &'a str,
-        /// The signal type name.
-        signal: &'a str,
-    },
-    /// A `Log` action emitted by the model itself.
-    User {
-        /// Emission time (ns).
-        time_ns: u64,
-        /// The emitting process.
-        process: &'a str,
-        /// The rendered message.
-        message: &'a str,
-    },
-    /// A fault was injected or a transfer found no route.
-    Fault {
-        /// Injection time (ns).
-        time_ns: u64,
-        /// The sending process whose transfer was hit.
-        process: &'a str,
-        /// Fault kind: `corrupt`, `drop`, or `unroutable`.
-        kind: &'a str,
-        /// The signal type name of the affected transfer.
-        signal: &'a str,
-    },
-    /// A `count` action: a named per-process counter was incremented.
-    Count {
-        /// Emission time (ns).
-        time_ns: u64,
-        /// The counting process.
-        process: &'a str,
-        /// The counter name.
-        counter: &'a str,
-        /// Signed increment.
-        amount: i64,
-    },
 }
 
 impl RecordRef<'_> {
-    /// The record's timestamp.
-    pub fn time_ns(&self) -> u64 {
-        match self {
-            RecordRef::Exec { time_ns, .. }
-            | RecordRef::Sig { time_ns, .. }
-            | RecordRef::Drop { time_ns, .. }
-            | RecordRef::Lost { time_ns, .. }
-            | RecordRef::User { time_ns, .. }
-            | RecordRef::Fault { time_ns, .. }
-            | RecordRef::Count { time_ns, .. } => *time_ns,
-        }
-    }
-
     /// Copies the record into its owned form.
     pub fn to_owned(&self) -> LogRecord {
-        match *self {
-            RecordRef::Exec {
-                time_ns,
-                process,
-                cycles,
-                duration_ns,
-                from_state,
-                to_state,
-                trigger,
-            } => LogRecord::Exec {
-                time_ns,
-                process: process.to_owned(),
-                cycles,
-                duration_ns,
-                from_state: from_state.to_owned(),
-                to_state: to_state.to_owned(),
-                trigger: trigger.to_owned(),
-            },
-            RecordRef::Sig {
-                time_ns,
-                sender,
-                receiver,
-                signal,
-                bytes,
-                latency_ns,
-            } => LogRecord::Sig {
-                time_ns,
-                sender: sender.to_owned(),
-                receiver: receiver.to_owned(),
-                signal: signal.to_owned(),
-                bytes,
-                latency_ns,
-            },
-            RecordRef::Drop {
-                time_ns,
-                process,
-                signal,
-            } => LogRecord::Drop {
-                time_ns,
-                process: process.to_owned(),
-                signal: signal.to_owned(),
-            },
-            RecordRef::Lost {
-                time_ns,
-                process,
-                port,
-                signal,
-            } => LogRecord::Lost {
-                time_ns,
-                process: process.to_owned(),
-                port: port.to_owned(),
-                signal: signal.to_owned(),
-            },
-            RecordRef::User {
-                time_ns,
-                process,
-                message,
-            } => LogRecord::User {
-                time_ns,
-                process: process.to_owned(),
-                message: message.to_owned(),
-            },
-            RecordRef::Fault {
-                time_ns,
-                process,
-                kind,
-                signal,
-            } => LogRecord::Fault {
-                time_ns,
-                process: process.to_owned(),
-                kind: kind.to_owned(),
-                signal: signal.to_owned(),
-            },
-            RecordRef::Count {
-                time_ns,
-                process,
-                counter,
-                amount,
-            } => LogRecord::Count {
-                time_ns,
-                process: process.to_owned(),
-                counter: counter.to_owned(),
-                amount,
-            },
-        }
+        self.map_names(|s| (*s).to_owned())
     }
 }
 
@@ -636,7 +513,7 @@ const HEADER: &str = "# TUT-Profile simulation log-file v1\n";
 #[derive(Clone, Debug, Default)]
 pub struct SimLog {
     interner: Interner,
-    records: Vec<CompactRecord>,
+    records: Vec<Record<Sym>>,
     /// Exact rendered body length (every line incl. its newline, header
     /// excluded), maintained incrementally so [`SimLog::to_text`]
     /// allocates once.
@@ -682,10 +559,10 @@ impl SimLog {
     }
 
     /// The exact rendered line length of `record`, newline included.
-    fn line_len(&self, record: &CompactRecord) -> usize {
+    fn line_len(&self, record: &Record<Sym>) -> usize {
         let esc = |s: &Sym| self.interner.escaped(*s).len();
         match record {
-            CompactRecord::Exec {
+            Record::Exec {
                 time_ns,
                 process,
                 cycles,
@@ -704,7 +581,7 @@ impl SimLog {
                     + esc(to_state)
                     + esc(trigger)
             }
-            CompactRecord::Sig {
+            Record::Sig {
                 time_ns,
                 sender,
                 receiver,
@@ -720,41 +597,35 @@ impl SimLog {
                     + digits(*bytes)
                     + digits(*latency_ns)
             }
-            CompactRecord::Drop {
+            Record::Drop {
                 time_ns,
                 process,
                 signal,
             } => 4 + 4 + digits(*time_ns) + esc(process) + esc(signal),
-            CompactRecord::Lost {
+            Record::Lost {
                 time_ns,
                 process,
                 port,
                 signal,
             } => 4 + 5 + digits(*time_ns) + esc(process) + esc(port) + esc(signal),
-            CompactRecord::User {
+            Record::User {
                 time_ns,
                 process,
                 message,
             } => 4 + 4 + digits(*time_ns) + esc(process) + esc(message),
-            CompactRecord::Fault {
+            Record::Fault {
                 time_ns,
                 process,
                 kind,
                 signal,
             } => 5 + 5 + digits(*time_ns) + esc(process) + esc(kind) + esc(signal),
-            CompactRecord::Count {
+            Record::Count {
                 time_ns,
                 process,
                 counter,
                 amount,
             } => 3 + 5 + digits(*time_ns) + esc(process) + esc(counter) + digits_i64(*amount),
         }
-    }
-
-    /// Number of stored records (cheaper than [`SimLog::iter`] for the
-    /// parallel kernel's per-event bookkeeping).
-    pub(crate) fn records_len(&self) -> usize {
-        self.records.len()
     }
 
     /// Maps a symbol of `other` into this log's interner, memoising in
@@ -784,100 +655,15 @@ impl SimLog {
         remap: &mut Vec<Option<Sym>>,
     ) {
         for index in start..end {
-            let record = other.records[index];
-            let mapped = match record {
-                CompactRecord::Exec {
-                    time_ns,
-                    process,
-                    cycles,
-                    duration_ns,
-                    from_state,
-                    to_state,
-                    trigger,
-                } => CompactRecord::Exec {
-                    time_ns,
-                    process: self.map_sym(other, remap, process),
-                    cycles,
-                    duration_ns,
-                    from_state: self.map_sym(other, remap, from_state),
-                    to_state: self.map_sym(other, remap, to_state),
-                    trigger: self.map_sym(other, remap, trigger),
-                },
-                CompactRecord::Sig {
-                    time_ns,
-                    sender,
-                    receiver,
-                    signal,
-                    bytes,
-                    latency_ns,
-                } => CompactRecord::Sig {
-                    time_ns,
-                    sender: self.map_sym(other, remap, sender),
-                    receiver: self.map_sym(other, remap, receiver),
-                    signal: self.map_sym(other, remap, signal),
-                    bytes,
-                    latency_ns,
-                },
-                CompactRecord::Drop {
-                    time_ns,
-                    process,
-                    signal,
-                } => CompactRecord::Drop {
-                    time_ns,
-                    process: self.map_sym(other, remap, process),
-                    signal: self.map_sym(other, remap, signal),
-                },
-                CompactRecord::Lost {
-                    time_ns,
-                    process,
-                    port,
-                    signal,
-                } => CompactRecord::Lost {
-                    time_ns,
-                    process: self.map_sym(other, remap, process),
-                    port: self.map_sym(other, remap, port),
-                    signal: self.map_sym(other, remap, signal),
-                },
-                CompactRecord::User {
-                    time_ns,
-                    process,
-                    message,
-                } => CompactRecord::User {
-                    time_ns,
-                    process: self.map_sym(other, remap, process),
-                    message: self.map_sym(other, remap, message),
-                },
-                CompactRecord::Fault {
-                    time_ns,
-                    process,
-                    kind,
-                    signal,
-                } => CompactRecord::Fault {
-                    time_ns,
-                    process: self.map_sym(other, remap, process),
-                    kind: self.map_sym(other, remap, kind),
-                    signal: self.map_sym(other, remap, signal),
-                },
-                CompactRecord::Count {
-                    time_ns,
-                    process,
-                    counter,
-                    amount,
-                } => CompactRecord::Count {
-                    time_ns,
-                    process: self.map_sym(other, remap, process),
-                    counter: self.map_sym(other, remap, counter),
-                    amount,
-                },
-            };
+            let mapped = other.records[index].map_names(|&sym| self.map_sym(other, remap, sym));
             self.push_compact(mapped);
         }
     }
 
     /// Appends one interned record, maintaining the incremental tallies
     /// and the exact text length.
-    fn push_compact(&mut self, record: CompactRecord) {
-        if let CompactRecord::Count {
+    fn push_compact(&mut self, record: Record<Sym>) {
+        if let Record::Count {
             process,
             counter,
             amount,
@@ -892,91 +678,7 @@ impl SimLog {
 
     /// Appends a record, interning its string fields.
     pub fn push(&mut self, record: LogRecord) {
-        let compact = match &record {
-            LogRecord::Exec {
-                time_ns,
-                process,
-                cycles,
-                duration_ns,
-                from_state,
-                to_state,
-                trigger,
-            } => CompactRecord::Exec {
-                time_ns: *time_ns,
-                process: self.interner.intern(process),
-                cycles: *cycles,
-                duration_ns: *duration_ns,
-                from_state: self.interner.intern(from_state),
-                to_state: self.interner.intern(to_state),
-                trigger: self.interner.intern(trigger),
-            },
-            LogRecord::Sig {
-                time_ns,
-                sender,
-                receiver,
-                signal,
-                bytes,
-                latency_ns,
-            } => CompactRecord::Sig {
-                time_ns: *time_ns,
-                sender: self.interner.intern(sender),
-                receiver: self.interner.intern(receiver),
-                signal: self.interner.intern(signal),
-                bytes: *bytes,
-                latency_ns: *latency_ns,
-            },
-            LogRecord::Drop {
-                time_ns,
-                process,
-                signal,
-            } => CompactRecord::Drop {
-                time_ns: *time_ns,
-                process: self.interner.intern(process),
-                signal: self.interner.intern(signal),
-            },
-            LogRecord::Lost {
-                time_ns,
-                process,
-                port,
-                signal,
-            } => CompactRecord::Lost {
-                time_ns: *time_ns,
-                process: self.interner.intern(process),
-                port: self.interner.intern(port),
-                signal: self.interner.intern(signal),
-            },
-            LogRecord::User {
-                time_ns,
-                process,
-                message,
-            } => CompactRecord::User {
-                time_ns: *time_ns,
-                process: self.interner.intern(process),
-                message: self.interner.intern(message),
-            },
-            LogRecord::Fault {
-                time_ns,
-                process,
-                kind,
-                signal,
-            } => CompactRecord::Fault {
-                time_ns: *time_ns,
-                process: self.interner.intern(process),
-                kind: self.interner.intern(kind),
-                signal: self.interner.intern(signal),
-            },
-            LogRecord::Count {
-                time_ns,
-                process,
-                counter,
-                amount,
-            } => CompactRecord::Count {
-                time_ns: *time_ns,
-                process: self.interner.intern(process),
-                counter: self.interner.intern(counter),
-                amount: *amount,
-            },
-        };
+        let compact = record.map_names(|name| self.interner.intern(name));
         self.push_compact(compact);
     }
 
@@ -992,7 +694,7 @@ impl SimLog {
         to_state: Sym,
         trigger: Sym,
     ) {
-        self.push_compact(CompactRecord::Exec {
+        self.push_compact(Record::Exec {
             time_ns,
             process,
             cycles,
@@ -1013,7 +715,7 @@ impl SimLog {
         bytes: u64,
         latency_ns: u64,
     ) {
-        self.push_compact(CompactRecord::Sig {
+        self.push_compact(Record::Sig {
             time_ns,
             sender,
             receiver,
@@ -1025,7 +727,7 @@ impl SimLog {
 
     /// Appends a `DROP` record from pre-interned symbols (hot path).
     pub fn push_drop(&mut self, time_ns: u64, process: Sym, signal: Sym) {
-        self.push_compact(CompactRecord::Drop {
+        self.push_compact(Record::Drop {
             time_ns,
             process,
             signal,
@@ -1034,7 +736,7 @@ impl SimLog {
 
     /// Appends a `LOST` record from pre-interned symbols.
     pub fn push_lost(&mut self, time_ns: u64, process: Sym, port: Sym, signal: Sym) {
-        self.push_compact(CompactRecord::Lost {
+        self.push_compact(Record::Lost {
             time_ns,
             process,
             port,
@@ -1045,7 +747,7 @@ impl SimLog {
     /// Appends a `USER` record; the message is interned on first use.
     pub fn push_user(&mut self, time_ns: u64, process: Sym, message: &str) {
         let message = self.interner.intern(message);
-        self.push_compact(CompactRecord::User {
+        self.push_compact(Record::User {
             time_ns,
             process,
             message,
@@ -1054,7 +756,7 @@ impl SimLog {
 
     /// Appends a `FAULT` record from pre-interned symbols.
     pub fn push_fault(&mut self, time_ns: u64, process: Sym, kind: Sym, signal: Sym) {
-        self.push_compact(CompactRecord::Fault {
+        self.push_compact(Record::Fault {
             time_ns,
             process,
             kind,
@@ -1065,7 +767,7 @@ impl SimLog {
     /// Appends a `CNT` record; the counter name is interned on first use.
     pub fn push_count(&mut self, time_ns: u64, process: Sym, counter: &str, amount: i64) {
         let counter = self.interner.intern(counter);
-        self.push_compact(CompactRecord::Count {
+        self.push_compact(Record::Count {
             time_ns,
             process,
             counter,
@@ -1079,92 +781,7 @@ impl SimLog {
     ///
     /// Panics when `index >= self.len()`.
     pub fn get(&self, index: usize) -> RecordRef<'_> {
-        let resolve = |s: &Sym| self.interner.resolve(*s);
-        match &self.records[index] {
-            CompactRecord::Exec {
-                time_ns,
-                process,
-                cycles,
-                duration_ns,
-                from_state,
-                to_state,
-                trigger,
-            } => RecordRef::Exec {
-                time_ns: *time_ns,
-                process: resolve(process),
-                cycles: *cycles,
-                duration_ns: *duration_ns,
-                from_state: resolve(from_state),
-                to_state: resolve(to_state),
-                trigger: resolve(trigger),
-            },
-            CompactRecord::Sig {
-                time_ns,
-                sender,
-                receiver,
-                signal,
-                bytes,
-                latency_ns,
-            } => RecordRef::Sig {
-                time_ns: *time_ns,
-                sender: resolve(sender),
-                receiver: resolve(receiver),
-                signal: resolve(signal),
-                bytes: *bytes,
-                latency_ns: *latency_ns,
-            },
-            CompactRecord::Drop {
-                time_ns,
-                process,
-                signal,
-            } => RecordRef::Drop {
-                time_ns: *time_ns,
-                process: resolve(process),
-                signal: resolve(signal),
-            },
-            CompactRecord::Lost {
-                time_ns,
-                process,
-                port,
-                signal,
-            } => RecordRef::Lost {
-                time_ns: *time_ns,
-                process: resolve(process),
-                port: resolve(port),
-                signal: resolve(signal),
-            },
-            CompactRecord::User {
-                time_ns,
-                process,
-                message,
-            } => RecordRef::User {
-                time_ns: *time_ns,
-                process: resolve(process),
-                message: resolve(message),
-            },
-            CompactRecord::Fault {
-                time_ns,
-                process,
-                kind,
-                signal,
-            } => RecordRef::Fault {
-                time_ns: *time_ns,
-                process: resolve(process),
-                kind: resolve(kind),
-                signal: resolve(signal),
-            },
-            CompactRecord::Count {
-                time_ns,
-                process,
-                counter,
-                amount,
-            } => RecordRef::Count {
-                time_ns: *time_ns,
-                process: resolve(process),
-                counter: resolve(counter),
-                amount: *amount,
-            },
-        }
+        self.records[index].map_names(|&sym| self.interner.resolve(sym))
     }
 
     /// Iterates over the records as borrowed [`RecordRef`]s.
@@ -1177,99 +794,9 @@ impl SimLog {
     pub fn to_text(&self) -> String {
         let mut out = String::with_capacity(HEADER.len() + self.text_len);
         out.push_str(HEADER);
-        let esc = |s: &Sym| self.interner.escaped(*s);
         for record in &self.records {
-            match record {
-                CompactRecord::Exec {
-                    time_ns,
-                    process,
-                    cycles,
-                    duration_ns,
-                    from_state,
-                    to_state,
-                    trigger,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "EXEC {time_ns} {} {cycles} {duration_ns} {} {} {}",
-                        esc(process),
-                        esc(from_state),
-                        esc(to_state),
-                        esc(trigger)
-                    );
-                }
-                CompactRecord::Sig {
-                    time_ns,
-                    sender,
-                    receiver,
-                    signal,
-                    bytes,
-                    latency_ns,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "SIG {time_ns} {} {} {} {bytes} {latency_ns}",
-                        esc(sender),
-                        esc(receiver),
-                        esc(signal)
-                    );
-                }
-                CompactRecord::Drop {
-                    time_ns,
-                    process,
-                    signal,
-                } => {
-                    let _ = writeln!(out, "DROP {time_ns} {} {}", esc(process), esc(signal));
-                }
-                CompactRecord::Lost {
-                    time_ns,
-                    process,
-                    port,
-                    signal,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "LOST {time_ns} {} {} {}",
-                        esc(process),
-                        esc(port),
-                        esc(signal)
-                    );
-                }
-                CompactRecord::User {
-                    time_ns,
-                    process,
-                    message,
-                } => {
-                    let _ = writeln!(out, "USER {time_ns} {} {}", esc(process), esc(message));
-                }
-                CompactRecord::Fault {
-                    time_ns,
-                    process,
-                    kind,
-                    signal,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "FAULT {time_ns} {} {} {}",
-                        esc(process),
-                        esc(kind),
-                        esc(signal)
-                    );
-                }
-                CompactRecord::Count {
-                    time_ns,
-                    process,
-                    counter,
-                    amount,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "CNT {time_ns} {} {} {amount}",
-                        esc(process),
-                        esc(counter)
-                    );
-                }
-            }
+            let _ = record.write_line(&mut out, |&sym| self.interner.escaped(sym));
+            out.push('\n');
         }
         debug_assert_eq!(
             out.len(),
@@ -1295,6 +822,20 @@ impl SimLog {
             }
         }
         Ok(log)
+    }
+
+    /// The records in their interned form, for readers that aggregate
+    /// by symbol (see [`SimLog::symbol_count`]) and resolve names only
+    /// for their output.
+    pub fn records(&self) -> &[Record<Sym>] {
+        &self.records
+    }
+
+    /// Number of distinct symbols: every [`Sym`] in [`SimLog::records`]
+    /// has an [`index`](Sym::index) below this, so tables indexed by
+    /// symbol can be sized once.
+    pub fn symbol_count(&self) -> usize {
+        self.interner.len()
     }
 
     /// Number of records.

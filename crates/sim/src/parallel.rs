@@ -1244,7 +1244,7 @@ where
     // started with a copy of the base log, so its own records begin
     // after that prefix.
     let mut log = base.log.clone();
-    let base_records = base.log.records_len();
+    let base_records = base.log.len();
     let mut remaps: Vec<Vec<Option<Sym>>> = (0..n_lps).map(|_| Vec::new()).collect();
     let mut log_cursor = vec![base_records; n_lps];
     for &(lp, count) in &merge_plan {

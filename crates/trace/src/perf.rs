@@ -17,9 +17,12 @@
 //!   keyed by the full stack path. No lock is taken on enter/exit: each
 //!   thread aggregates into its own buffer.
 //! * **Merged at drain** — a thread's buffer is flushed into a global
-//!   pool when the thread exits (scoped workers flush before their scope
-//!   ends); [`drain`] flushes the calling thread too, merges every
-//!   buffered call tree by path, and returns a [`PerfReport`].
+//!   pool whenever its outermost span closes, so a scoped worker's frames
+//!   are pooled before the worker's closure returns and therefore before
+//!   its scope ends (a thread-local destructor flushes any remainder at
+//!   thread exit, but may run after the scope has returned); [`drain`]
+//!   flushes the calling thread too, merges every buffered call tree by
+//!   path, and returns a [`PerfReport`].
 //! * **Zero cost when off** — the [`Prof`] trait mirrors the
 //!   `TraceSink`/`FaultModel` discipline: instrumented code is generic
 //!   over it, [`NoProf`] monomorphises to nothing (`ACTIVE = false`
@@ -236,6 +239,20 @@ impl ThreadState {
         } else {
             self.dropped += 1;
         }
+        if self.stack.is_empty() {
+            // The outermost span closed: pool the buffer while the thread
+            // is certainly still running (see the module docs).
+            self.flush();
+        }
+    }
+
+    /// Moves the buffered data into the global pool.
+    fn flush(&mut self) {
+        if let Some(dump) = self.take_dump() {
+            if let Ok(mut pool) = pool().lock() {
+                pool.push(dump);
+            }
+        }
     }
 
     /// Moves the buffered data out as a [`ThreadDump`], leaving the state
@@ -276,11 +293,7 @@ struct TlsState(RefCell<ThreadState>);
 
 impl Drop for TlsState {
     fn drop(&mut self) {
-        if let Some(dump) = self.0.borrow_mut().take_dump() {
-            if let Ok(mut pool) = pool().lock() {
-                pool.push(dump);
-            }
-        }
+        self.0.borrow_mut().flush();
     }
 }
 
@@ -449,13 +462,7 @@ pub struct PerfReport {
 /// into a [`PerfReport`], leaving the pool empty. The enabled flag is
 /// untouched.
 pub fn drain() -> PerfReport {
-    let _ = TLS.try_with(|tls| {
-        if let Some(dump) = tls.0.borrow_mut().take_dump() {
-            if let Ok(mut pool) = pool().lock() {
-                pool.push(dump);
-            }
-        }
-    });
+    let _ = TLS.try_with(|tls| tls.0.borrow_mut().flush());
     let dumps: Vec<ThreadDump> = std::mem::take(&mut *pool().lock().expect("perf pool poisoned"));
     let names: Vec<String> = labels().lock().expect("label table poisoned").names.clone();
     merge(dumps, &names)
@@ -747,25 +754,30 @@ mod tests {
     #[test]
     fn worker_thread_buffers_merge_at_drain() {
         let _g = guard();
-        reset();
-        enable();
         let shard = label("shard");
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                scope.spawn(|| {
-                    let _s = enter(shard);
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                });
-            }
-        });
-        disable();
-        let report = drain();
-        let spot = report
-            .hotspots()
-            .into_iter()
-            .find(|h| h.label == "shard")
-            .expect("merged shard frames");
-        assert_eq!(spot.count, 2, "both workers' frames merged");
+        // A worker's frames must be pooled by the time its scope ends;
+        // a late flush loses them here or leaks them into the next
+        // round, so one round in a hundred going wrong fails the test.
+        for round in 0..100 {
+            reset();
+            enable();
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        let _s = enter(shard);
+                        std::thread::sleep(std::time::Duration::from_micros(100));
+                    });
+                }
+            });
+            disable();
+            let report = drain();
+            let count = report
+                .hotspots()
+                .into_iter()
+                .find(|h| h.label == "shard")
+                .map_or(0, |h| h.count);
+            assert_eq!(count, 2, "round {round}: both workers' frames merged");
+        }
     }
 
     #[test]

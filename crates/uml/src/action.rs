@@ -15,7 +15,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashSet;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::ops::Index;
 
 use tut_diag::{Diagnostic, DiagnosticBag};
@@ -146,7 +146,7 @@ impl Builtin {
     }
 
     /// Number of arguments the builtin expects.
-    pub fn arity(self) -> usize {
+    pub const fn arity(self) -> usize {
         match self {
             Builtin::Len | Builtin::Crc32 | Builtin::UnpackInt => 1,
             Builtin::Concat
@@ -159,21 +159,23 @@ impl Builtin {
         }
     }
 
+    /// Every builtin.
+    const ALL: [Builtin; 10] = [
+        Builtin::Len,
+        Builtin::Slice,
+        Builtin::Concat,
+        Builtin::ByteAt,
+        Builtin::PackInt,
+        Builtin::UnpackInt,
+        Builtin::Crc32,
+        Builtin::Min,
+        Builtin::Max,
+        Builtin::Fill,
+    ];
+
     /// Parses a builtin from its source name.
     pub fn from_name(name: &str) -> Option<Builtin> {
-        const ALL: [Builtin; 10] = [
-            Builtin::Len,
-            Builtin::Slice,
-            Builtin::Concat,
-            Builtin::ByteAt,
-            Builtin::PackInt,
-            Builtin::UnpackInt,
-            Builtin::Crc32,
-            Builtin::Min,
-            Builtin::Max,
-            Builtin::Fill,
-        ];
-        ALL.into_iter().find(|b| b.name() == name)
+        Builtin::ALL.into_iter().find(|b| b.name() == name)
     }
 }
 
@@ -292,11 +294,19 @@ impl Expr {
                 eval_binary(*op, l, r).map(Cow::Owned)
             }
             Expr::Call(builtin, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(a.eval_cow(env)?);
+                // Arity is at most `MAX_ARITY`, so the arguments fit a
+                // stack array.
+                let mut vals = [ARG_UNSET; MAX_ARITY];
+                for (i, a) in args.iter().enumerate() {
+                    let v = a.eval_cow(env)?;
+                    if let Some(slot) = vals.get_mut(i) {
+                        *slot = v;
+                    }
                 }
-                eval_builtin(*builtin, &vals).map(Cow::Owned)
+                if args.len() > MAX_ARITY {
+                    return Err(arity_error(*builtin, args.len()));
+                }
+                eval_builtin(*builtin, &vals[..args.len()]).map(Cow::Owned)
             }
         }
     }
@@ -484,14 +494,33 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
+/// The largest [`Builtin::arity`]: the length of a call's argument array.
+const MAX_ARITY: usize = {
+    let mut max = 0;
+    let mut i = 0;
+    while i < Builtin::ALL.len() {
+        if Builtin::ALL[i].arity() > max {
+            max = Builtin::ALL[i].arity();
+        }
+        i += 1;
+    }
+    max
+};
+
+/// Filler for the unused tail of a builtin's argument array.
+const ARG_UNSET: Cow<'static, Value> = Cow::Borrowed(&Value::Int(0));
+
+fn arity_error(builtin: Builtin, got: usize) -> Error {
+    Error::Action(format!(
+        "builtin `{}` expects {} arguments, got {got}",
+        builtin.name(),
+        builtin.arity(),
+    ))
+}
+
 fn eval_builtin(builtin: Builtin, args: &[Cow<'_, Value>]) -> Result<Value> {
     if args.len() != builtin.arity() {
-        return Err(Error::Action(format!(
-            "builtin `{}` expects {} arguments, got {}",
-            builtin.name(),
-            builtin.arity(),
-            args.len()
-        )));
+        return Err(arity_error(builtin, args.len()));
     }
     let int_arg = |i: usize| -> Result<i64> {
         args[i].as_int().ok_or_else(|| {
@@ -739,13 +768,15 @@ pub enum Statement {
 /// An observable effect produced by executing statements.
 ///
 /// The interpreter (in `tut-sim`) turns these into simulation events; unit
-/// tests can assert on them directly.
+/// tests can assert on them directly. Names (port, timer, counter) are
+/// borrowed from the executed statements, so emitting an effect copies
+/// no string.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Effect {
+pub enum Effect<'a> {
     /// A signal emission through a named port.
     Send {
         /// Port name.
-        port: String,
+        port: &'a str,
         /// Signal type.
         signal: SignalId,
         /// Evaluated payload values.
@@ -763,19 +794,19 @@ pub enum Effect {
     /// A timer was armed.
     SetTimer {
         /// Timer name.
-        name: String,
+        name: &'a str,
         /// Duration in simulation time units.
         duration: u64,
     },
     /// A timer was cancelled.
     CancelTimer {
         /// Timer name.
-        name: String,
+        name: &'a str,
     },
     /// A named counter was incremented.
     Count {
         /// Counter name.
-        counter: String,
+        counter: &'a str,
         /// Signed increment (counters may be decremented).
         amount: i64,
     },
@@ -785,13 +816,23 @@ pub enum Effect {
 ///
 /// Process variable and signal-parameter sets are tiny (a handful of
 /// names), so a linear scan over a `Vec` beats a `HashMap`: no hashing
-/// per lookup, no rehash on clone, and — the hot-path property the
-/// simulator relies on — [`Scope::set`] on an existing name reuses the
-/// stored key, so steady-state variable updates never allocate.
-#[derive(Clone, PartialEq, Default, Debug)]
+/// per lookup and no rehash on clone. The hot-path property the
+/// simulator relies on is that binding a name allocates nothing once the
+/// scope has held that many names before: [`Scope::set`] on a bound name
+/// reuses the stored key, and [`Scope::clear`] keeps every slot's key
+/// buffer, so the next [`Scope::set`] rewrites a cleared slot in place.
+/// Only the first `live` slots are bindings; lookups, [`Scope::len`],
+/// [`Scope::iter`] and `==` never see the cleared ones.
+#[derive(Clone, Default)]
 pub struct Scope {
     entries: Vec<(String, Value)>,
+    /// Number of bindings: `entries[..live]` are bound, the rest are
+    /// cleared slots kept for their key buffers.
+    live: usize,
 }
+
+/// What a cleared slot holds: no payload, so clearing never pins one.
+const CLEARED: Value = Value::Int(0);
 
 impl Scope {
     /// An empty scope.
@@ -799,45 +840,76 @@ impl Scope {
         Scope::default()
     }
 
+    fn bound(&self) -> &[(String, Value)] {
+        &self.entries[..self.live]
+    }
+
     /// Looks up a binding by name.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.entries.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+        self.bound().iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
     fn get_mut(&mut self, name: &str) -> Option<&mut Value> {
-        self.entries
+        self.entries[..self.live]
             .iter_mut()
             .find(|(n, _)| n == name)
             .map(|(_, v)| v)
     }
 
-    /// Binds `name` to `value`, replacing an existing binding in place
-    /// (the stored key is reused — no allocation for repeat names).
+    /// Binds `name` to `value`, replacing an existing binding in place.
+    /// A new name takes the first cleared slot and rewrites its key
+    /// buffer, so it allocates only when no cleared slot is left or the
+    /// name outgrows the buffer.
     pub fn set(&mut self, name: &str, value: Value) {
-        match self.entries.iter_mut().find(|(n, _)| n == name) {
-            Some((_, slot)) => *slot = value,
+        if let Some(slot) = self.get_mut(name) {
+            *slot = value;
+            return;
+        }
+        match self.entries.get_mut(self.live) {
+            Some((key, slot)) => {
+                key.clear();
+                key.push_str(name);
+                *slot = value;
+            }
             None => self.entries.push((name.to_owned(), value)),
         }
+        self.live += 1;
     }
 
-    /// Removes every binding, keeping the allocation for reuse.
+    /// Removes every binding. The bound values are dropped at once; the
+    /// slots and their key buffers stay for reuse by [`Scope::set`].
     pub fn clear(&mut self) {
-        self.entries.clear();
+        for (_, value) in &mut self.entries[..self.live] {
+            *value = CLEARED;
+        }
+        self.live = 0;
     }
 
     /// Number of bindings.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// True when no names are bound.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live == 0
     }
 
     /// Iterates over the bindings in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), v))
+        self.bound().iter().map(|(n, v)| (n.as_str(), v))
+    }
+}
+
+impl PartialEq for Scope {
+    fn eq(&self, other: &Scope) -> bool {
+        self.bound() == other.bound()
+    }
+}
+
+impl fmt::Debug for Scope {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -891,10 +963,10 @@ impl Env {
 ///
 /// Propagates expression-evaluation errors and reports loops exceeding
 /// their `max_iter` bound.
-pub fn execute(
-    statements: &[Statement],
+pub fn execute<'a>(
+    statements: &'a [Statement],
     env: &mut Env,
-    effects: &mut Vec<Effect>,
+    effects: &mut Vec<Effect<'a>>,
     weight: &mut u64,
 ) -> Result<()> {
     for statement in statements {
@@ -918,7 +990,7 @@ pub fn execute(
                     *weight += a.weight();
                 }
                 effects.push(Effect::Send {
-                    port: port.clone(),
+                    port,
                     signal: *signal,
                     values,
                 });
@@ -976,7 +1048,7 @@ pub fn execute(
                         Some(a) => {
                             let v = a.eval_cow(env)?;
                             *weight += a.weight();
-                            rendered.push_str(&v.to_string());
+                            write!(rendered, "{v}").expect("writing to a String cannot fail");
                         }
                         None => rendered.push_str("{}"),
                     }
@@ -992,12 +1064,12 @@ pub fn execute(
                     .ok_or_else(|| Error::Action("timer duration must evaluate to Int".into()))?;
                 *weight += duration.weight();
                 effects.push(Effect::SetTimer {
-                    name: name.clone(),
+                    name,
                     duration: d.max(0) as u64,
                 });
             }
             Statement::CancelTimer { name } => {
-                effects.push(Effect::CancelTimer { name: name.clone() });
+                effects.push(Effect::CancelTimer { name });
             }
             Statement::Count { counter, amount } => {
                 let n = amount
@@ -1005,10 +1077,7 @@ pub fn execute(
                     .as_int()
                     .ok_or_else(|| Error::Action("count amount must evaluate to Int".into()))?;
                 *weight += amount.weight();
-                effects.push(Effect::Count {
-                    counter: counter.clone(),
-                    amount: n,
-                });
+                effects.push(Effect::Count { counter, amount: n });
             }
         }
     }
@@ -1702,7 +1771,7 @@ mod tests {
         assert_eq!(
             effects,
             vec![Effect::Send {
-                port: "pOut".into(),
+                port: "pOut",
                 signal: sig,
                 values: vec![Value::Int(3)],
             }]
@@ -1783,12 +1852,10 @@ mod tests {
                     units: 128
                 },
                 Effect::SetTimer {
-                    name: "beacon".into(),
+                    name: "beacon",
                     duration: 1000
                 },
-                Effect::CancelTimer {
-                    name: "beacon".into()
-                },
+                Effect::CancelTimer { name: "beacon" },
             ]
         );
     }
@@ -1806,11 +1873,86 @@ mod tests {
         assert_eq!(
             fx,
             vec![Effect::Count {
-                counter: "arq.retries".into(),
+                counter: "arq.retries",
                 amount: 3,
             }]
         );
         assert!(w > 1, "counting charges expression weight");
+    }
+
+    #[test]
+    fn call_with_too_many_arguments_fails_cleanly() {
+        // A call built around `Expr::call`'s arity check overflows the
+        // argument array: it fails with the arity error, after its
+        // arguments evaluate.
+        let four = Expr::Call(Builtin::Min, vec![Expr::int(1); 4]);
+        let err = four.eval(&Env::new()).unwrap_err().to_string();
+        assert!(err.contains("expects 2 arguments, got 4"), "{err}");
+        let bad_arg = Expr::Call(Builtin::Min, vec![Expr::var("nope"); 4]);
+        let err = bad_arg.eval(&Env::new()).unwrap_err().to_string();
+        assert!(err.contains("unbound variable"), "{err}");
+    }
+
+    #[test]
+    fn scope_clear_releases_bound_values() {
+        let mut shared = Bytes::from(vec![1, 2, 3]);
+        let data = shared.as_ptr();
+        let mut scope = Scope::new();
+        scope.set("pdu", Value::Bytes(shared.clone()));
+        scope.clear();
+        // Sole owner again: copy-on-write hands back the same buffer.
+        assert_eq!(shared.make_mut().as_ptr(), data);
+    }
+
+    #[test]
+    fn scope_clear_unbinds_and_hides_dead_slots() {
+        let mut scope = Scope::new();
+        scope.set("a", Value::Int(1));
+        scope.set("b", Value::Int(2));
+        scope.clear();
+        assert_eq!(scope.get("a"), None);
+        assert!(scope.is_empty());
+        assert_eq!(scope.len(), 0);
+        assert_eq!(scope.iter().count(), 0);
+        assert_eq!(scope, Scope::new());
+        scope.set("b", Value::Int(3));
+        assert_eq!(scope.get("a"), None, "a cleared slot is not a binding");
+        assert_eq!(
+            scope.iter().collect::<Vec<_>>(),
+            vec![("b", &Value::Int(3))]
+        );
+        let mut fresh = Scope::new();
+        fresh.set("b", Value::Int(3));
+        assert_eq!(scope, fresh, "== compares live bindings only");
+        assert_eq!(format!("{scope:?}"), format!("{fresh:?}"));
+    }
+
+    #[test]
+    fn scope_set_after_clear_reuses_key_buffers() {
+        let mut scope = Scope::new();
+        scope.set("payload", Value::Int(1));
+        scope.set("len", Value::Int(2));
+        let keys: Vec<*const u8> = scope.entries.iter().map(|(k, _)| k.as_ptr()).collect();
+        scope.clear();
+        scope.set("pdu", Value::Int(3));
+        scope.set("len", Value::Int(4));
+        let reused: Vec<*const u8> = scope.entries.iter().map(|(k, _)| k.as_ptr()).collect();
+        assert_eq!(reused, keys, "no key was reallocated");
+        assert_eq!(scope.get("pdu"), Some(&Value::Int(3)));
+        assert_eq!(scope.get("payload"), None);
+    }
+
+    #[test]
+    fn guard_after_clear_sees_parameters_unbound() {
+        // The simulator clears the parameter scope before completion
+        // transitions; a guard reading a parameter there must fail to
+        // evaluate (and so not fire), never see the last signal's value.
+        let mut env = Env::new().with_param("n", 5i64);
+        let guard = Expr::param("n").bin(BinOp::Gt, Expr::int(0));
+        assert_eq!(guard.eval(&env).unwrap(), Value::Bool(true));
+        env.params.clear();
+        let err = guard.eval(&env).unwrap_err().to_string();
+        assert!(err.contains("unbound signal parameter `n`"), "{err}");
     }
 
     #[test]

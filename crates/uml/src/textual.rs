@@ -990,7 +990,7 @@ mod tests {
         assert_eq!(
             effects,
             vec![Effect::Send {
-                port: "p".into(),
+                port: "p",
                 signal: sig,
                 values: vec![Value::Int(12)],
             }]

@@ -18,19 +18,13 @@ echo "==> cargo test -q"
 cargo test -q
 
 echo "==> cargo test --workspace -q (every crate's unit and integration tests)"
+# This also runs the root suites `exploration` (parallel == serial
+# properties), `faults` (fault-injection determinism + ARQ contract) and
+# `parallel` (conservative kernel: parallel == serial logs).
 cargo test --workspace -q
-
-echo "==> cargo test -q --test exploration (parallel == serial properties)"
-cargo test -q --test exploration
 
 echo "==> repro --threads 2 explore (parallel path smoke run)"
 cargo run --release -q -p tut-bench --bin repro -- --threads 2 explore
-
-echo "==> cargo test -q --test faults (fault-injection determinism + ARQ contract)"
-cargo test -q --test faults
-
-echo "==> cargo test -q --test parallel (conservative kernel: parallel == serial logs)"
-cargo test -q --test parallel
 
 echo "==> repro fault-sweep --quick (reliability smoke point)"
 cargo run --release -q -p tut-bench --bin repro -- fault-sweep --quick
