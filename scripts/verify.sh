@@ -115,15 +115,24 @@ if ! grep -q '"speedup"' BENCH_check.json; then
     echo "repro bench-check did not write BENCH_check.json"; exit 1;
 fi
 
-echo "==> perfbench smoke (each flow workload builds, runs 1 s, fails no check)"
+echo "==> perfbench smoke (each flow workload builds, runs 1 s, fails no check, same exact lines)"
 # perfbench is a workspace of its own, so the steps above never build it.
+# Every `exact:`/`fingerprint:` line (simulated counts, log and report
+# hashes) must match scripts/perfbench_exact.txt, so a speed-only change
+# that alters a simulated count or a log byte fails here.
+perf_exact=$(mktemp -p "$store_dir")
 for workload in paper_flow fault_campaign edit_check; do
-    perf_last=$(cargo run --quiet --release --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    perf_out=$(cargo run --quiet --release --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0)
+    perf_last=$(tail -n 1 <<< "$perf_out")
     if ! grep -q '"failed": 0,' <<< "$perf_last"; then
         echo "perfbench $workload: a check failed: $perf_last"; exit 1;
     fi
+    grep -E '^(exact|fingerprint):' <<< "$perf_out" | sed "s/^/$workload /" >> "$perf_exact"
 done
+if ! diff <(grep -v '^#' scripts/perfbench_exact.txt) "$perf_exact"; then
+    echo "perfbench: exact/fingerprint lines differ from scripts/perfbench_exact.txt"; exit 1;
+fi
 
 if [[ "$quick" -eq 0 ]]; then
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
