@@ -13,10 +13,9 @@ use tut_profile::platform::{Arbitration, ComponentKind};
 use tut_profile::SystemModel;
 use tut_trace::perf::{self, Prof};
 use tut_trace::{Clock, NoopSink, TraceSink};
-use tut_uml::action::{self, Effect, Env, Scope, Statement};
-use tut_uml::ids::{ClassId, PropertyId, SignalId, StateId, StateMachineId};
+use tut_uml::ids::{PropertyId, SignalId, StateId, StateMachineId};
 use tut_uml::instances::{InstanceIndex, InstanceTree, RoutingTable};
-use tut_uml::statemachine::{StateMachine, Trigger};
+use tut_uml::lower::{Emit, Input, MachineCode};
 use tut_uml::Value;
 
 use crate::calendar::EventQueue;
@@ -42,103 +41,74 @@ enum QueueEntry {
         values: Vec<Value>,
     },
     Timer {
-        /// Index into the machine's [`MachineRt::timers`] table.
+        /// Index into the machine's timer table
+        /// ([`MachineCode::timers`]).
         slot: u32,
     },
 }
 
-/// Build-time resolution of one timer of a state machine: its name (what
-/// `SetTimer`/`CancelTimer` effects carry) and its interned
-/// `timer:<name>` trigger label.
-#[derive(Debug)]
-struct TimerRt {
-    name: String,
-    label: Sym,
-}
-
 /// Per-class runtime image of a state machine, built once in
 /// [`Simulation::from_system`] and shared (via `Arc`) by every process
-/// instance of the class. Holding the machine here — with its state
-/// names and timer vocabulary resolved to interned symbols and slots —
-/// is what lets the per-step hot path run without cloning the machine
-/// or touching a string-keyed map.
+/// instance of the class: the machine lowered to slots
+/// ([`MachineCode`]) plus the log symbols of its states, timers and
+/// counters. Holding the machine in this form is what lets the per-step
+/// hot path run without resolving a name or touching a hash map.
 #[derive(Debug)]
 struct MachineRt {
-    machine: StateMachine,
+    code: MachineCode,
     /// Interned state names, indexed by `StateId::index()`.
     state_syms: Vec<Sym>,
-    /// Timer slots in discovery order; `QueueEntry::Timer` and
-    /// `EventKind::TimerFired` carry indexes into this table.
-    timers: Vec<TimerRt>,
+    /// Interned `timer:<name>` trigger labels, by timer slot.
+    timer_labels: Vec<Sym>,
+    /// Interned counter names, by the code's counter index.
+    counter_syms: Vec<Sym>,
 }
 
-impl MachineRt {
-    /// Resolves a timer name (from a `SetTimer`/`CancelTimer` effect) to
-    /// its slot. Every name an executing machine can produce was
-    /// discovered statically at build time.
-    fn timer_slot(&self, name: &str) -> usize {
-        self.timers
-            .iter()
-            .position(|t| t.name == name)
-            .expect("timers are discovered statically from the machine")
-    }
+/// How a delivery from one process reaches another, fixed by the
+/// mapping: both on one element, through the environment, or across
+/// HIBI between two agents.
+#[derive(Clone, Copy, Debug)]
+enum Route {
+    /// Same element, or an element without a HIBI agent: the local
+    /// latency.
+    Local,
+    /// Either end on the environment element: the environment latency.
+    Env,
+    /// A HIBI transfer between two agents.
+    Bus { from: AgentId, to: AgentId },
 }
 
-/// Collects timer names referenced by `SetTimer`/`CancelTimer`
-/// statements, recursing into `If`/`While` bodies.
-fn collect_timer_names(statements: &[Statement], names: &mut Vec<String>) {
-    for statement in statements {
-        match statement {
-            Statement::SetTimer { name, .. } | Statement::CancelTimer { name }
-                if !names.iter().any(|n| n == name) =>
-            {
-                names.push(name.clone());
-            }
-            Statement::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                collect_timer_names(then_branch, names);
-                collect_timer_names(else_branch, names);
-            }
-            Statement::While { body, .. } => collect_timer_names(body, names),
-            _ => {}
-        }
-    }
+/// One receiver of a send site.
+#[derive(Clone, Copy, Debug)]
+struct Receiver {
+    target: ProcIndex,
+    route: Route,
 }
 
-/// The full timer vocabulary of a machine: timer triggers plus every
-/// timer statement in entry actions and transition actions.
-fn machine_timer_names(machine: &StateMachine) -> Vec<String> {
-    let mut names = Vec::new();
-    for (_, state) in machine.states() {
-        collect_timer_names(state.entry(), &mut names);
-    }
-    for (_, transition) in machine.transitions() {
-        if let Trigger::Timer(name) = transition.trigger() {
-            if !names.iter().any(|n| n == name) {
-                names.push(name.clone());
-            }
-        }
-        collect_timer_names(transition.actions(), &mut names);
-    }
-    names
+/// A send site of one process (a `(port, signal)` pair of its machine's
+/// [`MachineCode::sends`]) resolved at build time to its receivers.
+#[derive(Clone, Debug)]
+struct SendRt {
+    signal: SignalId,
+    receivers: Box<[Receiver]>,
+    /// The port's interned name when nothing is connected to it (the
+    /// send is logged `LOST`).
+    lost: Option<Sym>,
 }
 
 #[derive(Clone, Debug)]
 pub(crate) struct ProcessRt {
-    /// Index into the instance tree.
-    instance: InstanceIndex,
     /// Dotted display name (log identity).
     pub(crate) name: String,
     /// Interned `name`, stamped on every record this process emits.
     name_sym: Sym,
-    class: ClassId,
     /// Shared per-class machine image (see [`MachineRt`]).
     machine: Arc<MachineRt>,
     state: StateId,
-    vars: Scope,
+    /// Variable slots of the machine's code; `None` until first written.
+    vars: Vec<Option<Value>>,
+    /// Send sites by the code's site index.
+    sends: Box<[SendRt]>,
     /// Pending inputs with their enqueue timestamps (for response-time
     /// accounting).
     queue: VecDeque<(u64, QueueEntry)>,
@@ -222,12 +192,14 @@ pub(crate) enum DeliverKind {
 /// once per logical process and once as a pristine serial-fallback copy.
 #[derive(Clone)]
 pub struct Simulation {
-    system: Arc<SystemModel>,
     pub(crate) config: SimConfig,
+    /// The application's static communication graph; the parallel
+    /// kernel partitions along it. Steps use the per-process send sites
+    /// resolved from it instead.
     pub(crate) routing: Arc<RoutingTable>,
     pub(crate) processes: Vec<ProcessRt>,
-    /// Instance index -> process index.
-    pub(crate) by_instance: Arc<HashMap<InstanceIndex, ProcIndex>>,
+    /// Instance index -> process index (`None` for inactive instances).
+    pub(crate) proc_of_instance: Arc<Vec<Option<ProcIndex>>>,
     pub(crate) pes: Vec<PeRt>,
     /// Processes mapped to each element, ascending process-index order
     /// (the scheduler's scan set — no per-dispatch allocation).
@@ -249,13 +221,8 @@ pub struct Simulation {
     corrupt_sym: Sym,
     /// Interned `unroutable` fault kind.
     unroutable_sym: Sym,
-    /// Recycled parameter scope handed to each step's `Env`; cleared
-    /// between steps, keeping its slots and key buffers.
-    scratch_params: Scope,
-    /// Recycled effect buffer, empty between steps. Effects borrow their
-    /// names from the step's machine, so the buffer is stored with a
-    /// `'static` element type and re-typed (in place) while empty.
-    scratch_effects: Vec<Effect<'static>>,
+    /// Recycled effect buffer, empty between steps.
+    scratch_effects: Vec<Emit>,
     /// Injected-fault totals (corruptions/drops; unroutable transfers
     /// are tallied by the network itself).
     pub(crate) fault_tally: FaultTally,
@@ -445,7 +412,8 @@ impl Simulation {
 
         let mapping = system.mapping();
         let mut processes: Vec<ProcessRt> = Vec::new();
-        let mut by_instance = HashMap::new();
+        let mut instances: Vec<InstanceIndex> = Vec::new();
+        let mut proc_of_instance: Vec<Option<ProcIndex>> = vec![None; tree.nodes().len()];
         let mut machines: HashMap<StateMachineId, Arc<MachineRt>> = HashMap::new();
         for instance in tree.active_instances(&system.model) {
             let node = tree.node(instance);
@@ -458,36 +426,36 @@ impl Simulation {
                     .ok_or_else(|| SimError::MissingBehaviour {
                         class: system.model.class(class).name().to_owned(),
                     })?;
+            let machine = system.model.state_machine(sm);
             let machine_rt = match machines.get(&sm) {
                 Some(rt) => Arc::clone(rt),
                 None => {
-                    // One clone per class — the per-step clone this
-                    // replaces used to run once per executed step.
-                    let machine = system.model.state_machine(sm).clone();
-                    let mut state_syms = Vec::with_capacity(machine.state_count());
-                    for (_, state) in machine.states() {
-                        state_syms.push(log.intern(state.name()));
-                    }
-                    let timers = machine_timer_names(&machine)
-                        .into_iter()
-                        .map(|name| {
-                            let label = log.intern(&format!("timer:{name}"));
-                            TimerRt { name, label }
-                        })
+                    // Lowered once per class; every step runs this code.
+                    let code = MachineCode::lower(&system.model, machine);
+                    let state_syms = machine
+                        .states()
+                        .map(|(_, state)| log.intern(state.name()))
                         .collect();
+                    let timer_labels = code
+                        .timers()
+                        .iter()
+                        .map(|name| log.intern(&format!("timer:{name}")))
+                        .collect();
+                    let counter_syms = code.counters().iter().map(|c| log.intern(c)).collect();
                     let rt = Arc::new(MachineRt {
-                        machine,
+                        code,
                         state_syms,
-                        timers,
+                        timer_labels,
+                        counter_syms,
                     });
                     machines.insert(sm, Arc::clone(&rt));
                     rt
                 }
             };
-            let initial = machine_rt.machine.initial().ok_or_else(|| {
+            let initial = machine.initial().ok_or_else(|| {
                 SimError::BadModel(format!(
                     "state machine `{}` has no initial state",
-                    machine_rt.machine.name()
+                    machine.name()
                 ))
             })?;
             let part = node.path.last().copied();
@@ -502,26 +470,21 @@ impl Simulation {
                 }
                 None => (0, 0),
             };
-            let mut vars = Scope::new();
-            for v in machine_rt.machine.variables() {
-                vars.set(&v.name, v.init.clone());
-            }
             let name = tree.display_name(&system.model, instance);
             let name_sym = log.intern(&name);
-            let timer_gens = vec![0; machine_rt.timers.len()];
-            by_instance.insert(instance, processes.len());
+            proc_of_instance[instance] = Some(processes.len());
+            instances.push(instance);
             processes.push(ProcessRt {
-                instance,
                 name,
                 name_sym,
-                class,
+                vars: machine_rt.code.initial_vars(),
+                sends: Box::default(),
+                timer_gens: vec![0; machine_rt.code.timers().len()],
                 machine: machine_rt,
                 state: initial,
-                vars,
                 queue: VecDeque::new(),
                 pe,
                 priority,
-                timer_gens,
                 fault_nonce: 0,
                 stats: ProcessStats::default(),
             });
@@ -531,6 +494,40 @@ impl Simulation {
                 "application has no active process instances".into(),
             ));
         }
+        // Resolve every process's send sites to receivers and routes.
+        for (index, &instance) in instances.iter().enumerate() {
+            let class = tree.node(instance).class;
+            let sender_pe = processes[index].pe;
+            let machine = Arc::clone(&processes[index].machine);
+            let sends = machine
+                .code
+                .sends()
+                .iter()
+                .map(|(port_name, signal)| {
+                    let endpoints = system
+                        .model
+                        .find_port(class, port_name)
+                        .map_or(&[][..], |port| routing.receivers(instance, port, *signal));
+                    let receivers = endpoints
+                        .iter()
+                        .map(|endpoint| {
+                            let target = proc_of_instance[endpoint.instance]
+                                .expect("routing endpoints are active instances");
+                            Receiver {
+                                target,
+                                route: route(&pes, sender_pe, processes[target].pe),
+                            }
+                        })
+                        .collect();
+                    SendRt {
+                        signal: *signal,
+                        receivers,
+                        lost: endpoints.is_empty().then(|| log.intern(port_name)),
+                    }
+                })
+                .collect();
+            processes[index].sends = sends;
+        }
         let mut pe_procs: Vec<Vec<ProcIndex>> = vec![Vec::new(); pes.len()];
         for (index, process) in processes.iter().enumerate() {
             pe_procs[process.pe].push(index);
@@ -538,11 +535,10 @@ impl Simulation {
 
         let events = EventQueue::new(config.queue);
         let mut sim = Simulation {
-            system: Arc::new(system.clone()),
             config,
             routing: Arc::new(routing),
             processes,
-            by_instance: Arc::new(by_instance),
+            proc_of_instance: Arc::new(proc_of_instance),
             pes,
             pe_procs: Arc::new(pe_procs),
             network,
@@ -556,7 +552,6 @@ impl Simulation {
             drop_sym,
             corrupt_sym,
             unroutable_sym,
-            scratch_params: Scope::new(),
             scratch_effects: Vec::new(),
             fault_tally: FaultTally::default(),
             last_useful_ns: 0,
@@ -963,90 +958,54 @@ impl Simulation {
         // Shared per-class machine image: an `Arc` bump instead of the
         // per-step deep clone of the whole state machine this replaced.
         let machine_rt = Arc::clone(&self.processes[proc_index].machine);
-        let machine = &machine_rt.machine;
+        let code = &machine_rt.code;
         let name_sym = self.processes[proc_index].name_sym;
         let from_state = self.processes[proc_index].state;
 
-        // The process's variables move into the step's environment (and
-        // back out below); the parameter scope is recycled across steps.
-        let mut env = Env {
-            vars: std::mem::take(&mut self.processes[proc_index].vars),
-            params: std::mem::take(&mut self.scratch_params),
-        };
-        let mut effects: Vec<Effect<'_>> = retype_empty(std::mem::take(&mut self.scratch_effects));
+        // The process's variable slots move into the step's frame (and
+        // back out below).
+        let mut vars = std::mem::take(&mut self.processes[proc_index].vars);
+        let mut frame = code.frame(&mut vars);
+        let mut effects = std::mem::take(&mut self.scratch_effects);
         let mut weight: u64 = 0;
         let mut to_state = from_state;
         let mut fired = false;
 
-        let trigger_sym;
-        match entry {
+        let (trigger_sym, input) = match entry {
             QueueEntry::Start => {
-                trigger_sym = self.start_sym;
                 fired = true;
-                let state = machine.state(from_state);
-                action::execute(state.entry(), &mut env, &mut effects, &mut weight)
+                code.entry(from_state)
+                    .run(&mut frame, &mut effects, &mut weight)
                     .map_err(|e| self.runtime_error(proc_index, e))?;
+                (self.start_sym, None)
             }
             QueueEntry::Signal { signal, values } => {
-                trigger_sym = self.signal_syms[signal.index()];
-                // Bind signal parameters positionally, moving the
-                // delivered payload into the scope.
-                let params = self.system.model.signal(signal).params();
-                for (param, value) in params.iter().zip(values) {
-                    env.params.set(&param.name, value);
-                }
-                let transition =
-                    machine
-                        .transitions_from(from_state)
-                        .find(|(_, t)| match t.trigger() {
-                            Trigger::Signal(s) if *s == signal => match t.guard() {
-                                Some(guard) => {
-                                    guard.eval(&env).map(|v| v.is_truthy()).unwrap_or(false)
-                                }
-                                None => true,
-                            },
-                            _ => false,
-                        });
-                if let Some((_, t)) = transition {
-                    fired = true;
-                    action::execute(t.actions(), &mut env, &mut effects, &mut weight)
-                        .map_err(|e| self.runtime_error(proc_index, e))?;
-                    to_state = t.target();
-                    if to_state != from_state {
-                        let state = machine.state(to_state);
-                        action::execute(state.entry(), &mut env, &mut effects, &mut weight)
-                            .map_err(|e| self.runtime_error(proc_index, e))?;
-                    }
-                }
+                // The delivered payload is the parameter frame; it stays
+                // bound through the target state's entry actions.
+                frame.bind(values, code.params(signal));
+                (
+                    self.signal_syms[signal.index()],
+                    Some(Input::Signal(signal)),
+                )
             }
-            QueueEntry::Timer { slot } => {
-                let timer = &machine_rt.timers[slot as usize];
-                trigger_sym = timer.label;
-                let transition =
-                    machine
-                        .transitions_from(from_state)
-                        .find(|(_, t)| match t.trigger() {
-                            Trigger::Timer(n) if *n == timer.name => match t.guard() {
-                                Some(guard) => {
-                                    guard.eval(&env).map(|v| v.is_truthy()).unwrap_or(false)
-                                }
-                                None => true,
-                            },
-                            _ => false,
-                        });
-                if let Some((_, t)) = transition {
-                    fired = true;
-                    action::execute(t.actions(), &mut env, &mut effects, &mut weight)
-                        .map_err(|e| self.runtime_error(proc_index, e))?;
-                    to_state = t.target();
-                    if to_state != from_state {
-                        let state = machine.state(to_state);
-                        action::execute(state.entry(), &mut env, &mut effects, &mut weight)
-                            .map_err(|e| self.runtime_error(proc_index, e))?;
-                    }
-                }
+            QueueEntry::Timer { slot } => (
+                machine_rt.timer_labels[slot as usize],
+                Some(Input::Timer(slot)),
+            ),
+        };
+        if let Some(t) = input.and_then(|input| code.fire(from_state, input, &frame)) {
+            fired = true;
+            t.actions()
+                .run(&mut frame, &mut effects, &mut weight)
+                .map_err(|e| self.runtime_error(proc_index, e))?;
+            to_state = t.target();
+            if to_state != from_state {
+                code.entry(to_state)
+                    .run(&mut frame, &mut effects, &mut weight)
+                    .map_err(|e| self.runtime_error(proc_index, e))?;
             }
         }
+        frame.unbind();
 
         if !fired {
             // Discarded input: log and charge only the dispatch
@@ -1060,33 +1019,25 @@ impl Simulation {
                 proc_index, pe_index, start_ns, 0, from_sym, from_sym, drop_sym, tracer,
             );
             // Nothing fired, so the moved-out scratch goes straight back.
-            env.params.clear();
-            self.processes[proc_index].vars = env.vars;
-            self.scratch_params = env.params;
-            self.scratch_effects = retype_empty(effects);
+            self.processes[proc_index].vars = vars;
+            self.scratch_effects = effects;
             return Ok(());
         }
 
-        // Completion transitions fire within the same step, bounded to
-        // avoid livelock on a mis-modelled machine.
-        env.params.clear();
+        // Completion transitions fire within the same step, with no
+        // parameters bound, bounded to avoid livelock on a mis-modelled
+        // machine.
         for _ in 0..64 {
-            let transition = machine
-                .transitions_from(to_state)
-                .find(|(_, t)| match t.trigger() {
-                    Trigger::Completion => match t.guard() {
-                        Some(guard) => guard.eval(&env).map(|v| v.is_truthy()).unwrap_or(false),
-                        None => true,
-                    },
-                    _ => false,
-                });
-            let Some((_, t)) = transition else { break };
-            action::execute(t.actions(), &mut env, &mut effects, &mut weight)
+            let Some(t) = code.fire(to_state, Input::Completion, &frame) else {
+                break;
+            };
+            t.actions()
+                .run(&mut frame, &mut effects, &mut weight)
                 .map_err(|e| self.runtime_error(proc_index, e))?;
             let next = t.target();
             if next != to_state {
-                let state = machine.state(next);
-                action::execute(state.entry(), &mut env, &mut effects, &mut weight)
+                code.entry(next)
+                    .run(&mut frame, &mut effects, &mut weight)
                     .map_err(|e| self.runtime_error(proc_index, e))?;
                 to_state = next;
             } else {
@@ -1103,13 +1054,11 @@ impl Simulation {
         let mut send_bytes_total = 0u64;
         for effect in &effects {
             match effect {
-                Effect::Compute { class, units } => {
+                Emit::Compute { class, units } => {
                     cycles += cost_model.compute_cycles(pe_kind, *class, *units);
                 }
-                Effect::Send { values, .. } => {
-                    let bytes: u64 = self.config.header_bytes
-                        + values.iter().map(|v| v.size_bytes() as u64).sum::<u64>();
-                    send_bytes_total += bytes;
+                Emit::Send { values, .. } => {
+                    send_bytes_total += self.payload_bytes(values);
                 }
                 _ => {}
             }
@@ -1131,23 +1080,22 @@ impl Simulation {
         let end_ns = start_ns + duration_ns;
 
         // Persist process state.
-        self.processes[proc_index].vars = env.vars;
+        self.processes[proc_index].vars = vars;
         self.processes[proc_index].state = to_state;
 
         // ---- Effects ---------------------------------------------------
+        // The send sites move out for the loop so deliveries can borrow
+        // them while mutating `self`.
+        let sends = std::mem::take(&mut self.processes[proc_index].sends);
         for effect in effects.drain(..) {
             match effect {
-                Effect::Send {
-                    port,
-                    signal,
-                    values,
-                } => {
-                    self.dispatch_send(proc_index, port, signal, values, end_ns, faults, tracer);
+                Emit::Send { site, values } => {
+                    let send = &sends[site as usize];
+                    self.dispatch_send(proc_index, send, values, end_ns, faults, tracer);
                 }
-                Effect::SetTimer { name, duration } => {
-                    let slot = machine_rt.timer_slot(name);
+                Emit::SetTimer { timer, duration } => {
                     let generation = {
-                        let g = &mut self.processes[proc_index].timer_gens[slot];
+                        let g = &mut self.processes[proc_index].timer_gens[timer as usize];
                         *g += 1;
                         *g
                     };
@@ -1161,29 +1109,28 @@ impl Simulation {
                         end_ns + duration,
                         EventKind::TimerFired {
                             target: proc_index,
-                            slot: slot as u32,
+                            slot: timer,
                             generation,
                         },
                     );
                 }
-                Effect::CancelTimer { name } => {
-                    let slot = machine_rt.timer_slot(name);
-                    self.processes[proc_index].timer_gens[slot] += 1;
+                Emit::CancelTimer { timer } => {
+                    self.processes[proc_index].timer_gens[timer as usize] += 1;
                 }
-                Effect::Log(message) => {
+                Emit::Log(message) => {
                     self.log.push_user(end_ns, name_sym, &message);
                 }
-                Effect::Count { counter, amount } => {
+                Emit::Count { counter, amount } => {
+                    let counter = machine_rt.counter_syms[counter as usize];
                     self.log.push_count(end_ns, name_sym, counter, amount);
                 }
-                Effect::Compute { .. } => {}
+                Emit::Compute { .. } => {}
             }
         }
+        self.processes[proc_index].sends = sends;
 
-        // Hand the (already cleared) parameter scope and the drained
-        // effect buffer back for reuse.
-        self.scratch_params = env.params;
-        self.scratch_effects = retype_empty(effects);
+        // Hand the drained effect buffer back for reuse.
+        self.scratch_effects = effects;
         let from_sym = machine_rt.state_syms[from_state.index()];
         let to_sym = machine_rt.state_syms[to_state.index()];
         self.finish_step(
@@ -1197,6 +1144,11 @@ impl Simulation {
             tracer,
         );
         Ok(())
+    }
+
+    /// Size of a sent payload on the wire: header plus every value.
+    fn payload_bytes(&self, values: &[Value]) -> u64 {
+        self.config.header_bytes + values.iter().map(|v| v.size_bytes() as u64).sum::<u64>()
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1255,56 +1207,35 @@ impl Simulation {
         self.schedule(end_ns, EventKind::PeFree { pe: pe_index });
     }
 
-    /// Routes a sent signal to its receivers and schedules deliveries,
-    /// applying the fault model's per-transfer verdict to HIBI-borne
-    /// signals.
+    /// Delivers a sent signal to the send site's receivers, applying the
+    /// fault model's per-transfer verdict to HIBI-borne signals.
     #[allow(clippy::too_many_arguments)]
     fn dispatch_send<F: FaultModel, T: TraceSink>(
         &mut self,
         sender: ProcIndex,
-        port_name: &str,
-        signal: SignalId,
+        send: &SendRt,
         values: Vec<Value>,
         send_time_ns: u64,
         faults: &mut F,
         tracer: &mut T,
     ) {
-        let sender_instance = self.processes[sender].instance;
-        let sender_class = self.processes[sender].class;
         let sender_sym = self.processes[sender].name_sym;
+        let signal = send.signal;
         let signal_sym = self.signal_syms[signal.index()];
-        let Some(port) = self.system.model.find_port(sender_class, port_name) else {
-            // Cold path: interning the port name here is fine.
-            let port_sym = self.log.intern(port_name);
-            self.log
-                .push_lost(send_time_ns, sender_sym, port_sym, signal_sym);
-            return;
-        };
-        // A local handle on the shared table lets the receiver slice stay
-        // borrowed while deliveries mutate `self`.
-        let routing = Arc::clone(&self.routing);
-        let receivers = routing.receivers(sender_instance, port, signal);
-        if receivers.is_empty() {
-            let port_sym = self.log.intern(port_name);
+        if let Some(port_sym) = send.lost {
             self.log
                 .push_lost(send_time_ns, sender_sym, port_sym, signal_sym);
             return;
         }
-        let bytes: u64 =
-            self.config.header_bytes + values.iter().map(|v| v.size_bytes() as u64).sum::<u64>();
-        self.processes[sender].stats.signals_sent += receivers.len() as u64;
-        self.processes[sender].stats.bytes_sent += bytes * receivers.len() as u64;
+        let bytes = self.payload_bytes(&values);
+        let fanout = send.receivers.len() as u64;
+        self.processes[sender].stats.signals_sent += fanout;
+        self.processes[sender].stats.bytes_sent += bytes * fanout;
         // The payload moves into the last receiver's delivery; earlier
         // receivers (multicast) get clones.
-        let last = receivers.len() - 1;
         let mut payload = Some(values);
-        for (i, endpoint) in receivers.iter().enumerate() {
-            let Some(&target) = self.by_instance.get(&endpoint.instance) else {
-                continue;
-            };
-            let sender_pe = self.processes[sender].pe;
-            let target_pe = self.processes[target].pe;
-            let mut values = if i == last {
+        for (i, receiver) in send.receivers.iter().enumerate() {
+            let mut values = if i + 1 == send.receivers.len() {
                 payload
                     .take()
                     .expect("payload consumed before last receiver")
@@ -1314,73 +1245,68 @@ impl Simulation {
                     .expect("payload consumed before last receiver")
                     .clone()
             };
-            let delivery_ns = if sender_pe == target_pe {
-                send_time_ns + self.config.local_latency_ns
-            } else if self.pes[sender_pe].is_env || self.pes[target_pe].is_env {
-                send_time_ns + self.config.env_latency_ns
-            } else {
-                match (self.pes[sender_pe].agent, self.pes[target_pe].agent) {
-                    (Some(from), Some(to)) => {
-                        let result =
-                            self.network
-                                .transfer_with(from, to, bytes, send_time_ns, tracer);
-                        if !result.routed {
-                            // The network tallies the count; the log
-                            // records which signal fell back.
-                            self.log.push_fault(
-                                send_time_ns,
-                                sender_sym,
-                                self.unroutable_sym,
-                                signal_sym,
-                            );
-                        }
-                        if faults.is_active() {
-                            // Only HIBI-borne signals are subject to the
-                            // channel fault process; local and environment
-                            // deliveries are memory copies. The salt keys
-                            // this transfer's draws so they are the same
-                            // regardless of global call order.
-                            let salt = self.next_fault_salt(sender);
-                            match faults.transfer_verdict(
-                                send_time_ns,
-                                bytes,
-                                result.segments_traversed,
-                                salt,
-                            ) {
-                                TransferVerdict::Deliver => {}
-                                TransferVerdict::Corrupt => {
-                                    corrupt_values(&mut values, faults, send_time_ns, salt);
-                                    self.fault_tally.corrupted += 1;
-                                    tracer.add("sim.faults_corrupted", 1);
-                                    self.log.push_fault(
-                                        send_time_ns,
-                                        sender_sym,
-                                        self.corrupt_sym,
-                                        signal_sym,
-                                    );
-                                }
-                                TransferVerdict::Drop => {
-                                    self.fault_tally.dropped += 1;
-                                    tracer.add("sim.faults_dropped", 1);
-                                    self.log.push_fault(
-                                        send_time_ns,
-                                        sender_sym,
-                                        self.drop_sym,
-                                        signal_sym,
-                                    );
-                                    continue;
-                                }
+            let delivery_ns = match receiver.route {
+                Route::Local => send_time_ns + self.config.local_latency_ns,
+                Route::Env => send_time_ns + self.config.env_latency_ns,
+                Route::Bus { from, to } => {
+                    let result = self
+                        .network
+                        .transfer_with(from, to, bytes, send_time_ns, tracer);
+                    if !result.routed {
+                        // The network tallies the count; the log records
+                        // which signal fell back.
+                        self.log.push_fault(
+                            send_time_ns,
+                            sender_sym,
+                            self.unroutable_sym,
+                            signal_sym,
+                        );
+                    }
+                    if faults.is_active() {
+                        // Only HIBI-borne signals are subject to the
+                        // channel fault process; local and environment
+                        // deliveries are memory copies. The salt keys
+                        // this transfer's draws so they are the same
+                        // regardless of global call order.
+                        let salt = self.next_fault_salt(sender);
+                        match faults.transfer_verdict(
+                            send_time_ns,
+                            bytes,
+                            result.segments_traversed,
+                            salt,
+                        ) {
+                            TransferVerdict::Deliver => {}
+                            TransferVerdict::Corrupt => {
+                                corrupt_values(&mut values, faults, send_time_ns, salt);
+                                self.fault_tally.corrupted += 1;
+                                tracer.add("sim.faults_corrupted", 1);
+                                self.log.push_fault(
+                                    send_time_ns,
+                                    sender_sym,
+                                    self.corrupt_sym,
+                                    signal_sym,
+                                );
+                            }
+                            TransferVerdict::Drop => {
+                                self.fault_tally.dropped += 1;
+                                tracer.add("sim.faults_dropped", 1);
+                                self.log.push_fault(
+                                    send_time_ns,
+                                    sender_sym,
+                                    self.drop_sym,
+                                    signal_sym,
+                                );
+                                continue;
                             }
                         }
-                        result.completion_ns
                     }
-                    _ => send_time_ns + self.config.local_latency_ns,
+                    result.completion_ns
                 }
             };
             self.schedule(
                 delivery_ns,
                 EventKind::Deliver {
-                    target,
+                    target: receiver.target,
                     entry_kind: DeliverKind::Signal {
                         signal,
                         values,
@@ -1452,12 +1378,19 @@ impl Simulation {
     }
 }
 
-/// Changes the lifetime of an empty effect buffer, keeping its
-/// allocation: `Effect<'a>` has one layout for every `'a`, so std
-/// collects the mapped iterator in place.
-fn retype_empty<'b>(effects: Vec<Effect<'_>>) -> Vec<Effect<'b>> {
-    debug_assert!(effects.is_empty(), "only an empty buffer is re-typed");
-    effects.into_iter().map(|_| unreachable!()).collect()
+/// The route of a delivery from a process on element `from` to one on
+/// element `to`.
+fn route(pes: &[PeRt], from: PeIndex, to: PeIndex) -> Route {
+    if from == to {
+        Route::Local
+    } else if pes[from].is_env || pes[to].is_env {
+        Route::Env
+    } else {
+        match (pes[from].agent, pes[to].agent) {
+            (Some(from), Some(to)) => Route::Bus { from, to },
+            _ => Route::Local,
+        }
+    }
 }
 
 /// Corrupts an in-flight payload: flips one bit of the first `Bytes`
@@ -1529,7 +1462,7 @@ mod tests {
     use tut_profile::platform::ComponentKind;
     use tut_profile_core::TagValue;
     use tut_uml::action::{BinOp, Builtin, CostClass, Expr, Statement};
-    use tut_uml::statemachine::StateMachine;
+    use tut_uml::statemachine::{StateMachine, Trigger};
     use tut_uml::value::DataType;
 
     /// A ping-pong system: two processes exchanging a counter signal,
@@ -1848,6 +1781,47 @@ mod tests {
                 "local receiver (far_first={far_first})"
             );
             assert_ne!(logged("far"), intact, "bus receiver sees the corruption");
+        }
+    }
+
+    /// A multicast send delivers the whole payload to every receiver:
+    /// the last one takes the sender's values, each earlier one a clone.
+    #[test]
+    fn multicast_send_clones_the_payload_for_each_extra_receiver() {
+        let intact = format!("crc {}", tut_uml::action::crc32(&[0xA5; 64]));
+        for far_first in [false, true] {
+            let report = Simulation::from_system(&multicast_bytes(far_first), SimConfig::default())
+                .unwrap()
+                .run()
+                .unwrap();
+            let stats = |who: &str| {
+                report
+                    .processes
+                    .iter()
+                    .find(|(name, _)| name == who)
+                    .map(|(_, stats)| *stats)
+                    .unwrap()
+            };
+            assert_eq!(stats("src").signals_sent, 2);
+            let header = SimConfig::default().header_bytes;
+            assert_eq!(stats("src").bytes_sent, 2 * (header + 64));
+            let users: Vec<(String, String)> = report
+                .log
+                .iter()
+                .filter_map(|r| match r {
+                    RecordRef::User {
+                        process, message, ..
+                    } => Some((process.to_owned(), message.to_owned())),
+                    _ => None,
+                })
+                .collect();
+            for who in ["near", "far"] {
+                assert_eq!(stats(who).signals_received, 1, "{who}");
+                assert!(
+                    users.contains(&(who.to_owned(), intact.clone())),
+                    "{who} holds the full payload (far_first={far_first}): {users:?}"
+                );
+            }
         }
     }
 

@@ -34,7 +34,6 @@
 //! [`LogRecord`] (owned strings) remains the type for single-line
 //! parsing and construction.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::intern::{Interner, Sym};
@@ -514,13 +513,11 @@ const HEADER: &str = "# TUT-Profile simulation log-file v1\n";
 pub struct SimLog {
     interner: Interner,
     records: Vec<Record<Sym>>,
-    /// Exact rendered body length (every line incl. its newline, header
-    /// excluded), maintained incrementally so [`SimLog::to_text`]
-    /// allocates once.
-    text_len: usize,
-    /// `(process, counter)` totals of `CNT` records, accumulated at push
-    /// time so report queries never rescan the log.
-    counters: HashMap<(Sym, Sym), i64>,
+    /// `CNT` totals accumulated at push time, so report queries never
+    /// rescan the log: indexed by the process symbol, each holding
+    /// `(counter, total)` pairs in first-use order. A process counts
+    /// under a handful of names, so the pair scan hashes nothing.
+    counters: Vec<Vec<(Sym, i64)>>,
 }
 
 /// Decimal digit count of a `u64` (every value prints at least one).
@@ -660,8 +657,7 @@ impl SimLog {
         }
     }
 
-    /// Appends one interned record, maintaining the incremental tallies
-    /// and the exact text length.
+    /// Appends one interned record, maintaining the counter tallies.
     fn push_compact(&mut self, record: Record<Sym>) {
         if let Record::Count {
             process,
@@ -670,9 +666,15 @@ impl SimLog {
             ..
         } = record
         {
-            *self.counters.entry((process, counter)).or_default() += amount;
+            if self.counters.len() <= process.index() {
+                self.counters.resize(process.index() + 1, Vec::new());
+            }
+            let tallies = &mut self.counters[process.index()];
+            match tallies.iter_mut().find(|(c, _)| *c == counter) {
+                Some((_, total)) => *total += amount,
+                None => tallies.push((counter, amount)),
+            }
         }
-        self.text_len += self.line_len(&record);
         self.records.push(record);
     }
 
@@ -764,9 +766,8 @@ impl SimLog {
         });
     }
 
-    /// Appends a `CNT` record; the counter name is interned on first use.
-    pub fn push_count(&mut self, time_ns: u64, process: Sym, counter: &str, amount: i64) {
-        let counter = self.interner.intern(counter);
+    /// Appends a `CNT` record from pre-interned symbols (hot path).
+    pub fn push_count(&mut self, time_ns: u64, process: Sym, counter: Sym, amount: i64) {
         self.push_compact(Record::Count {
             time_ns,
             process,
@@ -789,20 +790,23 @@ impl SimLog {
         (0..self.records.len()).map(|i| self.get(i))
     }
 
+    /// Exact rendered length of the records (every line incl. its
+    /// newline, header excluded), summed when the log is rendered.
+    fn text_len(&self) -> usize {
+        self.records.iter().map(|r| self.line_len(r)).sum()
+    }
+
     /// Renders the whole log as its canonical text form, streaming every
     /// record into one exactly-sized buffer.
     pub fn to_text(&self) -> String {
-        let mut out = String::with_capacity(HEADER.len() + self.text_len);
+        let len = HEADER.len() + self.text_len();
+        let mut out = String::with_capacity(len);
         out.push_str(HEADER);
         for record in &self.records {
             let _ = record.write_line(&mut out, |&sym| self.interner.escaped(sym));
             out.push('\n');
         }
-        debug_assert_eq!(
-            out.len(),
-            HEADER.len() + self.text_len,
-            "incremental text length must be exact"
-        );
+        debug_assert_eq!(out.len(), len, "the summed text length must be exact");
         out
     }
 
@@ -856,8 +860,9 @@ impl SimLog {
         };
         self.counters
             .iter()
-            .filter(|((_, c), _)| *c == counter)
-            .map(|(_, amount)| amount)
+            .flatten()
+            .filter(|(c, _)| *c == counter)
+            .map(|(_, total)| total)
             .sum()
     }
 
@@ -865,7 +870,11 @@ impl SimLog {
     /// tallies.
     pub fn process_counter(&self, process: &str, counter: &str) -> i64 {
         match (self.interner.lookup(process), self.interner.lookup(counter)) {
-            (Some(p), Some(c)) => self.counters.get(&(p, c)).copied().unwrap_or(0),
+            (Some(p), Some(c)) => self
+                .counters
+                .get(p.index())
+                .and_then(|tallies| tallies.iter().find(|(counter, _)| *counter == c))
+                .map_or(0, |(_, total)| *total),
             _ => 0,
         }
     }
@@ -1143,8 +1152,8 @@ mod tests {
         }
     }
 
-    /// The incrementally maintained text length is exact: `to_text`
-    /// never reallocates, for any field content.
+    /// The render-time text length is exact: `to_text` never
+    /// reallocates, for any field content.
     #[test]
     fn to_text_capacity_is_exact() {
         let mut log = SimLog::new();
@@ -1158,7 +1167,8 @@ mod tests {
             amount: i64::MIN,
         });
         let text = log.to_text();
-        assert_eq!(text.len(), HEADER.len() + log.text_len);
+        assert_eq!(text.len(), HEADER.len() + log.text_len());
+        assert_eq!(text.capacity(), text.len(), "one exactly-sized buffer");
     }
 
     /// Typed (pre-interned) pushes and owned-record pushes render
@@ -1190,7 +1200,8 @@ mod tests {
         interned.push_lost(9100, rca, p_phy, tx_frame);
         interned.push_user(9200, rca, "sent 3 frames");
         interned.push_fault(9300, rca, corrupt, tx_frame);
-        interned.push_count(9400, rca, "arq.retries", -2);
+        let retries = interned.intern("arq.retries");
+        interned.push_count(9400, rca, retries, -2);
         assert_eq!(interned.to_text(), owned.to_text());
         assert_eq!(interned, owned);
     }
@@ -1200,10 +1211,12 @@ mod tests {
         let mut log = SimLog::new();
         let p1 = log.intern("p1");
         let p2 = log.intern("p2");
-        log.push_count(1, p1, "arq.tx", 2);
-        log.push_count(2, p1, "arq.tx", 3);
-        log.push_count(3, p2, "arq.tx", 10);
-        log.push_count(4, p1, "arq.acked", 4);
+        let tx = log.intern("arq.tx");
+        let acked = log.intern("arq.acked");
+        log.push_count(1, p1, tx, 2);
+        log.push_count(2, p1, tx, 3);
+        log.push_count(3, p2, tx, 10);
+        log.push_count(4, p1, acked, 4);
         assert_eq!(log.counter_total("arq.tx"), 15);
         assert_eq!(log.process_counter("p1", "arq.tx"), 5);
         assert_eq!(log.process_counter("p1", "arq.acked"), 4);

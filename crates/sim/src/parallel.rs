@@ -378,11 +378,11 @@ pub(crate) fn build_partition(sim: &Simulation) -> Partition {
     // table (the application's static communication graph).
     let mut pe_pairs: Vec<(usize, usize)> = Vec::new();
     for (&(instance, _port, _signal), receivers) in sim.routing.iter() {
-        let Some(&sender) = sim.by_instance.get(&instance) else {
+        let Some(sender) = sim.proc_of_instance[instance] else {
             continue;
         };
         for endpoint in receivers {
-            let Some(&receiver) = sim.by_instance.get(&endpoint.instance) else {
+            let Some(receiver) = sim.proc_of_instance[endpoint.instance] else {
                 continue;
             };
             let (pa, pb) = (sim.processes[sender].pe, sim.processes[receiver].pe);

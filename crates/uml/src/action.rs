@@ -5,7 +5,8 @@
 //! small, deterministic, side-effect-explicit language of expressions and
 //! statements. The same AST is
 //!
-//! * interpreted by the discrete-event simulator (`tut-sim`),
+//! * lowered to slots ([`crate::lower`]) and run by the discrete-event
+//!   simulator (`tut-sim`),
 //! * translated to C by the code generator (`tut-codegen`), and
 //! * serialised structurally into the XMI form (`crate::xmi`).
 //!
@@ -15,7 +16,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashSet;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::ops::Index;
 
 use tut_diag::{Diagnostic, DiagnosticBag};
@@ -239,87 +240,15 @@ impl Expr {
         Expr::Call(builtin, args)
     }
 
-    /// Evaluates the expression in `env`.
+    /// Evaluates the expression in `env`: lowers it against `env`'s
+    /// names and runs the simulator's evaluator ([`crate::lower`]).
     ///
     /// # Errors
     ///
     /// Returns [`Error::Action`] for unbound variables/parameters, type
     /// mismatches, division by zero, and out-of-range accesses.
     pub fn eval(&self, env: &Env) -> Result<Value> {
-        self.eval_cow(env).map(Cow::into_owned)
-    }
-
-    /// Evaluates without copying what is only read: literals, variables
-    /// and parameters are borrowed from the AST and `env`; only computed
-    /// results (operators, builtins) are owned.
-    fn eval_cow<'a>(&'a self, env: &'a Env) -> Result<Cow<'a, Value>> {
-        match self {
-            Expr::Lit(v) => Ok(Cow::Borrowed(v)),
-            Expr::Var(name) => env
-                .vars
-                .get(name)
-                .map(Cow::Borrowed)
-                .ok_or_else(|| Error::Action(format!("unbound variable `{name}`"))),
-            Expr::Param(name) => env
-                .params
-                .get(name)
-                .map(Cow::Borrowed)
-                .ok_or_else(|| Error::Action(format!("unbound signal parameter `{name}`"))),
-            Expr::Unary(op, e) => {
-                let v = e.eval_cow(env)?;
-                match op {
-                    UnaryOp::Not => Ok(Cow::Owned(Value::Bool(!v.is_truthy()))),
-                    UnaryOp::Neg => match *v {
-                        Value::Int(i) => Ok(Cow::Owned(Value::Int(i.wrapping_neg()))),
-                        ref other => Err(Error::Action(format!(
-                            "cannot negate {} value",
-                            other.data_type()
-                        ))),
-                    },
-                }
-            }
-            Expr::Binary(op, lhs, rhs) => {
-                // Short-circuit logical ops before evaluating the rhs.
-                if matches!(op, BinOp::And | BinOp::Or) {
-                    let l = lhs.eval_cow(env)?.is_truthy();
-                    let v = match (op, l) {
-                        (BinOp::And, false) => false,
-                        (BinOp::Or, true) => true,
-                        _ => rhs.eval_cow(env)?.is_truthy(),
-                    };
-                    return Ok(Cow::Owned(Value::Bool(v)));
-                }
-                let l = lhs.eval_cow(env)?;
-                let r = rhs.eval_cow(env)?;
-                eval_binary(*op, l, r).map(Cow::Owned)
-            }
-            Expr::Call(builtin, args) => {
-                // Arity is at most `MAX_ARITY`, so the arguments fit a
-                // stack array.
-                let mut vals = [ARG_UNSET; MAX_ARITY];
-                for (i, a) in args.iter().enumerate() {
-                    let v = a.eval_cow(env)?;
-                    if let Some(slot) = vals.get_mut(i) {
-                        *slot = v;
-                    }
-                }
-                if args.len() > MAX_ARITY {
-                    return Err(arity_error(*builtin, args.len()));
-                }
-                eval_builtin(*builtin, &vals[..args.len()]).map(Cow::Owned)
-            }
-        }
-    }
-
-    /// True when the variable `name` occurs anywhere in the expression.
-    fn mentions_var(&self, name: &str) -> bool {
-        match self {
-            Expr::Var(v) => v == name,
-            Expr::Lit(_) | Expr::Param(_) => false,
-            Expr::Unary(_, e) => e.mentions_var(name),
-            Expr::Binary(_, l, r) => l.mentions_var(name) || r.mentions_var(name),
-            Expr::Call(_, args) => args.iter().any(|a| a.mentions_var(name)),
-        }
+        crate::lower::eval_in(self, env)
     }
 
     /// A rough static weight of the expression: number of AST nodes. The
@@ -344,7 +273,7 @@ impl Expr {
     }
 }
 
-fn eval_binary(op: BinOp, l: Cow<'_, Value>, r: Cow<'_, Value>) -> Result<Value> {
+pub(crate) fn eval_binary(op: BinOp, l: Cow<'_, Value>, r: Cow<'_, Value>) -> Result<Value> {
     use BinOp::*;
     match op {
         Eq => return Ok(Value::Bool(l == r)),
@@ -407,7 +336,7 @@ fn eval_binary(op: BinOp, l: Cow<'_, Value>, r: Cow<'_, Value>) -> Result<Value>
     Ok(v)
 }
 
-fn int_operands_error(op: BinOp, l: DataType, r: DataType) -> Error {
+pub(crate) fn int_operands_error(op: BinOp, l: DataType, r: DataType) -> Error {
     Error::Action(format!(
         "operator `{}` requires integer operands, got {l} and {r}",
         op.token()
@@ -495,7 +424,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// The largest [`Builtin::arity`]: the length of a call's argument array.
-const MAX_ARITY: usize = {
+pub(crate) const MAX_ARITY: usize = {
     let mut max = 0;
     let mut i = 0;
     while i < Builtin::ALL.len() {
@@ -508,9 +437,9 @@ const MAX_ARITY: usize = {
 };
 
 /// Filler for the unused tail of a builtin's argument array.
-const ARG_UNSET: Cow<'static, Value> = Cow::Borrowed(&Value::Int(0));
+pub(crate) const ARG_UNSET: Cow<'static, Value> = Cow::Borrowed(&Value::Int(0));
 
-fn arity_error(builtin: Builtin, got: usize) -> Error {
+pub(crate) fn arity_error(builtin: Builtin, got: usize) -> Error {
     Error::Action(format!(
         "builtin `{}` expects {} arguments, got {got}",
         builtin.name(),
@@ -518,7 +447,7 @@ fn arity_error(builtin: Builtin, got: usize) -> Error {
     ))
 }
 
-fn eval_builtin(builtin: Builtin, args: &[Cow<'_, Value>]) -> Result<Value> {
+pub(crate) fn eval_builtin(builtin: Builtin, args: &[Cow<'_, Value>]) -> Result<Value> {
     if args.len() != builtin.arity() {
         return Err(arity_error(builtin, args.len()));
     }
@@ -812,17 +741,17 @@ pub enum Effect<'a> {
     },
 }
 
-/// A small name→value binding set, stored as a flat vector.
+/// A small name→value binding set, stored as a flat vector: the
+/// variables or parameters of an [`Env`].
 ///
-/// Process variable and signal-parameter sets are tiny (a handful of
-/// names), so a linear scan over a `Vec` beats a `HashMap`: no hashing
-/// per lookup and no rehash on clone. The hot-path property the
-/// simulator relies on is that binding a name allocates nothing once the
-/// scope has held that many names before: [`Scope::set`] on a bound name
-/// reuses the stored key, and [`Scope::clear`] keeps every slot's key
-/// buffer, so the next [`Scope::set`] rewrites a cleared slot in place.
-/// Only the first `live` slots are bindings; lookups, [`Scope::len`],
-/// [`Scope::iter`] and `==` never see the cleared ones.
+/// Binding sets are tiny (a handful of names), so a linear scan over a
+/// `Vec` beats a `HashMap`: no hashing per lookup and no rehash on
+/// clone. Binding a name allocates nothing once the scope has held that
+/// many names before: [`Scope::set`] on a bound name reuses the stored
+/// key, and [`Scope::clear`] keeps every slot's key buffer, so the next
+/// [`Scope::set`] rewrites a cleared slot in place. Only the first
+/// `live` slots are bindings; lookups, [`Scope::len`], [`Scope::iter`]
+/// and `==` never see the cleared ones.
 #[derive(Clone, Default)]
 pub struct Scope {
     entries: Vec<(String, Value)>,
@@ -874,6 +803,21 @@ impl Scope {
             None => self.entries.push((name.to_owned(), value)),
         }
         self.live += 1;
+    }
+
+    /// Moves every bound value out, leaving a placeholder in its slot
+    /// until [`Scope::restore_values`] puts the values back.
+    pub(crate) fn take_values(&mut self) -> impl Iterator<Item = Value> + '_ {
+        self.entries[..self.live]
+            .iter_mut()
+            .map(|(_, v)| std::mem::replace(v, CLEARED))
+    }
+
+    /// Puts values moved out by [`Scope::take_values`] back, in order.
+    pub(crate) fn restore_values(&mut self, values: impl Iterator<Item = Value>) {
+        for ((_, slot), v) in self.entries[..self.live].iter_mut().zip(values) {
+            *slot = v;
+        }
     }
 
     /// Removes every binding. The bound values are dropped at once; the
@@ -959,6 +903,10 @@ impl Env {
 /// adding the execution weight of every evaluated expression/statement to
 /// `weight` (the simulator converts weight to cycles).
 ///
+/// The statements are lowered against `env`'s names and run by the
+/// simulator's evaluator ([`crate::lower`]); names first bound here join
+/// `env.vars` in order of first write.
+///
 /// # Errors
 ///
 /// Propagates expression-evaluation errors and reports loops exceeding
@@ -969,163 +917,7 @@ pub fn execute<'a>(
     effects: &mut Vec<Effect<'a>>,
     weight: &mut u64,
 ) -> Result<()> {
-    for statement in statements {
-        *weight += 1;
-        match statement {
-            Statement::Assign { var, expr } => {
-                let v = match env.vars.get_mut(var) {
-                    Some(Value::Bytes(slot)) if is_self_append(var, expr) => {
-                        let acc = std::mem::take(slot);
-                        Value::Bytes(append_in_place(var, acc, expr, env)?)
-                    }
-                    _ => expr.eval(env)?,
-                };
-                *weight += expr.weight();
-                env.vars.set(var, v);
-            }
-            Statement::Send { port, signal, args } => {
-                let mut values = Vec::with_capacity(args.len());
-                for a in args {
-                    values.push(a.eval(env)?);
-                    *weight += a.weight();
-                }
-                effects.push(Effect::Send {
-                    port,
-                    signal: *signal,
-                    values,
-                });
-            }
-            Statement::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                *weight += cond.weight();
-                if cond.eval_cow(env)?.is_truthy() {
-                    execute(then_branch, env, effects, weight)?;
-                } else {
-                    execute(else_branch, env, effects, weight)?;
-                }
-            }
-            Statement::While {
-                cond,
-                body,
-                max_iter,
-            } => {
-                let mut iterations = 0u32;
-                loop {
-                    *weight += cond.weight();
-                    if !cond.eval_cow(env)?.is_truthy() {
-                        break;
-                    }
-                    if iterations >= *max_iter {
-                        return Err(Error::Action(format!(
-                            "while loop exceeded its bound of {max_iter} iterations"
-                        )));
-                    }
-                    iterations += 1;
-                    execute(body, env, effects, weight)?;
-                }
-            }
-            Statement::Compute { class, amount } => {
-                let units = amount
-                    .eval_cow(env)?
-                    .as_int()
-                    .ok_or_else(|| Error::Action("compute amount must evaluate to Int".into()))?;
-                *weight += amount.weight();
-                effects.push(Effect::Compute {
-                    class: *class,
-                    units: units.max(0) as u64,
-                });
-            }
-            Statement::Log { message, args } => {
-                let mut rendered = String::with_capacity(message.len());
-                let mut vals = args.iter();
-                let mut rest = message.as_str();
-                while let Some(pos) = rest.find("{}") {
-                    rendered.push_str(&rest[..pos]);
-                    match vals.next() {
-                        Some(a) => {
-                            let v = a.eval_cow(env)?;
-                            *weight += a.weight();
-                            write!(rendered, "{v}").expect("writing to a String cannot fail");
-                        }
-                        None => rendered.push_str("{}"),
-                    }
-                    rest = &rest[pos + 2..];
-                }
-                rendered.push_str(rest);
-                effects.push(Effect::Log(rendered));
-            }
-            Statement::SetTimer { name, duration } => {
-                let d = duration
-                    .eval_cow(env)?
-                    .as_int()
-                    .ok_or_else(|| Error::Action("timer duration must evaluate to Int".into()))?;
-                *weight += duration.weight();
-                effects.push(Effect::SetTimer {
-                    name,
-                    duration: d.max(0) as u64,
-                });
-            }
-            Statement::CancelTimer { name } => {
-                effects.push(Effect::CancelTimer { name });
-            }
-            Statement::Count { counter, amount } => {
-                let n = amount
-                    .eval_cow(env)?
-                    .as_int()
-                    .ok_or_else(|| Error::Action("count amount must evaluate to Int".into()))?;
-                *weight += amount.weight();
-                effects.push(Effect::Count { counter, amount: n });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// True when `expr` is `var + e1 + … + en` (n ≥ 1) with `var` in none of
-/// the `ei`: the append [`execute`] runs on `var`'s own buffer.
-fn is_self_append(var: &str, expr: &Expr) -> bool {
-    match expr {
-        Expr::Binary(BinOp::Add, lhs, rhs) => {
-            !rhs.mentions_var(var)
-                && (matches!(&**lhs, Expr::Var(v) if v == var) || is_self_append(var, lhs))
-        }
-        _ => false,
-    }
-}
-
-/// Evaluates the self-append `expr` (see [`is_self_append`]) with the
-/// variable's value moved out of `env` into `acc`, so each `+ ei` extends
-/// `acc` in place whenever no other value shares its buffer. On error
-/// `var` is put back unchanged.
-fn append_in_place(var: &str, mut acc: Bytes, expr: &Expr, env: &mut Env) -> Result<Bytes> {
-    fn extend(acc: &mut Bytes, expr: &Expr, env: &Env) -> Result<()> {
-        let Expr::Binary(_, lhs, rhs) = expr else {
-            return Ok(());
-        };
-        extend(acc, lhs, env)?;
-        match &*rhs.eval_cow(env)? {
-            Value::Bytes(b) => acc.extend_from_slice(b),
-            other => {
-                return Err(int_operands_error(
-                    BinOp::Add,
-                    DataType::Bytes,
-                    other.data_type(),
-                ))
-            }
-        }
-        Ok(())
-    }
-    let len = acc.len();
-    match extend(&mut acc, expr, env) {
-        Ok(()) => Ok(acc),
-        Err(e) => {
-            env.vars.set(var, Value::Bytes(acc.slice(0..len)));
-            Err(e)
-        }
-    }
+    crate::lower::execute_in(statements, env, effects, weight)
 }
 
 /// Infers the static data type of an expression where possible (literals
@@ -1633,34 +1425,6 @@ mod tests {
         env.vars[var].as_bytes().expect("Bytes").as_ptr()
     }
 
-    #[test]
-    fn self_append_detection() {
-        let x = || Expr::var("x");
-        let lit = || Expr::Lit(vec![9u8].into());
-        assert!(is_self_append("x", &x().bin(BinOp::Add, lit())));
-        assert!(is_self_append(
-            "x",
-            &x().bin(BinOp::Add, Expr::param("p")).bin(BinOp::Add, lit())
-        ));
-        assert!(!is_self_append("x", &x()), "no append");
-        assert!(!is_self_append("x", &x().bin(BinOp::Add, x())), "x + x");
-        assert!(
-            !is_self_append("x", &Expr::var("y").bin(BinOp::Add, x())),
-            "y + x"
-        );
-        assert!(
-            !is_self_append("x", &lit().bin(BinOp::Add, x())),
-            "x not leftmost"
-        );
-        assert!(!is_self_append("x", &x().bin(BinOp::Sub, lit())));
-        let len_x = Expr::call(Builtin::Len, vec![x()]);
-        let packed = Expr::call(Builtin::PackInt, vec![len_x, Expr::int(2)]);
-        assert!(
-            !is_self_append("x", &x().bin(BinOp::Add, packed)),
-            "x read inside a term"
-        );
-    }
-
     /// `x = x + e1 + e2` appends to `x`'s own buffer when nothing else
     /// shares it, with the same result and weight as the general path.
     #[test]
@@ -1944,9 +1708,9 @@ mod tests {
 
     #[test]
     fn guard_after_clear_sees_parameters_unbound() {
-        // The simulator clears the parameter scope before completion
-        // transitions; a guard reading a parameter there must fail to
-        // evaluate (and so not fire), never see the last signal's value.
+        // A cleared parameter scope binds nothing: a guard reading a
+        // parameter must fail to evaluate (and so not fire), never see
+        // the last value bound.
         let mut env = Env::new().with_param("n", 5i64);
         let guard = Expr::param("n").bin(BinOp::Gt, Expr::int(0));
         assert_eq!(guard.eval(&env).unwrap(), Value::Bool(true));

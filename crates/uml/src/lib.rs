@@ -45,6 +45,7 @@ pub mod diagram;
 pub mod error;
 pub mod ids;
 pub mod instances;
+pub mod lower;
 pub mod model;
 pub mod outline;
 pub mod statemachine;
