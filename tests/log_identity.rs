@@ -11,7 +11,8 @@
 //! few hundred payloads in flight, so the corrupted bytes, the CRC
 //! checks that catch them and the ARQ retries are pinned too. A third,
 //! hand-built system pins the step paths TUTMAC never takes (see
-//! `edge`).
+//! `edge`), and a fourth pins the order of simultaneous events (see
+//! `clustered`).
 
 use tut_profile_suite::faults::{FaultConfig, FaultPlan};
 use tut_profile_suite::sim::{SimConfig, Simulation};
@@ -365,5 +366,285 @@ fn edge_paths_log_is_pinned() {
         got,
         (579, 215, 0x0281_B861_4625_CD90),
         "edge-path log changed: (records, steps, fnv1a)"
+    );
+}
+
+mod clustered {
+    //! `clusters` ping-pong pairs, each on two CPUs behind a private HIBI
+    //! segment, kicked by one ungrouped environment generator that sends
+    //! every cluster its `Kick` at the same tick. Those kicks, and the
+    //! steps they start, share timestamps, so the run exercises the event
+    //! queue's `(time, seq)` tie-break.
+
+    use tut_profile_suite::profile::application::ProcessType;
+    use tut_profile_suite::profile::platform::ComponentKind;
+    use tut_profile_suite::profile::SystemModel;
+    use tut_profile_suite::profile_core::TagValue;
+    use tut_profile_suite::uml::action::{CostClass, Expr, Statement};
+    use tut_profile_suite::uml::ids::{ClassId, PortId, PropertyId};
+    use tut_profile_suite::uml::model::ConnectorEnd;
+    use tut_profile_suite::uml::statemachine::{StateMachine, Trigger};
+
+    pub fn system(clusters: usize) -> SystemModel {
+        let mut s = SystemModel::new("Clusters");
+        let top = s.model.add_class("Top");
+        s.apply(top, |t| t.application).unwrap();
+        let ping = s.model.add_signal("Ping");
+        let kick = s.model.add_signal("Kick");
+
+        let platform = s.model.add_class("Plat");
+        s.apply(platform, |t| t.platform).unwrap();
+        let cpu_class = s.add_platform_component("Cpu", ComponentKind::General, 50, 1.0, 0.1);
+        let cpu_port = s.model.add_port(cpu_class, "hibi");
+        let seg_class = s.model.add_class("Seg");
+        s.apply_with(
+            seg_class,
+            |t| t.hibi_segment,
+            [
+                ("DataWidth", TagValue::Int(32)),
+                ("Frequency", TagValue::Int(100)),
+                ("Arbitration", TagValue::Enum("priority".into())),
+            ],
+        )
+        .unwrap();
+        let seg_port = s.model.add_port(seg_class, "agents");
+
+        // Environment generator: one output port per cluster, periodic kicks.
+        let gen_class = s.model.add_class("Gen");
+        s.apply(gen_class, |t| t.application_component).unwrap();
+        let mut gen_ports = Vec::new();
+        for c in 0..clusters {
+            let port = s.model.add_port(gen_class, format!("out{c}"));
+            s.model.port_mut(port).add_required(kick);
+            gen_ports.push(port);
+        }
+        let mut gen_sm = StateMachine::new("GenB");
+        let tick = |duration: i64| Statement::SetTimer {
+            name: "tick".into(),
+            duration: Expr::int(duration),
+        };
+        let run = gen_sm.add_state_with_entry("Run", vec![tick(50_000)]);
+        gen_sm.set_initial(run);
+        let mut on_tick: Vec<Statement> = (0..clusters)
+            .map(|c| Statement::Send {
+                port: format!("out{c}"),
+                signal: kick,
+                args: vec![Expr::int(c as i64)],
+            })
+            .collect();
+        on_tick.push(tick(50_000));
+        gen_sm.add_transition(run, run, Trigger::Timer("tick".into()), None, on_tick);
+        s.model.add_state_machine(gen_class, gen_sm);
+        let gen = s.model.add_part(top, "gen", gen_class);
+        s.apply(gen, |t| t.application_process).unwrap();
+        // `gen` stays ungrouped: it is the environment.
+
+        // One HIBI wrapper per CPU attachment.
+        let attach = |s: &mut SystemModel,
+                      pe: PropertyId,
+                      segment: PropertyId,
+                      name: String,
+                      address: i64| {
+            let wrapper_class = s.model.add_class(format!("Wrap_{name}"));
+            s.apply_with(
+                wrapper_class,
+                |t| t.hibi_wrapper,
+                [
+                    ("Address", TagValue::Int(address)),
+                    ("BufferSize", TagValue::Int(16)),
+                    ("MaxTime", TagValue::Int(16)),
+                ],
+            )
+            .unwrap();
+            let wrapper_pe = s.model.add_port(wrapper_class, "pe");
+            let wrapper_bus = s.model.add_port(wrapper_class, "bus");
+            let wrapper = s.model.add_part(platform, name.clone(), wrapper_class);
+            s.model.add_connector(
+                platform,
+                format!("{name}_pe"),
+                ConnectorEnd {
+                    part: Some(wrapper),
+                    port: wrapper_pe,
+                },
+                ConnectorEnd {
+                    part: Some(pe),
+                    port: cpu_port,
+                },
+            );
+            s.model.add_connector(
+                platform,
+                format!("{name}_bus"),
+                ConnectorEnd {
+                    part: Some(wrapper),
+                    port: wrapper_bus,
+                },
+                ConnectorEnd {
+                    part: Some(segment),
+                    port: seg_port,
+                },
+            );
+        };
+
+        // A ping-pong worker component; `opener` reacts to the environment
+        // kick by starting a bout.
+        type Worker = (ClassId, PortId, PortId, Option<PortId>);
+        let worker = |s: &mut SystemModel, name: String, opener: bool| -> Worker {
+            let class = s.model.add_class(name.clone());
+            s.apply(class, |t| t.application_component).unwrap();
+            let input = s.model.add_port(class, "in");
+            s.model.port_mut(input).add_provided(ping);
+            let output = s.model.add_port(class, "out");
+            s.model.port_mut(output).add_required(ping);
+            let mut sm = StateMachine::new(format!("{name}B"));
+            let idle = sm.add_state("Idle");
+            sm.set_initial(idle);
+            let mut kick_port = None;
+            if opener {
+                let kick_in = s.model.add_port(class, "kick");
+                s.model.port_mut(kick_in).add_provided(kick);
+                kick_port = Some(kick_in);
+                sm.add_transition(
+                    idle,
+                    idle,
+                    Trigger::Signal(kick),
+                    None,
+                    vec![
+                        Statement::Compute {
+                            class: CostClass::Control,
+                            amount: Expr::int(400),
+                        },
+                        Statement::Send {
+                            port: "out".into(),
+                            signal: ping,
+                            args: vec![Expr::int(1)],
+                        },
+                    ],
+                );
+                sm.add_transition(
+                    idle,
+                    idle,
+                    Trigger::Signal(ping),
+                    None,
+                    vec![Statement::Compute {
+                        class: CostClass::Control,
+                        amount: Expr::int(300),
+                    }],
+                );
+            } else {
+                sm.add_transition(
+                    idle,
+                    idle,
+                    Trigger::Signal(ping),
+                    None,
+                    vec![
+                        Statement::Compute {
+                            class: CostClass::Control,
+                            amount: Expr::int(500),
+                        },
+                        Statement::Send {
+                            port: "out".into(),
+                            signal: ping,
+                            args: vec![Expr::int(2)],
+                        },
+                    ],
+                );
+            }
+            s.model.add_state_machine(class, sm);
+            (class, input, output, kick_port)
+        };
+
+        for (c, &gen_port) in gen_ports.iter().enumerate() {
+            let (a_class, a_in, a_out, a_kick) = worker(&mut s, format!("A{c}"), true);
+            let (b_class, b_in, b_out, _) = worker(&mut s, format!("B{c}"), false);
+            let a = s.model.add_part(top, format!("a{c}"), a_class);
+            let b = s.model.add_part(top, format!("b{c}"), b_class);
+            s.apply(a, |t| t.application_process).unwrap();
+            s.apply(b, |t| t.application_process).unwrap();
+            let kick_port = a_kick.expect("opener has a kick port");
+            s.model.add_connector(
+                top,
+                format!("kick{c}"),
+                ConnectorEnd {
+                    part: Some(gen),
+                    port: gen_port,
+                },
+                ConnectorEnd {
+                    part: Some(a),
+                    port: kick_port,
+                },
+            );
+            s.model.add_connector(
+                top,
+                format!("ab{c}"),
+                ConnectorEnd {
+                    part: Some(a),
+                    port: a_out,
+                },
+                ConnectorEnd {
+                    part: Some(b),
+                    port: b_in,
+                },
+            );
+            s.model.add_connector(
+                top,
+                format!("ba{c}"),
+                ConnectorEnd {
+                    part: Some(b),
+                    port: b_out,
+                },
+                ConnectorEnd {
+                    part: Some(a),
+                    port: a_in,
+                },
+            );
+
+            // Private segment, one CPU per worker.
+            let seg = s.model.add_part(platform, format!("seg{c}"), seg_class);
+            let cpu_a = s.add_platform_instance(
+                platform,
+                &format!("cpu{c}a"),
+                cpu_class,
+                (2 * c + 1) as i64,
+                1,
+            );
+            let cpu_b = s.add_platform_instance(
+                platform,
+                &format!("cpu{c}b"),
+                cpu_class,
+                (2 * c + 2) as i64,
+                2,
+            );
+            attach(&mut s, cpu_a, seg, format!("w{c}a"), (0x10 + 2 * c) as i64);
+            attach(&mut s, cpu_b, seg, format!("w{c}b"), (0x11 + 2 * c) as i64);
+            let ga = s.add_process_group(&format!("g{c}a"), false, ProcessType::General);
+            let gb = s.add_process_group(&format!("g{c}b"), false, ProcessType::General);
+            s.assign_to_group(a, ga);
+            s.assign_to_group(b, gb);
+            s.map_group(ga, cpu_a, false);
+            s.map_group(gb, cpu_b, false);
+        }
+        s
+    }
+}
+
+#[test]
+fn simultaneous_events_log_is_pinned() {
+    let report =
+        Simulation::from_system(&clustered::system(2), SimConfig::with_horizon_ns(2_000_000))
+            .expect("sim builds")
+            .run()
+            .expect("sim runs");
+    let mut times: Vec<u64> = report.log.iter().map(|r| r.time_ns()).collect();
+    times.sort_unstable();
+    assert!(
+        times.windows(2).any(|w| w[0] == w[1]),
+        "no two records share a timestamp; the tie-break is untested"
+    );
+    let text = report.log.to_text();
+    let got = (report.log.len(), report.total_steps, fnv1a(text.as_bytes()));
+    assert_eq!(
+        got,
+        (513, 279, 0x8F1A_681F_A634_6775),
+        "simultaneous-event log changed: (records, steps, fnv1a)"
     );
 }
