@@ -18,7 +18,7 @@ pub fn emit_expr(expr: &Expr) -> String {
         Expr::Var(name) => format!("ctx->var_{name}"),
         Expr::Param(name) => format!("tut_rt_param(sig, \"{name}\")"),
         Expr::Unary(op, e) => match op {
-            UnaryOp::Not => format!("(!tut_rt_truthy({}))", emit_expr(e)),
+            UnaryOp::Not => format!("tut_rt_bool(!tut_rt_truthy({}))", emit_expr(e)),
             UnaryOp::Neg => format!("tut_rt_int(-(tut_rt_as_int({})))", emit_expr(e)),
         },
         Expr::Binary(op, lhs, rhs) => emit_binary(*op, lhs, rhs),
@@ -122,6 +122,14 @@ mod tests {
         );
         let cmp = E::var("x").bin(BinOp::Le, E::int(9));
         assert!(emit_expr(&cmp).contains("<="));
+    }
+
+    /// `!` yields a runtime value like `&&`/`||`, so a negation can
+    /// itself be a guard (`tut_rt_truthy` takes a value, not a C int).
+    #[test]
+    fn not_wraps_its_result_as_a_value() {
+        let e = E::Unary(UnaryOp::Not, Box::new(E::var("busy")));
+        assert_eq!(emit_expr(&e), "tut_rt_bool(!tut_rt_truthy(ctx->var_busy))");
     }
 
     #[test]
