@@ -1,7 +1,6 @@
 //! Experiment P1: simulation hot-path throughput — a full TUTMAC run
-//! (events/sec), log rendering, and log parsing. The `repro bench` item
-//! reports the same run as a one-shot figure; this bench gives the
-//! calibrated per-case numbers.
+//! (events/sec), log rendering, and log parsing, as calibrated per-case
+//! numbers.
 
 use tut_bench::microbench::{criterion_group, criterion_main, Criterion, Throughput};
 use tut_sim::{SimConfig, Simulation};

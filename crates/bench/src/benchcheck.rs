@@ -6,7 +6,7 @@
 //! repetition so each one does genuine patch work (never a report-cache
 //! hit). Every warm iteration is also verified byte-identical against
 //! the cold pipeline on the same text — the benchmark doubles as the
-//! correctness drill. Results go to `BENCH_check.json` and the warm path
+//! correctness drill. The command prints its numbers, and the warm path
 //! must clear [`WARM_SPEEDUP_FLOOR`].
 
 use std::time::Instant;
@@ -42,31 +42,6 @@ impl BenchCheckReport {
     }
 }
 
-/// Renders the `BENCH_check.json` payload.
-pub fn to_json(r: &BenchCheckReport) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "  \"fixture\": \"{}\",\n",
-            "  \"edit\": \"single compute-amount constant in one state-machine body\",\n",
-            "  \"cold_ns\": {},\n",
-            "  \"warm_ns\": {},\n",
-            "  \"speedup\": {:.2},\n",
-            "  \"floor\": {:.1},\n",
-            "  \"cold_iters\": {},\n",
-            "  \"warm_iters\": {}\n",
-            "}}\n"
-        ),
-        NAME,
-        r.cold_ns,
-        r.warm_ns,
-        r.speedup(),
-        WARM_SPEEDUP_FLOOR,
-        r.cold_iters,
-        r.warm_iters
-    )
-}
-
 /// Rewrites one `compute` amount inside the first state-machine segment
 /// that has one, so edit `n` yields a distinct, still-clean document.
 /// `None` if the fixture unexpectedly has no such site.
@@ -90,8 +65,7 @@ pub fn edit_behavior(text: &str, n: u64) -> Option<String> {
 }
 
 /// Runs the measurement. `quick` shortens the repetition counts (CI
-/// smoke); the floor and the byte-identity check apply in both modes,
-/// but only the full run writes `BENCH_check.json`.
+/// smoke); the floor and the byte-identity check apply in both modes.
 pub fn run_bench_check(quick: bool) -> i32 {
     let base = crate::paper_system().to_xml();
     let (cold_iters, warm_iters): (u32, u32) = if quick { (5, 15) } else { (20, 50) };
@@ -176,12 +150,6 @@ pub fn run_bench_check(quick: bool) -> i32 {
         report.speedup(),
         WARM_SPEEDUP_FLOOR
     );
-    if !quick {
-        let json = to_json(&report);
-        tut_store::write_atomic(std::path::Path::new("BENCH_check.json"), json.as_bytes())
-            .unwrap_or_else(|e| panic!("writing BENCH_check.json: {e}"));
-        println!("wrote BENCH_check.json ({} bytes)", json.len());
-    }
     if report.speedup() < WARM_SPEEDUP_FLOOR {
         eprintln!(
             "[bench-check] warm re-check speedup {:.1}x below floor {:.0}x",

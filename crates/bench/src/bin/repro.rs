@@ -17,12 +17,9 @@
 //! ```
 //!
 //! `--threads N` runs the exploration stages (the `explore` item) and
-//! the fault-sweep / bench items on a budget of N worker threads
-//! (0 = all cores); results are bit-identical at every thread count.
-//! The fault sweep splits the budget between sweep workers and intra-run
-//! logical processes of the conservative parallel simulation kernel, and
-//! the bench item clamps it to the host's logical CPUs before timing
-//! anything.
+//! the fault-sweep item on a budget of N worker threads (0 = all
+//! cores); results are bit-identical at every thread count. The fault
+//! sweep runs one BER point per worker; each simulation is serial.
 //!
 //! Durable campaigns (crash-resumable `explore` and `fault-sweep`):
 //!
@@ -54,7 +51,7 @@
 //! engine: `--cache-stats` appends per-stage hit/miss counters,
 //! `--store DIR` persists the report cache across runs, `watch m.xml`
 //! re-checks on every save, and `bench-check` measures (and gates) the
-//! warm-re-check speedup into `BENCH_check.json`.
+//! warm-re-check speedup.
 //!
 //! Self-profiling (where the tool's own host time goes):
 //!
@@ -65,7 +62,7 @@
 //! cargo run -rp tut-bench --bin repro -- profile bench --quick
 //! ```
 //!
-//! Long-running items (`explore`, `fault-sweep`, `bench`) print a
+//! Long-running items (`explore`, `fault-sweep`) print a
 //! throttled `[progress]` heartbeat to stderr (done/total, rate, ETA,
 //! best objective); `--no-progress` silences it. stdout never carries
 //! heartbeats, so piped output stays machine-clean.
@@ -430,87 +427,6 @@ fn print_fault_sweep_durable(
     }
 }
 
-/// Runs the simulation perf baseline (experiment P1): TUTMAC event
-/// throughput, serial vs conservative-parallel wall-clock of a single
-/// run, the calendar-vs-heap scheduler microbench, and the
-/// serial-vs-parallel fault-sweep wall-clock, written to
-/// `BENCH_sim.json`. `--quick` shortens the horizons, skips the sweep
-/// timing, leaves `BENCH_sim.json` untouched (it is a check, not a
-/// measurement), and fails the process when events/sec falls below the
-/// generous regression floor (simulation and calendar queue alike) or
-/// the parallel log diverges from serial, so CI catches a >5x
-/// throughput regression and any determinism break in one short run.
-fn print_bench(quick: bool, threads: usize, progress: bool) {
-    use tut_bench::simbench;
-    let meter = if progress {
-        Progress::new("bench", simbench::bench_progress_total(quick))
-    } else {
-        Progress::disabled()
-    };
-    let report = simbench::run_bench_observed(quick, threads, &meter);
-    meter.finish();
-    println!(
-        "Simulation perf baseline (P1){}",
-        if quick { " — quick mode" } else { "" }
-    );
-    println!();
-    print!("{}", simbench::render(&report));
-    // Determinism gate in every mode: a merged parallel log that is not
-    // byte-identical to serial is a bug, never a measurement.
-    if !report.parallel.log_identical {
-        eprintln!("[bench] parallel single-run log DIVERGED from serial");
-        std::process::exit(1);
-    }
-    if !quick {
-        let json = simbench::to_json(&report);
-        // Atomic replace: a crash mid-write must never leave a torn
-        // BENCH_sim.json behind.
-        tut_store::write_atomic(std::path::Path::new("BENCH_sim.json"), json.as_bytes())
-            .unwrap_or_else(|e| panic!("writing BENCH_sim.json: {e}"));
-        println!("wrote BENCH_sim.json ({} bytes)", json.len());
-        // The single-run speedup is pinned only where it is meaningful:
-        // a multi-core host whose worker count wasn't clamped to 1.
-        let p = &report.parallel;
-        if report.host.logical_cpus > 1 && p.threads > 1 && p.speedup() < 1.0 {
-            eprintln!(
-                "[bench] parallel single-run speedup {:.3} < 1 on {} cpus / {} threads",
-                p.speedup(),
-                report.host.logical_cpus,
-                p.threads,
-            );
-            std::process::exit(1);
-        }
-        // Scheduler pin: the SoA calendar queue must at least match the
-        // std binary heap on the hold-model microbench.
-        let q = &report.scheduler;
-        if q.calendar_events_per_sec() < q.heap_events_per_sec() {
-            eprintln!(
-                "[bench] calendar queue {:.0} events/sec below heap {:.0}",
-                q.calendar_events_per_sec(),
-                q.heap_events_per_sec(),
-            );
-            std::process::exit(1);
-        }
-    }
-    if quick {
-        let rate = report.rate.events_per_sec();
-        let floor = simbench::QUICK_FLOOR_EVENTS_PER_SEC;
-        if rate < floor {
-            eprintln!("[bench --quick] {rate:.0} events/sec below regression floor {floor:.0}");
-            std::process::exit(1);
-        }
-        let calendar = report.scheduler.calendar_events_per_sec();
-        if calendar < floor {
-            eprintln!(
-                "[bench --quick] calendar queue {calendar:.0} events/sec below floor {floor:.0}"
-            );
-            std::process::exit(1);
-        }
-        println!("[bench --quick] {rate:.0} events/sec clears regression floor {floor:.0}");
-        println!("[bench --quick] calendar queue {calendar:.0} events/sec clears floor {floor:.0}");
-    }
-}
-
 /// Runs the TUTMAC case study with a [`Recorder`] attached and writes
 /// the requested export files.
 fn run_traced(trace: Option<&str>, vcd: Option<&str>, prom: Option<&str>) {
@@ -749,11 +665,10 @@ fn main() {
             "transfers" => print_transfers(),
             "explore" => print_explore(threads, progress, store_dir, resume),
             "fault-sweep" => print_fault_sweep(quick, threads, progress, store_dir, resume),
-            "bench" => print_bench(quick, threads, progress),
             other => {
                 eprintln!(
                     "unknown item `{other}`; known: fig1..fig8, table1..table4, transfers, \
-                     explore, fault-sweep, bench, bench-check, check, watch, profile, all"
+                     explore, fault-sweep, bench-check, check, watch, profile, all"
                 );
                 std::process::exit(2);
             }

@@ -92,39 +92,17 @@ fn point_from_report(ber: f64, fragment_bytes: i64, report: &ProfilingReport) ->
 /// Propagates any failure of the profiling pipeline; a broken case-study
 /// model surfaces as [`ProfilingError::Model`].
 pub fn run_point(ber: f64, seed: u64, config: SimConfig) -> Result<SweepPoint, ProfilingError> {
-    run_point_threads(ber, seed, config, 1)
-}
-
-/// [`run_point`] with the simulation stage on `lp_threads` workers of
-/// the conservative parallel kernel (1 = serial engine). The merged
-/// parallel log is bit-identical to serial, so the point is the same at
-/// any thread count — the knob only spends host parallelism.
-///
-/// # Errors
-///
-/// Propagates any failure of the profiling pipeline; a broken case-study
-/// model surfaces as [`ProfilingError::Model`].
-pub fn run_point_threads(
-    ber: f64,
-    seed: u64,
-    config: SimConfig,
-    lp_threads: usize,
-) -> Result<SweepPoint, ProfilingError> {
     let _point_span = perf::enter_named("fault_sweep.point");
     let tutmac_config = tutmac::TutmacConfig::default();
     let system = tutmac::build_tutmac_system(&tutmac_config)
         .map_err(|e| ProfilingError::Model(format!("tutmac case study failed to build: {e}")))?;
     let mut plan = FaultPlan::new(FaultConfig::with_ber(seed, ber));
-    let report = if lp_threads > 1 {
-        tut_profiling::profile_system_parallel(&system, config, lp_threads, &plan)
-    } else {
-        tut_profiling::profile_system_with_faults(
-            &system,
-            config,
-            &mut plan,
-            &mut tut_trace::NoopSink,
-        )
-    }?;
+    let report = tut_profiling::profile_system_with_faults(
+        &system,
+        config,
+        &mut plan,
+        &mut tut_trace::NoopSink,
+    )?;
     Ok(point_from_report(
         ber,
         tutmac_config.fragment_bytes,
@@ -141,16 +119,11 @@ pub fn run_sweep(config: &SimConfig) -> Result<Vec<SweepPoint>, ProfilingError> 
     run_sweep_threads(config, 1)
 }
 
-/// Runs the full campaign over [`SWEEP_BERS`] on a budget of `threads`
-/// workers (0 = all cores).
-///
-/// The budget is split between the two layers of parallelism: up to one
-/// sweep worker per BER point (each filling a disjoint slice of the
-/// result vector, exactly like `tut_explore::parallel`), and any surplus
-/// divided evenly among the workers as intra-run LP threads for the
-/// conservative parallel kernel. Both layers are bit-identical to their
-/// serial counterparts, so the output is the same table at any thread
-/// count.
+/// Runs the full campaign over [`SWEEP_BERS`] on up to `threads`
+/// workers (0 = all cores), at most one per BER point. Each worker fills
+/// a disjoint slice of the result vector, exactly like
+/// `tut_explore::parallel`, and every point is an independent seeded
+/// run, so the output is the same table at any thread count.
 ///
 /// # Errors
 ///
@@ -175,8 +148,6 @@ pub fn run_sweep_observed(
     threads: usize,
     progress: &Progress,
 ) -> Result<Vec<SweepPoint>, ProfilingError> {
-    // One thread budget for both layers: outer sweep workers first (one
-    // per point at most), then the surplus as LP threads inside each run.
     // An oversubscribed budget (more workers than logical CPUs) only
     // adds coordination cost for time-sliced "parallelism", so it falls
     // back to the serial sweep instead.
@@ -186,12 +157,11 @@ pub fn run_sweep_observed(
         tut_explore::parallel::resolve_threads(threads)
     };
     let outer = budget.min(SWEEP_BERS.len()).max(1);
-    let lp_threads = (budget / outer).max(1);
     if outer <= 1 {
         return SWEEP_BERS
             .iter()
             .map(|&ber| {
-                let point = run_point_threads(ber, SWEEP_SEED, config.clone(), lp_threads)?;
+                let point = run_point(ber, SWEEP_SEED, config.clone())?;
                 progress.tick();
                 Ok(point)
             })
@@ -210,12 +180,7 @@ pub fn run_sweep_observed(
             scope.spawn(move || {
                 for (offset, slot) in chunk.iter_mut().enumerate() {
                     let ber = SWEEP_BERS[start + offset];
-                    *slot = Some(run_point_threads(
-                        ber,
-                        SWEEP_SEED,
-                        config.clone(),
-                        lp_threads,
-                    ));
+                    *slot = Some(run_point(ber, SWEEP_SEED, config.clone()));
                     progress.tick();
                 }
             });
@@ -229,9 +194,8 @@ pub fn run_sweep_observed(
 }
 
 /// True when a sweep on `threads` workers would oversubscribe the host
-/// and [`run_sweep_threads`] therefore serves it with the serial sweep
-/// (recorded as `fallback: "serial"` in the bench's `sweep` block).
-pub fn sweep_falls_back_to_serial(threads: usize) -> bool {
+/// and [`run_sweep_threads`] therefore serves it with the serial sweep.
+fn sweep_falls_back_to_serial(threads: usize) -> bool {
     let logical = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -300,9 +264,7 @@ mod tests {
 
     /// The parallel sweep is bit-identical to the serial sweep at any
     /// thread count (each point is an independent seeded run filling a
-    /// disjoint result slot). The largest budget oversubscribes the
-    /// point count, so the surplus flows into intra-run LP threads and
-    /// the parallel simulation kernel is exercised too.
+    /// disjoint result slot), including budgets above the point count.
     #[test]
     fn parallel_sweep_matches_serial_at_any_thread_count() {
         let config = SimConfig::with_horizon_ns(2_000_000);

@@ -300,11 +300,10 @@ pub fn run_sweep_durable(
 
     let todo = &faultsweep::SWEEP_BERS[completed..];
     if !todo.is_empty() {
-        // The same two-layer budget split as the plain sweep: outer
-        // point workers first, the surplus as intra-run LP threads.
+        // Up to one point worker per remaining point, as in the plain
+        // sweep.
         let budget = tut_explore::parallel::resolve_threads(threads);
         let outer = budget.min(todo.len()).max(1);
-        let lp_threads = (budget / outer).max(1);
         let ranges = tut_explore::parallel::shard_ranges(todo.len() as u64, outer);
         let mut results: Vec<Option<Result<SweepPoint, ProfilingError>>> =
             (0..todo.len()).map(|_| None).collect();
@@ -322,11 +321,10 @@ pub fn run_sweep_durable(
                 scope.spawn(move || {
                     for (offset, slot) in chunk.iter_mut().enumerate() {
                         let index = completed + start + offset;
-                        let result = faultsweep::run_point_threads(
+                        let result = faultsweep::run_point(
                             faultsweep::SWEEP_BERS[index],
                             faultsweep::SWEEP_SEED,
                             config.clone(),
-                            lp_threads,
                         );
                         if let Ok(point) = &result {
                             // A send after the writer died is harmless:

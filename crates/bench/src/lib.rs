@@ -154,7 +154,6 @@ pub mod incremental;
 pub mod jobs;
 pub mod microbench;
 pub mod profile_cmd;
-pub mod simbench;
 pub mod watch;
 
 #[cfg(test)]

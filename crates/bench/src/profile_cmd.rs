@@ -20,7 +20,34 @@ use tut_faults::NoFaults;
 use tut_sim::{SimConfig, Simulation};
 use tut_trace::{perf, HostProf, NoopSink, Progress};
 
-use crate::{faultsweep, simbench};
+use crate::faultsweep;
+
+/// Throughput of one timed TUTMAC simulation.
+#[derive(Clone, Copy, PartialEq, Debug)]
+struct EventRate {
+    /// Log records the run produced.
+    records: u64,
+    /// Wall-clock time of the run (seconds).
+    wall_s: f64,
+}
+
+impl EventRate {
+    /// Log records produced per wall-clock second (the events/sec figure
+    /// of experiment P1).
+    fn events_per_sec(&self) -> f64 {
+        if self.wall_s <= 0.0 {
+            0.0
+        } else {
+            self.records as f64 / self.wall_s
+        }
+    }
+}
+
+/// Generous events/sec floor for `repro profile bench --quick`: an order
+/// of magnitude below the measured release-build throughput on a single
+/// container core, so only a gross (>5x) regression can trip it while
+/// machine noise cannot.
+const QUICK_FLOOR_EVENTS_PER_SEC: f64 = 50_000.0;
 
 /// Parsed `repro profile` flags (the shared `repro` flags that apply).
 pub struct ProfileFlags {
@@ -204,7 +231,7 @@ fn profile_bench(flags: &ProfileFlags) -> i32 {
         (20_000_000, 5)
     };
     let system = crate::paper_system();
-    let mut best: Option<simbench::EventRate> = None;
+    let mut best: Option<EventRate> = None;
     for _ in 0..repeats {
         let _repeat_span = perf::enter_named("bench.repeat");
         let sim = Simulation::from_system(&system, SimConfig::with_horizon_ns(horizon_ns))
@@ -213,10 +240,8 @@ fn profile_bench(flags: &ProfileFlags) -> i32 {
         let report = sim
             .run_with_faults_prof(&mut NoFaults, &mut NoopSink, HostProf)
             .expect("sim runs");
-        let rate = simbench::EventRate {
-            horizon_ns,
+        let rate = EventRate {
             records: report.log.len() as u64,
-            steps: report.total_steps,
             wall_s: started.elapsed().as_secs_f64(),
         };
         best = Some(match best {
@@ -230,7 +255,7 @@ fn profile_bench(flags: &ProfileFlags) -> i32 {
         rate.events_per_sec()
     );
     if flags.quick {
-        let floor = simbench::QUICK_FLOOR_EVENTS_PER_SEC;
+        let floor = QUICK_FLOOR_EVENTS_PER_SEC;
         if rate.events_per_sec() < floor {
             eprintln!(
                 "[profile bench --quick] {:.0} events/sec below regression floor {floor:.0} \
@@ -245,4 +270,20 @@ fn profile_bench(flags: &ProfileFlags) -> i32 {
         );
     }
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn event_rate_arithmetic() {
+        let r = EventRate {
+            records: 500,
+            wall_s: 0.25,
+        };
+        assert!((r.events_per_sec() - 2000.0).abs() < 1e-9);
+        let zero = EventRate { wall_s: 0.0, ..r };
+        assert_eq!(zero.events_per_sec(), 0.0);
+    }
 }

@@ -18,10 +18,9 @@ pub enum TransferVerdict {
 /// engine-supplied `salt` that is unique per decision point (derived
 /// from the deciding process and a per-process nonce). Implementations
 /// must make each decision a **pure function of `(now_ns, salt)`** and
-/// their own configuration — never of the global call order. This is
-/// what lets the conservative parallel kernel replay the exact serial
-/// fault stream: logical processes reach the same `(now_ns, salt)`
-/// keys in a different interleaving and still draw the same answers.
+/// their own configuration — never of the global call order. A
+/// decision therefore does not shift when the engine consults the
+/// model for other decisions in a different order or number.
 pub trait FaultModel {
     /// Fast gate: when `false`, callers may skip every other hook (and
     /// the engine emits no fault records at all).

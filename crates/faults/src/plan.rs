@@ -81,10 +81,9 @@ const PURPOSE_JITTER: u64 = 0x03;
 ///
 /// Each hook derives a private SplitMix64 stream from
 /// `(seed, purpose, now_ns, salt)`, so decisions do not depend on how
-/// many other decisions were made before them. Serial and parallel
-/// simulation therefore see identical fault streams even though they
-/// interleave the calls differently, and zero-rate hooks still
-/// short-circuit without touching the PRNG at all.
+/// many other decisions were made before them or in what order, and
+/// zero-rate hooks still short-circuit without touching the PRNG at
+/// all.
 #[derive(Clone, PartialEq, Debug)]
 pub struct FaultPlan {
     config: FaultConfig,
@@ -206,9 +205,8 @@ mod tests {
         assert!(a.contains(&TransferVerdict::Corrupt), "rate high enough");
     }
 
-    /// The property the parallel kernel rests on: each decision depends
-    /// only on its `(now, salt)` key, never on how many decisions were
-    /// made before it.
+    /// Each decision depends only on its `(now, salt)` key, never on how
+    /// many decisions were made before it.
     #[test]
     fn draws_are_pure_functions_of_the_key() {
         let config = FaultConfig {

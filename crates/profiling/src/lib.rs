@@ -40,7 +40,6 @@ pub use analyze::analyze;
 pub use error::ProfilingError;
 pub use groups::{GroupEntry, ProcessGroupInfo};
 pub use pipeline::{
-    profile_system, profile_system_parallel, profile_system_prof, profile_system_with,
-    profile_system_with_faults,
+    profile_system, profile_system_prof, profile_system_with, profile_system_with_faults,
 };
 pub use report::{render_counters, render_table4, ProfilingReport};

@@ -71,34 +71,6 @@ pub fn profile_system_with_faults<F: FaultModel, T: TraceSink>(
     profile_system_prof(system, config, faults, tracer, NoProf)
 }
 
-/// [`profile_system_with_faults`] with the simulation stage on the
-/// conservative parallel kernel ([`Simulation::run_parallel_with_faults`]):
-/// the run is partitioned into logical processes along the platform
-/// mapping and advanced on up to `threads` workers (0 = all cores). The
-/// merged log — and therefore the whole report — is bit-identical to the
-/// serial pipeline at any thread count, so callers may pick `threads`
-/// purely on host-budget grounds.
-///
-/// The parallel kernel runs untraced (workers cannot share a
-/// [`TraceSink`]); use the serial entry points when a trace is needed.
-///
-/// # Errors
-///
-/// Same contract as [`profile_system_with_faults`].
-pub fn profile_system_parallel<F: FaultModel + Clone + Send>(
-    system: &SystemModel,
-    config: SimConfig,
-    threads: usize,
-    faults: &F,
-) -> Result<ProfilingReport, ProfilingError> {
-    let xml = system.to_xml();
-    let groups = parse_model_xml(&xml)?;
-    let report = Simulation::from_system(system, config)
-        .and_then(|sim| sim.run_parallel_with_faults(threads, faults))
-        .map_err(|e| ProfilingError::Simulation(e.to_string()))?;
-    Ok(analyze_log(&groups, &report.log))
-}
-
 /// [`profile_system_with_faults`] plus host self-profiling: each pipeline
 /// phase (XML serialisation, group parsing, simulation setup, the
 /// simulation itself, log analysis) becomes a frame under

@@ -1,6 +1,5 @@
 //! Simulation configuration.
 
-use crate::calendar::QueueKind;
 use tut_platform::CostModel;
 
 /// The per-processor scheduling policy — the paper's conclusion names
@@ -114,10 +113,6 @@ pub struct SimConfig {
     pub trace: TraceOptions,
     /// Livelock watchdog (disabled by default).
     pub watchdog: Watchdog,
-    /// Future-event-set implementation (default: calendar queue). Both
-    /// kinds pop the identical `(time, seq)` sequence; this only trades
-    /// constant factors on the hot path.
-    pub queue: QueueKind,
 }
 
 impl Default for SimConfig {
@@ -133,7 +128,6 @@ impl Default for SimConfig {
             scheduler: Scheduler::default(),
             trace: TraceOptions::default(),
             watchdog: Watchdog::default(),
-            queue: QueueKind::default(),
         }
     }
 }

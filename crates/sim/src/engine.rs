@@ -18,20 +18,19 @@ use tut_uml::instances::{InstanceIndex, InstanceTree, RoutingTable};
 use tut_uml::lower::{Emit, Input, MachineCode};
 use tut_uml::Value;
 
-use crate::calendar::EventQueue;
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::intern::Sym;
 use crate::log::SimLog;
-use crate::parallel::LpCtx;
+use crate::queue::EventQueue;
 use crate::report::{FaultTally, PeStats, ProcessStats, SimReport};
 
 /// Index of a processing element inside a [`Simulation`].
-pub(crate) type PeIndex = usize;
+type PeIndex = usize;
 /// Index of a process inside a [`Simulation`].
-pub(crate) type ProcIndex = usize;
+type ProcIndex = usize;
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum QueueEntry {
     /// Pseudo-entry that runs the initial step (entry actions of the
     /// initial state and completion transitions).
@@ -87,7 +86,7 @@ struct Receiver {
 
 /// A send site of one process (a `(port, signal)` pair of its machine's
 /// [`MachineCode::sends`]) resolved at build time to its receivers.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct SendRt {
     signal: SignalId,
     receivers: Box<[Receiver]>,
@@ -96,10 +95,10 @@ struct SendRt {
     lost: Option<Sym>,
 }
 
-#[derive(Clone, Debug)]
-pub(crate) struct ProcessRt {
+#[derive(Debug)]
+struct ProcessRt {
     /// Dotted display name (log identity).
-    pub(crate) name: String,
+    name: String,
     /// Interned `name`, stamped on every record this process emits.
     name_sym: Sym,
     /// Shared per-class machine image (see [`MachineRt`]).
@@ -112,36 +111,35 @@ pub(crate) struct ProcessRt {
     /// Pending inputs with their enqueue timestamps (for response-time
     /// accounting).
     queue: VecDeque<(u64, QueueEntry)>,
-    pub(crate) pe: PeIndex,
+    pe: PeIndex,
     priority: i64,
     /// Monotonic generation per timer slot; a fired event with a stale
     /// generation was cancelled or re-armed.
     timer_gens: Vec<u64>,
     /// Per-process decision counter salting the fault model's keyed
     /// draws: `(process, nonce)` pairs are unique and advance in the
-    /// process's deterministic step order, so serial and parallel
-    /// execution derive identical salts.
+    /// process's deterministic step order.
     fault_nonce: u64,
-    pub(crate) stats: ProcessStats,
+    stats: ProcessStats,
 }
 
-#[derive(Clone, Debug)]
-pub(crate) struct PeRt {
-    pub(crate) descriptor: PeDescriptor,
+#[derive(Debug)]
+struct PeRt {
+    descriptor: PeDescriptor,
     /// HIBI agent of this element, if attached to the network.
-    pub(crate) agent: Option<AgentId>,
+    agent: Option<AgentId>,
     /// The process that ran last (for context-switch accounting).
     last_process: Option<ProcIndex>,
     /// Round-robin pointer for the RoundRobin policy.
     rr_next: ProcIndex,
     free_at_ns: u64,
-    pub(crate) busy_ns: u64,
-    pub(crate) busy_cycles: u64,
-    pub(crate) is_env: bool,
+    busy_ns: u64,
+    busy_cycles: u64,
+    is_env: bool,
 }
 
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub(crate) enum EventKind {
+#[derive(Debug)]
+enum EventKind {
     Deliver {
         target: ProcIndex,
         entry_kind: DeliverKind,
@@ -157,22 +155,8 @@ pub(crate) enum EventKind {
     PeFree { pe: PeIndex },
 }
 
-impl EventKind {
-    /// The logical process this event belongs to: the target process's
-    /// LP for deliveries/timers, the element's LP for `PeFree`. Every
-    /// event kind is handled entirely inside one LP.
-    pub(crate) fn home_lp(&self, lp_of_proc: &[u32], lp_of_pe: &[u32]) -> u32 {
-        match self {
-            EventKind::Deliver { target, .. } | EventKind::TimerFired { target, .. } => {
-                lp_of_proc[*target]
-            }
-            EventKind::PeFree { pe } => lp_of_pe[*pe],
-        }
-    }
-}
-
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub(crate) enum DeliverKind {
+#[derive(Debug)]
+enum DeliverKind {
     Start,
     Signal {
         signal: SignalId,
@@ -186,30 +170,19 @@ pub(crate) enum DeliverKind {
 }
 
 /// A runnable co-simulation built from a [`SystemModel`].
-///
-/// `Clone` is cheap-ish (per-class machines are shared via `Arc`) and
-/// exists for the parallel kernel, which clones the built simulation
-/// once per logical process and once as a pristine serial-fallback copy.
-#[derive(Clone)]
 pub struct Simulation {
-    pub(crate) config: SimConfig,
-    /// The application's static communication graph; the parallel
-    /// kernel partitions along it. Steps use the per-process send sites
-    /// resolved from it instead.
-    pub(crate) routing: Arc<RoutingTable>,
-    pub(crate) processes: Vec<ProcessRt>,
-    /// Instance index -> process index (`None` for inactive instances).
-    pub(crate) proc_of_instance: Arc<Vec<Option<ProcIndex>>>,
-    pub(crate) pes: Vec<PeRt>,
+    config: SimConfig,
+    processes: Vec<ProcessRt>,
+    pes: Vec<PeRt>,
     /// Processes mapped to each element, ascending process-index order
     /// (the scheduler's scan set — no per-dispatch allocation).
-    pe_procs: Arc<Vec<Vec<ProcIndex>>>,
-    pub(crate) network: Network,
-    pub(crate) events: EventQueue<EventKind>,
-    pub(crate) next_seq: u64,
-    pub(crate) now_ns: u64,
-    pub(crate) steps: u64,
-    pub(crate) log: SimLog,
+    pe_procs: Vec<Vec<ProcIndex>>,
+    network: Network,
+    events: EventQueue<EventKind>,
+    next_seq: u64,
+    now_ns: u64,
+    steps: u64,
+    log: SimLog,
     /// Interned signal names, indexed by `SignalId::index()`.
     signal_syms: Vec<Sym>,
     /// Interned `start` trigger label.
@@ -225,7 +198,7 @@ pub struct Simulation {
     scratch_effects: Vec<Emit>,
     /// Injected-fault totals (corruptions/drops; unroutable transfers
     /// are tallied by the network itself).
-    pub(crate) fault_tally: FaultTally,
+    fault_tally: FaultTally,
     /// Last simulated time a run-to-completion step executed on a
     /// non-environment element (the watchdog's quiescence reference).
     last_useful_ns: u64,
@@ -233,10 +206,6 @@ pub struct Simulation {
     /// in the run prologue only when profiling is active so the hot path
     /// moves `Copy` ids. Empty in unprofiled runs.
     proc_perf: Vec<perf::Label>,
-    /// When this simulation is one logical process of a parallel run,
-    /// the LP context diverts [`Simulation::schedule`] into the LP's
-    /// window queue / export list. `None` in serial runs.
-    pub(crate) lp: Option<Box<LpCtx>>,
 }
 
 /// Runs the simulation-setup lowering as a dry run and returns the
@@ -413,6 +382,7 @@ impl Simulation {
         let mapping = system.mapping();
         let mut processes: Vec<ProcessRt> = Vec::new();
         let mut instances: Vec<InstanceIndex> = Vec::new();
+        // Instance index -> process index (`None` for inactive instances).
         let mut proc_of_instance: Vec<Option<ProcIndex>> = vec![None; tree.nodes().len()];
         let mut machines: HashMap<StateMachineId, Arc<MachineRt>> = HashMap::new();
         for instance in tree.active_instances(&system.model) {
@@ -533,16 +503,13 @@ impl Simulation {
             pe_procs[process.pe].push(index);
         }
 
-        let events = EventQueue::new(config.queue);
         let mut sim = Simulation {
             config,
-            routing: Arc::new(routing),
             processes,
-            proc_of_instance: Arc::new(proc_of_instance),
             pes,
-            pe_procs: Arc::new(pe_procs),
+            pe_procs,
             network,
-            events,
+            events: EventQueue::new(),
             next_seq: 0,
             now_ns: 0,
             steps: 0,
@@ -556,7 +523,6 @@ impl Simulation {
             fault_tally: FaultTally::default(),
             last_useful_ns: 0,
             proc_perf: Vec::new(),
-            lp: None,
         };
         // Every process performs its Start step at t=0.
         for index in 0..sim.processes.len() {
@@ -573,14 +539,6 @@ impl Simulation {
     }
 
     fn schedule(&mut self, time_ns: u64, kind: EventKind) {
-        // Inside a parallel run, creations go through the LP context:
-        // same-LP events join the window queue under a tentative key,
-        // cross-LP events become exports. The barrier coordinator later
-        // assigns the exact global sequence numbers.
-        if let Some(lp) = self.lp.as_deref_mut() {
-            lp.schedule(time_ns, kind);
-            return;
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
         self.events.push(time_ns, seq, kind);
@@ -716,9 +674,7 @@ impl Simulation {
         Ok(self.into_report())
     }
 
-    /// Processes one popped event at `self.now_ns` — the dispatch shared
-    /// by the serial main loop and the parallel kernel's per-LP window
-    /// executor.
+    /// Processes one popped event at `self.now_ns`.
     fn handle_event<F: FaultModel, T: TraceSink, P: Prof>(
         &mut self,
         kind: EventKind,
@@ -787,65 +743,6 @@ impl Simulation {
             }
         }
         Ok(())
-    }
-
-    /// Pops and processes this logical process's next queued event,
-    /// recording per-event bookkeeping for the barrier coordinator's
-    /// replay. Returns `false` when the queue is empty. The caller (the
-    /// parallel kernel's shard executor) decides *whether* the next
-    /// event may run — it interleaves the LPs of one shard in global
-    /// `(time, key)` order and enforces the safe-window limit.
-    /// Serial run that also tallies the events processed and how many
-    /// fixed `lookahead_ns` safe-windows the event stream spans — the
-    /// single-worker path of the parallel kernel, whose one shard would
-    /// own every LP and therefore degenerates to the serial engine
-    /// executing a single whole-horizon window.
-    ///
-    /// Callers must have checked that no watchdog is armed.
-    pub(crate) fn run_counting_windows<F: FaultModel>(
-        mut self,
-        faults: &mut F,
-        lookahead_ns: u64,
-    ) -> Result<(SimReport, u64, u64), SimError> {
-        let mut events: u64 = 0;
-        let mut fixed_windows: u64 = 0;
-        let mut fixed_end: u64 = 0;
-        while let Some((time_ns, _seq, kind)) = self.events.pop() {
-            if time_ns > self.config.max_time_ns || self.steps >= self.config.max_steps {
-                break;
-            }
-            events += 1;
-            if time_ns >= fixed_end {
-                fixed_windows += 1;
-                fixed_end = time_ns.saturating_add(lookahead_ns);
-            }
-            self.now_ns = time_ns;
-            self.handle_event(kind, faults, &mut NoopSink, perf::NoProf, None)?;
-        }
-        Ok((self.into_report(), events, fixed_windows))
-    }
-
-    pub(crate) fn lp_step<F: FaultModel>(&mut self, faults: &mut F) -> Result<bool, SimError> {
-        let (time_ns, kind, children_mark) = {
-            let lp = self.lp.as_mut().expect("lp_step needs an LP context");
-            let Some((time_ns, kind)) = lp.pop_next() else {
-                return Ok(false);
-            };
-            (time_ns, kind, lp.creations())
-        };
-        let log_mark = self.log.len();
-        let steps_mark = self.steps;
-        self.now_ns = time_ns;
-        self.handle_event(kind, faults, &mut NoopSink, perf::NoProf, None)?;
-        let log_records = (self.log.len() - log_mark) as u32;
-        let steps = (self.steps - steps_mark) as u32;
-        self.lp.as_mut().expect("lp context").record_processed(
-            time_ns,
-            children_mark,
-            log_records,
-            steps,
-        );
-        Ok(true)
     }
 
     /// Runs one step on `pe` if it is free, not in an outage window, and

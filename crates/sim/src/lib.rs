@@ -31,20 +31,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calendar;
 pub mod config;
 pub mod engine;
 pub mod error;
 pub mod intern;
 pub mod log;
-mod parallel;
+mod queue;
 pub mod report;
 
-pub use calendar::{CalendarQueue, EventQueue, QueueKind};
 pub use config::{SimConfig, TraceOptions, Watchdog};
 pub use engine::{setup_diagnostic, Simulation};
 pub use error::{SimError, E_PARAM_RANGE};
 pub use intern::{Interner, Sym};
 pub use log::{LogRecord, Record, RecordRef, SimLog};
-pub use parallel::{ParallelPlan, ParallelStats};
 pub use report::{FaultTally, SimReport};

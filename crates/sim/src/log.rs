@@ -625,38 +625,6 @@ impl SimLog {
         }
     }
 
-    /// Maps a symbol of `other` into this log's interner, memoising in
-    /// `remap` (indexed by the source symbol).
-    fn map_sym(&mut self, other: &SimLog, remap: &mut Vec<Option<Sym>>, sym: Sym) -> Sym {
-        if let Some(Some(mapped)) = remap.get(sym.index()) {
-            return *mapped;
-        }
-        let mapped = self.interner.intern(other.interner.resolve(sym));
-        if remap.len() <= sym.index() {
-            remap.resize(sym.index() + 1, None);
-        }
-        remap[sym.index()] = Some(mapped);
-        mapped
-    }
-
-    /// Appends `other.records[start..end]` to this log, re-interning
-    /// every name through `remap`. This is the parallel kernel's log
-    /// merge: per-LP logs (whose interners start as clones of the same
-    /// build-time table and diverge only on cold paths) are stitched
-    /// into one log in global event order.
-    pub(crate) fn extend_remapped(
-        &mut self,
-        other: &SimLog,
-        start: usize,
-        end: usize,
-        remap: &mut Vec<Option<Sym>>,
-    ) {
-        for index in start..end {
-            let mapped = other.records[index].map_names(|&sym| self.map_sym(other, remap, sym));
-            self.push_compact(mapped);
-        }
-    }
-
     /// Appends one interned record, maintaining the counter tallies.
     fn push_compact(&mut self, record: Record<Sym>) {
         if let Record::Count {

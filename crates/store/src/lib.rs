@@ -27,7 +27,7 @@
 //! * [`crc`] — the CRC32 (IEEE 802.3) the journal frames carry.
 //! * [`atomic`] — crash-safe whole-file replacement (write a temp file in
 //!   the same directory, fsync, rename) for non-append artefacts such as
-//!   `BENCH_sim.json`.
+//!   the `repro --trace`/`--vcd`/`--prom` export files.
 //!
 //! See `DESIGN.md` §12 for the record format and the recovery rules.
 
