@@ -7,7 +7,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use tut_bench::jobs;
+use tut_bench::{faultsweep, jobs};
 use tut_sim::SimConfig;
 use tut_store::{kill, KillMode, StorePanic, W_TORN_TAIL};
 use tut_trace::Progress;
@@ -42,6 +42,24 @@ fn run_sweep(dir: &Path, resume: bool) -> Result<jobs::DurableSweep, jobs::JobEr
 
 fn journal_bytes(dir: &Path) -> Vec<u8> {
     std::fs::read(dir.join(jobs::SWEEP_JOURNAL)).expect("journal exists")
+}
+
+/// The durable sweep computes the same table as the in-memory sweep, at
+/// one worker, at two, and at a budget that oversubscribes any host.
+#[test]
+fn durable_sweep_matches_the_in_memory_sweep() {
+    let _guard = lock();
+    let in_memory = faultsweep::run_sweep_observed(&fast_config(), 1, &Progress::disabled())
+        .expect("in-memory sweep");
+    for threads in [1, 2, 2 * faultsweep::SWEEP_BERS.len() + 2] {
+        let dir = temp_dir(&format!("sweep-same-{threads}"));
+        let durable =
+            jobs::run_sweep_durable(&fast_config(), threads, &Progress::disabled(), &dir, false)
+                .expect("durable sweep");
+        assert_eq!(durable.points, in_memory, "{threads} threads");
+        assert_eq!(durable.resumed, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// For every append and torn-write boundary k: kill the sweep at k,
