@@ -68,8 +68,11 @@
 //! heartbeats, so piped output stays machine-clean.
 
 use tut_bench::figures;
+use tut_explore::NoCheckpoint;
+use tut_faults::NoFaults;
 use tut_profile::{tables, TutProfile};
 use tut_profiling::render_table4;
+use tut_trace::perf::NoProf;
 use tut_trace::{NoopSink, Progress, Recorder};
 
 fn print_fig1() {
@@ -187,7 +190,8 @@ fn print_explore(threads: usize, progress: bool, store: Option<&std::path::Path>
         Progress::disabled()
     };
     let started = std::time::Instant::now();
-    let grouping = tut_explore::partition_observed(&graph, &options, &mut NoopSink, &meter);
+    let grouping =
+        tut_explore::partition_checkpointed(&graph, &options, &mut NoopSink, &meter, &NoCheckpoint);
     meter.finish();
     println!(
         "  [grouping] {} nodes -> 5 groups, cut weight {}, objective {:.1} ({} ms)",
@@ -212,7 +216,7 @@ fn print_explore(threads: usize, progress: bool, store: Option<&std::path::Path>
         Progress::disabled()
     };
     let started = std::time::Instant::now();
-    let mapping = tut_explore::optimise_mapping_observed(
+    let mapping = tut_explore::optimise_mapping_checkpointed(
         &problem,
         &tut_explore::MappingOptions {
             pinned: vec![(3, acc_index)],
@@ -221,6 +225,7 @@ fn print_explore(threads: usize, progress: bool, store: Option<&std::path::Path>
         },
         &mut NoopSink,
         &meter,
+        &NoCheckpoint,
     );
     meter.finish();
     println!(
@@ -432,8 +437,14 @@ fn print_fault_sweep_durable(
 fn run_traced(trace: Option<&str>, vcd: Option<&str>, prom: Option<&str>) {
     let system = tut_bench::paper_system();
     let mut recorder = Recorder::new();
-    tut_profiling::profile_system_with(&system, tut_bench::table4_config(), &mut recorder)
-        .expect("traced profiling run");
+    tut_profiling::profile_system_prof(
+        &system,
+        tut_bench::table4_config(),
+        &mut NoFaults,
+        &mut recorder,
+        NoProf,
+    )
+    .expect("traced profiling run");
 
     let tracks = recorder.tracks();
     let pe_tracks = tracks.iter().filter(|t| t.name.starts_with("pe/")).count();

@@ -97,11 +97,12 @@ pub fn run_point(ber: f64, seed: u64, config: SimConfig) -> Result<SweepPoint, P
     let system = tutmac::build_tutmac_system(&tutmac_config)
         .map_err(|e| ProfilingError::Model(format!("tutmac case study failed to build: {e}")))?;
     let mut plan = FaultPlan::new(FaultConfig::with_ber(seed, ber));
-    let report = tut_profiling::profile_system_with_faults(
+    let report = tut_profiling::profile_system_prof(
         &system,
         config,
         &mut plan,
         &mut tut_trace::NoopSink,
+        perf::NoProf,
     )?;
     Ok(point_from_report(
         ber,
@@ -110,35 +111,12 @@ pub fn run_point(ber: f64, seed: u64, config: SimConfig) -> Result<SweepPoint, P
     ))
 }
 
-/// Runs the full campaign over [`SWEEP_BERS`].
-///
-/// # Errors
-///
-/// Propagates the first failed point.
-pub fn run_sweep(config: &SimConfig) -> Result<Vec<SweepPoint>, ProfilingError> {
-    run_sweep_threads(config, 1)
-}
-
 /// Runs the full campaign over [`SWEEP_BERS`] on up to `threads`
-/// workers (0 = all cores), at most one per BER point. Each worker fills
-/// a disjoint slice of the result vector, exactly like
-/// `tut_explore::parallel`, and every point is an independent seeded
-/// run, so the output is the same table at any thread count.
-///
-/// # Errors
-///
-/// Propagates the first failed point (in BER order).
-pub fn run_sweep_threads(
-    config: &SimConfig,
-    threads: usize,
-) -> Result<Vec<SweepPoint>, ProfilingError> {
-    run_sweep_observed(config, threads, &Progress::disabled())
-}
-
-/// [`run_sweep_threads`] plus host observability: every BER point becomes
-/// a `fault_sweep.point` self-profiler frame and ticks `progress` when it
-/// finishes, so long sweeps show a live stderr heartbeat. Observation
-/// never changes the table.
+/// workers (0 = all cores), at most one per BER point. Every BER point
+/// becomes a `fault_sweep.point` self-profiler frame and ticks `progress`
+/// when it finishes, so long sweeps show a live stderr heartbeat. Each
+/// point is an independent seeded run, so the table is the same at any
+/// thread count, and observation never changes it.
 ///
 /// # Errors
 ///
@@ -148,53 +126,43 @@ pub fn run_sweep_observed(
     threads: usize,
     progress: &Progress,
 ) -> Result<Vec<SweepPoint>, ProfilingError> {
-    // An oversubscribed budget (more workers than logical CPUs) only
-    // adds coordination cost for time-sliced "parallelism", so it falls
-    // back to the serial sweep instead.
-    let budget = if sweep_falls_back_to_serial(threads) {
-        1
-    } else {
-        tut_explore::parallel::resolve_threads(threads)
-    };
-    let outer = budget.min(SWEEP_BERS.len()).max(1);
-    if outer <= 1 {
-        return SWEEP_BERS
-            .iter()
-            .map(|&ber| {
-                let point = run_point(ber, SWEEP_SEED, config.clone())?;
-                progress.tick();
-                Ok(point)
-            })
-            .collect();
-    }
-    let ranges = tut_explore::parallel::shard_ranges(SWEEP_BERS.len() as u64, outer);
-    let mut results: Vec<Option<Result<SweepPoint, ProfilingError>>> =
-        (0..SWEEP_BERS.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut rest = results.as_mut_slice();
-        for range in &ranges {
-            let len = (range.end - range.start) as usize;
-            let (chunk, tail) = rest.split_at_mut(len);
-            rest = tail;
-            let start = range.start as usize;
-            scope.spawn(move || {
-                for (offset, slot) in chunk.iter_mut().enumerate() {
-                    let ber = SWEEP_BERS[start + offset];
-                    *slot = Some(run_point(ber, SWEEP_SEED, config.clone()));
-                    progress.tick();
-                }
-            });
-        }
-    });
-    // First failure in BER order wins, matching the serial path.
-    results
+    run_points(config, threads, progress, 0, |_, _| {})
         .into_iter()
-        .map(|p| p.expect("every shard fills its slots"))
         .collect()
 }
 
+/// The point loop of both sweeps: runs [`SWEEP_BERS`]`[first..]` through
+/// [`tut_explore::parallel::map_ordered`], calls `done(index, point)` on
+/// the worker as each point succeeds, and returns every result in BER
+/// order. An oversubscribed budget (more workers than logical CPUs) only
+/// adds coordination cost for time-sliced "parallelism", so it falls
+/// back to one worker.
+pub(crate) fn run_points(
+    config: &SimConfig,
+    threads: usize,
+    progress: &Progress,
+    first: usize,
+    done: impl Fn(usize, &SweepPoint) + Sync,
+) -> Vec<Result<SweepPoint, ProfilingError>> {
+    let threads = if sweep_falls_back_to_serial(threads) {
+        1
+    } else {
+        threads
+    };
+    let todo = SWEEP_BERS.len() - first;
+    tut_explore::parallel::map_ordered(todo, threads, |offset| {
+        let index = first + offset;
+        let result = run_point(SWEEP_BERS[index], SWEEP_SEED, config.clone());
+        if let Ok(point) = &result {
+            done(index, point);
+        }
+        progress.tick();
+        result
+    })
+}
+
 /// True when a sweep on `threads` workers would oversubscribe the host
-/// and [`run_sweep_threads`] therefore serves it with the serial sweep.
+/// and [`run_points`] therefore runs it on one worker.
 fn sweep_falls_back_to_serial(threads: usize) -> bool {
     let logical = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -268,9 +236,10 @@ mod tests {
     #[test]
     fn parallel_sweep_matches_serial_at_any_thread_count() {
         let config = SimConfig::with_horizon_ns(2_000_000);
-        let serial = run_sweep_threads(&config, 1).expect("serial sweep");
+        let serial = run_sweep_observed(&config, 1, &Progress::disabled()).expect("serial sweep");
         for threads in [2, 3, SWEEP_BERS.len() + 2, 2 * SWEEP_BERS.len() + 2] {
-            let parallel = run_sweep_threads(&config, threads).expect("parallel sweep");
+            let parallel = run_sweep_observed(&config, threads, &Progress::disabled())
+                .expect("parallel sweep");
             assert_eq!(parallel, serial, "{threads} threads diverged from serial");
         }
     }

@@ -298,55 +298,21 @@ pub fn run_sweep_durable(
     let completed = points.len();
     progress.set_resumed(completed as u64);
 
-    let todo = &faultsweep::SWEEP_BERS[completed..];
-    if !todo.is_empty() {
-        // Up to one point worker per remaining point, as in the plain
-        // sweep.
-        let budget = tut_explore::parallel::resolve_threads(threads);
-        let outer = budget.min(todo.len()).max(1);
-        let ranges = tut_explore::parallel::shard_ranges(todo.len() as u64, outer);
-        let mut results: Vec<Option<Result<SweepPoint, ProfilingError>>> =
-            (0..todo.len()).map(|_| None).collect();
-        let (tx, rx) = mpsc::channel::<(u64, Vec<u8>)>();
-        let journal = &mut journal;
-        std::thread::scope(|scope| {
-            let writer = scope.spawn(move || writer_loop(journal, completed as u64, &rx));
-            let mut rest = results.as_mut_slice();
-            for range in &ranges {
-                let len = (range.end - range.start) as usize;
-                let (chunk, tail) = rest.split_at_mut(len);
-                rest = tail;
-                let start = range.start as usize;
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    for (offset, slot) in chunk.iter_mut().enumerate() {
-                        let index = completed + start + offset;
-                        let result = faultsweep::run_point(
-                            faultsweep::SWEEP_BERS[index],
-                            faultsweep::SWEEP_SEED,
-                            config.clone(),
-                        );
-                        if let Ok(point) = &result {
-                            // A send after the writer died is harmless:
-                            // the run still fails via the writer error.
-                            let _ = tx.send((index as u64, encode_point(index as u32, point)));
-                        }
-                        *slot = Some(result);
-                        progress.tick();
-                    }
-                });
-            }
-            drop(tx);
-            match writer.join() {
-                Ok(result) => result.map(|_| ()),
-                // Preserve injected StorePanic payloads for the
-                // crash-at-every-boundary tests.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        })?;
-        for result in results {
-            points.push(result.expect("every shard fills its slots")?);
-        }
+    let results = run_stage(
+        &mut journal,
+        completed as u64,
+        HashMap::new(),
+        HashMap::new(),
+        |ckpt| {
+            faultsweep::run_points(config, threads, progress, completed, |index, point| {
+                // A send after the writer died is harmless: the run still
+                // fails via the writer error.
+                ckpt.send(index as u64, encode_point(index as u32, point));
+            })
+        },
+    )?;
+    for result in results {
+        points.push(result?);
     }
     Ok(DurableSweep {
         points,
@@ -370,14 +336,6 @@ struct JournalCheckpoint {
 }
 
 impl JournalCheckpoint {
-    fn new(tx: Sender<(u64, Vec<u8>)>) -> JournalCheckpoint {
-        JournalCheckpoint {
-            replay_restarts: HashMap::new(),
-            replay_shards: HashMap::new(),
-            tx: Mutex::new(tx),
-        }
-    }
-
     fn send(&self, index: u64, payload: Vec<u8>) {
         let _ = self
             .tx
@@ -444,19 +402,22 @@ fn replay_prefix<V>(
 }
 
 /// Runs one checkpointed stage: spawns the writer thread over `journal`,
-/// runs `stage` with the checkpoint, then joins the writer (preserving
+/// runs `stage` with a checkpoint that replays the given units and
+/// forwards fresh ones to the writer, then joins the writer (preserving
 /// injected panic payloads) and propagates its error.
 fn run_stage<R>(
     journal: &mut tut_store::Journal,
     start_index: u64,
-    checkpoint: JournalCheckpoint,
+    replay_restarts: HashMap<usize, RestartOutcome>,
+    replay_shards: HashMap<usize, ShardBest>,
     stage: impl FnOnce(&JournalCheckpoint) -> R,
 ) -> Result<R, JobError> {
     let (result, writer) = std::thread::scope(|scope| {
         let (tx, rx) = mpsc::channel::<(u64, Vec<u8>)>();
         let checkpoint = JournalCheckpoint {
+            replay_restarts,
+            replay_shards,
             tx: Mutex::new(tx),
-            ..checkpoint
         };
         let writer = scope.spawn(move || writer_loop(journal, start_index, &rx));
         let result = stage(&checkpoint);
@@ -538,18 +499,21 @@ pub fn run_explore_durable(
         Progress::disabled()
     };
     grouping_progress.set_resumed(resumed_restarts);
-    let (dummy_tx, _dummy_rx) = mpsc::channel();
-    let mut checkpoint = JournalCheckpoint::new(dummy_tx);
-    checkpoint.replay_restarts = replay_restarts;
-    let grouping = run_stage(&mut journal, resumed_restarts, checkpoint, |ckpt| {
-        tut_explore::partition_checkpointed(
-            &graph,
-            &options,
-            &mut NoopSink,
-            &grouping_progress,
-            ckpt,
-        )
-    })?;
+    let grouping = run_stage(
+        &mut journal,
+        resumed_restarts,
+        replay_restarts,
+        HashMap::new(),
+        |ckpt| {
+            tut_explore::partition_checkpointed(
+                &graph,
+                &options,
+                &mut NoopSink,
+                &grouping_progress,
+                ckpt,
+            )
+        },
+    )?;
     grouping_progress.finish();
 
     // ---- mapping stage --------------------------------------------------
@@ -599,18 +563,21 @@ pub fn run_explore_durable(
         Progress::disabled()
     };
     mapping_progress.set_resumed(resumed_candidates);
-    let (dummy_tx, _dummy_rx) = mpsc::channel();
-    let mut checkpoint = JournalCheckpoint::new(dummy_tx);
-    checkpoint.replay_shards = replay_shards;
-    let mapping = run_stage(&mut journal, resumed_shards, checkpoint, |ckpt| {
-        tut_explore::optimise_mapping_checkpointed(
-            &problem,
-            &mapping_options,
-            &mut NoopSink,
-            &mapping_progress,
-            ckpt,
-        )
-    })?;
+    let mapping = run_stage(
+        &mut journal,
+        resumed_shards,
+        HashMap::new(),
+        replay_shards,
+        |ckpt| {
+            tut_explore::optimise_mapping_checkpointed(
+                &problem,
+                &mapping_options,
+                &mut NoopSink,
+                &mapping_progress,
+                ckpt,
+            )
+        },
+    )?;
     mapping_progress.finish();
 
     Ok(DurableExplore {

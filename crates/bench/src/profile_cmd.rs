@@ -172,7 +172,7 @@ fn profile_explore(flags: &ProfileFlags) {
         .filter(|(_, n)| n.as_str() == "user" || n.as_str() == "channel")
         .map(|(i, _)| (i, 4))
         .collect();
-    let grouping = tut_explore::partition_observed(
+    let grouping = tut_explore::partition(
         &graph,
         &tut_explore::GroupingOptions {
             groups: 5,
@@ -182,8 +182,6 @@ fn profile_explore(flags: &ProfileFlags) {
             annealing_iterations: if flags.quick { 2_000 } else { 20_000 },
             ..Default::default()
         },
-        &mut NoopSink,
-        &Progress::disabled(),
     );
     let (problem, _, instances) =
         tut_explore::mapping::problem_from_system(&system, &report).expect("mapping problem");
@@ -191,15 +189,13 @@ fn profile_explore(flags: &ProfileFlags) {
         .iter()
         .position(|&p| p == handles.accelerator)
         .expect("accelerator instance");
-    let mapping = tut_explore::optimise_mapping_observed(
+    let mapping = tut_explore::optimise_mapping(
         &problem,
         &tut_explore::MappingOptions {
             pinned: vec![(3, acc_index)],
             threads: flags.threads,
             ..Default::default()
         },
-        &mut NoopSink,
-        &Progress::disabled(),
     );
     eprintln!(
         "[profile] explore stage: grouping objective {:.1}, mapping cost {:.1}",

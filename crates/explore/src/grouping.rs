@@ -91,43 +91,33 @@ pub struct GroupingSolution {
 /// Panics if `options.groups` is 0, a pin is out of range, or two pins
 /// contradict each other.
 pub fn partition(graph: &CommGraph, options: &GroupingOptions) -> GroupingSolution {
-    partition_with(graph, options, &mut NoopSink)
+    partition_checkpointed(
+        graph,
+        options,
+        &mut NoopSink,
+        &Progress::disabled(),
+        &NoCheckpoint,
+    )
 }
 
-/// [`partition`] with tracing: each phase becomes a host-clock span on
-/// the `tool/explore.grouping` track, and every annealing restart reports
-/// progress so long exploration runs are visible in a trace viewer. With
-/// `options.threads > 1` the restarts record into per-thread
-/// [`Recorder`]s that are replayed into `tracer` afterwards, so the trace
-/// stays complete.
-pub fn partition_with<T: TraceSink>(
-    graph: &CommGraph,
-    options: &GroupingOptions,
-    tracer: &mut T,
-) -> GroupingSolution {
-    partition_observed(graph, options, tracer, &Progress::disabled())
-}
-
-/// [`partition_with`] plus host observability: the three phases and every
-/// annealing restart become self-profiler frames (see
-/// [`tut_trace::perf`]), and each finished restart ticks `progress` and
-/// reports its best objective, so long multi-restart runs show a live
-/// stderr heartbeat. Observation never changes the solution.
-pub fn partition_observed<T: TraceSink>(
-    graph: &CommGraph,
-    options: &GroupingOptions,
-    tracer: &mut T,
-    progress: &Progress,
-) -> GroupingSolution {
-    partition_checkpointed(graph, options, tracer, progress, &NoCheckpoint)
-}
-
-/// [`partition_observed`] with a checkpoint sink: every finished
-/// annealing restart is reported to `checkpoint`, and restarts a
-/// previous interrupted run already completed are replayed from it
-/// instead of recomputed. Each restart is a pure function of its derived
-/// seed, so the solution is bit-identical whether a restart was replayed
-/// or re-annealed — at every thread count.
+/// [`partition`] with every hook:
+///
+/// - `tracer`: each phase becomes a host-clock span on the
+///   `tool/explore.grouping` track, and every annealing restart reports
+///   heartbeats so long exploration runs are visible in a trace viewer.
+///   With `options.threads > 1` the restarts record into per-restart
+///   [`Recorder`]s that are replayed into `tracer` afterwards in restart
+///   order, so the trace stays complete.
+/// - `progress`: each finished restart ticks it and reports its best
+///   objective, so long multi-restart runs show a live stderr heartbeat.
+///   The three phases and every restart are also self-profiler frames
+///   (see [`tut_trace::perf`]).
+/// - `checkpoint`: every finished annealing restart is reported to it,
+///   and restarts a previous interrupted run already completed are
+///   replayed from it instead of recomputed.
+///
+/// Each restart is a pure function of its derived seed, so observation,
+/// replay and thread count never change the solution.
 pub fn partition_checkpointed<T: TraceSink, C: ExploreCheckpoint>(
     graph: &CommGraph,
     options: &GroupingOptions,
@@ -504,9 +494,9 @@ fn anneal_run<T: TraceSink>(
     }
 }
 
-/// Runs the restarts across `threads` scoped workers. Each worker records
-/// into its own [`Recorder`] (when tracing is enabled) which is replayed
-/// into the parent sink afterwards, in restart order, with host
+/// Runs the restarts across `threads` scoped workers. Each restart
+/// records into its own [`Recorder`] (when tracing is enabled), which is
+/// replayed into the parent sink afterwards, in restart order, with host
 /// timestamps re-based onto the parent clock.
 #[allow(clippy::too_many_arguments)]
 fn anneal_parallel<T: TraceSink, C: ExploreCheckpoint>(
@@ -524,67 +514,47 @@ fn anneal_parallel<T: TraceSink, C: ExploreCheckpoint>(
 ) -> Vec<AnnealOutcome> {
     let enabled = tracer.enabled();
     let spawn_ns = tracer.host_now_ns();
-    let shards = parallel::shard_ranges(seeds.len() as u64, threads);
-    let mut per_shard: Vec<Vec<(AnnealOutcome, Option<Recorder>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|range| {
-                let range = range.clone();
-                scope.spawn(move || {
-                    range
-                        .map(|r| {
-                            let restart = r as usize;
-                            let seed = seeds[restart];
-                            let mut recorder = enabled.then(Recorder::new);
-                            let outcome = restart_with_checkpoint(checkpoint, restart, || {
-                                match recorder.as_mut() {
-                                    Some(rec) => anneal_run(
-                                        graph,
-                                        adjacency,
-                                        options,
-                                        pinned,
-                                        start,
-                                        start_objective,
-                                        restart,
-                                        seed,
-                                        rec,
-                                        progress,
-                                    ),
-                                    None => anneal_run(
-                                        graph,
-                                        adjacency,
-                                        options,
-                                        pinned,
-                                        start,
-                                        start_objective,
-                                        restart,
-                                        seed,
-                                        &mut NoopSink,
-                                        progress,
-                                    ),
-                                }
-                            });
-                            (outcome, recorder)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("annealing worker panicked"))
-            .collect()
+    let runs = parallel::map_ordered(seeds.len(), threads, |restart| {
+        let mut recorder = enabled.then(Recorder::new);
+        let outcome = restart_with_checkpoint(checkpoint, restart, || {
+            let seed = seeds[restart];
+            match recorder.as_mut() {
+                Some(rec) => anneal_run(
+                    graph,
+                    adjacency,
+                    options,
+                    pinned,
+                    start,
+                    start_objective,
+                    restart,
+                    seed,
+                    rec,
+                    progress,
+                ),
+                None => anneal_run(
+                    graph,
+                    adjacency,
+                    options,
+                    pinned,
+                    start,
+                    start_objective,
+                    restart,
+                    seed,
+                    &mut NoopSink,
+                    progress,
+                ),
+            }
+        });
+        (outcome, recorder)
     });
-    let mut outcomes = Vec::with_capacity(seeds.len());
-    for shard in per_shard.iter_mut() {
-        for (outcome, recorder) in shard.drain(..) {
+    runs.into_iter()
+        .map(|(outcome, recorder)| {
             if let Some(recorder) = &recorder {
                 recorder.replay_into(tracer, spawn_ns);
             }
-            outcomes.push(outcome);
-        }
-    }
-    outcomes
+            outcome
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -764,7 +734,13 @@ mod tests {
             ..GroupingOptions::default()
         };
         let mut recorder = Recorder::new();
-        let traced = partition_with(&g, &options, &mut recorder);
+        let traced = partition_checkpointed(
+            &g,
+            &options,
+            &mut recorder,
+            &Progress::disabled(),
+            &NoCheckpoint,
+        );
         assert_eq!(traced, partition(&g, &options), "tracing is an observer");
         let names: Vec<&str> = recorder.events().iter().map(|e| e.name.as_str()).collect();
         for restart in 0..3 {

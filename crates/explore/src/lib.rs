@@ -30,10 +30,18 @@
 //!   already completed, so a resumed search is bit-identical to an
 //!   uninterrupted one. The durable journal-backed sink lives in the
 //!   bench crate (`tut-store`).
-//! * [`parallel`] — deterministic work sharding: both optimisers split
-//!   their candidate spaces across `std::thread::scope` workers and
-//!   reduce per-shard bests in enumeration order, so results are
-//!   bit-identical at every thread count.
+//! * [`parallel`] — deterministic work sharding: [`parallel::map_ordered`]
+//!   runs both optimisers' work units (and the bench crate's fault-sweep
+//!   points) on `std::thread::scope` workers and returns the results in
+//!   index order, so the in-order reductions are bit-identical at every
+//!   thread count.
+//!
+//! Each optimiser has two entry points: a plain call ([`partition`],
+//! [`optimise_mapping`]) and one that takes every hook as an explicit
+//! argument — trace sink, progress meter and checkpoint sink
+//! ([`partition_checkpointed`], [`optimise_mapping_checkpointed`]). The
+//! plain call passes the zero-cost no-ops (`NoopSink`,
+//! `Progress::disabled()`, [`NoCheckpoint`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,12 +56,8 @@ pub mod parallel;
 
 pub use checkpoint::{ExploreCheckpoint, NoCheckpoint, RestartOutcome, ShardBest};
 pub use commgraph::CommGraph;
-pub use grouping::{
-    partition, partition_checkpointed, partition_observed, partition_with, refine, GroupingOptions,
-    GroupingSolution,
-};
+pub use grouping::{partition, partition_checkpointed, refine, GroupingOptions, GroupingSolution};
 pub use mapping::{
-    optimise_mapping, optimise_mapping_checkpointed, optimise_mapping_observed,
-    optimise_mapping_with, MappingOptions, MappingSolution,
+    optimise_mapping, optimise_mapping_checkpointed, MappingOptions, MappingSolution,
 };
 pub use objective::{full_objective, ObjectiveState};

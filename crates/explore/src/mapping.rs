@@ -8,10 +8,10 @@ use tut_trace::perf;
 use tut_trace::{Clock, NoopSink, Progress, TraceSink};
 use tut_uml::ids::{ClassId, PropertyId};
 
-use crate::checkpoint::{ExploreCheckpoint, ShardBest};
+use crate::checkpoint::{ExploreCheckpoint, NoCheckpoint};
 use crate::parallel;
 
-/// Shard count of the checkpointed search ([`optimise_mapping_checkpointed`]).
+/// Shard count of the mapping search ([`optimise_mapping_checkpointed`]).
 ///
 /// Deliberately **fixed** rather than derived from `options.threads`:
 /// the shard boundaries define the checkpoint units persisted in a
@@ -237,99 +237,41 @@ impl<'a> CostTables<'a> {
 /// with the accelerator pin). For larger systems use a coarser group
 /// count first.
 ///
-/// The search shards across `options.threads` scoped workers; the
-/// reduction keeps the first strict minimum in enumeration order, so the
-/// result is bit-identical at every thread count.
+/// The enumeration is cut into [`CHECKPOINT_SHARDS`] fixed shards that
+/// run on up to `options.threads` scoped workers; the reduction keeps the
+/// first strict minimum in enumeration order, so the result is
+/// bit-identical at every thread count.
 ///
 /// # Panics
 ///
 /// Panics if the problem is inconsistent (mismatched lengths, pins out of
 /// range) or the pin-collapsed search space exceeds `10^7` candidates.
 pub fn optimise_mapping(problem: &MappingProblem, options: &MappingOptions) -> MappingSolution {
-    optimise_mapping_with(problem, options, &mut NoopSink)
+    optimise_mapping_checkpointed(
+        problem,
+        options,
+        &mut NoopSink,
+        &Progress::disabled(),
+        &NoCheckpoint,
+    )
 }
 
-/// [`optimise_mapping`] with tracing: the search becomes a host-clock
-/// span on the `tool/explore.mapping` track and the candidate count is
-/// recorded as the `explore.mapping.candidates` counter metric.
-pub fn optimise_mapping_with<T: TraceSink>(
-    problem: &MappingProblem,
-    options: &MappingOptions,
-    tracer: &mut T,
-) -> MappingSolution {
-    optimise_mapping_observed(problem, options, tracer, &Progress::disabled())
-}
-
-/// [`optimise_mapping_with`] plus host observability: the search and each
-/// worker shard become self-profiler frames (see [`tut_trace::perf`]),
-/// and every finished shard ticks `progress` by its candidate count and
-/// reports its shard-best cost. Observation never changes the solution.
-pub fn optimise_mapping_observed<T: TraceSink>(
-    problem: &MappingProblem,
-    options: &MappingOptions,
-    tracer: &mut T,
-    progress: &Progress,
-) -> MappingSolution {
-    let _search_span = perf::enter_named("explore.mapping.search");
-    let track = tracer.track("tool/explore.mapping", Clock::Host);
-    let search_start = tracer.host_now_ns();
-    let (base, free, total) = pin_collapse(problem, options);
-    let pes = problem.pes.len();
-
-    let threads = parallel::resolve_threads(options.threads);
-    let best = if threads <= 1 {
-        scan_shard(problem, options, &base, &free, 0..total, progress)
-    } else {
-        let shards = parallel::shard_ranges(total, threads);
-        let per_shard: Vec<Option<(f64, u64)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|range| {
-                    let range = range.clone();
-                    let (base, free) = (&base, &free);
-                    scope.spawn(move || scan_shard(problem, options, base, free, range, progress))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("mapping worker panicked"))
-                .collect()
-        });
-        // Deterministic reduction: shards are in enumeration order and
-        // each carries its first strict minimum, so keeping the first
-        // shard that strictly improves reproduces the serial scan.
-        let mut best: Option<(f64, u64)> = None;
-        for candidate in per_shard.into_iter().flatten() {
-            if best.map(|(cost, _)| candidate.0 < cost).unwrap_or(true) {
-                best = Some(candidate);
-            }
-        }
-        best
-    };
-    let (cost, winner) = best.expect("at least one assignment is feasible");
-
-    let mut assignment = base;
-    decode_candidate(winner, pes, &free, &mut assignment);
-    let now = tracer.host_now_ns();
-    tracer.span(
-        track,
-        "search",
-        search_start,
-        now.saturating_sub(search_start),
-    );
-    tracer.add("explore.mapping.candidates", total);
-    MappingSolution { assignment, cost }
-}
-
-/// [`optimise_mapping_observed`] with a checkpoint sink: the enumeration
-/// is cut into [`CHECKPOINT_SHARDS`] fixed shards (thread-count
-/// independent, so the checkpoint units of an interrupted run line up
-/// with the resumed one), each finished shard's best is reported to
-/// `checkpoint`, and shards a previous run completed are replayed
-/// instead of rescanned. Each shard's best is a pure function of the
-/// problem and the shard range, and the reduction keeps the first strict
-/// minimum in shard order, so the solution is bit-identical to the
-/// uninterrupted observed search — at every thread count.
+/// [`optimise_mapping`] with every hook:
+///
+/// - `tracer`: the search becomes a host-clock span on the
+///   `tool/explore.mapping` track, and the candidate count is recorded
+///   as the `explore.mapping.candidates` counter metric.
+/// - `progress`: the search and each shard become self-profiler frames
+///   (see [`tut_trace::perf`]), and every finished shard ticks `progress`
+///   by its candidate count and reports its shard-best cost.
+/// - `checkpoint`: each finished shard's best is reported to it, and
+///   shards a previous run completed are replayed instead of rescanned.
+///   The shards are fixed (thread-count independent), so the checkpoint
+///   units of an interrupted run line up with the resumed one.
+///
+/// Each shard's best is a pure function of the problem and the shard
+/// range, so observation, replay and thread count never change the
+/// solution.
 pub fn optimise_mapping_checkpointed<T: TraceSink, C: ExploreCheckpoint>(
     problem: &MappingProblem,
     options: &MappingOptions,
@@ -341,52 +283,20 @@ pub fn optimise_mapping_checkpointed<T: TraceSink, C: ExploreCheckpoint>(
     let track = tracer.track("tool/explore.mapping", Clock::Host);
     let search_start = tracer.host_now_ns();
     let (base, free, total) = pin_collapse(problem, options);
-    let pes = problem.pes.len();
+    let tables = CostTables::new(problem, options, &base, &free);
 
     let shards = parallel::shard_ranges(total, CHECKPOINT_SHARDS);
-    let shard_best = |shard: usize, range: std::ops::Range<u64>| -> ShardBest {
+    let per_shard = parallel::map_ordered(shards.len(), options.threads, |shard| {
         if let Some(prev) = checkpoint.replay_mapping_shard(shard) {
             return prev; // no progress tick: the driver pre-accounts replays
         }
-        let best = scan_shard(problem, options, &base, &free, range, progress);
+        let best = scan_shard(&tables, &base, &free, shards[shard].clone(), progress);
         checkpoint.mapping_shard_done(shard, &best);
         best
-    };
-    let threads = parallel::resolve_threads(options.threads).min(shards.len().max(1));
-    let per_shard: Vec<ShardBest> = if threads <= 1 {
-        shards
-            .iter()
-            .enumerate()
-            .map(|(shard, range)| shard_best(shard, range.clone()))
-            .collect()
-    } else {
-        // Workers claim contiguous runs of shard indices; each slot is
-        // filled exactly once, so the vector is in shard order.
-        let worker_ranges = parallel::shard_ranges(shards.len() as u64, threads);
-        let mut results: Vec<Option<ShardBest>> = vec![None; shards.len()];
-        std::thread::scope(|scope| {
-            let mut rest = results.as_mut_slice();
-            for range in &worker_ranges {
-                let len = (range.end - range.start) as usize;
-                let (chunk, tail) = rest.split_at_mut(len);
-                rest = tail;
-                let start = range.start as usize;
-                let (shards, shard_best) = (&shards, &shard_best);
-                scope.spawn(move || {
-                    for (offset, slot) in chunk.iter_mut().enumerate() {
-                        let shard = start + offset;
-                        *slot = Some(shard_best(shard, shards[shard].clone()));
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|b| b.expect("every worker fills its slots"))
-            .collect()
-    };
-    // Deterministic reduction, identical to the observed search: first
-    // strict minimum in shard (= enumeration) order.
+    });
+    // Deterministic reduction: shards are in enumeration order and each
+    // carries its first strict minimum, so keeping the first shard that
+    // strictly improves reproduces a serial scan.
     let mut best: Option<(f64, u64)> = None;
     for candidate in per_shard.into_iter().flatten() {
         if best.map(|(cost, _)| candidate.0 < cost).unwrap_or(true) {
@@ -396,7 +306,7 @@ pub fn optimise_mapping_checkpointed<T: TraceSink, C: ExploreCheckpoint>(
     let (cost, winner) = best.expect("at least one assignment is feasible");
 
     let mut assignment = base;
-    decode_candidate(winner, pes, &free, &mut assignment);
+    decode_candidate(winner, problem.pes.len(), &free, &mut assignment);
     let now = tracer.host_now_ns();
     tracer.span(
         track,
@@ -453,8 +363,7 @@ fn decode_candidate(index: u64, pes: usize, free: &[usize], assignment: &mut [us
 /// [`best_in_range`] as one observed worker shard: a self-profiler frame
 /// plus a progress tick (by candidate count) and shard-best report.
 fn scan_shard(
-    problem: &MappingProblem,
-    options: &MappingOptions,
+    tables: &CostTables<'_>,
     base: &[usize],
     free: &[usize],
     range: std::ops::Range<u64>,
@@ -462,7 +371,7 @@ fn scan_shard(
 ) -> Option<(f64, u64)> {
     let _shard_span = perf::enter_named("explore.mapping.shard");
     let candidates = range.end.saturating_sub(range.start);
-    let best = best_in_range(problem, options, base, free, range);
+    let best = best_in_range(tables, base, free, range);
     if let Some((cost, _)) = best {
         progress.record_best(cost);
     }
@@ -474,16 +383,14 @@ fn scan_shard(
 /// enumeration) and returns the first strict minimum as
 /// `(cost, candidate index)`.
 fn best_in_range(
-    problem: &MappingProblem,
-    options: &MappingOptions,
+    tables: &CostTables<'_>,
     base: &[usize],
     free: &[usize],
     range: std::ops::Range<u64>,
 ) -> Option<(f64, u64)> {
-    let pes = problem.pes.len();
+    let pes = tables.pes;
     let mut assignment = base.to_vec();
     decode_candidate(range.start, pes, free, &mut assignment);
-    let tables = CostTables::new(problem, options, base, free);
     let mut loads = Vec::new();
     let mut best: Option<(f64, u64)> = None;
     for index in range {
@@ -794,13 +701,15 @@ mod tests {
     fn pin_collapse_shrinks_the_enumerated_space() {
         let problem = small_problem();
         let mut tracer = tut_trace::Recorder::new();
-        optimise_mapping_with(
+        optimise_mapping_checkpointed(
             &problem,
             &MappingOptions {
                 pinned: vec![(2, 2)],
                 ..MappingOptions::default()
             },
             &mut tracer,
+            &Progress::disabled(),
+            &NoCheckpoint,
         );
         assert_eq!(
             tracer.metrics.counter("explore.mapping.candidates"),

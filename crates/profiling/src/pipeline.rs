@@ -30,60 +30,34 @@ pub fn profile_system(
     system: &SystemModel,
     config: SimConfig,
 ) -> Result<ProfilingReport, ProfilingError> {
-    profile_system_with(system, config, &mut NoopSink)
+    profile_system_prof(system, config, &mut NoFaults, &mut NoopSink, NoProf)
 }
 
-/// [`profile_system`] with tracing: each pipeline stage (serialise,
-/// parse groups, build, simulate, analyse) becomes a host-clock span on
-/// the `tool/profiling` track, and the simulation itself runs traced
-/// (see [`Simulation::run_with`]).
+/// [`profile_system`] with every hook: a deterministic fault model, a
+/// trace sink and a host self-profiler.
 ///
-/// # Errors
+/// - The simulation stage runs via [`Simulation::run_with_faults_prof`],
+///   so injected corruption/drops flow through the log-file into the
+///   report's fault tallies and per-group protocol counters. With an
+///   inactive model (e.g. [`NoFaults`]) the report is identical to
+///   [`profile_system`].
+/// - Each pipeline stage (serialise, parse groups, build, simulate,
+///   analyse) becomes a host-clock span on the `tool/profiling` track,
+///   and the simulation itself runs traced.
+/// - Each pipeline phase becomes a self-profiler frame under
+///   `pipeline.profile`, and host time inside the simulation is
+///   attributed per process and per event kind. Drain with
+///   [`tut_trace::perf::drain`].
 ///
-/// Returns [`ProfilingError`] when any stage fails.
-pub fn profile_system_with<T: TraceSink>(
-    system: &SystemModel,
-    config: SimConfig,
-    tracer: &mut T,
-) -> Result<ProfilingReport, ProfilingError> {
-    profile_system_with_faults(system, config, &mut NoFaults, tracer)
-}
-
-/// [`profile_system_with`] under a deterministic fault model: the
-/// simulation stage runs via [`Simulation::run_with_faults`], so injected
-/// corruption/drops flow through the log-file into the report's fault
-/// tallies and per-group protocol counters.
-///
-/// With an inactive model (e.g. [`NoFaults`]) the report is identical to
-/// [`profile_system`].
+/// Tracing and self-profiling are observation only: the report (and the
+/// simulation log inside it) is byte-identical with [`NoopSink`] and
+/// [`NoProf`].
 ///
 /// # Errors
 ///
 /// Returns [`ProfilingError`] when any stage fails, including a
 /// [`tut_sim::SimError::WatchdogExpired`] surfaced from an armed
 /// watchdog.
-pub fn profile_system_with_faults<F: FaultModel, T: TraceSink>(
-    system: &SystemModel,
-    config: SimConfig,
-    faults: &mut F,
-    tracer: &mut T,
-) -> Result<ProfilingReport, ProfilingError> {
-    profile_system_prof(system, config, faults, tracer, NoProf)
-}
-
-/// [`profile_system_with_faults`] plus host self-profiling: each pipeline
-/// phase (XML serialisation, group parsing, simulation setup, the
-/// simulation itself, log analysis) becomes a frame under
-/// `pipeline.profile`, and the simulation runs via
-/// [`Simulation::run_with_faults_prof`] so host time is attributed per
-/// process and per event kind. Drain with [`tut_trace::perf::drain`].
-///
-/// Self-profiling is observation only: the report (and the simulation
-/// log inside it) is byte-identical to an unprofiled run.
-///
-/// # Errors
-///
-/// Same contract as [`profile_system_with_faults`].
 pub fn profile_system_prof<F: FaultModel, T: TraceSink, P: Prof>(
     system: &SystemModel,
     config: SimConfig,

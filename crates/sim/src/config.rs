@@ -109,7 +109,7 @@ pub struct SimConfig {
     pub bytes_per_mem_unit: u64,
     /// The RTOS scheduling model of the processing elements.
     pub scheduler: Scheduler,
-    /// Event selection for [`crate::Simulation::run_with`] tracing.
+    /// Event selection for [`crate::Simulation::run_with_faults`] tracing.
     pub trace: TraceOptions,
     /// Livelock watchdog (disabled by default).
     pub watchdog: Watchdog,

@@ -561,39 +561,30 @@ impl Simulation {
     /// Returns [`SimError::Runtime`] when an action-language error occurs
     /// inside a process step.
     pub fn run(self) -> Result<SimReport, SimError> {
-        self.run_with(&mut NoopSink)
+        // `NoFaults` and `NoopSink` short-circuit every hook, so this
+        // monomorphises to the fault-free, untraced engine.
+        self.run_with_faults(&mut NoFaults, &mut NoopSink)
     }
 
-    /// [`Simulation::run`] with tracing: run-to-completion steps become
-    /// spans on per-element `pe/<name>` tracks, bus reservations become
-    /// spans on per-segment `hibi/<name>` tracks, signal latencies feed
-    /// the `sim.signal_latency_ns` histogram, and the event-queue depth
-    /// is sampled on the `sim/events` track (see
-    /// [`crate::config::TraceOptions`]).
-    ///
-    /// Tracing is observation only: the returned report and log are
-    /// byte-identical to an untraced [`Simulation::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Runtime`] when an action-language error occurs
-    /// inside a process step.
-    pub fn run_with<T: TraceSink>(self, tracer: &mut T) -> Result<SimReport, SimError> {
-        // `NoFaults` short-circuits every hook, so this monomorphises to
-        // the fault-free engine.
-        self.run_with_faults(&mut NoFaults, tracer)
-    }
-
-    /// [`Simulation::run_with`] plus deterministic fault injection: the
-    /// [`FaultModel`] decides, in event order, whether each HIBI-borne
-    /// signal is delivered intact, corrupted, or dropped, whether timers
-    /// jitter, and whether a processing element is inside an outage
-    /// window.
+    /// [`Simulation::run`] with deterministic fault injection and
+    /// tracing. The [`FaultModel`] decides, in event order, whether each
+    /// HIBI-borne signal is delivered intact, corrupted, or dropped,
+    /// whether timers jitter, and whether a processing element is inside
+    /// an outage window.
     ///
     /// With an inactive model (e.g. [`NoFaults`] or a zero-rate
     /// [`tut_faults::FaultPlan`]) every hook short-circuits without
     /// drawing randomness, so the log and report are byte-identical to
     /// [`Simulation::run`].
+    ///
+    /// The tracer turns run-to-completion steps into spans on
+    /// per-element `pe/<name>` tracks and bus reservations into spans on
+    /// per-segment `hibi/<name>` tracks; signal latencies feed the
+    /// `sim.signal_latency_ns` histogram, and the event-queue depth is
+    /// sampled on the `sim/events` track (see
+    /// [`crate::config::TraceOptions`]). Tracing is observation only:
+    /// with [`NoopSink`] or any other sink the report and log are
+    /// byte-identical.
     ///
     /// # Errors
     ///

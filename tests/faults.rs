@@ -6,6 +6,7 @@
 use tut_profile_suite::faults::{FaultConfig, FaultPlan, Outage};
 use tut_profile_suite::profiling;
 use tut_profile_suite::sim::{RecordRef, SimConfig, SimError, SimReport, Simulation};
+use tut_profile_suite::trace::perf::NoProf;
 use tut_profile_suite::trace::NoopSink;
 use tut_profile_suite::tutmac::{self, TutmacConfig};
 
@@ -233,11 +234,12 @@ fn pe_outage_trips_the_quiescence_watchdog() {
 #[test]
 fn profiling_report_surfaces_fault_and_retry_counters() {
     let mut plan = FaultPlan::new(FaultConfig::with_ber(0x7071, 1e-4));
-    let report = profiling::profile_system_with_faults(
+    let report = profiling::profile_system_prof(
         &paper_system(),
         short_config(),
         &mut plan,
         &mut NoopSink,
+        NoProf,
     )
     .expect("profiling pipeline");
 

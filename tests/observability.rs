@@ -3,6 +3,7 @@
 //! the exporters must emit artefacts the in-tree validators accept for
 //! a tiny two-process model.
 
+use tut_profile_suite::faults::NoFaults;
 use tut_profile_suite::profile::application::ProcessType;
 use tut_profile_suite::profile::platform::ComponentKind;
 use tut_profile_suite::profile::SystemModel;
@@ -182,7 +183,7 @@ fn traced_run(rounds: i64) -> (tut_profile_suite::sim::SimReport, Recorder) {
     let mut recorder = Recorder::new();
     let report = Simulation::from_system(&tiny_system(rounds), SimConfig::default())
         .expect("sim builds")
-        .run_with(&mut recorder)
+        .run_with_faults(&mut NoFaults, &mut recorder)
         .expect("sim runs");
     (report, recorder)
 }
