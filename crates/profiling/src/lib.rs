@@ -21,6 +21,10 @@
 //! Both tool boundaries are honest: stage 1 parses the *XML text* of the
 //! model (not in-memory structs) and stage 3 parses the *log-file text*.
 //!
+//! The whole pipeline has two entry points: [`profile_system`], and
+//! [`profile_system_prof`], which takes a fault model, a trace sink and a
+//! host self-profiler as explicit arguments.
+//!
 //! # Example
 //!
 //! See `examples/tutmac_flow.rs` at the repository root for the complete

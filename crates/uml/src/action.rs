@@ -11,13 +11,12 @@
 //! * serialised structurally into the XMI form (`crate::xmi`).
 //!
 //! Expressions are pure; all effects (sending signals, logging, timers) are
-//! statements that report [`Effect`]s to the caller, so the simulator stays
-//! in control of time and communication.
+//! statements whose lowered code reports [`crate::lower::Emit`]s to the
+//! caller, so the simulator stays in control of time and communication.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
-use std::ops::Index;
 
 use tut_diag::{Diagnostic, DiagnosticBag};
 
@@ -238,17 +237,6 @@ impl Expr {
             builtin.arity()
         );
         Expr::Call(builtin, args)
-    }
-
-    /// Evaluates the expression in `env`: lowers it against `env`'s
-    /// names and runs the simulator's evaluator ([`crate::lower`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Action`] for unbound variables/parameters, type
-    /// mismatches, division by zero, and out-of-range accesses.
-    pub fn eval(&self, env: &Env) -> Result<Value> {
-        crate::lower::eval_in(self, env)
     }
 
     /// A rough static weight of the expression: number of AST nodes. The
@@ -694,232 +682,6 @@ pub enum Statement {
     },
 }
 
-/// An observable effect produced by executing statements.
-///
-/// The interpreter (in `tut-sim`) turns these into simulation events; unit
-/// tests can assert on them directly. Names (port, timer, counter) are
-/// borrowed from the executed statements, so emitting an effect copies
-/// no string.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Effect<'a> {
-    /// A signal emission through a named port.
-    Send {
-        /// Port name.
-        port: &'a str,
-        /// Signal type.
-        signal: SignalId,
-        /// Evaluated payload values.
-        values: Vec<Value>,
-    },
-    /// Computational work of `units` in `class`.
-    Compute {
-        /// Workload class.
-        class: CostClass,
-        /// Work units (non-negative).
-        units: u64,
-    },
-    /// A log line.
-    Log(String),
-    /// A timer was armed.
-    SetTimer {
-        /// Timer name.
-        name: &'a str,
-        /// Duration in simulation time units.
-        duration: u64,
-    },
-    /// A timer was cancelled.
-    CancelTimer {
-        /// Timer name.
-        name: &'a str,
-    },
-    /// A named counter was incremented.
-    Count {
-        /// Counter name.
-        counter: &'a str,
-        /// Signed increment (counters may be decremented).
-        amount: i64,
-    },
-}
-
-/// A small name→value binding set, stored as a flat vector: the
-/// variables or parameters of an [`Env`].
-///
-/// Binding sets are tiny (a handful of names), so a linear scan over a
-/// `Vec` beats a `HashMap`: no hashing per lookup and no rehash on
-/// clone. Binding a name allocates nothing once the scope has held that
-/// many names before: [`Scope::set`] on a bound name reuses the stored
-/// key, and [`Scope::clear`] keeps every slot's key buffer, so the next
-/// [`Scope::set`] rewrites a cleared slot in place. Only the first
-/// `live` slots are bindings; lookups, [`Scope::len`], [`Scope::iter`]
-/// and `==` never see the cleared ones.
-#[derive(Clone, Default)]
-pub struct Scope {
-    entries: Vec<(String, Value)>,
-    /// Number of bindings: `entries[..live]` are bound, the rest are
-    /// cleared slots kept for their key buffers.
-    live: usize,
-}
-
-/// What a cleared slot holds: no payload, so clearing never pins one.
-const CLEARED: Value = Value::Int(0);
-
-impl Scope {
-    /// An empty scope.
-    pub fn new() -> Scope {
-        Scope::default()
-    }
-
-    fn bound(&self) -> &[(String, Value)] {
-        &self.entries[..self.live]
-    }
-
-    /// Looks up a binding by name.
-    pub fn get(&self, name: &str) -> Option<&Value> {
-        self.bound().iter().find(|(n, _)| n == name).map(|(_, v)| v)
-    }
-
-    fn get_mut(&mut self, name: &str) -> Option<&mut Value> {
-        self.entries[..self.live]
-            .iter_mut()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v)
-    }
-
-    /// Binds `name` to `value`, replacing an existing binding in place.
-    /// A new name takes the first cleared slot and rewrites its key
-    /// buffer, so it allocates only when no cleared slot is left or the
-    /// name outgrows the buffer.
-    pub fn set(&mut self, name: &str, value: Value) {
-        if let Some(slot) = self.get_mut(name) {
-            *slot = value;
-            return;
-        }
-        match self.entries.get_mut(self.live) {
-            Some((key, slot)) => {
-                key.clear();
-                key.push_str(name);
-                *slot = value;
-            }
-            None => self.entries.push((name.to_owned(), value)),
-        }
-        self.live += 1;
-    }
-
-    /// Moves every bound value out, leaving a placeholder in its slot
-    /// until [`Scope::restore_values`] puts the values back.
-    pub(crate) fn take_values(&mut self) -> impl Iterator<Item = Value> + '_ {
-        self.entries[..self.live]
-            .iter_mut()
-            .map(|(_, v)| std::mem::replace(v, CLEARED))
-    }
-
-    /// Puts values moved out by [`Scope::take_values`] back, in order.
-    pub(crate) fn restore_values(&mut self, values: impl Iterator<Item = Value>) {
-        for ((_, slot), v) in self.entries[..self.live].iter_mut().zip(values) {
-            *slot = v;
-        }
-    }
-
-    /// Removes every binding. The bound values are dropped at once; the
-    /// slots and their key buffers stay for reuse by [`Scope::set`].
-    pub fn clear(&mut self) {
-        for (_, value) in &mut self.entries[..self.live] {
-            *value = CLEARED;
-        }
-        self.live = 0;
-    }
-
-    /// Number of bindings.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True when no names are bound.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Iterates over the bindings in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.bound().iter().map(|(n, v)| (n.as_str(), v))
-    }
-}
-
-impl PartialEq for Scope {
-    fn eq(&self, other: &Scope) -> bool {
-        self.bound() == other.bound()
-    }
-}
-
-impl fmt::Debug for Scope {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_map().entries(self.iter()).finish()
-    }
-}
-
-impl Index<&str> for Scope {
-    type Output = Value;
-
-    /// # Panics
-    ///
-    /// Panics when `name` is unbound (test ergonomics, like map
-    /// indexing).
-    fn index(&self, name: &str) -> &Value {
-        self.get(name)
-            .unwrap_or_else(|| panic!("no binding named `{name}`"))
-    }
-}
-
-/// Evaluation environment: process-local variables plus the parameters of
-/// the triggering signal.
-#[derive(Clone, Default, Debug)]
-pub struct Env {
-    /// Named process-local variables.
-    pub vars: Scope,
-    /// Named parameters of the signal that triggered the transition.
-    pub params: Scope,
-}
-
-impl Env {
-    /// Creates an empty environment.
-    pub fn new() -> Env {
-        Env::default()
-    }
-
-    /// Sets a variable, returning `self` for chaining in tests.
-    pub fn with_var(mut self, name: impl Into<String>, value: impl Into<Value>) -> Env {
-        self.vars.set(&name.into(), value.into());
-        self
-    }
-
-    /// Sets a signal parameter, returning `self` for chaining in tests.
-    pub fn with_param(mut self, name: impl Into<String>, value: impl Into<Value>) -> Env {
-        self.params.set(&name.into(), value.into());
-        self
-    }
-}
-
-/// Executes a statement list in `env`, pushing effects into `effects` and
-/// adding the execution weight of every evaluated expression/statement to
-/// `weight` (the simulator converts weight to cycles).
-///
-/// The statements are lowered against `env`'s names and run by the
-/// simulator's evaluator ([`crate::lower`]); names first bound here join
-/// `env.vars` in order of first write.
-///
-/// # Errors
-///
-/// Propagates expression-evaluation errors and reports loops exceeding
-/// their `max_iter` bound.
-pub fn execute<'a>(
-    statements: &'a [Statement],
-    env: &mut Env,
-    effects: &mut Vec<Effect<'a>>,
-    weight: &mut u64,
-) -> Result<()> {
-    crate::lower::execute_in(statements, env, effects, weight)
-}
-
 /// Infers the static data type of an expression where possible (literals
 /// and builtins have known types; variables/parameters are `None`).
 pub fn static_type(expr: &Expr) -> Option<DataType> {
@@ -1205,10 +967,11 @@ impl CheckCx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lower::{self, Emit, Harness};
     use tut_trace::SplitMix64;
 
     fn eval(expr: &Expr) -> Value {
-        expr.eval(&Env::new()).expect("eval")
+        lower::eval(expr, &[], &[]).expect("eval")
     }
 
     #[test]
@@ -1224,7 +987,7 @@ mod tests {
     #[test]
     fn division_by_zero_is_an_error() {
         let e = Expr::int(1).bin(BinOp::Div, Expr::int(0));
-        assert!(e.eval(&Env::new()).is_err());
+        assert!(lower::eval(&e, &[], &[]).is_err());
     }
 
     #[test]
@@ -1240,28 +1003,35 @@ mod tests {
 
     #[test]
     fn variables_and_params() {
-        let env = Env::new().with_var("x", 10i64).with_param("len", 4i64);
+        let vars = [("x", Value::Int(10))];
+        let params = [("len", Value::Int(4))];
         let e = Expr::var("x").bin(BinOp::Add, Expr::param("len"));
-        assert_eq!(e.eval(&env).unwrap(), Value::Int(14));
-        assert!(Expr::var("missing").eval(&env).is_err());
+        assert_eq!(lower::eval(&e, &vars, &params).unwrap(), Value::Int(14));
+        assert!(lower::eval(&Expr::var("missing"), &vars, &params).is_err());
     }
 
     #[test]
     fn bytes_builtins() {
-        let env = Env::new().with_var("buf", vec![1u8, 2, 3, 4, 5]);
+        let vars = [("buf", Value::from(vec![1u8, 2, 3, 4, 5]))];
         let len = Expr::call(Builtin::Len, vec![Expr::var("buf")]);
-        assert_eq!(len.eval(&env).unwrap(), Value::Int(5));
+        assert_eq!(lower::eval(&len, &vars, &[]).unwrap(), Value::Int(5));
         let sl = Expr::call(
             Builtin::Slice,
             vec![Expr::var("buf"), Expr::int(1), Expr::int(3)],
         );
-        assert_eq!(sl.eval(&env).unwrap(), Value::Bytes(vec![2, 3].into()));
+        assert_eq!(
+            lower::eval(&sl, &vars, &[]).unwrap(),
+            Value::Bytes(vec![2, 3].into())
+        );
         // Slice clamps out-of-range bounds.
         let sl = Expr::call(
             Builtin::Slice,
             vec![Expr::var("buf"), Expr::int(3), Expr::int(99)],
         );
-        assert_eq!(sl.eval(&env).unwrap(), Value::Bytes(vec![4, 5].into()));
+        assert_eq!(
+            lower::eval(&sl, &vars, &[]).unwrap(),
+            Value::Bytes(vec![4, 5].into())
+        );
     }
 
     #[test]
@@ -1292,8 +1062,11 @@ mod tests {
             let mut data = vec![0u8; rng.next_index(2049)];
             rng.fill_bytes(&mut data);
             let expected = i64::from(crc32_bitwise(&data));
-            let env = Env::new().with_var("buf", data);
-            assert_eq!(expr.eval(&env).unwrap(), Value::Int(expected));
+            let vars = [("buf", Value::from(data))];
+            assert_eq!(
+                lower::eval(&expr, &vars, &[]).unwrap(),
+                Value::Int(expected)
+            );
         }
     }
 
@@ -1314,7 +1087,7 @@ mod tests {
     fn fill_rejects_bytes_above_255() {
         let fill = |byte| Expr::call(Builtin::Fill, vec![Expr::int(byte), Expr::int(1)]);
         assert_eq!(eval(&fill(255)), Value::Bytes(vec![0xFF].into()));
-        let err = fill(256).eval(&Env::new()).unwrap_err();
+        let err = lower::eval(&fill(256), &[], &[]).unwrap_err();
         assert!(matches!(err, Error::Action(_)), "{err:?}");
     }
 
@@ -1328,57 +1101,68 @@ mod tests {
         assert_eq!(eval(&e), Value::Str("abc".into()));
     }
 
-    /// Evaluates `expr` twice in `env`, checks both results agree and
-    /// that evaluation left `env` and the AST untouched.
-    fn eval_twice(expr: &Expr, env: &Env) -> Value {
-        let (ast, vars) = (expr.clone(), env.vars.clone());
-        let first = expr.eval(env).unwrap();
-        assert_eq!(expr.eval(env).unwrap(), first, "second eval of {expr}");
-        assert_eq!(*expr, ast, "eval mutated the AST of {expr}");
-        assert_eq!(env.vars, vars, "eval mutated env for {expr}");
-        first
+    /// `send result.In(expr)`: the program [`lower::eval`] runs.
+    fn send(expr: Expr) -> Statement {
+        Statement::Send {
+            port: "result".into(),
+            signal: SignalId::from_index(0),
+            args: vec![expr],
+        }
+    }
+
+    /// Evaluates `expr` twice in one frame, checks both results agree
+    /// and that evaluation left the variables untouched.
+    fn eval_twice(expr: &Expr, vars: &[(&str, Value)], params: &[(&str, Value)]) -> Value {
+        let mut h = Harness::new(vec![send(expr.clone())], vars, params);
+        let before = h.vars.clone();
+        let (first, _) = h.run().unwrap();
+        assert_eq!(h.run().unwrap().0, first, "second eval of {expr}");
+        assert_eq!(h.vars, before, "eval mutated the variables for {expr}");
+        match &first[..] {
+            [Emit::Send { values, .. }] => values[0].clone(),
+            other => panic!("expected the send, got {other:?}"),
+        }
     }
 
     #[test]
     fn concat_never_writes_through_a_borrowed_operand() {
-        let env = Env::new().with_var("buf", vec![3u8, 4]);
+        let vars = [("buf", Value::from(vec![3u8, 4]))];
         let twice = Expr::var("buf").bin(BinOp::Add, Expr::var("buf"));
         assert_eq!(
-            eval_twice(&twice, &env),
+            eval_twice(&twice, &vars, &[]),
             Value::Bytes(vec![3, 4, 3, 4].into())
         );
         let lit = Expr::Lit(Value::Bytes(vec![1, 2].into())).bin(BinOp::Add, Expr::var("buf"));
         assert_eq!(
-            eval_twice(&lit, &env),
+            eval_twice(&lit, &vars, &[]),
             Value::Bytes(vec![1, 2, 3, 4].into())
         );
         // An owned left operand (the inner `+`'s result) is extended.
         let chain = lit.bin(BinOp::Add, Expr::var("buf"));
         assert_eq!(
-            eval_twice(&chain, &env),
+            eval_twice(&chain, &vars, &[]),
             Value::Bytes(vec![1, 2, 3, 4, 3, 4].into())
         );
     }
 
     #[test]
     fn borrowed_reads_match_owned_results() {
-        let env = Env::new()
-            .with_var("buf", vec![0x01u8, 0x02, 0xAA, 0xBB])
-            .with_param("pdu", vec![0x01u8, 0x02, 0xAA, 0xBB]);
+        let vars = [("buf", Value::from(vec![0x01u8, 0x02, 0xAA, 0xBB]))];
+        let params = [("pdu", Value::from(vec![0x01u8, 0x02, 0xAA, 0xBB]))];
         let len = Expr::call(Builtin::Len, vec![Expr::var("buf")]);
-        assert_eq!(eval_twice(&len, &env), Value::Int(4));
+        assert_eq!(eval_twice(&len, &vars, &params), Value::Int(4));
         let head = Expr::call(
             Builtin::Slice,
             vec![Expr::var("buf"), Expr::int(0), Expr::int(2)],
         );
         let unpack = Expr::call(Builtin::UnpackInt, vec![head]);
-        assert_eq!(eval_twice(&unpack, &env), Value::Int(0x0102));
+        assert_eq!(eval_twice(&unpack, &vars, &params), Value::Int(0x0102));
         let eq = Expr::var("buf").bin(BinOp::Eq, Expr::param("pdu"));
-        assert_eq!(eval_twice(&eq, &env), Value::Bool(true));
+        assert_eq!(eval_twice(&eq, &vars, &params), Value::Bool(true));
         let ne = Expr::var("buf").bin(BinOp::Ne, Expr::Lit(Value::Bytes(vec![1].into())));
-        assert_eq!(eval_twice(&ne, &env), Value::Bool(true));
+        assert_eq!(eval_twice(&ne, &vars, &params), Value::Bool(true));
         let byte = Expr::call(Builtin::ByteAt, vec![Expr::param("pdu"), Expr::int(3)]);
-        assert_eq!(eval_twice(&byte, &env), Value::Int(0xBB));
+        assert_eq!(eval_twice(&byte, &vars, &params), Value::Int(0xBB));
     }
 
     #[test]
@@ -1394,17 +1178,16 @@ mod tests {
                 ],
             ),
         }];
-        let start = Env::new().with_var("buf", vec![1u8, 2, 3, 4, 5]);
+        let start = [("buf", Value::from(vec![1u8, 2, 3, 4, 5]))];
         let run = || {
-            let mut env = start.clone();
-            let (mut fx, mut w) = (Vec::new(), 0);
-            execute(&prog, &mut env, &mut fx, &mut w).unwrap();
-            env.vars
+            let mut h = Harness::new(prog.clone(), &start, &[]);
+            h.run().unwrap();
+            h.var("buf").cloned()
         };
         let first = run();
-        assert_eq!(first["buf"], Value::Bytes(vec![3, 4, 5].into()));
+        assert_eq!(first, Some(Value::Bytes(vec![3, 4, 5].into())));
         assert_eq!(run(), first);
-        assert_eq!(start.vars["buf"], Value::Bytes(vec![1, 2, 3, 4, 5].into()));
+        assert_eq!(start[0].1, Value::Bytes(vec![1, 2, 3, 4, 5].into()));
     }
 
     fn assign(var: &str, expr: Expr) -> Statement {
@@ -1414,15 +1197,11 @@ mod tests {
         }
     }
 
-    /// Runs `prog` in `env`, returning the accumulated weight.
-    fn run(prog: &[Statement], env: &mut Env) -> Result<u64> {
-        let (mut fx, mut w) = (Vec::new(), 0);
-        execute(prog, env, &mut fx, &mut w)?;
-        Ok(w)
-    }
-
-    fn data_ptr(env: &Env, var: &str) -> *const u8 {
-        env.vars[var].as_bytes().expect("Bytes").as_ptr()
+    fn data_ptr(h: &Harness, var: &str) -> *const u8 {
+        h.var(var)
+            .and_then(Value::as_bytes)
+            .expect("Bytes")
+            .as_ptr()
     }
 
     /// `x = x + e1 + e2` appends to `x`'s own buffer when nothing else
@@ -1431,18 +1210,18 @@ mod tests {
     fn self_append_reuses_the_sole_owners_buffer() {
         let mut spare = Vec::with_capacity(64);
         spare.extend_from_slice(&[1u8, 2]);
-        let mut env = Env::new()
-            .with_var("x", Value::Bytes(spare.into()))
-            .with_param("p", vec![3u8]);
-        let before = data_ptr(&env, "x");
+        let params = [("p", Value::from(vec![3u8]))];
         let expr = Expr::var("x")
             .bin(BinOp::Add, Expr::param("p"))
             .bin(BinOp::Add, Expr::Lit(vec![4u8].into()));
-        let expected = expr.eval(&env).unwrap();
-        let w = run(&[assign("x", expr.clone())], &mut env).unwrap();
-        assert_eq!(env.vars["x"], expected);
-        assert_eq!(env.vars["x"], Value::from(vec![1, 2, 3, 4]));
-        assert_eq!(data_ptr(&env, "x"), before, "appended in place");
+        let expected = lower::eval(&expr, &[("x", Value::from(vec![1u8, 2]))], &params).unwrap();
+        let mut h = Harness::new(vec![assign("x", expr.clone())], &[], &params);
+        h.set("x", Value::Bytes(spare.into()));
+        let before = data_ptr(&h, "x");
+        let (_, w) = h.run().unwrap();
+        assert_eq!(h.var("x"), Some(&expected));
+        assert_eq!(h.var("x"), Some(&Value::from(vec![1, 2, 3, 4])));
+        assert_eq!(data_ptr(&h, "x"), before, "appended in place");
         assert_eq!(w, 1 + expr.weight(), "weight is unchanged");
     }
 
@@ -1450,37 +1229,42 @@ mod tests {
     fn self_append_never_writes_through_an_alias() {
         let mut spare = Vec::with_capacity(64);
         spare.extend_from_slice(&[1u8, 2]);
-        let mut env = Env::new().with_var("a", Value::Bytes(spare.into()));
-        let prog = [
+        let prog = vec![
             assign("b", Expr::var("a")),
             assign(
                 "a",
                 Expr::var("a").bin(BinOp::Add, Expr::Lit(vec![3u8].into())),
             ),
         ];
-        run(&prog, &mut env).unwrap();
-        assert_eq!(env.vars["a"], Value::from(vec![1, 2, 3]));
-        assert_eq!(env.vars["b"], Value::from(vec![1, 2]), "b = a; a = a + x");
+        let mut h = Harness::new(prog, &[], &[]);
+        h.set("a", Value::Bytes(spare.into()));
+        h.run().unwrap();
+        assert_eq!(h.var("a"), Some(&Value::from(vec![1, 2, 3])));
+        assert_eq!(
+            h.var("b"),
+            Some(&Value::from(vec![1, 2])),
+            "b = a; a = a + x"
+        );
     }
 
     #[test]
     fn appends_that_read_x_take_the_general_path() {
-        let mut env = Env::new()
-            .with_var("x", vec![1u8, 2])
-            .with_var("y", vec![7u8]);
-        run(
-            &[assign("x", Expr::var("x").bin(BinOp::Add, Expr::var("x")))],
-            &mut env,
-        )
-        .unwrap();
-        assert_eq!(env.vars["x"], Value::from(vec![1, 2, 1, 2]), "x = x + x");
-        run(
-            &[assign("x", Expr::var("y").bin(BinOp::Add, Expr::var("x")))],
-            &mut env,
-        )
-        .unwrap();
-        assert_eq!(env.vars["x"], Value::from(vec![7, 1, 2, 1, 2]), "x = y + x");
-        assert_eq!(env.vars["y"], Value::from(vec![7]), "y is unchanged");
+        let y = Value::from(vec![7u8]);
+        let x_plus_x = assign("x", Expr::var("x").bin(BinOp::Add, Expr::var("x")));
+        let vars = [("x", Value::from(vec![1u8, 2])), ("y", y.clone())];
+        let mut h = Harness::new(vec![x_plus_x], &vars, &[]);
+        h.run().unwrap();
+        let x = h.var("x").cloned().expect("x is bound");
+        assert_eq!(x, Value::from(vec![1, 2, 1, 2]), "x = x + x");
+        let y_plus_x = assign("x", Expr::var("y").bin(BinOp::Add, Expr::var("x")));
+        let mut h = Harness::new(vec![y_plus_x], &[("x", x), ("y", y)], &[]);
+        h.run().unwrap();
+        assert_eq!(
+            h.var("x"),
+            Some(&Value::from(vec![7, 1, 2, 1, 2])),
+            "x = y + x"
+        );
+        assert_eq!(h.var("y"), Some(&Value::from(vec![7])), "y is unchanged");
     }
 
     /// A failing self-append reports the general path's error and leaves
@@ -1491,13 +1275,13 @@ mod tests {
             "x",
             Expr::var("x").bin(BinOp::Add, Expr::Lit(vec![1u8].into())),
         );
-        let err = run(&[unbound], &mut Env::new()).unwrap_err();
+        let err = Harness::new(vec![unbound], &[], &[]).run().unwrap_err();
         assert_eq!(
             err.to_string(),
             Error::Action("unbound variable `x`".into()).to_string()
         );
 
-        let start = Env::new().with_var("x", vec![1u8, 2]);
+        let start = [("x", Value::from(vec![1u8, 2]))];
         let cases = [
             Expr::var("x").bin(BinOp::Add, Expr::int(5)),
             Expr::var("x")
@@ -1505,11 +1289,11 @@ mod tests {
                 .bin(BinOp::Add, Expr::param("missing")),
         ];
         for expr in cases {
-            let general = expr.eval(&start).unwrap_err().to_string();
-            let mut env = start.clone();
-            let err = run(&[assign("x", expr)], &mut env).unwrap_err();
+            let general = lower::eval(&expr, &start, &[]).unwrap_err().to_string();
+            let mut h = Harness::new(vec![assign("x", expr)], &start, &[]);
+            let err = h.run().unwrap_err();
             assert_eq!(err.to_string(), general);
-            assert_eq!(env.vars["x"], Value::from(vec![1, 2]), "x is unchanged");
+            assert_eq!(h.var("x"), Some(&Value::from(vec![1, 2])), "x is unchanged");
         }
     }
 
@@ -1527,19 +1311,17 @@ mod tests {
                 args: vec![Expr::var("n")],
             },
         ];
-        let mut env = Env::new();
-        let mut effects = Vec::new();
-        let mut weight = 0;
-        execute(&prog, &mut env, &mut effects, &mut weight).unwrap();
-        assert_eq!(env.vars["n"], Value::Int(3));
+        let mut h = Harness::new(prog, &[], &[]);
+        let (out, weight) = h.run().unwrap();
+        assert_eq!(h.var("n"), Some(&Value::Int(3)));
         assert_eq!(
-            effects,
-            vec![Effect::Send {
-                port: "pOut",
-                signal: sig,
+            out,
+            vec![Emit::Send {
+                site: 0,
                 values: vec![Value::Int(3)],
             }]
         );
+        assert_eq!(h.code.sends(), [("pOut".into(), sig)]);
         assert!(weight > 0);
     }
 
@@ -1556,11 +1338,9 @@ mod tests {
                 expr: Expr::int(2),
             }],
         }];
-        let mut env = Env::new().with_var("flag", false);
-        let mut fx = Vec::new();
-        let mut w = 0;
-        execute(&prog, &mut env, &mut fx, &mut w).unwrap();
-        assert_eq!(env.vars["out"], Value::Int(2));
+        let mut h = Harness::new(prog, &[("flag", Value::Bool(false))], &[]);
+        h.run().unwrap();
+        assert_eq!(h.var("out"), Some(&Value::Int(2)));
     }
 
     #[test]
@@ -1573,11 +1353,9 @@ mod tests {
             }],
             max_iter: 100,
         }];
-        let mut env = Env::new().with_var("i", 0i64);
-        let mut fx = Vec::new();
-        let mut w = 0;
-        execute(&prog, &mut env, &mut fx, &mut w).unwrap();
-        assert_eq!(env.vars["i"], Value::Int(5));
+        let mut h = Harness::new(prog, &[("i", Value::Int(0))], &[]);
+        h.run().unwrap();
+        assert_eq!(h.var("i"), Some(&Value::Int(5)));
 
         // Unbounded loop trips the iteration guard instead of hanging.
         let prog = vec![Statement::While {
@@ -1585,7 +1363,7 @@ mod tests {
             body: vec![],
             max_iter: 10,
         }];
-        let err = execute(&prog, &mut env, &mut fx, &mut w).unwrap_err();
+        let err = Harness::new(prog, &[], &[]).run().unwrap_err();
         assert!(err.to_string().contains("bound"));
     }
 
@@ -1604,24 +1382,23 @@ mod tests {
                 name: "beacon".into(),
             },
         ];
-        let mut env = Env::new();
-        let mut fx = Vec::new();
-        let mut w = 0;
-        execute(&prog, &mut env, &mut fx, &mut w).unwrap();
+        let mut h = Harness::new(prog, &[], &[]);
+        let (out, _) = h.run().unwrap();
         assert_eq!(
-            fx,
+            out,
             vec![
-                Effect::Compute {
+                Emit::Compute {
                     class: CostClass::Bit,
                     units: 128
                 },
-                Effect::SetTimer {
-                    name: "beacon",
+                Emit::SetTimer {
+                    timer: 0,
                     duration: 1000
                 },
-                Effect::CancelTimer { name: "beacon" },
+                Emit::CancelTimer { timer: 0 },
             ]
         );
+        assert_eq!(h.code.timers(), ["beacon".into()]);
     }
 
     #[test]
@@ -1630,17 +1407,16 @@ mod tests {
             counter: "arq.retries".into(),
             amount: Expr::var("n").bin(BinOp::Add, Expr::int(1)),
         }];
-        let mut env = Env::new().with_var("n", 2i64);
-        let mut fx = Vec::new();
-        let mut w = 0;
-        execute(&prog, &mut env, &mut fx, &mut w).unwrap();
+        let mut h = Harness::new(prog, &[("n", Value::Int(2))], &[]);
+        let (out, w) = h.run().unwrap();
         assert_eq!(
-            fx,
-            vec![Effect::Count {
-                counter: "arq.retries",
+            out,
+            vec![Emit::Count {
+                counter: 0,
                 amount: 3,
             }]
         );
+        assert_eq!(h.code.counters(), ["arq.retries".into()]);
         assert!(w > 1, "counting charges expression weight");
     }
 
@@ -1650,72 +1426,34 @@ mod tests {
         // argument array: it fails with the arity error, after its
         // arguments evaluate.
         let four = Expr::Call(Builtin::Min, vec![Expr::int(1); 4]);
-        let err = four.eval(&Env::new()).unwrap_err().to_string();
+        let err = lower::eval(&four, &[], &[]).unwrap_err().to_string();
         assert!(err.contains("expects 2 arguments, got 4"), "{err}");
         let bad_arg = Expr::Call(Builtin::Min, vec![Expr::var("nope"); 4]);
-        let err = bad_arg.eval(&Env::new()).unwrap_err().to_string();
+        let err = lower::eval(&bad_arg, &[], &[]).unwrap_err().to_string();
         assert!(err.contains("unbound variable"), "{err}");
     }
 
     #[test]
-    fn scope_clear_releases_bound_values() {
-        let mut shared = Bytes::from(vec![1, 2, 3]);
-        let data = shared.as_ptr();
-        let mut scope = Scope::new();
-        scope.set("pdu", Value::Bytes(shared.clone()));
-        scope.clear();
-        // Sole owner again: copy-on-write hands back the same buffer.
-        assert_eq!(shared.make_mut().as_ptr(), data);
-    }
-
-    #[test]
-    fn scope_clear_unbinds_and_hides_dead_slots() {
-        let mut scope = Scope::new();
-        scope.set("a", Value::Int(1));
-        scope.set("b", Value::Int(2));
-        scope.clear();
-        assert_eq!(scope.get("a"), None);
-        assert!(scope.is_empty());
-        assert_eq!(scope.len(), 0);
-        assert_eq!(scope.iter().count(), 0);
-        assert_eq!(scope, Scope::new());
-        scope.set("b", Value::Int(3));
-        assert_eq!(scope.get("a"), None, "a cleared slot is not a binding");
-        assert_eq!(
-            scope.iter().collect::<Vec<_>>(),
-            vec![("b", &Value::Int(3))]
-        );
-        let mut fresh = Scope::new();
-        fresh.set("b", Value::Int(3));
-        assert_eq!(scope, fresh, "== compares live bindings only");
-        assert_eq!(format!("{scope:?}"), format!("{fresh:?}"));
-    }
-
-    #[test]
-    fn scope_set_after_clear_reuses_key_buffers() {
-        let mut scope = Scope::new();
-        scope.set("payload", Value::Int(1));
-        scope.set("len", Value::Int(2));
-        let keys: Vec<*const u8> = scope.entries.iter().map(|(k, _)| k.as_ptr()).collect();
-        scope.clear();
-        scope.set("pdu", Value::Int(3));
-        scope.set("len", Value::Int(4));
-        let reused: Vec<*const u8> = scope.entries.iter().map(|(k, _)| k.as_ptr()).collect();
-        assert_eq!(reused, keys, "no key was reallocated");
-        assert_eq!(scope.get("pdu"), Some(&Value::Int(3)));
-        assert_eq!(scope.get("payload"), None);
-    }
-
-    #[test]
-    fn guard_after_clear_sees_parameters_unbound() {
-        // A cleared parameter scope binds nothing: a guard reading a
+    fn guard_after_unbind_sees_parameters_unbound() {
+        // An unbound parameter frame binds nothing: a guard reading a
         // parameter must fail to evaluate (and so not fire), never see
         // the last value bound.
-        let mut env = Env::new().with_param("n", 5i64);
         let guard = Expr::param("n").bin(BinOp::Gt, Expr::int(0));
-        assert_eq!(guard.eval(&env).unwrap(), Value::Bool(true));
-        env.params.clear();
-        let err = guard.eval(&env).unwrap_err().to_string();
+        let mut h = Harness::new(vec![send(guard)], &[], &[("n", Value::Int(5))]);
+        let entry = h.code.entry(h.state);
+        let mut f = h.code.frame(&mut h.vars);
+        f.bind(h.params.clone(), h.code.params(h.signal));
+        let (mut out, mut w) = (Vec::new(), 0);
+        entry.run(&mut f, &mut out, &mut w).unwrap();
+        assert_eq!(
+            out,
+            [Emit::Send {
+                site: 0,
+                values: vec![Value::Bool(true)]
+            }]
+        );
+        f.unbind();
+        let err = entry.run(&mut f, &mut out, &mut w).unwrap_err().to_string();
         assert!(err.contains("unbound signal parameter `n`"), "{err}");
     }
 
@@ -1725,11 +1463,8 @@ mod tests {
             message: "sent {} frames of {} bytes".into(),
             args: vec![Expr::int(3), Expr::int(512)],
         }];
-        let mut env = Env::new();
-        let mut fx = Vec::new();
-        let mut w = 0;
-        execute(&prog, &mut env, &mut fx, &mut w).unwrap();
-        assert_eq!(fx, vec![Effect::Log("sent 3 frames of 512 bytes".into())]);
+        let (out, _) = Harness::new(prog, &[], &[]).run().unwrap();
+        assert_eq!(out, vec![Emit::Log("sent 3 frames of 512 bytes".into())]);
     }
 
     #[test]

@@ -22,16 +22,16 @@
 //!   every assignment its self-append flag, computed once.
 //!
 //! [`MachineCode`] is a whole state machine in this form, with its
-//! transitions grouped by source state and trigger. The name-based
-//! [`Expr::eval`] and [`crate::action::execute`] are thin wrappers that
-//! lower against an [`Env`]'s names and run this same code.
+//! transitions grouped by source state and trigger. It is the only way
+//! to run action code: the simulator runs it, and so do the tests of the
+//! evaluator.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::action::{
-    arity_error, eval_binary, eval_builtin, int_operands_error, BinOp, Builtin, CostClass, Effect,
-    Env, Expr, Statement, UnaryOp, ARG_UNSET, MAX_ARITY,
+    arity_error, eval_binary, eval_builtin, int_operands_error, BinOp, Builtin, CostClass, Expr,
+    Statement, UnaryOp, ARG_UNSET, MAX_ARITY,
 };
 use crate::error::{Error, Result};
 use crate::ids::{SignalId, StateId};
@@ -116,10 +116,10 @@ enum Op {
 #[derive(Clone, Debug, Default)]
 pub struct Block(Box<[Op]>);
 
-/// An effect of running lowered code: [`Effect`] with its names
-/// resolved to the indexes of the owning program's tables
-/// ([`MachineCode::sends`], [`MachineCode::timers`],
-/// [`MachineCode::counters`]).
+/// An observable effect of running lowered code. The simulator turns
+/// these into events. Names are resolved to the indexes of the owning
+/// program's tables ([`MachineCode::sends`], [`MachineCode::timers`],
+/// [`MachineCode::counters`]), so emitting an effect copies no string.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Emit {
     /// A signal emission through send site `site`.
@@ -236,10 +236,6 @@ pub struct Frame<'a> {
     params: Vec<Value>,
     map: &'a ParamMap,
     names: &'a SlotNames,
-    /// Slots in order of their first write, when the caller needs that
-    /// order (the [`Env`] wrappers keep [`crate::action::Scope`]'s
-    /// insertion order).
-    fresh: Option<&'a mut Vec<u32>>,
 }
 
 impl<'a> Frame<'a> {
@@ -254,16 +250,6 @@ impl<'a> Frame<'a> {
     pub fn unbind(&mut self) {
         self.params = Vec::new();
         self.map = &NO_PARAMS;
-    }
-
-    fn set(&mut self, slot: u32, value: Value) {
-        let cell = &mut self.vars[slot as usize];
-        if cell.is_none() {
-            if let Some(fresh) = self.fresh.as_deref_mut() {
-                fresh.push(slot);
-            }
-        }
-        *cell = Some(value);
     }
 
     fn unbound_var(&self, slot: u32) -> Error {
@@ -385,7 +371,7 @@ impl Op {
                     Some(acc) => Value::Bytes(append_in_place(*slot, acc, expr, f)?),
                     None => expr.eval(f)?.into_owned(),
                 };
-                f.set(*slot, v);
+                f.vars[*slot as usize] = Some(v);
             }
             Op::Send {
                 site,
@@ -854,7 +840,6 @@ impl MachineCode {
             params: Vec::new(),
             map: &NO_PARAMS,
             names: &self.names,
-            fresh: None,
         }
     }
 
@@ -894,101 +879,96 @@ impl MachineCode {
     }
 }
 
-/// The variable slots of `env` moved (or, for a shared `env`, cloned)
-/// out, followed by an unbound slot per name the lowered code adds.
-fn env_slots(env_vars: impl Iterator<Item = Value>, slots: usize) -> Vec<Option<Value>> {
-    let mut vars: Vec<Option<Value>> = env_vars.map(Some).collect();
-    vars.resize(slots, None);
-    vars
+/// Runs action code the way the simulator does, for the crate's unit
+/// tests: the program under test is the entry action of a one-state
+/// machine, `vars` are that machine's declared variables (so they take
+/// the first slots, in order), and `params` are the payload of signal
+/// `In`, bound while the program runs.
+#[cfg(test)]
+pub(crate) struct Harness {
+    pub(crate) code: MachineCode,
+    pub(crate) state: StateId,
+    /// Signal `In`, the model's first signal.
+    pub(crate) signal: SignalId,
+    pub(crate) vars: Vec<Option<Value>>,
+    pub(crate) params: Vec<Value>,
 }
 
-/// A lowerer whose variable slots start with `env`'s bindings, in order.
-fn env_lowerer<'a>(env: &Env) -> Lowerer<'a> {
-    Lowerer {
-        vars: env.vars.iter().map(|(name, _)| name.into()).collect(),
-        ..Lowerer::default()
+#[cfg(test)]
+impl Harness {
+    pub(crate) fn new(
+        program: Vec<Statement>,
+        vars: &[(&str, Value)],
+        params: &[(&str, Value)],
+    ) -> Harness {
+        let mut model = Model::new("M");
+        let signal = model.add_signal("In");
+        for (name, value) in params {
+            model.signal_mut(signal).add_param(*name, value.data_type());
+        }
+        let mut machine = StateMachine::new("B");
+        for (name, value) in vars {
+            machine.add_variable(*name, value.data_type(), value.clone());
+        }
+        let state = machine.add_state_with_entry("S", program);
+        machine.set_initial(state);
+        let code = MachineCode::lower(&model, &machine);
+        Harness {
+            vars: code.initial_vars(),
+            code,
+            state,
+            signal,
+            params: params.iter().map(|(_, v)| v.clone()).collect(),
+        }
+    }
+
+    /// Runs the program once with the parameters bound, returning what
+    /// it emitted and the weight it charged.
+    pub(crate) fn run(&mut self) -> Result<(Vec<Emit>, u64)> {
+        let mut f = self.code.frame(&mut self.vars);
+        f.bind(self.params.clone(), self.code.params(self.signal));
+        let (mut out, mut weight) = (Vec::new(), 0);
+        self.code
+            .entry(self.state)
+            .run(&mut f, &mut out, &mut weight)?;
+        Ok((out, weight))
+    }
+
+    fn slot(&self, name: &str) -> usize {
+        self.code
+            .names
+            .vars
+            .iter()
+            .position(|n| &**n == name)
+            .unwrap_or_else(|| panic!("the program names no variable `{name}`"))
+    }
+
+    /// The value of variable `name`, `None` while it is unbound.
+    pub(crate) fn var(&self, name: &str) -> Option<&Value> {
+        self.vars[self.slot(name)].as_ref()
+    }
+
+    /// Binds variable `name`, which the program must name, to `value`.
+    pub(crate) fn set(&mut self, name: &str, value: Value) {
+        let slot = self.slot(name);
+        self.vars[slot] = Some(value);
     }
 }
 
-/// [`Expr::eval`]: lowers `expr` against `env`'s names and evaluates it.
-pub(crate) fn eval_in(expr: &Expr, env: &Env) -> Result<Value> {
-    let mut lw = env_lowerer(env);
-    let node = lw.expr(expr);
-    let map = ParamMap::new(&lw.params, env.params.iter().map(|(name, _)| name));
-    let names = lw.names();
-    let mut vars = env_slots(env.vars.iter().map(|(_, v)| v.clone()), names.vars.len());
-    let f = Frame {
-        vars: &mut vars,
-        params: env.params.iter().map(|(_, v)| v.clone()).collect(),
-        map: &map,
-        names: &names,
-        fresh: None,
+/// Evaluates `expr` as the one argument of a `send` run by a
+/// [`Harness`] with `vars` declared and `params` bound.
+#[cfg(test)]
+pub(crate) fn eval(expr: &Expr, vars: &[(&str, Value)], params: &[(&str, Value)]) -> Result<Value> {
+    let send = Statement::Send {
+        port: "result".into(),
+        signal: SignalId::from_index(0),
+        args: vec![expr.clone()],
     };
-    node.eval(&f).map(Cow::into_owned)
-}
-
-/// [`crate::action::execute`]: lowers `statements` against `env`'s
-/// names, runs them with `env`'s variables moved into slots, and moves
-/// the variables back, new ones in order of first write.
-pub(crate) fn execute_in<'a>(
-    statements: &'a [Statement],
-    env: &mut Env,
-    effects: &mut Vec<Effect<'a>>,
-    weight: &mut u64,
-) -> Result<()> {
-    let mut lw = env_lowerer(env);
-    let block = lw.block(statements);
-    let map = ParamMap::new(&lw.params, env.params.iter().map(|(name, _)| name));
-    let names = lw.names();
-    let bound = env.vars.len();
-    let mut vars = env_slots(env.vars.take_values(), names.vars.len());
-    let mut fresh = Vec::new();
-    let mut out = Vec::new();
-    let result = block.run(
-        &mut Frame {
-            vars: &mut vars,
-            params: env.params.iter().map(|(_, v)| v.clone()).collect(),
-            map: &map,
-            names: &names,
-            fresh: Some(&mut fresh),
-        },
-        &mut out,
-        weight,
-    );
-    let mut rest = vars.split_off(bound);
-    env.vars.restore_values(
-        vars.into_iter()
-            .map(|v| v.expect("assignment never unbinds a slot")),
-    );
-    for slot in fresh {
-        if let Some(v) = rest[slot as usize - bound].take() {
-            env.vars.set(&names.vars[slot as usize], v);
-        }
+    let (out, _) = Harness::new(vec![send], vars, params).run()?;
+    match out.into_iter().next() {
+        Some(Emit::Send { mut values, .. }) => Ok(values.remove(0)),
+        other => panic!("expected the send, got {other:?}"),
     }
-    effects.extend(out.into_iter().map(|emit| match emit {
-        Emit::Send { site, values } => {
-            let (port, signal) = lw.sites[site as usize];
-            Effect::Send {
-                port,
-                signal,
-                values,
-            }
-        }
-        Emit::Compute { class, units } => Effect::Compute { class, units },
-        Emit::Log(message) => Effect::Log(message),
-        Emit::SetTimer { timer, duration } => Effect::SetTimer {
-            name: lw.timers[timer as usize],
-            duration,
-        },
-        Emit::CancelTimer { timer } => Effect::CancelTimer {
-            name: lw.timers[timer as usize],
-        },
-        Emit::Count { counter, amount } => Effect::Count {
-            counter: lw.counters[counter as usize],
-            amount,
-        },
-    }));
-    result
 }
 
 #[cfg(test)]
@@ -1057,12 +1037,6 @@ mod tests {
         vars[0] = Some(Value::Int(7));
         let out = run(&mc, mc.entry(s), &mut vars, None).unwrap();
         assert_eq!(logs(&out), ["7"]);
-        // The name-based wrapper reports the same text.
-        let err = Expr::var("x").eval(&Env::new()).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            Error::Action("unbound variable `x`".into()).to_string()
-        );
     }
 
     #[test]
@@ -1241,9 +1215,7 @@ mod tests {
              log \"{} {} {}\", i, crc32(x\"01\"), len(x\"\"); set_timer t, i; \
              cancel_timer t; count n, i;",
         );
-        let mut env = Env::new();
-        let (mut fx, mut w) = (Vec::new(), 0);
-        crate::action::execute(&prog, &mut env, &mut fx, &mut w).unwrap();
+        let (_, w) = Harness::new(prog, &[], &[]).run().unwrap();
         let e = |text| parse_expr(text).unwrap().weight();
         let expected = (1 + e("0"))
             + (1 + 4 * e("i < 3") + 3 * (1 + e("i + 1")))
@@ -1253,19 +1225,6 @@ mod tests {
             + 1
             + (1 + e("i"));
         assert_eq!(w, expected);
-    }
-
-    /// Names first bound by a wrapped `execute` join the scope in order
-    /// of first write, not of first mention.
-    #[test]
-    fn wrapper_binds_new_names_in_write_order() {
-        let model = Model::new("M");
-        let prog = code(&model, "if false { b := 1; } a := 2; b := 3;");
-        let mut env = Env::new().with_var("z", 0i64);
-        let (mut fx, mut w) = (Vec::new(), 0);
-        crate::action::execute(&prog, &mut env, &mut fx, &mut w).unwrap();
-        let names: Vec<&str> = env.vars.iter().map(|(n, _)| n).collect();
-        assert_eq!(names, ["z", "a", "b"]);
     }
 
     #[test]

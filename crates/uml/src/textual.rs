@@ -110,14 +110,29 @@ pub struct ParsedProgram {
 ///
 /// # Example
 ///
+/// The expression runs the way the simulator runs it: lowered, here as
+/// the value assigned to a declared machine variable in an entry action.
+///
 /// ```
+/// use tut_uml::action::Statement;
+/// use tut_uml::lower::MachineCode;
+/// use tut_uml::statemachine::StateMachine;
 /// use tut_uml::textual::parse_expr;
-/// use tut_uml::action::Env;
-/// use tut_uml::Value;
+/// use tut_uml::{DataType, Model, Value};
 ///
 /// let expr = parse_expr("crc32(x\"deadbeef\") & 255")?;
-/// let value = expr.eval(&Env::new())?;
-/// assert_eq!(value.data_type(), tut_uml::DataType::Int);
+/// let mut machine = StateMachine::new("B");
+/// machine.add_variable("v", DataType::Int, Value::Int(0));
+/// let assign = Statement::Assign { var: "v".into(), expr };
+/// let state = machine.add_state_with_entry("S", vec![assign]);
+/// machine.set_initial(state);
+/// let code = MachineCode::lower(&Model::new("M"), &machine);
+/// let mut vars = code.initial_vars();
+/// let (mut emitted, mut weight) = (Vec::new(), 0);
+/// code.entry(state)
+///     .run(&mut code.frame(&mut vars), &mut emitted, &mut weight)?;
+/// let value = vars[0].as_ref().expect("`v` is declared");
+/// assert_eq!(value.data_type(), DataType::Int);
 /// # Ok::<(), tut_uml::Error>(())
 /// ```
 pub fn parse_expr(text: &str) -> Result<Expr> {
@@ -837,13 +852,10 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::Env;
+    use crate::lower::{self, Emit, Harness};
 
     fn eval(text: &str) -> Value {
-        parse_expr(text)
-            .expect("parse")
-            .eval(&Env::new())
-            .expect("eval")
+        lower::eval(&parse_expr(text).expect("parse"), &[], &[]).expect("eval")
     }
 
     #[test]
@@ -974,7 +986,6 @@ mod tests {
 
     #[test]
     fn executed_parsed_program_matches_built_ast() {
-        use crate::action::{execute, Effect};
         let mut model = Model::new("M");
         let sig = model.add_signal("Out");
         let program = parse_statements(
@@ -982,19 +993,17 @@ mod tests {
             &model,
         )
         .unwrap();
-        let mut env = Env::new();
-        let mut effects = Vec::new();
-        let mut weight = 0;
-        execute(&program, &mut env, &mut effects, &mut weight).unwrap();
-        assert_eq!(env.vars["total"], Value::Int(12));
+        let mut h = Harness::new(program, &[], &[]);
+        let (out, _) = h.run().unwrap();
+        assert_eq!(h.var("total"), Some(&Value::Int(12)));
         assert_eq!(
-            effects,
-            vec![Effect::Send {
-                port: "p",
-                signal: sig,
+            out,
+            vec![Emit::Send {
+                site: 0,
                 values: vec![Value::Int(12)],
             }]
         );
+        assert_eq!(h.code.sends(), [("p".into(), sig)]);
     }
 
     // ---- error recovery ---------------------------------------------------

@@ -4,7 +4,9 @@
 //! seeded in-tree generator (deterministic, no external dependencies).
 
 use tut_profile_suite::sim::{LogRecord, SimLog};
-use tut_profile_suite::uml::action::{BinOp, Builtin, Expr, UnaryOp};
+use tut_profile_suite::uml::action::{BinOp, Builtin, Expr, Statement, UnaryOp};
+use tut_profile_suite::uml::lower::MachineCode;
+use tut_profile_suite::uml::statemachine::StateMachine;
 use tut_profile_suite::uml::value::{DataType, Value};
 use tut_profile_suite::uml::xmi;
 use tut_profile_suite::uml::Model;
@@ -186,11 +188,28 @@ fn eval_never_panics() {
     for _ in 0..CASES {
         // Arbitrary expressions may fail to evaluate (unbound variables,
         // type errors) but must never panic.
+        // The expression runs as the simulator runs it: lowered, as the
+        // argument of a `send` in an entry action, with `a` and `b`
+        // declared machine variables.
         let expr = rand_expr(&mut rng, 4);
-        let env = tut_profile_suite::uml::action::Env::new()
-            .with_var("a", 1i64)
-            .with_var("b", vec![1u8, 2, 3]);
-        let _ = expr.eval(&env);
+        let mut model = Model::new("M");
+        let out = model.add_signal("Out");
+        let mut machine = StateMachine::new("B");
+        machine.add_variable("a", DataType::Int, Value::Int(1));
+        machine.add_variable("b", DataType::Bytes, Value::from(vec![1u8, 2, 3]));
+        let send = Statement::Send {
+            port: "p".into(),
+            signal: out,
+            args: vec![expr],
+        };
+        let state = machine.add_state_with_entry("S", vec![send]);
+        machine.set_initial(state);
+        let code = MachineCode::lower(&model, &machine);
+        let mut vars = code.initial_vars();
+        let (mut emitted, mut weight) = (Vec::new(), 0);
+        let _ = code
+            .entry(state)
+            .run(&mut code.frame(&mut vars), &mut emitted, &mut weight);
     }
 }
 
