@@ -377,6 +377,9 @@ void tut_rt_count(tut_rt_process_t *self, const char *counter, int64_t amount) {
 }
 
 void tut_rt_set_timer(tut_rt_process_t *self, const char *name, int64_t duration) {
+    /* Re-arming replaces the pending timer of that name, as in the
+     * simulator. */
+    tut_rt_cancel_timer(self, name);
     tut_rt_signal_t sig;
     memset(&sig, 0, sizeof sig);
     sig.name = name;
