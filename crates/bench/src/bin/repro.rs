@@ -285,11 +285,12 @@ fn print_explore_durable(threads: usize, progress: bool, dir: &std::path::Path, 
 
 /// Runs the fault-injection reliability campaign (experiment R1): sweep
 /// the channel BER, report delivery ratio / retries / goodput from the
-/// ARQ counters. `--quick` runs a single pinned point and fails the
-/// process when the delivery ratio leaves its expected band, so CI can
-/// smoke-test the whole fault path in one short run. With `store`, the
-/// sweep is durable: every finished point is journalled and `resume`
-/// replays the completed prefix.
+/// ARQ counters. `--quick` runs the sweep on a 10 ms horizon and fails
+/// the process when the BER 1e-4 row's delivery ratio leaves its
+/// expected band, so CI can smoke-test the whole fault path, at any
+/// `--threads`, in one short run. With `store`, the sweep is durable:
+/// every finished point is journalled and `resume` replays the
+/// completed prefix.
 fn print_fault_sweep(
     quick: bool,
     threads: usize,
@@ -297,46 +298,18 @@ fn print_fault_sweep(
     store: Option<&std::path::Path>,
     resume: bool,
 ) {
-    use tut_bench::faultsweep;
-    if let Some(dir) = store {
-        return print_fault_sweep_durable(quick, threads, progress, dir, resume);
-    }
-    if quick {
-        // One mid-sweep point with a fixed seed on a short horizon.
-        let config = tut_sim::SimConfig::with_horizon_ns(10_000_000);
-        let point = match faultsweep::run_point(1e-4, faultsweep::SWEEP_SEED, config) {
-            Ok(point) => point,
-            Err(e) => {
-                eprintln!("[fault-sweep --quick] {e}");
-                std::process::exit(1);
-            }
-        };
-        println!(
-            "Fault-sweep smoke (BER 1e-4, seed {:#x}, 10 ms horizon)",
-            faultsweep::SWEEP_SEED
-        );
-        println!();
-        println!("{}", faultsweep::render(&[point]));
-        let ratio = point.delivery_ratio();
-        // Pinned band: deterministic seed, so the exact value is stable;
-        // the band only absorbs deliberate model recalibrations.
-        let (lo, hi) = (0.40, 0.95);
-        if !(lo..=hi).contains(&ratio) {
-            eprintln!(
-                "[fault-sweep --quick] delivery ratio {ratio:.3} outside pinned band [{lo}, {hi}]"
-            );
-            std::process::exit(1);
-        }
-        if point.retries == 0 {
-            eprintln!("[fault-sweep --quick] expected non-zero ARQ retries at BER 1e-4");
-            std::process::exit(1);
-        }
-        println!("[fault-sweep --quick] delivery ratio {ratio:.3} within pinned band [{lo}, {hi}]");
-        return;
-    }
-    let config = tut_bench::table4_config();
+    use tut_bench::{faultsweep, jobs};
+    let config = if quick {
+        tut_sim::SimConfig::with_horizon_ns(10_000_000)
+    } else {
+        tut_bench::table4_config()
+    };
+    let durable = store
+        .map(|dir| format!(", durable in `{}`", dir.display()))
+        .unwrap_or_default();
     println!(
-        "Reliability under injected channel faults (seed {:#x}, horizon {} ms, {threads} thread(s)).",
+        "Reliability under injected channel faults (seed {:#x}, horizon {} ms, \
+         {threads} thread(s){durable}).",
         faultsweep::SWEEP_SEED,
         config.max_time_ns / 1_000_000
     );
@@ -346,76 +319,34 @@ fn print_fault_sweep(
     } else {
         Progress::disabled()
     };
-    let points = match faultsweep::run_sweep_observed(&config, threads, &meter) {
-        Ok(points) => points,
+    let result = match store {
+        Some(dir) => jobs::run_sweep_durable(&config, threads, &meter, dir, resume)
+            .map(|sweep| (sweep.points, Some((sweep.resumed, sweep.warnings)))),
+        None => faultsweep::run_sweep_observed(&config, threads, &meter)
+            .map(|points| (points, None))
+            .map_err(Into::into),
+    };
+    meter.finish();
+    let (points, durable) = match result {
+        Ok(result) => result,
         Err(e) => {
             eprintln!("[fault-sweep] {e}");
             std::process::exit(1);
         }
     };
-    meter.finish();
-    println!("{}", faultsweep::render(&points));
-    let monotone_delivery = points
-        .windows(2)
-        .all(|w| w[1].delivery_ratio() <= w[0].delivery_ratio() + 1e-9);
-    let monotone_retries = points
-        .windows(2)
-        .all(|w| w[1].mean_retries() + 1e-9 >= w[0].mean_retries());
-    println!(
-        "delivery ratio monotonically non-increasing: {monotone_delivery}; \
-         mean retries monotonically non-decreasing: {monotone_retries}"
-    );
-}
-
-/// The durable `fault-sweep` path. `--quick --store` runs the *full*
-/// five-point sweep on the smoke horizon (10 ms, instead of the single
-/// smoke point) so the CI resume smoke crosses every checkpoint boundary
-/// in well under a second, keeping the same pinned-band check on the
-/// BER 1e-4 row as the plain smoke.
-fn print_fault_sweep_durable(
-    quick: bool,
-    threads: usize,
-    progress: bool,
-    dir: &std::path::Path,
-    resume: bool,
-) {
-    use tut_bench::{faultsweep, jobs};
-    let config = if quick {
-        tut_sim::SimConfig::with_horizon_ns(10_000_000)
-    } else {
-        tut_bench::table4_config()
-    };
-    println!(
-        "Reliability under injected channel faults (seed {:#x}, horizon {} ms, \
-         {threads} thread(s), durable in `{}`).",
-        faultsweep::SWEEP_SEED,
-        config.max_time_ns / 1_000_000,
-        dir.display()
-    );
-    println!();
-    let meter = if progress {
-        Progress::new("fault-sweep", faultsweep::SWEEP_BERS.len() as u64)
-    } else {
-        Progress::disabled()
-    };
-    let result = jobs::run_sweep_durable(&config, threads, &meter, dir, resume);
-    meter.finish();
-    let sweep = match result {
-        Ok(sweep) => sweep,
-        Err(e) => {
-            eprintln!("[fault-sweep] {e}");
-            std::process::exit(1);
+    if let Some((_, warnings)) = &durable {
+        for warning in warnings {
+            eprintln!("{warning}");
         }
-    };
-    for warning in &sweep.warnings {
-        eprintln!("{warning}");
     }
-    println!("{}", faultsweep::render(&sweep.points));
-    println!("resumed={} total={}", sweep.resumed, sweep.points.len());
+    println!("{}", faultsweep::render(&points));
+    if let Some((resumed, _)) = durable {
+        println!("resumed={resumed} total={}", points.len());
+    }
     if quick {
-        // Same contract as the plain smoke: the deterministic BER 1e-4
-        // row must stay inside its pinned band with real retries.
-        let point = sweep.points[3];
+        // Pinned band: deterministic seed, so the exact value is stable;
+        // the band only absorbs deliberate model recalibrations.
+        let point = points[3];
         let ratio = point.delivery_ratio();
         let (lo, hi) = (0.40, 0.95);
         if !(lo..=hi).contains(&ratio) {
@@ -429,6 +360,17 @@ fn print_fault_sweep_durable(
             std::process::exit(1);
         }
         println!("[fault-sweep --quick] delivery ratio {ratio:.3} within pinned band [{lo}, {hi}]");
+    } else if store.is_none() {
+        let monotone_delivery = points
+            .windows(2)
+            .all(|w| w[1].delivery_ratio() <= w[0].delivery_ratio() + 1e-9);
+        let monotone_retries = points
+            .windows(2)
+            .all(|w| w[1].mean_retries() + 1e-9 >= w[0].mean_retries());
+        println!(
+            "delivery ratio monotonically non-increasing: {monotone_delivery}; \
+             mean retries monotonically non-decreasing: {monotone_retries}"
+        );
     }
 }
 

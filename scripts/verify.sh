@@ -49,6 +49,24 @@ if ! grep -q "within pinned band" <<< "$resume_out"; then
     echo "repro fault-sweep --resume: resumed table left the pinned band"; exit 1;
 fi
 
+echo "==> repro fault-sweep --quick at 1 and 2 threads, in memory and durable (same BER rows)"
+# repro defaults to one thread, so the steps above never take either
+# sweep's parallel branch. All three tables must carry the same rows.
+sweep_rows() {
+    cargo run --release -q -p tut-bench --bin repro -- fault-sweep --quick --no-progress "$@" \
+        | grep -E '^[0-9]+e-?[0-9]+ '
+}
+sweep_serial=$(sweep_rows --threads 1)
+sweep_parallel=$(sweep_rows --threads 2)
+sweep_durable=$(sweep_rows --threads 2 --store "$(mktemp -d -p "$store_dir")")
+if [[ $(wc -l <<< "$sweep_serial") -ne 5 ]]; then
+    echo "repro fault-sweep --quick: expected 5 BER rows, got: $sweep_serial"; exit 1;
+fi
+if ! diff <(echo "$sweep_serial") <(echo "$sweep_parallel") \
+    || ! diff <(echo "$sweep_serial") <(echo "$sweep_durable"); then
+    echo "repro fault-sweep --quick: BER rows differ across threads or the durable store"; exit 1;
+fi
+
 echo "==> repro profile --quick --folded (self-profiler smoke)"
 folded_out=$(cargo run --release -q -p tut-bench --bin repro -- profile --quick --folded)
 if [[ -z "$folded_out" ]]; then
