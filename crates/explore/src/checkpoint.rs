@@ -68,9 +68,9 @@ pub trait ExploreCheckpoint: Sync {
     }
 }
 
-/// The default sink: records nothing, replays nothing. The checkpointed
-/// entry points with `NoCheckpoint` behave exactly like their observed
-/// counterparts.
+/// The default sink: records nothing, replays nothing. The plain entry
+/// points ([`crate::partition`], [`crate::optimise_mapping`]) pass it to
+/// their checkpointed counterparts.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct NoCheckpoint;
 

@@ -261,9 +261,9 @@ pub fn optimise_mapping(problem: &MappingProblem, options: &MappingOptions) -> M
 /// - `tracer`: the search becomes a host-clock span on the
 ///   `tool/explore.mapping` track, and the candidate count is recorded
 ///   as the `explore.mapping.candidates` counter metric.
-/// - `progress`: the search and each shard become self-profiler frames
-///   (see [`tut_trace::perf`]), and every finished shard ticks `progress`
-///   by its candidate count and reports its shard-best cost.
+/// - `progress`: every finished shard ticks it by its candidate count
+///   and reports its shard-best cost. The search and each shard are also
+///   self-profiler frames (see [`tut_trace::perf`]).
 /// - `checkpoint`: each finished shard's best is reported to it, and
 ///   shards a previous run completed are replayed instead of rescanned.
 ///   The shards are fixed (thread-count independent), so the checkpoint
