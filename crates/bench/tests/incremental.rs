@@ -66,7 +66,7 @@ fn random_edits_stay_byte_identical_to_the_cold_pipeline() {
     let mut checker = Checker::new();
     check_against_oracle(&mut checker, &base, "base document");
     let mut rng = Lcg(0x5eed_cafe);
-    let replacements = b"0123456789abcdef<>\"/ ";
+    let replacements = b"0123456789abcdef<>\"/ \n";
     for round in 0..40 {
         let mut text = base.clone().into_bytes();
         let at = rng.below(text.len() - 2) + 1;
@@ -87,6 +87,84 @@ fn random_edits_stay_byte_identical_to_the_cold_pipeline() {
             check_against_oracle(&mut checker, &base, &format!("undo after edit {round}"));
         }
     }
+}
+
+/// Edits that insert or delete whole lines move every later line, so
+/// the line index the checker carries across edits must follow them.
+/// One checker takes the edits in sequence; each warm report, shifted
+/// line numbers included, matches the cold pipeline byte for byte. The
+/// fixture's first warning sits on line 86, ahead of every state
+/// machine: edits in the first signal segment move all three warnings,
+/// and edits inside the first state-machine body take the patch path.
+#[test]
+fn line_shifting_edits_stay_byte_identical_to_the_cold_pipeline() {
+    let base = paper_xml();
+    let mut checker = Checker::new();
+    check_against_oracle(&mut checker, &base, "base document");
+    assert!(
+        check_source(NAME, &base).render_text().contains(":86:5"),
+        "the fixture's first warning is on line 86"
+    );
+    let line_start = |text: &str, needle: &str| {
+        let at = text.find(needle).expect("fixture line present");
+        text[..at].rfind('\n').map_or(0, |nl| nl + 1)
+    };
+    let line_end = |text: &str, from: usize| from + text[from..].find('\n').unwrap() + 1;
+    let param = "<ownedParameter name=\"payload\" type=\"Bytes\"/>";
+    let sm_state = "<state xmi:id=\"state0\" name=\"Run\"/>";
+    let compute = "<compute class=\"control\">";
+
+    let mut text = base.clone();
+    let mut edit = |text: &mut String, what: &str, f: &dyn Fn(&str) -> String| {
+        *text = f(text);
+        check_against_oracle(&mut checker, text, what);
+    };
+    // A blank line, then a CRLF blank line, ahead of line 86.
+    edit(&mut text, "insert a blank line", &|t| {
+        let at = line_start(t, param);
+        format!("{}\n{}", &t[..at], &t[at..])
+    });
+    assert!(
+        check_source(NAME, &text).render_text().contains(":87:5"),
+        "the warnings moved down a line"
+    );
+    edit(&mut text, "insert a CRLF line", &|t| {
+        let at = line_start(t, param);
+        format!("{}  \r\n{}", &t[..at], &t[at..])
+    });
+    // Duplicate a whole markup line, then delete both copies.
+    edit(&mut text, "duplicate a parameter line", &|t| {
+        let at = line_start(t, param);
+        let end = line_end(t, at);
+        format!("{}{}", &t[..end], &t[at..])
+    });
+    edit(&mut text, "delete both parameter lines", &|t| {
+        let at = line_start(t, param);
+        format!("{}{}", &t[..at], &t[line_end(t, line_end(t, at))..])
+    });
+    // Join the blank lines back into the line after them.
+    edit(&mut text, "join the blank lines", &|t| {
+        let at = line_start(t, param);
+        let blank = t[..at - 1].rfind('\n').unwrap() + 1;
+        let blank = t[..blank - 1].rfind('\n').unwrap() + 1;
+        format!("{}{}", &t[..blank], &t[at..])
+    });
+    // Inside a state-machine body: a blank line, then a whole
+    // three-line statement deleted.
+    edit(&mut text, "insert a line in a state machine", &|t| {
+        let at = line_end(t, line_start(t, sm_state));
+        format!("{}\n{}", &t[..at], &t[at..])
+    });
+    edit(&mut text, "delete a statement's lines", &|t| {
+        let at = line_start(t, compute);
+        let end = line_end(t, line_end(t, line_end(t, at)));
+        format!("{}{}", &t[..at], &t[end..])
+    });
+    // Split a line inside the statement after it.
+    edit(&mut text, "split a line in a state machine", &|t| {
+        let at = t.find("<compute class=\"mem\">").unwrap() + "<compute".len();
+        format!("{}\n {}", &t[..at], &t[at..])
+    });
 }
 
 /// A long edit session trimmed after every edit, as `repro watch` does,

@@ -232,6 +232,8 @@ pub fn emit_source(model: &Model, class: ClassId) -> String {
         "    for (int tut_round = 0; tut_round < 64; tut_round++) {{"
     );
     let _ = writeln!(out, "        switch (ctx->state) {{");
+    // The label is emitted only when some completion changes state.
+    let mut chained = false;
     for (state_id, state) in sm.states() {
         let completions: Vec<_> = sm
             .transitions_from(state_id)
@@ -250,11 +252,18 @@ pub fn emit_source(model: &Model, class: ClassId) -> String {
                 .guard()
                 .map(|g| format!("tut_rt_truthy({})", emit_expr(g)))
                 .unwrap_or_else(|| "1".to_owned());
-            let target = sanitize(sm.state(transition.target()).name());
             let _ = writeln!(out, "            if ({guard}) {{");
             emit_statements(model, transition.actions(), 4, &mut out);
-            let _ = writeln!(out, "                {name}_enter_{target}(ctx, self);");
-            let _ = writeln!(out, "                goto tut_continue;");
+            if transition.target() == state_id {
+                // A completion self-loop runs its actions and ends the
+                // chain, as the simulator's does.
+                let _ = writeln!(out, "                return;");
+            } else {
+                let target = sanitize(sm.state(transition.target()).name());
+                let _ = writeln!(out, "                {name}_enter_{target}(ctx, self);");
+                let _ = writeln!(out, "                goto tut_continue;");
+                chained = true;
+            }
             let _ = writeln!(out, "            }}");
         }
         let _ = writeln!(out, "            return;");
@@ -262,7 +271,9 @@ pub fn emit_source(model: &Model, class: ClassId) -> String {
     }
     let _ = writeln!(out, "        default: return;");
     let _ = writeln!(out, "        }}");
-    let _ = writeln!(out, "        tut_continue:;");
+    if chained {
+        let _ = writeln!(out, "        tut_continue:;");
+    }
     let _ = writeln!(out, "    }}");
     let _ = writeln!(out, "}}");
     let _ = writeln!(out);
@@ -333,10 +344,13 @@ fn emit_source_rest(
                 .guard()
                 .map(|g| format!(" && tut_rt_truthy({})", emit_expr(g)))
                 .unwrap_or_default();
-            let target = sanitize(sm.state(transition.target()).name());
             let _ = writeln!(out, "        if (({match_expr}){guard}) {{");
             emit_statements(model, transition.actions(), 3, &mut out);
-            let _ = writeln!(out, "            {name}_enter_{target}(ctx, self);");
+            // Entry actions run only on a change of state (DESIGN §6).
+            if transition.target() != state_id {
+                let target = sanitize(sm.state(transition.target()).name());
+                let _ = writeln!(out, "            {name}_enter_{target}(ctx, self);");
+            }
             let _ = writeln!(out, "            {name}_completions(ctx, self);");
             let _ = writeln!(out, "            return;");
             let _ = writeln!(out, "        }}");

@@ -3,10 +3,12 @@
 //! parse the log it prints. Skipped (with a note) when no compiler is
 //! available.
 
+use std::collections::BTreeMap;
 use std::process::Command;
 
 use tut_codegen::generate_project;
 use tut_profile::SystemModel;
+use tut_sim::{SimConfig, Simulation};
 use tut_uml::action::{BinOp, CostClass, Expr, Statement};
 use tut_uml::statemachine::{StateMachine, Trigger};
 use tut_uml::value::{DataType, Value};
@@ -168,16 +170,17 @@ fn sample_system() -> SystemModel {
     s
 }
 
-#[test]
-fn generated_project_compiles_and_runs() {
+/// Writes the generated project for `system` to a temp directory,
+/// compiles it under `-Werror`, runs the binary and returns its log.
+/// `None` (with a note) when no C compiler is available.
+fn compile_and_run(system: &SystemModel, tag: &str) -> Option<String> {
     if !cc_available() {
         eprintln!("skipping: no C compiler on PATH");
-        return;
+        return None;
     }
-    let system = sample_system();
-    let files = generate_project(&system).expect("generate");
+    let files = generate_project(system).expect("generate");
 
-    let dir = std::env::temp_dir().join(format!("tut_codegen_test_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("tut_codegen_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let mut sources = Vec::new();
     for file in &files {
@@ -210,7 +213,15 @@ fn generated_project_compiles_and_runs() {
 
     let run = Command::new(&binary).output().expect("run generated app");
     assert!(run.status.success());
-    let log = String::from_utf8_lossy(&run.stdout);
+    std::fs::remove_dir_all(&dir).ok();
+    Some(String::from_utf8_lossy(&run.stdout).into_owned())
+}
+
+#[test]
+fn generated_project_compiles_and_runs() {
+    let Some(log) = compile_and_run(&sample_system(), "test") else {
+        return;
+    };
     // 4 pings (n=3,3,2,1... actually n counts down via responder) and the
     // final USER record prove the full loop ran.
     assert!(log.contains("SIG"), "log:\n{log}");
@@ -222,6 +233,80 @@ fn generated_project_compiles_and_runs() {
     // format as the Rust-side simulation log-file).
     let parsed = tut_sim::SimLog::parse(&log);
     assert!(parsed.is_ok(), "unparseable log: {parsed:?}\n{log}");
+}
 
-    std::fs::remove_dir_all(&dir).ok();
+/// One process whose only state has a timer self-loop and a guarded
+/// completion self-loop. The state's entry action logs `entered` and arms
+/// the timer; each loop logs its own message.
+fn self_loop_system() -> SystemModel {
+    let mut s = SystemModel::new("SelfLoops");
+    let top = s.model.add_class("Top");
+    s.apply(top, |t| t.application).unwrap();
+    let class = s.model.add_class("Looper");
+    s.apply(class, |t| t.application_component).unwrap();
+    let log = |message: &str| Statement::Log {
+        message: message.into(),
+        args: vec![],
+    };
+    let arm = || Statement::SetTimer {
+        name: "tick".into(),
+        duration: Expr::int(1000),
+    };
+    let bump = |var: &str| Statement::Assign {
+        var: var.into(),
+        expr: Expr::var(var).bin(BinOp::Add, Expr::int(1)),
+    };
+    let mut sm = StateMachine::new("LooperB");
+    sm.add_variable("ticks", DataType::Int, Value::Int(0));
+    sm.add_variable("spins", DataType::Int, Value::Int(0));
+    let run = sm.add_state_with_entry("Run", vec![log("entered"), arm()]);
+    sm.set_initial(run);
+    sm.add_transition(
+        run,
+        run,
+        Trigger::Timer("tick".into()),
+        Some(Expr::var("ticks").bin(BinOp::Lt, Expr::int(3))),
+        vec![bump("ticks"), log("tick"), arm()],
+    );
+    sm.add_transition(
+        run,
+        run,
+        Trigger::Completion,
+        Some(Expr::var("spins").bin(BinOp::Lt, Expr::int(2))),
+        vec![bump("spins"), log("spin")],
+    );
+    s.model.add_state_machine(class, sm);
+    let part = s.model.add_part(top, "looper", class);
+    s.apply(part, |t| t.application_process).unwrap();
+    s
+}
+
+/// How many `USER` records of a log carry each message.
+fn user_counts(log: &tut_sim::SimLog) -> BTreeMap<String, usize> {
+    let mut counts = BTreeMap::new();
+    for record in log.iter() {
+        if let tut_sim::RecordRef::User { message, .. } = record {
+            *counts.entry(message.to_owned()).or_default() += 1;
+        }
+    }
+    counts
+}
+
+/// A self-transition runs no entry action, and a completion self-loop
+/// fires once per step: the C binary logs each message as often as the
+/// simulator does.
+#[test]
+fn self_loops_run_no_entry_action_in_c_as_in_the_simulator() {
+    let system = self_loop_system();
+    let simulated = Simulation::from_system(&system, SimConfig::with_horizon_ns(1_000_000))
+        .expect("build")
+        .run()
+        .expect("run");
+    let expected = user_counts(&simulated.log);
+    assert_eq!(expected.get("entered"), Some(&1), "{expected:?}");
+    let Some(log) = compile_and_run(&system, "self_loops") else {
+        return;
+    };
+    let parsed = tut_sim::SimLog::parse(&log).expect("C log parses");
+    assert_eq!(user_counts(&parsed), expected, "C log:\n{log}");
 }

@@ -1,6 +1,7 @@
 //! Mapping byte offsets to human line:column positions.
 
 use std::fmt;
+use std::ops::Range;
 
 use crate::span::Span;
 
@@ -24,7 +25,9 @@ impl fmt::Display for LineCol {
 ///
 /// Construction is `O(len)`; every [`SourceMap::locate`] afterwards is a
 /// binary search over line starts. The renderer uses [`SourceMap::line`]
-/// to excerpt the offending line under a diagnostic.
+/// to excerpt the offending line under a diagnostic. A map kept across
+/// edits follows each one with [`SourceMap::replace_range`], which
+/// rescans only the replacement.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SourceMap {
     name: String,
@@ -37,16 +40,41 @@ impl SourceMap {
     pub fn new(name: impl Into<String>, text: impl Into<String>) -> SourceMap {
         let text = text.into();
         let mut line_starts = vec![0];
-        for (i, b) in text.bytes().enumerate() {
-            if b == b'\n' {
-                line_starts.push(i + 1);
-            }
-        }
+        line_starts.extend(line_starts_in(&text, 0));
         SourceMap {
             name: name.into(),
             text,
             line_starts,
         }
+    }
+
+    /// Replaces `range` of the text with `with` and updates the line
+    /// index from the edit alone: line starts up to `range.start` stay,
+    /// the newlines of `with` are scanned, and line starts after
+    /// `range.end` shift by the length delta. The result equals
+    /// [`SourceMap::new`] on the edited text.
+    ///
+    /// # Panics
+    ///
+    /// As [`String::replace_range`]: when `range` is out of bounds or
+    /// does not lie on `char` boundaries.
+    pub fn replace_range(&mut self, range: Range<usize>, with: &str) {
+        let Range { start, end } = range;
+        // Grow to the exact length: a map kept across edits should hold
+        // no more than its text, not an amortised doubling of it.
+        self.text
+            .reserve_exact(with.len().saturating_sub(end.saturating_sub(start)));
+        self.text.replace_range(start..end, with);
+        // A newline at offset `i` opens the line starting at `i + 1`, so
+        // the starts the replaced bytes opened are those in
+        // `start + 1..=end`.
+        let first = self.line_starts.partition_point(|&s| s <= start);
+        let after = self.line_starts.partition_point(|&s| s <= end);
+        for s in &mut self.line_starts[after..] {
+            *s = *s - end + start + with.len();
+        }
+        self.line_starts
+            .splice(first..after, line_starts_in(with, start));
     }
 
     /// The display name given at construction.
@@ -95,6 +123,16 @@ impl SourceMap {
     pub fn line_count(&self) -> usize {
         self.line_starts.len()
     }
+}
+
+/// The line starts opened by the newlines of `text`, a slice placed at
+/// offset `base` of its document: the one newline scan behind both
+/// [`SourceMap::new`] and [`SourceMap::replace_range`].
+fn line_starts_in(text: &str, base: usize) -> impl Iterator<Item = usize> + '_ {
+    text.bytes()
+        .enumerate()
+        .filter(|&(_, b)| b == b'\n')
+        .map(move |(i, _)| base + i + 1)
 }
 
 /// Resolves a byte offset to line:column with a single forward scan and

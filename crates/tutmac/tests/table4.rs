@@ -1,7 +1,8 @@
 //! End-to-end reproduction of the paper's Table 4: build TUTMAC, run the
 //! full design & profiling flow, and check the report's *shape* against
 //! the paper (group1 dominates ≫ group2 > group3 ≫ group4; the
-//! environment executes zero cycles).
+//! environment executes zero cycles), and check that EXPERIMENTS.md's
+//! Table 4a records exactly the cells the report renders.
 
 use tut_profiling::{profile_system, render_table4};
 use tut_sim::SimConfig;
@@ -75,4 +76,67 @@ fn deterministic_table4() {
     let a = profile_system(&system, SimConfig::with_horizon_ns(5_000_000)).expect("profile a");
     let b = profile_system(&system, SimConfig::with_horizon_ns(5_000_000)).expect("profile b");
     assert_eq!(a, b);
+}
+
+/// Table 4a's rows as `(group, cycles, proportion)`, the group named as
+/// the report prints it (`group1`, …, `Environment`).
+type Table4a = Vec<(String, String, String)>;
+
+/// Table 4a as `render_table4` prints it: `group | N cycles | P %`.
+fn rendered_table4a(table: &str) -> Table4a {
+    table
+        .lines()
+        .skip_while(|line| !line.starts_with("---"))
+        .skip(1)
+        .take_while(|line| !line.is_empty())
+        .map(|line| {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            let cycles = cells[1].trim_end_matches(" cycles");
+            (cells[0].to_owned(), cycles.to_owned(), cells[2].to_owned())
+        })
+        .collect()
+}
+
+/// Table 4a as EXPERIMENTS.md records it: `| Group1 (…) | paper % |
+/// N NNN | **P %** |`, digits grouped by spaces and the measured share
+/// in bold.
+fn documented_table4a(experiments: &str) -> Table4a {
+    experiments
+        .lines()
+        .skip_while(|line| !line.starts_with("### (a) Execution time per process group"))
+        .skip_while(|line| !line.starts_with('|'))
+        .take_while(|line| line.starts_with('|'))
+        .filter(|line| line.starts_with("| Group") || line.starts_with("| Environment"))
+        .map(|line| {
+            let cells: Vec<&str> = line.trim_matches('|').split('|').map(str::trim).collect();
+            let label = cells[0].split(' ').next().unwrap_or_default();
+            let group = if label == "Environment" {
+                label.to_owned()
+            } else {
+                label.to_lowercase()
+            };
+            (
+                group,
+                cells[2].replace(' ', ""),
+                cells[3].trim_matches('*').to_owned(),
+            )
+        })
+        .collect()
+}
+
+/// Every measured cell of EXPERIMENTS.md's Table 4a equals what
+/// `repro table4` prints, so the documented table cannot go stale.
+#[test]
+fn experiments_table4a_matches_the_rendered_report() {
+    let system = build_tutmac_system(&TutmacConfig::default()).expect("build");
+    let report = profile_system(&system, SimConfig::with_horizon_ns(20_000_000)).expect("profile");
+    let table = render_table4(&report);
+    let experiments = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md"));
+    let rendered = rendered_table4a(&table);
+    assert_eq!(rendered.len(), 5, "five rows:\n{table}");
+    assert_eq!(
+        documented_table4a(experiments),
+        rendered,
+        "EXPERIMENTS.md Table 4a differs from `repro table4`:\n{table}"
+    );
 }

@@ -109,3 +109,114 @@ fn json_renderer_snapshot() {
     );
     assert_eq!(rendered, expected);
 }
+
+/// SplitMix64, so the random-edit sweep below reproduces bit for bit.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// A random offset into `text` on a `char` boundary.
+    fn offset_in(&mut self, text: &str) -> usize {
+        let mut at = self.below(text.len() + 1);
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        at
+    }
+}
+
+/// Applies one edit to both the carried map and the plain text, then
+/// requires the map to agree with a fresh index of the new text on the
+/// line count, every offset's position and every line's text.
+fn edit_and_compare(
+    map: &mut SourceMap,
+    text: &mut String,
+    range: std::ops::Range<usize>,
+    with: &str,
+) {
+    let what = format!("{range:?} -> {with:?} on {text:?}");
+    map.replace_range(range.clone(), with);
+    text.replace_range(range, with);
+    let fresh = SourceMap::new("edited.xml", text.as_str());
+    assert_eq!(map.text(), text.as_str(), "{what}");
+    assert_eq!(map.line_count(), fresh.line_count(), "{what}");
+    for offset in 0..=text.len() + 1 {
+        assert_eq!(
+            map.locate(offset),
+            fresh.locate(offset),
+            "offset {offset}: {what}"
+        );
+    }
+    for line in 0..=fresh.line_count() + 1 {
+        assert_eq!(map.line(line), fresh.line(line), "line {line}: {what}");
+    }
+}
+
+/// Property: a line index updated edit by edit equals the index built
+/// from scratch on the edited text, for inserted and deleted `\n` and
+/// `\r\n`, edits at offset 0 and at the end, emptied text, and joined
+/// and split lines.
+#[test]
+fn line_index_updated_by_edits_matches_a_fresh_index() {
+    let mut text = String::from("<a>\r\n  <b x=\"1\"/>\n\n  é\r\n</a>\n");
+    let mut map = SourceMap::new("edited.xml", text.as_str());
+    let pieces = [
+        "", "x", "\n", "\r\n", "\n\n", "\r", "é", "ab\ncd", "y\r\nz\n", "  <c/>\n",
+    ];
+    let mut rng = SplitMix(0x5eed_11ae);
+    for round in 0..600 {
+        if round % 50 == 49 {
+            // Empty the text now and then.
+            let end = text.len();
+            edit_and_compare(&mut map, &mut text, 0..end, "");
+            continue;
+        }
+        let with = pieces[rng.below(pieces.len())];
+        let (start, end) = match rng.below(6) {
+            // Edit at offset 0, and at the end.
+            0 => (0, rng.offset_in(&text)),
+            1 => (rng.offset_in(&text), text.len()),
+            // Join two lines: delete a newline with its `\r`, if any.
+            2 => {
+                let from = rng.offset_in(&text);
+                match text[from..].find('\n').map(|i| from + i) {
+                    Some(nl) if text[..nl].ends_with('\r') => (nl - 1, nl + 1),
+                    Some(nl) => (nl, nl + 1),
+                    None => (from, from),
+                }
+            }
+            // Split a line at a random offset.
+            3 => {
+                let at = rng.offset_in(&text);
+                let split = if rng.below(2) == 0 { "\n" } else { "\r\n" };
+                edit_and_compare(&mut map, &mut text, at..at, split);
+                continue;
+            }
+            _ => {
+                let a = rng.offset_in(&text);
+                let b = rng.offset_in(&text);
+                (a.min(b), a.max(b))
+            }
+        };
+        edit_and_compare(&mut map, &mut text, start..end, with);
+        if text.len() > 400 {
+            let mut cut = rng.below(200);
+            while !text.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            let end = text.len();
+            edit_and_compare(&mut map, &mut text, cut..end, "");
+        }
+    }
+}
