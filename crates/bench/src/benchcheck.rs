@@ -48,7 +48,7 @@ impl BenchCheckReport {
 pub fn edit_behavior(text: &str, n: u64) -> Option<String> {
     let outline = Outline::scan(text)?;
     for (i, seg) in outline.segments.iter().enumerate() {
-        if seg.ty != "uml:StateMachine" {
+        if &*seg.ty != "uml:StateMachine" {
             continue;
         }
         let seg_text = outline.segment_text(text, i);

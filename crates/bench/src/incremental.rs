@@ -40,9 +40,9 @@ use tut_profile_core::{Applications, ConstraintSet};
 use tut_query::{CacheStats, Fp, FpBuilder, QueryDb, StageId};
 use tut_uml::error::{Error, E_XML_SYNTAX};
 use tut_uml::ids::StateMachineId;
-use tut_uml::outline::Outline;
+use tut_uml::outline::{Outline, Segment};
 use tut_uml::validate;
-use tut_uml::xmi::{self, SpanIndex, E_XMI_STRUCTURE};
+use tut_uml::xmi::{self, E_XMI_STRUCTURE};
 use tut_uml::xml::XmlNode;
 
 /// The rendered result of checking one document.
@@ -58,6 +58,10 @@ pub struct CheckOutcome {
 
 /// The type of segments the incremental decode path can patch.
 const SM_TYPE: &str = "uml:StateMachine";
+
+fn is_sm(seg: &Segment) -> bool {
+    &*seg.ty == SM_TYPE
+}
 
 /// One stage id per pipeline query (profiler frames are named
 /// `query.<stage>` after these).
@@ -318,11 +322,34 @@ struct PrevAnalysis {
 
 #[derive(Default)]
 struct DocState {
+    /// Replaced only by a successful rebuild. A report that takes any
+    /// other path (a syntax error, a cold fallback) leaves it: it still
+    /// describes its own `seg_fps`, which the next patch diffs against.
     prev: Option<PrevAnalysis>,
-    /// The last checked text, held by its line index, and its outline.
-    /// The next edit's window (common prefix/suffix) updates both instead
-    /// of rescanning the whole document.
+    /// The last checked text, held by its line index, and its outline
+    /// (`None` when it has none, or when a report hit could not derive
+    /// it). The next edit's window (common prefix/suffix) updates both
+    /// instead of rescanning the whole document.
     last: Option<(SourceMap, Rc<Option<OutlineData>>)>,
+}
+
+impl DocState {
+    /// Takes the carried text and moves it to `text`: locates the edit
+    /// against it once (common prefix and suffix), splices the window
+    /// into the line index, and tries to derive the new outline from the
+    /// old one instead of rescanning the document.
+    fn advance(&mut self, name: &str, text: &str) -> (SourceMap, Option<OutlineData>) {
+        let Some((mut source, old_od)) = self.last.take() else {
+            return (SourceMap::new(name, text), None);
+        };
+        let window = EditWindow::between(source.text(), text);
+        let fast = window.and_then(|w| fast_outline(source.text(), (*old_od).as_ref()?, text, w));
+        if let Some(w) = window {
+            source.replace_range(w.start..w.old_end, &text[w.start..w.new_end]);
+        }
+        debug_assert_eq!(source.text(), text);
+        (source, fast)
+    }
 }
 
 /// The demand-driven checker. One instance amortises work across many
@@ -399,9 +426,18 @@ impl Checker {
         let tut = &self.tut;
         let rules = &self.rules;
         let doc = self.docs.entry(name.to_owned()).or_default();
+        // The carried text moves on a report hit too, so the next miss
+        // diffs against this text rather than an older one.
+        let mut moved = Some(doc.advance(name, text));
         let payload = db.memo_bytes(st.report, key, |db| {
-            encode_outcome(&analyze(db, st, tut, rules, doc, name, text, text_fp))
+            let (source, fast) = moved.take().expect("the report computes once");
+            encode_outcome(&analyze(
+                db, st, tut, rules, doc, text, text_fp, source, fast,
+            ))
         });
+        if let Some((source, fast)) = moved {
+            doc.last = Some((source, Rc::new(fast)));
+        }
         decode_outcome(&payload).unwrap_or_else(|| cold_outcome(name, text))
     }
 
@@ -510,35 +546,21 @@ fn analyze(
     tut: &TutProfile,
     rules: &ConstraintSet,
     doc: &mut DocState,
-    name: &str,
     text: &str,
     text_fp: Fp,
+    source: SourceMap,
+    fast: Option<OutlineData>,
 ) -> CheckOutcome {
-    // Locate the edit against the previous text once (common prefix and
-    // suffix). The window updates the carried line index, and it tries to
-    // derive the outline from the previous one instead of rescanning the
-    // document; the memoized query still owns the outline either way.
-    let (source, fast) = match doc.last.take() {
-        Some((mut source, old_od)) => {
-            let window = EditWindow::between(source.text(), text);
-            let fast =
-                window.and_then(|w| fast_outline(source.text(), (*old_od).as_ref()?, text, w));
-            if let Some(w) = window {
-                source.replace_range(w.start..w.old_end, &text[w.start..w.new_end]);
-            }
-            (source, fast)
-        }
-        None => (SourceMap::new(name, text), None),
-    };
-    debug_assert_eq!(source.text(), text);
+    // The memoized query owns the outline; `fast` (derived from the
+    // previous text's outline) only saves the rescan on a miss.
     let od = db.memo(st.outline, text_fp, |_| match fast {
         Some(od) => Some(od),
         None => OutlineData::build(text),
     });
     let DocState { prev, last } = doc;
     let src = &last.insert((source, od.clone())).0;
+    let name = src.name();
     let Some(od) = od.as_ref() else {
-        *prev = None;
         return cold_outcome(name, text);
     };
 
@@ -549,7 +571,6 @@ fn analyze(
         // A skeleton-local error offset cannot be mapped back onto the
         // document, so this (never seen from the scanner's subset) goes
         // through the cold pipeline.
-        *prev = None;
         return cold_outcome(name, text);
     };
     let mut seg_nodes: Vec<Rc<ParseOut>> = Vec::with_capacity(od.seg_fps.len());
@@ -579,24 +600,17 @@ fn analyze(
             ParseOut::Syntax(off, msg) => {
                 note_err(od.outline.segments[i].range.start + off, msg);
             }
-            ParseOut::Other => {
-                *prev = None;
-                return cold_outcome(name, text);
-            }
+            ParseOut::Other => return cold_outcome(name, text),
         }
     }
     if let Some((pa, parse)) = &app_node {
         match &**parse {
             ParseOut::Ok(_) => {}
             ParseOut::Syntax(off, msg) => note_err(pa.start + *off, msg),
-            ParseOut::Other => {
-                *prev = None;
-                return cold_outcome(name, text);
-            }
+            ParseOut::Other => return cold_outcome(name, text),
         }
     }
     if let Some((abs, msg)) = first_err {
-        *prev = None;
         let mut bag = DiagnosticBag::new();
         bag.push(Diagnostic::error(E_XML_SYNTAX, msg).with_span(Span::point(abs)));
         bag.sort();
@@ -608,7 +622,7 @@ fn analyze(
     // edits leave them untouched.
     let mut b = FpBuilder::new().fp(od.skeleton_fp).fp(od.app_fp);
     for (i, seg) in od.outline.segments.iter().enumerate() {
-        if seg.ty == SM_TYPE {
+        if is_sm(seg) {
             let sm_name = match &*seg_nodes[i] {
                 ParseOut::Ok(node) => node.attr("name").unwrap_or(""),
                 _ => "",
@@ -628,10 +642,7 @@ fn analyze(
             let changed: Vec<usize> = (0..od.seg_fps.len())
                 .filter(|&i| od.seg_fps[i] != prev.seg_fps[i])
                 .collect();
-            if changed
-                .iter()
-                .all(|&i| od.outline.segments[i].ty == SM_TYPE)
-            {
+            if changed.iter().all(|&i| is_sm(&od.outline.segments[i])) {
                 if let Some(outcome) = patch(
                     db,
                     st,
@@ -711,7 +722,7 @@ fn patch(
         let Ok((sm, frag)) = &**out else { return None };
         let ordinal = od.outline.segments[..*i]
             .iter()
-            .filter(|s| s.ty == SM_TYPE)
+            .filter(|s| is_sm(s))
             .count();
         *prev
             .system
@@ -720,16 +731,6 @@ fn patch(
         prev.decode_frags[*i] = Some(Rc::new(frag.clone()));
     }
     prev.seg_fps = od.seg_fps.clone();
-
-    // Segment offsets moved with the edit: rebuild the span index from
-    // the outline (each entry covers `<packagedElement`, which is what
-    // the whole-document parser records).
-    let mut index = SpanIndex::default();
-    for (i, seg) in od.outline.segments.iter().enumerate() {
-        if let ParseOut::Ok(node) = &*seg_nodes[i] {
-            index.insert(seg.id.clone(), node.span.offset(seg.range.start));
-        }
-    }
 
     // Replay decode recoveries (relative fragments rebased to the new
     // segment offsets), in document order — the order the cold reader
@@ -740,15 +741,30 @@ fn patch(
             bag.merge_fragment(frag, seg.range.start);
         }
     }
-    let app = apply_profile(db, st, tut, od, app_node, &mut bag)?;
-    prev.system.apps = app;
+    // `struct_fp` folds in `app_fp`, so `prev.system.apps` is already the
+    // applications of this text; the query only replays the fragment.
+    apply_profile(db, st, tut, od, app_node, &mut bag)?;
 
+    // Segment offsets moved with the edit, so spans are looked up on
+    // demand: the last segment declaring the id (the reader's index keeps
+    // the last too), its `<packagedElement` span moved to the segment.
+    let span_of = |element: &str| {
+        let i = od
+            .outline
+            .segments
+            .iter()
+            .rposition(|s| &*s.id == element)?;
+        let ParseOut::Ok(node) = &*seg_nodes[i] else {
+            return None;
+        };
+        Some(node.span.offset(od.outline.segments[i].range.start)).filter(|s| *s != Span::NONE)
+    };
     Some(assemble(
         db,
         st,
         rules,
         &prev.system,
-        &index,
+        &span_of,
         od,
         struct_fp,
         bag,
@@ -776,12 +792,10 @@ fn rebuild(
 ) -> CheckOutcome {
     let mut root = skeleton_node.clone();
     let Some(model_child) = root.children.iter_mut().find(|c| c.name == "uml:Model") else {
-        *prev = None;
         return cold_outcome(src.name(), src.text());
     };
     for (i, seg) in od.outline.segments.iter().enumerate() {
         let ParseOut::Ok(node) = &*seg_nodes[i] else {
-            *prev = None;
             return cold_outcome(src.name(), src.text());
         };
         let mut tree = node.clone();
@@ -793,7 +807,6 @@ fn rebuild(
     let (model, index) = match xmi::read_model(&root, &mut decode_bag) {
         Ok(v) => v,
         Err(e) => {
-            *prev = None;
             decode_bag.push(Diagnostic::error(E_XMI_STRUCTURE, e.to_string()));
             decode_bag.sort();
             return render_outcome(src, decode_bag);
@@ -806,14 +819,15 @@ fn rebuild(
         .outline
         .segments
         .iter()
-        .map(|s| (s.ty == SM_TYPE).then(Vec::new))
+        .map(|s| is_sm(s).then(Vec::new))
         .collect();
     let mut patchable = true;
     for d in decode_bag.iter() {
         let seg = d.span.filter(|&s| s != Span::NONE).and_then(|span| {
-            od.outline.segments.iter().position(|s| {
-                s.ty == SM_TYPE && s.range.start <= span.start && span.end <= s.range.end
-            })
+            od.outline
+                .segments
+                .iter()
+                .position(|s| is_sm(s) && s.range.start <= span.start && span.end <= s.range.end)
         });
         match seg {
             Some(i) => match make_relative(d, od.outline.segments[i].range.start) {
@@ -826,16 +840,16 @@ fn rebuild(
 
     let mut bag = decode_bag;
     let Some(apps) = apply_profile(db, st, tut, od, app_node, &mut bag) else {
-        *prev = None;
         return cold_outcome(src.name(), src.text());
     };
     let system = SystemModel {
         tut: tut.clone(),
         model,
-        apps,
+        apps: apps.map_or_else(Applications::new, |out| out.0.clone()),
     };
 
-    let outcome = assemble(db, st, rules, &system, &index, od, struct_fp, bag, src);
+    let span_of = |element: &str| index.get(element);
+    let outcome = assemble(db, st, rules, &system, &span_of, od, struct_fp, bag, src);
     *prev = Some(PrevAnalysis {
         struct_fp,
         seg_fps: od.seg_fps.clone(),
@@ -846,10 +860,15 @@ fn rebuild(
     outcome
 }
 
+/// The applications decoded from a `profileApplication` subtree, and the
+/// interchange diagnostic (relative spans) when decoding failed.
+type ProfileOut = (Applications, Vec<Diagnostic>);
+
 /// The profile-application query: decodes the (standalone-parsed)
 /// `profileApplication` subtree into [`Applications`], caching both the
 /// result and any interchange diagnostic as a relative fragment. Pushes
-/// the rebased fragment into `bag` and returns the applications, or
+/// the rebased fragment into `bag` and returns the memoized result
+/// (`Some(None)` when the document has no profile application), or
 /// `None` when the subtree failed to parse (callers bail to cold).
 fn apply_profile(
     db: &mut QueryDb,
@@ -858,9 +877,9 @@ fn apply_profile(
     od: &OutlineData,
     app_node: Option<&(Span, Rc<ParseOut>)>,
     bag: &mut DiagnosticBag,
-) -> Option<Applications> {
+) -> Option<Option<Rc<ProfileOut>>> {
     let Some((pa, parse)) = app_node else {
-        return Some(Applications::new());
+        return Some(None);
     };
     let ParseOut::Ok(node) = &**parse else {
         return None;
@@ -880,12 +899,12 @@ fn apply_profile(
         },
     );
     bag.merge_fragment(&out.1, pa.start);
-    Some(out.0.clone())
+    Some(Some(out))
 }
 
 /// Runs (or replays) the semantic stages and assembles the final bag in
 /// exactly the cold pipeline's order: findings are collected in pass
-/// order, sorted, given spans from the index, merged after the decode
+/// order, sorted, given spans by `span_of`, merged after the decode
 /// and interchange diagnostics already in `bag`, then the two dry runs
 /// append and the whole bag is sorted once more.
 #[allow(clippy::too_many_arguments)]
@@ -894,7 +913,7 @@ fn assemble(
     st: Stages,
     rules: &ConstraintSet,
     system: &SystemModel,
-    index: &SpanIndex,
+    span_of: &dyn Fn(&str) -> Option<Span>,
     od: &OutlineData,
     struct_fp: Fp,
     mut bag: DiagnosticBag,
@@ -909,8 +928,8 @@ fn assemble(
         .segments
         .iter()
         .zip(&od.seg_fps)
-        .filter(|(s, _)| s.ty == SM_TYPE)
-        .map(|(s, &fp)| (s.id.as_str(), fp))
+        .filter(|(s, _)| is_sm(s))
+        .map(|(s, &fp)| (&*s.id, fp))
         .collect();
 
     let mut findings = DiagnosticBag::new();
@@ -968,7 +987,7 @@ fn assemble(
     for d in findings.iter_mut() {
         if d.span.is_none() {
             if let Some(element) = &d.element {
-                d.span = index.get(element);
+                d.span = span_of(element);
             }
         }
     }
@@ -987,7 +1006,7 @@ fn assemble(
     if let Some(d) = sim.as_ref() {
         let mut d = d.clone();
         if let Some(element) = &d.element {
-            if let Some(span) = index.get(element) {
+            if let Some(span) = span_of(element) {
                 d.span = Some(span);
             }
         }
@@ -1112,6 +1131,30 @@ mod tests {
             fast(&renamed_id).is_none(),
             "start-tag edits fall back to the full scan"
         );
+    }
+
+    /// A report-cache hit still moves the carried text and outline to
+    /// the text it answered for, so the next miss diffs against it.
+    #[test]
+    fn report_hit_moves_the_carried_text() {
+        let base = paper_xml();
+        let broken = base.replacen("</compute>", "</comput>", 1);
+        let mut checker = Checker::new();
+        checker.check("m.xml", &base);
+        checker.check("m.xml", &broken);
+        let hits = checker.stats().total_hits();
+        checker.check("m.xml", &base);
+        assert_eq!(
+            checker.stats().total_hits(),
+            hits + 1,
+            "the repair is a hit"
+        );
+        let (source, od) = checker.docs["m.xml"].last.as_ref().expect("carried");
+        assert_eq!(source.text(), base);
+        let od = (**od).as_ref().expect("the repair's outline is derived");
+        let full = OutlineData::build(&base).expect("fixture outlines");
+        assert_eq!(od.outline.segments, full.outline.segments);
+        assert_eq!(od.seg_fps, full.seg_fps);
     }
 
     #[test]

@@ -38,6 +38,16 @@ fn misses_of(stats: &CacheStats, name: &str) -> u64 {
         .sum()
 }
 
+/// Total recomputes of the stage called `name` in a stats delta.
+fn recomputes_of(stats: &CacheStats, name: &str) -> u64 {
+    stats
+        .stages
+        .iter()
+        .filter(|s| s.name == name)
+        .map(|s| s.recomputes)
+        .sum()
+}
+
 /// A tiny deterministic LCG (same constants as `tut_sim`'s noise
 /// source) so the random-edit sweep reproduces bit-for-bit.
 struct Lcg(u64);
@@ -293,4 +303,52 @@ fn identical_documents_share_the_content_keyed_caches() {
         "only the report key is per-name:\n{}",
         delta.render()
     );
+}
+
+/// A syntax error and its repair leave the warm state intact: the
+/// constant edit after the repair still takes the patch path. It
+/// re-decodes one state machine and re-checks that class's behaviour,
+/// and every whole-model query (the other well-formedness passes, the
+/// profile rules) replays from cache.
+#[test]
+fn constant_edit_after_break_and_repair_still_patches() {
+    let base = paper_xml();
+    let mut checker = Checker::new();
+    checker.check(NAME, &base);
+    let edited = edit_behavior(&base, 1).expect("fixture has a compute site");
+    check_against_oracle(&mut checker, &edited, "constant edit");
+    let broken = edited.replacen("</compute>", "</comput>", 1);
+    assert_ne!(broken, edited, "fixture has a compute close tag");
+    check_against_oracle(&mut checker, &broken, "broken close tag");
+    let before = checker.stats();
+    check_against_oracle(&mut checker, &edited, "repair");
+    let repair = checker.stats().since(&before);
+    assert_eq!(repair.total_misses(), 0, "{}", repair.render());
+
+    let before = checker.stats();
+    let again = edit_behavior(&base, 2).expect("fixture has a compute site");
+    check_against_oracle(&mut checker, &again, "constant edit after the repair");
+    let warm = checker.stats().since(&before);
+    assert_eq!(
+        recomputes_of(&warm, "xmi_decode"),
+        1,
+        "one machine re-decoded:\n{}",
+        warm.render()
+    );
+    assert_eq!(recomputes_of(&warm, "wf_behavior"), 1, "{}", warm.render());
+    for stage in [
+        "wf_unique_names",
+        "wf_parts_ports",
+        "wf_connectors",
+        "wf_composition",
+        "wf_generalisation",
+        "profile_rules",
+    ] {
+        assert_eq!(
+            recomputes_of(&warm, stage),
+            0,
+            "stage {stage}:\n{}",
+            warm.render()
+        );
+    }
 }

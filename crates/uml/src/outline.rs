@@ -25,18 +25,21 @@
 //! later segment-local parse fail at the same byte the whole-document
 //! parse would have failed at, so error reports stay identical.
 
+use std::rc::Rc;
+
 use tut_diag::Span;
 
-/// One top-level `packagedElement` directly under `uml:Model`.
+/// One top-level `packagedElement` directly under `uml:Model`. The type
+/// and id are shared, so cloning an outline copies no string.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Segment {
     /// Byte range of the whole element, `<packagedElement` through the
     /// end of its closing tag (or `/>`).
     pub range: Span,
     /// The `xmi:type` attribute value, e.g. `uml:Class`.
-    pub ty: String,
+    pub ty: Rc<str>,
     /// The `xmi:id` attribute value, e.g. `class0`.
-    pub id: String,
+    pub id: Rc<str>,
 }
 
 /// The segment decomposition of one document.
@@ -352,7 +355,7 @@ impl<'a> Scanner<'a> {
     /// Extracts `xmi:type` and `xmi:id` from a tag's attribute region.
     /// Bails on syntax the parser would reject and on values carrying
     /// entity references (never the case for types and identifiers).
-    fn type_and_id(&self, tag: &Tag) -> Option<(String, String)> {
+    fn type_and_id(&self, tag: &Tag) -> Option<(Rc<str>, Rc<str>)> {
         let mut ty = None;
         let mut id = None;
         let region = &self.b[tag.attrs.start..tag.attrs.end];
@@ -405,9 +408,9 @@ impl<'a> Scanner<'a> {
                     return None;
                 }
                 if key == b"xmi:type" {
-                    ty = Some(value.to_owned());
+                    ty = Some(Rc::from(value));
                 } else {
-                    id = Some(value.to_owned());
+                    id = Some(Rc::from(value));
                 }
             }
         }
@@ -439,10 +442,10 @@ mod tests {
     fn scans_segments_in_document_order() {
         let outline = Outline::scan(DOC).unwrap();
         assert_eq!(outline.segments.len(), 2);
-        assert_eq!(outline.segments[0].ty, "uml:Class");
-        assert_eq!(outline.segments[0].id, "class0");
-        assert_eq!(outline.segments[1].ty, "uml:StateMachine");
-        assert_eq!(outline.segments[1].id, "sm0");
+        assert_eq!(&*outline.segments[0].ty, "uml:Class");
+        assert_eq!(&*outline.segments[0].id, "class0");
+        assert_eq!(&*outline.segments[1].ty, "uml:StateMachine");
+        assert_eq!(&*outline.segments[1].id, "sm0");
         let seg0 = outline.segment_text(DOC, 0);
         assert!(seg0.starts_with("<packagedElement"));
         assert!(seg0.ends_with("/>"));
@@ -459,7 +462,7 @@ mod tests {
         for i in 0..outline.segments.len() {
             let node = XmlNode::parse(outline.segment_text(DOC, i)).unwrap();
             assert_eq!(node.name, "packagedElement");
-            assert_eq!(node.attr("xmi:id"), Some(outline.segments[i].id.as_str()));
+            assert_eq!(node.attr("xmi:id"), Some(&*outline.segments[i].id));
         }
         let skeleton = outline.skeleton(DOC);
         let root = XmlNode::parse(&skeleton).unwrap();

@@ -84,13 +84,6 @@ impl SpanIndex {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Records (or replaces) the declaration span of an element. The
-    /// incremental front end uses this to rebuild the index from an
-    /// outline scan without re-parsing the whole document.
-    pub fn insert(&mut self, element: impl Into<String>, span: Span) {
-        self.entries.insert(element.into(), span);
-    }
 }
 
 /// Serialises a model to an [`XmlNode`] tree.

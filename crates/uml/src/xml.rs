@@ -207,6 +207,9 @@ impl XmlNode {
             text: input,
             bytes: input.as_bytes(),
             pos: 0,
+            attrs: Vec::new(),
+            attr_spans: Vec::new(),
+            children: Vec::new(),
         };
         parser.skip_prolog()?;
         let root = parser.parse_element()?;
@@ -238,6 +241,13 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// The attributes of the start tag being read, moved into its node
+    /// at their exact count.
+    attrs: Vec<(String, String)>,
+    attr_spans: Vec<Span>,
+    /// The children read so far of every open element, innermost last;
+    /// an element takes its own, at their exact count, when it closes.
+    children: Vec<XmlNode>,
 }
 
 impl<'a> Parser<'a> {
@@ -284,16 +294,24 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_whitespace();
             if self.starts_with("<!--") {
-                match self.bytes[self.pos + 4..]
-                    .windows(3)
-                    .position(|w| w == b"-->")
-                {
-                    Some(rel) => self.pos += 4 + rel + 3,
-                    None => return Err(self.error("unterminated comment")),
-                }
+                self.skip_comment()?;
             } else {
                 return Ok(());
             }
+        }
+    }
+
+    /// Skips the comment that starts at the current position.
+    fn skip_comment(&mut self) -> Result<()> {
+        match self.bytes[self.pos + 4..]
+            .windows(3)
+            .position(|w| w == b"-->")
+        {
+            Some(rel) => {
+                self.pos += 4 + rel + 3;
+                Ok(())
+            }
+            None => Err(self.error("unterminated comment")),
         }
     }
 
@@ -337,7 +355,9 @@ impl<'a> Parser<'a> {
                     .map_err(|_| self.error("attribute value is not utf-8"))?;
                 let span = Span::new(start, self.pos);
                 self.pos += 1;
-                return unescape(raw).map(|v| (v, span)).map_err(|m| self.error(m));
+                let mut value = String::with_capacity(raw.len());
+                unescape_into(raw, &mut value).map_err(|m| self.error(m))?;
+                return Ok((value, span));
             }
             if b == b'<' {
                 return Err(self.error("`<` inside attribute value"));
@@ -353,17 +373,17 @@ impl<'a> Parser<'a> {
         let name = self.parse_name()?;
         let mut node = XmlNode::new(name);
         node.span = Span::new(tag_start, self.pos);
-        loop {
+        let self_closing = loop {
             self.skip_whitespace();
             match self.peek() {
                 Some(b'/') => {
                     self.pos += 1;
                     self.expect(b'>')?;
-                    return Ok(node);
+                    break true;
                 }
                 Some(b'>') => {
                     self.pos += 1;
-                    break;
+                    break false;
                 }
                 Some(_) => {
                     let key = self.parse_name()?;
@@ -371,21 +391,28 @@ impl<'a> Parser<'a> {
                     self.expect(b'=')?;
                     self.skip_whitespace();
                     let (value, span) = self.parse_attr_value()?;
-                    node.attrs.push((key, value));
-                    node.attr_spans.push(span);
+                    self.attrs.push((key, value));
+                    self.attr_spans.push(span);
                 }
                 None => return Err(self.error("unterminated start tag")),
             }
+        };
+        node.attrs = self.attrs.drain(..).collect();
+        node.attr_spans = self.attr_spans.drain(..).collect();
+        if self_closing {
+            return Ok(node);
         }
-        // Content loop.
+        let first_child = self.children.len();
+        // Content loop. `node.text` is the unescaped character data runs,
+        // concatenated, then trimmed. Runs are unescaped straight into it,
+        // and leading whitespace is never stored while it is still empty:
+        // the closing trim would drop it anyway.
         loop {
-            if self.starts_with("<!--") {
-                self.skip_misc()?;
-                continue;
-            }
             match self.peek() {
                 Some(b'<') => {
-                    if self.starts_with("</") {
+                    if self.starts_with("<!--") {
+                        self.skip_comment()?;
+                    } else if self.starts_with("</") {
                         self.pos += 2;
                         let close = self.parse_name()?;
                         if close != node.name {
@@ -396,11 +423,16 @@ impl<'a> Parser<'a> {
                         }
                         self.skip_whitespace();
                         self.expect(b'>')?;
-                        node.text = node.text.trim().to_owned();
+                        let trimmed = node.text.trim();
+                        if trimmed.len() != node.text.len() {
+                            node.text = trimmed.to_owned();
+                        }
+                        node.children = self.children.drain(first_child..).collect();
                         return Ok(node);
+                    } else {
+                        let child = self.parse_element()?;
+                        self.children.push(child);
                     }
-                    let child = self.parse_element()?;
-                    node.children.push(child);
                 }
                 Some(_) => {
                     let start = self.pos;
@@ -412,8 +444,12 @@ impl<'a> Parser<'a> {
                     }
                     let raw = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.error("text content is not utf-8"))?;
-                    node.text
-                        .push_str(&unescape(raw).map_err(|m| self.error(m))?);
+                    let raw = if node.text.is_empty() {
+                        raw.trim_start()
+                    } else {
+                        raw
+                    };
+                    unescape_into(raw, &mut node.text).map_err(|m| self.error(m))?;
                 }
                 None => return Err(self.error(format!("unterminated element `{}`", node.name))),
             }
@@ -421,11 +457,9 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn unescape(raw: &str) -> std::result::Result<String, String> {
-    if !raw.contains('&') {
-        return Ok(raw.to_owned());
-    }
-    let mut out = String::with_capacity(raw.len());
+/// Appends `raw` to `out` with its entity and character references
+/// expanded.
+fn unescape_into(raw: &str, out: &mut String) -> std::result::Result<(), String> {
     let mut rest = raw;
     while let Some(pos) = rest.find('&') {
         out.push_str(&rest[..pos]);
@@ -464,7 +498,7 @@ fn unescape(raw: &str) -> std::result::Result<String, String> {
         rest = &rest[end + 1..];
     }
     out.push_str(rest);
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -582,6 +616,27 @@ mod tests {
         built.set_attr("kind", "x");
         assert_eq!(built.attr_span("kind"), Some(Span::NONE));
         assert_eq!(built, *leaf);
+    }
+
+    /// The parser allocates only what the tree keeps: attribute and child
+    /// vectors at their exact length, and no text for whitespace-only
+    /// content.
+    #[test]
+    fn parsed_vectors_hold_exactly_their_elements() {
+        fn check(node: &XmlNode) {
+            assert_eq!(node.attrs.capacity(), node.attrs.len(), "{}", node.name);
+            assert_eq!(node.attr_spans.capacity(), node.attr_spans.len());
+            assert_eq!(node.children.capacity(), node.children.len());
+            if node.text.is_empty() {
+                assert_eq!(node.text.capacity(), 0, "{}", node.name);
+            }
+            node.children.iter().for_each(check);
+        }
+        let doc = "<r a=\"1\" b=\"2\" c=\"3\">\n  <x k=\"v\"/>\n  <!-- c -->\n  <y>\n    <z/>\n  </y>\n  <w> t </w>\n</r>";
+        let parsed = XmlNode::parse(doc).unwrap();
+        assert_eq!(parsed.children.len(), 3);
+        assert_eq!(parsed.children[2].text, "t");
+        check(&parsed);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use tut_profile_suite::uml::lower::MachineCode;
 use tut_profile_suite::uml::statemachine::StateMachine;
 use tut_profile_suite::uml::value::{DataType, Value};
 use tut_profile_suite::uml::xmi;
+use tut_profile_suite::uml::xml::XmlNode;
 use tut_profile_suite::uml::Model;
 use tut_trace::SplitMix64;
 
@@ -238,5 +239,79 @@ fn crc_implementations_agree() {
             acc.compute(&data),
             tut_profile_suite::uml::action::crc32_bitwise(&data)
         );
+    }
+}
+
+/// One generated element: its source text and, for it and each
+/// descendant in pre-order, the text the parser must report.
+fn rand_mixed_element(rng: &mut SplitMix64, depth: usize, expected: &mut Vec<String>) -> String {
+    // (source, what it unescapes to): literal text, whitespace in every
+    // form the documents carry (CRLF included, and a non-ASCII space),
+    // and entities, two of which expand to whitespace.
+    const PIECES: &[(&str, &str)] = &[
+        ("ab", "ab"),
+        ("x y", "x y"),
+        ("é", "é"),
+        (" ", " "),
+        ("\t", "\t"),
+        ("\n", "\n"),
+        ("\r\n", "\r\n"),
+        ("\u{a0}", "\u{a0}"),
+        ("&amp;", "&"),
+        ("&lt;", "<"),
+        ("&#65;", "A"),
+        ("&#x20;", " "),
+        ("&#10;", "\n"),
+    ];
+    const WHITESPACE: &[&str] = &[" ", "\n", "\r\n", "\t", "\n    "];
+    let name = rand_ident(rng);
+    let slot = expected.len();
+    expected.push(String::new());
+    let mut source = format!("<{name}>");
+    let mut runs = String::new();
+    for _ in 0..rng.next_index(12) {
+        match rng.next_index(4) {
+            0 => {
+                for _ in 0..1 + rng.next_index(4) {
+                    let (raw, unescaped) = PIECES[rng.next_index(PIECES.len())];
+                    source.push_str(raw);
+                    runs.push_str(unescaped);
+                }
+            }
+            1 => {
+                let ws = WHITESPACE[rng.next_index(WHITESPACE.len())];
+                source.push_str(ws);
+                runs.push_str(ws);
+            }
+            2 => source.push_str("<!-- a comment -->"),
+            _ if depth > 0 => source.push_str(&rand_mixed_element(rng, depth - 1, expected)),
+            _ => {}
+        }
+    }
+    expected[slot] = runs.trim().to_owned();
+    source.push_str(&format!("</{name}>"));
+    source
+}
+
+/// A parsed element's `text` is its character data — every text run
+/// directly inside it, unescaped, concatenated across children and
+/// comments — with surrounding whitespace trimmed.
+#[test]
+fn xml_text_is_the_trimmed_concatenation_of_unescaped_runs() {
+    fn pre_order<'a>(node: &'a XmlNode, out: &mut Vec<&'a str>) {
+        out.push(&node.text);
+        for child in &node.children {
+            pre_order(child, out);
+        }
+    }
+    let mut rng = SplitMix64::new(0x0E17_0007);
+    for _ in 0..4 * CASES {
+        let mut expected = Vec::new();
+        let doc = rand_mixed_element(&mut rng, 3, &mut expected);
+        let parsed =
+            XmlNode::parse(&doc).unwrap_or_else(|e| panic!("`{doc:?}` failed to parse: {e}"));
+        let mut texts = Vec::new();
+        pre_order(&parsed, &mut texts);
+        assert_eq!(texts, expected, "document {doc:?}");
     }
 }
