@@ -2,7 +2,7 @@
 //! full design & profiling flow, and check the report's *shape* against
 //! the paper (group1 dominates ≫ group2 > group3 ≫ group4; the
 //! environment executes zero cycles), and check that EXPERIMENTS.md's
-//! Table 4a records exactly the cells the report renders.
+//! Table 4a and 4b record exactly the cells the report holds.
 
 use tut_profiling::{profile_system, render_table4};
 use tut_sim::SimConfig;
@@ -139,4 +139,74 @@ fn experiments_table4a_matches_the_rendered_report() {
         rendered,
         "EXPERIMENTS.md Table 4a differs from `repro table4`:\n{table}"
     );
+}
+
+/// A group label as EXPERIMENTS.md abbreviates it (`g1`, `env`), spelled
+/// as the report's signal matrix labels it (`group1`, `Environment`).
+fn matrix_label(short: &str) -> String {
+    match short.strip_prefix('g') {
+        Some(n) => format!("group{n}"),
+        None if short == "env" => "Environment".to_owned(),
+        None => panic!("unknown group label `{short}` in EXPERIMENTS.md"),
+    }
+}
+
+/// Table 4b's "measured matrix" bullet in EXPERIMENTS.md as `(sender,
+/// receiver, count)` cells: `g1→g3 79 (PduDone), g3→g4 80 (TxPdu), …`.
+fn documented_table4b(experiments: &str) -> Vec<(String, String, u64)> {
+    let bullet: Vec<&str> = experiments
+        .lines()
+        .skip_while(|line| !line.starts_with("* measured matrix"))
+        .enumerate()
+        .take_while(|(i, line)| *i == 0 || line.starts_with("  "))
+        .map(|(_, line)| line.trim())
+        .collect();
+    let bullet = bullet.join(" ");
+    let (_, cells) = bullet
+        .split_once(':')
+        .expect("EXPERIMENTS.md has a `* measured matrix …:` bullet");
+    cells
+        .split(',')
+        .map(|cell| {
+            let mut words = cell.split_whitespace();
+            let edge = words.next().expect("a `from→to` edge");
+            let (from, to) = edge
+                .split_once('→')
+                .unwrap_or_else(|| panic!("`{edge}` is not a `from→to` edge"));
+            let count = words
+                .next()
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("`{cell}` has no signal count"));
+            (matrix_label(from), matrix_label(to), count)
+        })
+        .collect()
+}
+
+/// Every cell of EXPERIMENTS.md's Table 4b matrix equals the report's
+/// signal matrix, and every nonzero inter-group cell is listed, so the
+/// documented matrix cannot go stale or leave a path out.
+#[test]
+fn experiments_table4b_matches_the_rendered_report() {
+    let system = build_tutmac_system(&TutmacConfig::default()).expect("build");
+    let report = profile_system(&system, SimConfig::with_horizon_ns(20_000_000)).expect("profile");
+    let matrix = &report.signal_matrix;
+    let experiments = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md"));
+    let documented = documented_table4b(experiments);
+    for (from, to, count) in &documented {
+        assert_eq!(
+            matrix.between(from, to),
+            Some(*count),
+            "EXPERIMENTS.md Table 4b {from}→{to} differs from the report:\n{}",
+            render_table4(&report)
+        );
+    }
+    for (i, row) in matrix.counts.iter().enumerate() {
+        for (j, &count) in row.iter().enumerate() {
+            let (from, to) = (&matrix.labels[i], &matrix.labels[j]);
+            assert!(
+                i == j || count == 0 || documented.iter().any(|(f, t, _)| f == from && t == to),
+                "EXPERIMENTS.md Table 4b leaves out {from}→{to} ({count} signals)"
+            );
+        }
+    }
 }

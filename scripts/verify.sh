@@ -11,6 +11,13 @@ cd "$(dirname "$0")/.."
 quick=0
 [[ "${1:-}" == "--quick" ]] && quick=1
 
+# The script must leave the working tree as it found it: every output goes
+# to target/, perfbench/target/ or a temporary directory. Snapshot the
+# status now and compare at the end, so a dirty working copy still verifies.
+# The diff against HEAD catches a write to a file that was already dirty.
+tree_status() { git status --porcelain 2> /dev/null; git diff HEAD 2> /dev/null; true; }
+status_before=$(tree_status)
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -143,6 +150,13 @@ if [[ "$quick" -eq 0 ]]; then
 
     echo "==> cargo fmt --check"
     cargo fmt --check
+fi
+
+echo "==> git status unchanged (verify.sh writes no file in the working tree)"
+status_after=$(tree_status)
+if [[ "$status_after" != "$status_before" ]]; then
+    diff <(echo "$status_before") <(echo "$status_after") || true
+    echo "verify.sh changed the working tree (git status differs from the start)"; exit 1;
 fi
 
 echo "==> OK"
