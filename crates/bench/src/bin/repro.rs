@@ -16,27 +16,6 @@
 //! cargo run -p tut-bench --bin repro -- --prom metrics.txt # Prometheus text
 //! ```
 //!
-//! `--threads N` runs the exploration stages (the `explore` item) and
-//! the fault-sweep item on a budget of N worker threads (0 = all
-//! cores); results are bit-identical at every thread count. The fault
-//! sweep runs one BER point per worker; each simulation is serial.
-//!
-//! Durable campaigns (crash-resumable `explore` and `fault-sweep`):
-//!
-//! ```text
-//! cargo run -rp tut-bench --bin repro -- fault-sweep --store runs/
-//! cargo run -rp tut-bench --bin repro -- fault-sweep --store runs/ --resume
-//! cargo run -rp tut-bench --bin repro -- explore --store runs/ --resume
-//! ```
-//!
-//! `--store DIR` checkpoints every finished work unit (BER point,
-//! annealing restart, mapping shard) into CRC-checked append-only
-//! journals under DIR; `--resume` replays the completed prefix of a
-//! killed run instead of recomputing it and prints `resumed=N total=M`.
-//! A resumed run is bit-identical to an uninterrupted one at any thread
-//! count; a stale or corrupted journal degrades to a fresh start with a
-//! `W0501`/`W0502` warning, never a panic (DESIGN.md §12).
-//!
 //! Model checking (parse → validate → profile rules → codegen dry run,
 //! one aggregated severity-sorted report with source spans):
 //!
@@ -49,7 +28,8 @@
 //! `check` exits nonzero when any error-severity finding fired; warnings
 //! alone keep the exit status at zero. It runs on the incremental query
 //! engine: `--cache-stats` appends per-stage hit/miss counters,
-//! `--store DIR` persists the report cache across runs, `watch m.xml`
+//! `--store DIR` persists the report cache across runs (only `check`
+//! and `watch` take it; any other item exits 2), `watch m.xml`
 //! re-checks on every save, and `bench-check` measures (and gates) the
 //! warm-re-check speedup.
 //!
@@ -61,19 +41,13 @@
 //! cargo run -rp tut-bench --bin repro -- profile --json     # Chrome trace
 //! cargo run -rp tut-bench --bin repro -- profile bench --quick
 //! ```
-//!
-//! Long-running items (`explore`, `fault-sweep`) print a
-//! throttled `[progress]` heartbeat to stderr (done/total, rate, ETA,
-//! best objective); `--no-progress` silences it. stdout never carries
-//! heartbeats, so piped output stays machine-clean.
 
 use tut_bench::figures;
-use tut_explore::NoCheckpoint;
 use tut_faults::NoFaults;
 use tut_profile::{tables, TutProfile};
 use tut_profiling::render_table4;
 use tut_trace::perf::NoProf;
-use tut_trace::{NoopSink, Progress, Recorder};
+use tut_trace::Recorder;
 
 fn print_fig1() {
     println!("Figure 1. Design flow with TUT-Profile.");
@@ -157,122 +131,24 @@ fn print_transfers() {
 }
 
 /// Runs the automated exploration loop of §4.5 — partition the measured
-/// communication graph, then search the group→element mapping — on
-/// `threads` workers. With `store`, the run is durable: every restart
-/// and shard is journalled and `resume` replays completed units.
-fn print_explore(threads: usize, progress: bool, store: Option<&std::path::Path>, resume: bool) {
-    if let Some(dir) = store {
-        return print_explore_durable(threads, progress, dir, resume);
-    }
-    println!("Design-space exploration (grouping + mapping) on {threads} thread(s).");
+/// communication graph, then search the group→element mapping.
+fn print_explore() {
+    println!("Design-space exploration (grouping + mapping).");
     println!();
-    let (system, handles) = tut_bench::paper_system_with_handles();
-    let report = tut_bench::profile(&system);
-
-    let graph = tut_explore::CommGraph::from_report(&report);
-    let pinned: Vec<(usize, usize)> = graph
-        .nodes()
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| n.as_str() == "user" || n.as_str() == "channel")
-        .map(|(i, _)| (i, 4))
-        .collect();
-    let options = tut_explore::GroupingOptions {
-        groups: 5,
-        balance_weight: 0.0,
-        pinned,
-        threads,
-        ..Default::default()
-    };
-    let meter = if progress {
-        Progress::new("explore.grouping", u64::from(options.restarts))
-    } else {
-        Progress::disabled()
-    };
-    let started = std::time::Instant::now();
-    let grouping =
-        tut_explore::partition_checkpointed(&graph, &options, &mut NoopSink, &meter, &NoCheckpoint);
-    meter.finish();
+    let explore = tut_bench::explore_paper_system();
     println!(
         "  [grouping] {} nodes -> 5 groups, cut weight {}, objective {:.1} ({} ms)",
-        graph.len(),
-        grouping.cut_weight,
-        grouping.objective,
-        started.elapsed().as_millis()
+        explore.nodes,
+        explore.grouping.cut_weight,
+        explore.grouping.objective,
+        explore.grouping_time.as_millis()
     );
-
-    let (problem, _, instances) =
-        tut_explore::mapping::problem_from_system(&system, &report).expect("mapping problem");
-    let acc_index = instances
-        .iter()
-        .position(|&p| p == handles.accelerator)
-        .expect("accelerator instance");
-    // One pinned group stays out of the enumeration, so the search space
-    // is pes^(groups-1) candidates.
-    let candidates = (problem.pes.len() as u64).pow(problem.group_names.len() as u32 - 1);
-    let meter = if progress {
-        Progress::new("explore.mapping", candidates)
-    } else {
-        Progress::disabled()
-    };
-    let started = std::time::Instant::now();
-    let mapping = tut_explore::optimise_mapping_checkpointed(
-        &problem,
-        &tut_explore::MappingOptions {
-            pinned: vec![(3, acc_index)],
-            threads,
-            ..Default::default()
-        },
-        &mut NoopSink,
-        &meter,
-        &NoCheckpoint,
-    );
-    meter.finish();
     println!(
         "  [mapping]  {} groups over {} elements, cost {:.1} ({} ms)",
-        problem.group_names.len(),
-        problem.pes.len(),
-        mapping.cost,
-        started.elapsed().as_millis()
-    );
-    for (group, &pe) in mapping.assignment.iter().enumerate() {
-        println!(
-            "             {} -> element {}",
-            problem.group_names[group], pe
-        );
-    }
-}
-
-/// The durable `explore` path: both optimisation stages checkpoint into
-/// journals under `dir`, and `resume` replays what a killed run already
-/// finished. The solutions are bit-identical to the plain path.
-fn print_explore_durable(threads: usize, progress: bool, dir: &std::path::Path, resume: bool) {
-    println!(
-        "Design-space exploration (grouping + mapping) on {threads} thread(s), durable in `{}`.",
-        dir.display()
-    );
-    println!();
-    let started = std::time::Instant::now();
-    let explore = match tut_bench::jobs::run_explore_durable(threads, dir, resume, progress) {
-        Ok(explore) => explore,
-        Err(e) => {
-            eprintln!("[explore] {e}");
-            std::process::exit(1);
-        }
-    };
-    for warning in &explore.warnings {
-        eprintln!("{warning}");
-    }
-    println!(
-        "  [grouping] {} nodes -> 5 groups, cut weight {}, objective {:.1}",
-        explore.nodes, explore.grouping.cut_weight, explore.grouping.objective
-    );
-    println!(
-        "  [mapping]  {} groups over {} elements, cost {:.1} ({} ms total)",
         explore.group_names.len(),
         explore.pes,
         explore.mapping.cost,
-        started.elapsed().as_millis()
+        explore.mapping_time.as_millis()
     );
     for (group, &pe) in explore.mapping.assignment.iter().enumerate() {
         println!(
@@ -280,69 +156,35 @@ fn print_explore_durable(threads: usize, progress: bool, dir: &std::path::Path, 
             explore.group_names[group], pe
         );
     }
-    println!("resumed={} total={}", explore.resumed, explore.total_units);
 }
 
 /// Runs the fault-injection reliability campaign (experiment R1): sweep
 /// the channel BER, report delivery ratio / retries / goodput from the
 /// ARQ counters. `--quick` runs the sweep on a 10 ms horizon and fails
 /// the process when the BER 1e-4 row's delivery ratio leaves its
-/// expected band, so CI can smoke-test the whole fault path, at any
-/// `--threads`, in one short run. With `store`, the sweep is durable:
-/// every finished point is journalled and `resume` replays the
-/// completed prefix.
-fn print_fault_sweep(
-    quick: bool,
-    threads: usize,
-    progress: bool,
-    store: Option<&std::path::Path>,
-    resume: bool,
-) {
-    use tut_bench::{faultsweep, jobs};
+/// expected band, so CI can smoke-test the whole fault path in one short
+/// run.
+fn print_fault_sweep(quick: bool) {
+    use tut_bench::faultsweep;
     let config = if quick {
         tut_sim::SimConfig::with_horizon_ns(10_000_000)
     } else {
         tut_bench::table4_config()
     };
-    let durable = store
-        .map(|dir| format!(", durable in `{}`", dir.display()))
-        .unwrap_or_default();
     println!(
-        "Reliability under injected channel faults (seed {:#x}, horizon {} ms, \
-         {threads} thread(s){durable}).",
+        "Reliability under injected channel faults (seed {:#x}, horizon {} ms).",
         faultsweep::SWEEP_SEED,
         config.max_time_ns / 1_000_000
     );
     println!();
-    let meter = if progress {
-        Progress::new("fault-sweep", faultsweep::SWEEP_BERS.len() as u64)
-    } else {
-        Progress::disabled()
-    };
-    let result = match store {
-        Some(dir) => jobs::run_sweep_durable(&config, threads, &meter, dir, resume)
-            .map(|sweep| (sweep.points, Some((sweep.resumed, sweep.warnings)))),
-        None => faultsweep::run_sweep_observed(&config, threads, &meter)
-            .map(|points| (points, None))
-            .map_err(Into::into),
-    };
-    meter.finish();
-    let (points, durable) = match result {
-        Ok(result) => result,
+    let points = match faultsweep::run_sweep(&config) {
+        Ok(points) => points,
         Err(e) => {
             eprintln!("[fault-sweep] {e}");
             std::process::exit(1);
         }
     };
-    if let Some((_, warnings)) = &durable {
-        for warning in warnings {
-            eprintln!("{warning}");
-        }
-    }
     println!("{}", faultsweep::render(&points));
-    if let Some((resumed, _)) = durable {
-        println!("resumed={resumed} total={}", points.len());
-    }
     if quick {
         // Pinned band: deterministic seed, so the exact value is stable;
         // the band only absorbs deliberate model recalibrations.
@@ -360,7 +202,7 @@ fn print_fault_sweep(
             std::process::exit(1);
         }
         println!("[fault-sweep --quick] delivery ratio {ratio:.3} within pinned band [{lo}, {hi}]");
-    } else if store.is_none() {
+    } else {
         let monotone_delivery = points
             .windows(2)
             .all(|w| w[1].delivery_ratio() <= w[0].delivery_ratio() + 1e-9);
@@ -486,22 +328,15 @@ fn run_check(
 }
 
 fn main() {
-    // Honour TUT_STORE_KILL so the verify.sh resume smoke (and any
-    // manual crash drill) can kill this process at an exact durability
-    // boundary; a no-op unless the variable is set.
-    tut_store::kill::init_from_env();
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut args: Vec<String> = Vec::new();
     let (mut trace, mut vcd, mut prom) = (None, None, None);
-    let mut threads = 1usize;
     let mut quick = false;
     let mut json = false;
     let mut cache_stats = false;
     let mut folded = false;
     let mut top = None;
-    let mut progress = true;
     let mut store: Option<String> = None;
-    let mut resume = false;
     let mut iter = raw.into_iter();
     while let Some(arg) = iter.next() {
         let mut take = |flag: &str| {
@@ -516,20 +351,13 @@ fn main() {
             "--json" => json = true,
             "--cache-stats" => cache_stats = true,
             "--folded" => folded = true,
-            "--no-progress" => progress = false,
             "--store" => store = Some(take("--store")),
-            "--resume" => resume = true,
             "--top" => {
                 top = Some(
                     take("--top")
                         .parse()
                         .expect("--top needs a number of table rows"),
                 )
-            }
-            "--threads" => {
-                threads = take("--threads")
-                    .parse()
-                    .expect("--threads needs a number (0 = all cores)")
             }
             _ => args.push(arg),
         }
@@ -553,6 +381,10 @@ fn main() {
             store_dir,
         ));
     }
+    if store.is_some() {
+        eprintln!("--store applies only to `check` and `watch`");
+        std::process::exit(2);
+    }
     if args.first().map(String::as_str) == Some("bench-check") {
         std::process::exit(tut_bench::benchcheck::run_bench_check(quick));
     }
@@ -563,7 +395,6 @@ fn main() {
             json,
             folded,
             top,
-            threads,
         };
         std::process::exit(tut_bench::profile_cmd::run_profile(&args[1..], &flags));
     }
@@ -596,7 +427,6 @@ fn main() {
         args.iter().map(String::as_str).collect()
     };
 
-    let store_dir = store.as_deref().map(std::path::Path::new);
     let tut = TutProfile::new();
     for (index, item) in selected.iter().enumerate() {
         if index > 0 {
@@ -616,8 +446,8 @@ fn main() {
             "fig8" => println!("{}", figures::fig8()),
             "table4" => print_table4(),
             "transfers" => print_transfers(),
-            "explore" => print_explore(threads, progress, store_dir, resume),
-            "fault-sweep" => print_fault_sweep(quick, threads, progress, store_dir, resume),
+            "explore" => print_explore(),
+            "fault-sweep" => print_fault_sweep(quick),
             other => {
                 eprintln!(
                     "unknown item `{other}`; known: fig1..fig8, table1..table4, transfers, \

@@ -11,7 +11,7 @@
 use tut_faults::{FaultConfig, FaultPlan};
 use tut_profiling::{ProfilingError, ProfilingReport};
 use tut_sim::SimConfig;
-use tut_trace::{perf, Progress};
+use tut_trace::perf;
 
 /// The BER points of the full sweep, weakest to strongest.
 pub const SWEEP_BERS: [f64; 5] = [0.0, 1e-6, 1e-5, 1e-4, 1e-3];
@@ -111,63 +111,17 @@ pub fn run_point(ber: f64, seed: u64, config: SimConfig) -> Result<SweepPoint, P
     ))
 }
 
-/// Runs the full campaign over [`SWEEP_BERS`] on up to `threads`
-/// workers (0 = all cores), at most one per BER point. Every BER point
-/// becomes a `fault_sweep.point` self-profiler frame and ticks `progress`
-/// when it finishes, so long sweeps show a live stderr heartbeat. Each
-/// point is an independent seeded run, so the table is the same at any
-/// thread count, and observation never changes it.
+/// Runs the full campaign over [`SWEEP_BERS`], one point after the
+/// other. Every BER point is a `fault_sweep.point` self-profiler frame.
 ///
 /// # Errors
 ///
 /// Propagates the first failed point (in BER order).
-pub fn run_sweep_observed(
-    config: &SimConfig,
-    threads: usize,
-    progress: &Progress,
-) -> Result<Vec<SweepPoint>, ProfilingError> {
-    run_points(config, threads, progress, 0, |_, _| {})
-        .into_iter()
+pub fn run_sweep(config: &SimConfig) -> Result<Vec<SweepPoint>, ProfilingError> {
+    SWEEP_BERS
+        .iter()
+        .map(|&ber| run_point(ber, SWEEP_SEED, config.clone()))
         .collect()
-}
-
-/// The point loop of both sweeps: runs [`SWEEP_BERS`]`[first..]` through
-/// [`tut_explore::parallel::map_ordered`], calls `done(index, point)` on
-/// the worker as each point succeeds, and returns every result in BER
-/// order. An oversubscribed budget (more workers than logical CPUs) only
-/// adds coordination cost for time-sliced "parallelism", so it falls
-/// back to one worker.
-pub(crate) fn run_points(
-    config: &SimConfig,
-    threads: usize,
-    progress: &Progress,
-    first: usize,
-    done: impl Fn(usize, &SweepPoint) + Sync,
-) -> Vec<Result<SweepPoint, ProfilingError>> {
-    let threads = if sweep_falls_back_to_serial(threads) {
-        1
-    } else {
-        threads
-    };
-    let todo = SWEEP_BERS.len() - first;
-    tut_explore::parallel::map_ordered(todo, threads, |offset| {
-        let index = first + offset;
-        let result = run_point(SWEEP_BERS[index], SWEEP_SEED, config.clone());
-        if let Ok(point) = &result {
-            done(index, point);
-        }
-        progress.tick();
-        result
-    })
-}
-
-/// True when a sweep on `threads` workers would oversubscribe the host
-/// and [`run_points`] therefore runs it on one worker.
-fn sweep_falls_back_to_serial(threads: usize) -> bool {
-    let logical = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    tut_explore::parallel::resolve_threads(threads) > logical
 }
 
 /// Renders the reliability table.
@@ -228,20 +182,6 @@ mod tests {
         assert_eq!(empty.delivery_ratio(), 0.0);
         assert_eq!(empty.mean_retries(), 0.0);
         assert_eq!(empty.goodput_mbps(), 0.0);
-    }
-
-    /// The parallel sweep is bit-identical to the serial sweep at any
-    /// thread count (each point is an independent seeded run filling a
-    /// disjoint result slot), including budgets above the point count.
-    #[test]
-    fn parallel_sweep_matches_serial_at_any_thread_count() {
-        let config = SimConfig::with_horizon_ns(2_000_000);
-        let serial = run_sweep_observed(&config, 1, &Progress::disabled()).expect("serial sweep");
-        for threads in [2, 3, SWEEP_BERS.len() + 2, 2 * SWEEP_BERS.len() + 2] {
-            let parallel = run_sweep_observed(&config, threads, &Progress::disabled())
-                .expect("parallel sweep");
-            assert_eq!(parallel, serial, "{threads} threads diverged from serial");
-        }
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //!
 //! Only the requested rendering goes to stdout; every status line goes to
 //! stderr, so `--folded`/`--json` output pipes clean into flamegraph
-//! tooling (pinned by `crates/bench/tests/progress.rs`).
+//! tooling (pinned by `crates/bench/tests/cli.rs`).
 
 use tut_faults::NoFaults;
 use tut_sim::{SimConfig, Simulation};
-use tut_trace::{perf, HostProf, NoopSink, Progress};
+use tut_trace::{perf, HostProf, NoopSink};
 
 use crate::faultsweep;
 
@@ -59,8 +59,6 @@ pub struct ProfileFlags {
     pub folded: bool,
     /// Hotspot table length (default 20).
     pub top: Option<usize>,
-    /// Worker threads for the parallel workloads.
-    pub threads: usize,
 }
 
 /// Runs `repro profile` over `items` (at most one workload name; empty
@@ -82,7 +80,7 @@ pub fn run_profile(items: &[String], flags: &ProfileFlags) -> i32 {
             0
         }
         "explore" => {
-            profile_explore(flags);
+            profile_explore();
             0
         }
         "fault-sweep" => {
@@ -161,45 +159,11 @@ fn profile_flow(flags: &ProfileFlags) {
 }
 
 /// The §4.5 exploration loop: grouping restarts + mapping search.
-fn profile_explore(flags: &ProfileFlags) {
-    let (system, handles) = crate::paper_system_with_handles();
-    let report = crate::profile(&system);
-    let graph = tut_explore::CommGraph::from_report(&report);
-    let pinned: Vec<(usize, usize)> = graph
-        .nodes()
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| n.as_str() == "user" || n.as_str() == "channel")
-        .map(|(i, _)| (i, 4))
-        .collect();
-    let grouping = tut_explore::partition(
-        &graph,
-        &tut_explore::GroupingOptions {
-            groups: 5,
-            balance_weight: 0.0,
-            pinned,
-            threads: flags.threads,
-            annealing_iterations: if flags.quick { 2_000 } else { 20_000 },
-            ..Default::default()
-        },
-    );
-    let (problem, _, instances) =
-        tut_explore::mapping::problem_from_system(&system, &report).expect("mapping problem");
-    let acc_index = instances
-        .iter()
-        .position(|&p| p == handles.accelerator)
-        .expect("accelerator instance");
-    let mapping = tut_explore::optimise_mapping(
-        &problem,
-        &tut_explore::MappingOptions {
-            pinned: vec![(3, acc_index)],
-            threads: flags.threads,
-            ..Default::default()
-        },
-    );
+fn profile_explore() {
+    let explore = crate::explore_paper_system();
     eprintln!(
         "[profile] explore stage: grouping objective {:.1}, mapping cost {:.1}",
-        grouping.objective, mapping.cost
+        explore.grouping.objective, explore.mapping.cost
     );
 }
 
@@ -210,8 +174,7 @@ fn profile_fault_sweep(flags: &ProfileFlags) {
     } else {
         crate::table4_config()
     };
-    let points = faultsweep::run_sweep_observed(&config, flags.threads, &Progress::disabled())
-        .expect("fault-sweep stage");
+    let points = faultsweep::run_sweep(&config).expect("fault-sweep stage");
     eprintln!("[profile] fault-sweep stage: {} points", points.len());
 }
 

@@ -1,6 +1,6 @@
-//! Binary-level tests of the progress/stdout contract: heartbeats go to
-//! stderr only, `--no-progress` silences them, machine-readable stdout
-//! stays machine-clean, and `repro profile` emits parseable artefacts.
+//! Binary-level tests of `repro`'s command line: machine-readable stdout
+//! stays machine-clean, `repro profile` emits parseable artefacts, and
+//! flags an item does not take exit 2.
 
 use std::process::{Command, Output};
 
@@ -15,36 +15,6 @@ fn text(bytes: &[u8]) -> String {
     String::from_utf8_lossy(bytes).into_owned()
 }
 
-/// The progress marker every heartbeat line starts with. Mirrors
-/// `tut_trace::progress::MARKER`.
-const MARKER: &str = "[progress]";
-
-#[test]
-fn explore_heartbeat_goes_to_stderr_never_stdout() {
-    let out = repro(&["explore"]);
-    assert!(out.status.success());
-    let stderr = text(&out.stderr);
-    assert!(
-        stderr.contains(MARKER),
-        "expected a {MARKER} heartbeat on stderr:\n{stderr}"
-    );
-    assert!(
-        !text(&out.stdout).contains(MARKER),
-        "heartbeats leaked to stdout"
-    );
-}
-
-#[test]
-fn no_progress_flag_suppresses_the_heartbeat() {
-    let out = repro(&["explore", "--no-progress"]);
-    assert!(out.status.success());
-    let stderr = text(&out.stderr);
-    assert!(
-        !stderr.contains(MARKER),
-        "--no-progress must silence heartbeats:\n{stderr}"
-    );
-}
-
 #[test]
 fn check_json_stdout_is_machine_clean() {
     let out = repro(&["check", "--json"]);
@@ -57,7 +27,6 @@ fn check_json_stdout_is_machine_clean() {
         );
         tut_trace::json::parse(line).expect("stdout line parses as JSON");
     }
-    assert!(!stdout.contains(MARKER));
 }
 
 #[test]
@@ -99,4 +68,45 @@ fn profile_rejects_unknown_items() {
     let out = repro(&["profile", "nonsense"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(text(&out.stderr).contains("unknown profile item"));
+}
+
+#[test]
+fn store_is_rejected_outside_check_and_watch() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-store-{}", std::process::id()));
+    let dir = dir.to_str().expect("utf-8 temp path");
+    for args in [
+        &["fault-sweep", "--quick", "--store", dir][..],
+        &["explore", "--store", dir],
+        &["--store", dir],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = text(&out.stderr);
+        assert!(
+            stderr.contains("`check` and `watch`"),
+            "{args:?}: the message must name the items that take --store:\n{stderr}"
+        );
+        assert!(text(&out.stdout).is_empty(), "{args:?} ran before failing");
+    }
+    assert!(
+        !std::path::Path::new(dir).exists(),
+        "a rejected --store must not create its directory"
+    );
+}
+
+#[test]
+fn removed_flags_are_unknown_items() {
+    for args in [
+        &["--threads", "2", "explore"][..],
+        &["--resume", "fault-sweep"],
+        &["--no-progress", "explore"],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            text(&out.stderr).contains(&format!("unknown item `{}`", args[0])),
+            "{args:?}: {}",
+            text(&out.stderr)
+        );
+    }
 }

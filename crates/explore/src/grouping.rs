@@ -11,17 +11,14 @@
 //! incremental [`ObjectiveState`], so a move costs O(degree + groups)
 //! instead of the O(E) full recompute (which survives as the debug-mode
 //! cross-check). The annealing phase is multi-start: `restarts`
-//! independent runs with distinct SplitMix64 seeds, executed across
-//! `threads` workers with a deterministic reduction, so the result is
-//! bit-identical at every thread count.
+//! independent runs with distinct SplitMix64 seeds, reduced in restart
+//! order.
 
 use tut_trace::perf;
-use tut_trace::{Clock, NoopSink, Progress, Recorder, SplitMix64, TraceSink};
+use tut_trace::SplitMix64;
 
-use crate::checkpoint::{ExploreCheckpoint, NoCheckpoint, RestartOutcome};
 use crate::commgraph::CommGraph;
 use crate::objective::ObjectiveState;
-use crate::parallel;
 
 /// Options for [`partition`].
 #[derive(Clone, PartialEq, Debug)]
@@ -42,10 +39,6 @@ pub struct GroupingOptions {
     /// Independent annealing restarts; the best result wins (ties go to
     /// the lowest restart index). 0 disables the annealing pass.
     pub restarts: u32,
-    /// Worker threads for the annealing restarts: 1 = serial, 0 = use
-    /// `std::thread::available_parallelism`. The solution is bit-identical
-    /// at every thread count.
-    pub threads: usize,
 }
 
 impl Default for GroupingOptions {
@@ -57,7 +50,6 @@ impl Default for GroupingOptions {
             annealing_iterations: 20_000,
             seed: 0x7075_7475,
             restarts: 4,
-            threads: 1,
         }
     }
 }
@@ -86,53 +78,14 @@ pub struct GroupingSolution {
 ///    single-node moves, keeping the best solution seen across all of
 ///    them.
 ///
+/// Each phase is a self-profiler frame (see [`tut_trace::perf`]).
+///
 /// # Panics
 ///
 /// Panics if `options.groups` is 0, a pin is out of range, or two pins
 /// contradict each other.
 pub fn partition(graph: &CommGraph, options: &GroupingOptions) -> GroupingSolution {
-    partition_checkpointed(
-        graph,
-        options,
-        &mut NoopSink,
-        &Progress::disabled(),
-        &NoCheckpoint,
-    )
-}
-
-/// [`partition`] with every hook:
-///
-/// - `tracer`: each phase becomes a host-clock span on the
-///   `tool/explore.grouping` track, and every annealing restart reports
-///   heartbeats so long exploration runs are visible in a trace viewer.
-///   With `options.threads > 1` the restarts record into per-restart
-///   [`Recorder`]s that are replayed into `tracer` afterwards in restart
-///   order, so the trace stays complete.
-/// - `progress`: each finished restart ticks it and reports its best
-///   objective, so long multi-restart runs show a live stderr heartbeat.
-///   The three phases and every restart are also self-profiler frames
-///   (see [`tut_trace::perf`]).
-/// - `checkpoint`: every finished annealing restart is reported to it,
-///   and restarts a previous interrupted run already completed are
-///   replayed from it instead of recomputed.
-///
-/// Each restart is a pure function of its derived seed, so observation,
-/// replay and thread count never change the solution.
-pub fn partition_checkpointed<T: TraceSink, C: ExploreCheckpoint>(
-    graph: &CommGraph,
-    options: &GroupingOptions,
-    tracer: &mut T,
-    progress: &Progress,
-    checkpoint: &C,
-) -> GroupingSolution {
     assert!(options.groups > 0, "need at least one group");
-    let track = tracer.track("tool/explore.grouping", Clock::Host);
-    let mut phase_start = tracer.host_now_ns();
-    let mut phase_span = |tracer: &mut T, name: &str| {
-        let now = tracer.host_now_ns();
-        tracer.span(track, name, phase_start, now.saturating_sub(phase_start));
-        phase_start = now;
-    };
     let n = graph.len();
     if n == 0 {
         return GroupingSolution {
@@ -147,7 +100,6 @@ pub fn partition_checkpointed<T: TraceSink, C: ExploreCheckpoint>(
     // ---- Phase 1: greedy agglomeration ---------------------------------
     let perf_span = perf::enter_named("explore.grouping.agglomerate");
     let assignment = agglomerate(graph, options, &pinned);
-    phase_span(tracer, "agglomerate");
 
     // ---- Phase 2: greedy single-node refinement -------------------------
     let perf_span = perf_span.then_named("explore.grouping.refine");
@@ -160,7 +112,6 @@ pub fn partition_checkpointed<T: TraceSink, C: ExploreCheckpoint>(
         options.balance_weight,
     );
     let current = refine_state(&mut state, &pinned);
-    phase_span(tracer, "refine");
 
     // ---- Phase 3: multi-start simulated annealing ------------------------
     let _perf_span = perf_span.then_named("explore.grouping.anneal");
@@ -170,38 +121,23 @@ pub fn partition_checkpointed<T: TraceSink, C: ExploreCheckpoint>(
     if options.annealing_iterations > 0 && options.restarts > 0 && n > 1 && options.groups > 1 {
         // Independent seed per restart, derived from the option seed.
         let mut seeder = SplitMix64::new(options.seed);
-        let seeds: Vec<u64> = (0..options.restarts).map(|_| seeder.next_u64()).collect();
-        let threads = parallel::resolve_threads(options.threads).min(seeds.len());
-        let outcomes: Vec<AnnealOutcome> = if threads <= 1 {
-            seeds
-                .iter()
-                .enumerate()
-                .map(|(restart, &seed)| {
-                    restart_with_checkpoint(checkpoint, restart, || {
-                        anneal_run(
-                            graph, &adjacency, options, &pinned, &refined, current, restart, seed,
-                            tracer, progress,
-                        )
-                    })
-                })
-                .collect()
-        } else {
-            anneal_parallel(
-                graph, &adjacency, options, &pinned, &refined, current, &seeds, threads, tracer,
-                progress, checkpoint,
-            )
-        };
-        // Deterministic reduction: strict improvement only, so ties go to
-        // the lowest restart index — identical to the serial scan.
-        for outcome in outcomes {
+        for _ in 0..options.restarts {
+            let outcome = anneal_run(
+                graph,
+                &adjacency,
+                options,
+                &pinned,
+                &refined,
+                current,
+                seeder.next_u64(),
+            );
+            // Strict improvement only, so ties go to the lowest restart.
             if outcome.objective < best {
                 best = outcome.objective;
                 best_assignment = outcome.assignment;
             }
         }
     }
-    phase_span(tracer, "anneal");
-    tracer.add("explore.grouping.runs", 1);
 
     GroupingSolution {
         cut_weight: graph.cut_weight(&best_assignment),
@@ -344,7 +280,7 @@ fn agglomerate(
 /// Phase 2: single-node moves while they improve the objective, priced
 /// incrementally. Returns the final objective value.
 fn refine_state(state: &mut ObjectiveState<'_>, pinned: &[Option<usize>]) -> f64 {
-    let groups = pinned_groups(state);
+    let groups = state.groups();
     let mut current = state.value();
     let mut improved = true;
     while improved {
@@ -369,12 +305,6 @@ fn refine_state(state: &mut ObjectiveState<'_>, pinned: &[Option<usize>]) -> f64
     current
 }
 
-/// The group count an [`ObjectiveState`] was built with (its load table
-/// length).
-fn pinned_groups(state: &ObjectiveState<'_>) -> usize {
-    state.groups()
-}
-
 /// One annealing restart's result.
 struct AnnealOutcome {
     assignment: Vec<usize>,
@@ -387,35 +317,6 @@ struct AnnealOutcome {
     final_temperature: f64,
 }
 
-/// Replays `restart` from the checkpoint sink when a previous run
-/// finished it, otherwise computes it with `run` and reports it. A
-/// replayed restart carries a zero final temperature (the field is a
-/// test-only observation of freshly annealed runs) and deliberately does
-/// not tick progress — the driver pre-accounts replays via
-/// `Progress::set_resumed`.
-fn restart_with_checkpoint<C: ExploreCheckpoint>(
-    checkpoint: &C,
-    restart: usize,
-    run: impl FnOnce() -> AnnealOutcome,
-) -> AnnealOutcome {
-    if let Some(prev) = checkpoint.replay_restart(restart) {
-        return AnnealOutcome {
-            assignment: prev.assignment,
-            objective: prev.objective,
-            final_temperature: 0.0,
-        };
-    }
-    let outcome = run();
-    checkpoint.restart_done(
-        restart,
-        &RestartOutcome {
-            objective: outcome.objective,
-            assignment: outcome.assignment.clone(),
-        },
-    );
-    outcome
-}
-
 /// One seeded simulated-annealing run from the refined assignment.
 ///
 /// RNG discipline: exactly two index draws per iteration (node, group)
@@ -423,24 +324,19 @@ fn restart_with_checkpoint<C: ExploreCheckpoint>(
 /// exactly once per iteration — pinned samples and same-group samples
 /// skip only the move, not the cooling, so the effective schedule is
 /// identical regardless of pin density.
-#[allow(clippy::too_many_arguments)]
-fn anneal_run<T: TraceSink>(
+fn anneal_run(
     graph: &CommGraph,
     adjacency: &[Vec<(usize, u64)>],
     options: &GroupingOptions,
     pinned: &[Option<usize>],
     start: &[usize],
     start_objective: f64,
-    restart: usize,
     seed: u64,
-    tracer: &mut T,
-    progress: &Progress,
 ) -> AnnealOutcome {
     // One self-profiler frame per restart: counts and per-restart host
     // time aggregate under `explore.grouping.anneal`.
     let _restart_span = perf::enter_named("explore.grouping.restart");
     let n = graph.len();
-    let track = tracer.track("tool/explore.grouping", Clock::Host);
     let mut state = ObjectiveState::new(
         graph,
         adjacency,
@@ -453,19 +349,7 @@ fn anneal_run<T: TraceSink>(
     let mut best_assignment = start.to_vec();
     let mut rng = SplitMix64::new(seed);
     let mut temperature = (start_objective / n as f64).max(1.0);
-    let iterations = options.annealing_iterations;
-    // Progress heartbeat: ~16 reports across the whole pass.
-    let report_every = (iterations / 16).max(1);
-    for iteration in 0..iterations {
-        if tracer.enabled() && iteration % report_every == 0 {
-            let now = tracer.host_now_ns();
-            tracer.instant(
-                track,
-                &format!("anneal r{restart} {iteration}/{iterations}"),
-                now,
-            );
-            tracer.counter(track, "grouping.objective", now, best);
-        }
+    for _ in 0..options.annealing_iterations {
         let node = rng.next_index(n);
         let group = rng.next_index(options.groups);
         if pinned[node].is_none() && group != state.group_of(node) {
@@ -485,76 +369,11 @@ fn anneal_run<T: TraceSink>(
         // depend on how many samples hit pinned nodes or no-op moves.
         temperature = (temperature * 0.9997).max(0.01);
     }
-    progress.record_best(best);
-    progress.tick();
     AnnealOutcome {
         assignment: best_assignment,
         objective: best,
         final_temperature: temperature,
     }
-}
-
-/// Runs the restarts across `threads` scoped workers. Each restart
-/// records into its own [`Recorder`] (when tracing is enabled), which is
-/// replayed into the parent sink afterwards, in restart order, with host
-/// timestamps re-based onto the parent clock.
-#[allow(clippy::too_many_arguments)]
-fn anneal_parallel<T: TraceSink, C: ExploreCheckpoint>(
-    graph: &CommGraph,
-    adjacency: &[Vec<(usize, u64)>],
-    options: &GroupingOptions,
-    pinned: &[Option<usize>],
-    start: &[usize],
-    start_objective: f64,
-    seeds: &[u64],
-    threads: usize,
-    tracer: &mut T,
-    progress: &Progress,
-    checkpoint: &C,
-) -> Vec<AnnealOutcome> {
-    let enabled = tracer.enabled();
-    let spawn_ns = tracer.host_now_ns();
-    let runs = parallel::map_ordered(seeds.len(), threads, |restart| {
-        let mut recorder = enabled.then(Recorder::new);
-        let outcome = restart_with_checkpoint(checkpoint, restart, || {
-            let seed = seeds[restart];
-            match recorder.as_mut() {
-                Some(rec) => anneal_run(
-                    graph,
-                    adjacency,
-                    options,
-                    pinned,
-                    start,
-                    start_objective,
-                    restart,
-                    seed,
-                    rec,
-                    progress,
-                ),
-                None => anneal_run(
-                    graph,
-                    adjacency,
-                    options,
-                    pinned,
-                    start,
-                    start_objective,
-                    restart,
-                    seed,
-                    &mut NoopSink,
-                    progress,
-                ),
-            }
-        });
-        (outcome, recorder)
-    });
-    runs.into_iter()
-        .map(|(outcome, recorder)| {
-            if let Some(recorder) = &recorder {
-                recorder.replay_into(tracer, spawn_ns);
-            }
-            outcome
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -639,42 +458,6 @@ mod tests {
         assert!(solution.assignment.is_empty());
     }
 
-    #[test]
-    fn parallel_restarts_match_serial_bit_for_bit() {
-        let g = two_communities();
-        for threads in [2usize, 4] {
-            for seed in [1u64, 99, 0xDEAD] {
-                let serial = partition(
-                    &g,
-                    &GroupingOptions {
-                        groups: 2,
-                        seed,
-                        restarts: 5,
-                        threads: 1,
-                        ..GroupingOptions::default()
-                    },
-                );
-                let parallel = partition(
-                    &g,
-                    &GroupingOptions {
-                        groups: 2,
-                        seed,
-                        restarts: 5,
-                        threads,
-                        ..GroupingOptions::default()
-                    },
-                );
-                assert_eq!(serial.assignment, parallel.assignment);
-                assert_eq!(serial.cut_weight, parallel.cut_weight);
-                assert_eq!(
-                    serial.objective.to_bits(),
-                    parallel.objective.to_bits(),
-                    "objective must be bit-identical at {threads} threads"
-                );
-            }
-        }
-    }
-
     /// Regression for the cooling bug: the annealing temperature schedule
     /// must depend only on the iteration count, not on how many sampled
     /// moves were skipped because the node was pinned.
@@ -689,66 +472,15 @@ mod tests {
             ..GroupingOptions::default()
         };
         let start = vec![0, 0, 0, 1, 1, 1];
-        let free = anneal_run(
-            &g,
-            &adjacency,
-            &options,
-            &[None; 6],
-            &start,
-            1.0,
-            0,
-            42,
-            &mut NoopSink,
-            &Progress::disabled(),
-        );
+        let free = anneal_run(&g, &adjacency, &options, &[None; 6], &start, 1.0, 42);
         // Pin five of the six nodes: most iterations sample a pinned node.
         options.pinned = vec![(0, 0), (1, 0), (2, 0), (3, 1), (4, 1)];
         let pinned_table = pin_table(6, &options);
-        let pinned = anneal_run(
-            &g,
-            &adjacency,
-            &options,
-            &pinned_table,
-            &start,
-            1.0,
-            0,
-            42,
-            &mut NoopSink,
-            &Progress::disabled(),
-        );
+        let pinned = anneal_run(&g, &adjacency, &options, &pinned_table, &start, 1.0, 42);
         assert_eq!(
             free.final_temperature.to_bits(),
             pinned.final_temperature.to_bits(),
             "pins must not change the number of cooling steps"
         );
-    }
-
-    #[test]
-    fn traced_parallel_run_keeps_all_restart_heartbeats() {
-        let g = two_communities();
-        let options = GroupingOptions {
-            groups: 2,
-            restarts: 3,
-            threads: 2,
-            annealing_iterations: 160,
-            ..GroupingOptions::default()
-        };
-        let mut recorder = Recorder::new();
-        let traced = partition_checkpointed(
-            &g,
-            &options,
-            &mut recorder,
-            &Progress::disabled(),
-            &NoCheckpoint,
-        );
-        assert_eq!(traced, partition(&g, &options), "tracing is an observer");
-        let names: Vec<&str> = recorder.events().iter().map(|e| e.name.as_str()).collect();
-        for restart in 0..3 {
-            let tag = format!("anneal r{restart} ");
-            assert!(
-                names.iter().any(|n| n.starts_with(&tag)),
-                "restart {restart} heartbeats must survive the merge: {names:?}"
-            );
-        }
     }
 }

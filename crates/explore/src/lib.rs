@@ -24,40 +24,21 @@
 //! * [`objective`] — the grouping objective, maintained incrementally so
 //!   a candidate single-node move costs O(degree) instead of O(E), with a
 //!   debug-mode cross-check against the full recompute.
-//! * [`checkpoint`] — the resumability seam: both optimisers report each
-//!   finished work unit (annealing restart, mapping shard) to an
-//!   [`ExploreCheckpoint`] sink and replay units an interrupted run
-//!   already completed, so a resumed search is bit-identical to an
-//!   uninterrupted one. The durable journal-backed sink lives in the
-//!   bench crate (`tut-store`).
-//! * [`parallel`] — deterministic work sharding: [`parallel::map_ordered`]
-//!   runs both optimisers' work units (and the bench crate's fault-sweep
-//!   points) on `std::thread::scope` workers and returns the results in
-//!   index order, so the in-order reductions are bit-identical at every
-//!   thread count.
 //!
-//! Each optimiser has two entry points: a plain call ([`partition`],
-//! [`optimise_mapping`]) and one that takes every hook as an explicit
-//! argument — trace sink, progress meter and checkpoint sink
-//! ([`partition_checkpointed`], [`optimise_mapping_checkpointed`]). The
-//! plain call passes the zero-cost no-ops (`NoopSink`,
-//! `Progress::disabled()`, [`NoCheckpoint`]).
+//! Each optimiser has one entry point, [`partition`] and
+//! [`optimise_mapping`]; both run serially and are deterministic (the
+//! annealing seeds derive from [`GroupingOptions::seed`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod apply;
-pub mod checkpoint;
 pub mod commgraph;
 pub mod grouping;
 pub mod mapping;
 pub mod objective;
-pub mod parallel;
 
-pub use checkpoint::{ExploreCheckpoint, NoCheckpoint, RestartOutcome, ShardBest};
 pub use commgraph::CommGraph;
-pub use grouping::{partition, partition_checkpointed, refine, GroupingOptions, GroupingSolution};
-pub use mapping::{
-    optimise_mapping, optimise_mapping_checkpointed, MappingOptions, MappingSolution,
-};
+pub use grouping::{partition, refine, GroupingOptions, GroupingSolution};
+pub use mapping::{optimise_mapping, MappingOptions, MappingSolution};
 pub use objective::{full_objective, ObjectiveState};

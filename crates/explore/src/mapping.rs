@@ -5,21 +5,7 @@ use tut_profile::platform::ComponentKind;
 use tut_profile::SystemModel;
 use tut_profiling::ProfilingReport;
 use tut_trace::perf;
-use tut_trace::{Clock, NoopSink, Progress, TraceSink};
 use tut_uml::ids::{ClassId, PropertyId};
-
-use crate::checkpoint::{ExploreCheckpoint, NoCheckpoint};
-use crate::parallel;
-
-/// Shard count of the mapping search ([`optimise_mapping_checkpointed`]).
-///
-/// Deliberately **fixed** rather than derived from `options.threads`:
-/// the shard boundaries define the checkpoint units persisted in a
-/// journal, so they must be identical no matter how many workers the
-/// original or the resumed run had. 32 shards keep every shard coarse
-/// enough to be worth a checkpoint yet plenty to feed any realistic
-/// worker count.
-pub const CHECKPOINT_SHARDS: usize = 32;
 
 /// One processing element as the optimiser sees it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -57,22 +43,18 @@ pub struct MappingOptions {
     pub comm_weight: f64,
     /// Pinned assignments (`Fixed` mappings): `(group, element)`.
     pub pinned: Vec<(usize, usize)>,
-    /// Worker threads for the search: 1 = serial, 0 = use
-    /// `std::thread::available_parallelism`. The solution is bit-identical
-    /// at every thread count.
-    pub threads: usize,
 }
 
 impl Default for MappingOptions {
     fn default() -> Self {
         MappingOptions {
-            // One signal crossing one segment costs about two
-            // cycles/MHz time units — calibrated against the TUTMAC
-            // co-simulation so the static estimate and the simulated
-            // bottleneck agree on the winner.
+            // One signal crossing one segment costs two cycles/MHz time
+            // units. A fixed heuristic, not a calibration: on TUTMAC the
+            // static estimate and the simulated bottleneck rank mappings
+            // differently (EXPERIMENTS A3, pinned by
+            // `experiments_a3_matches_the_simulated_busy_times`).
             comm_weight: 2.0,
             pinned: Vec::new(),
-            threads: 1,
         }
     }
 }
@@ -145,177 +127,44 @@ fn cost_into(
     bottleneck + 0.2 * total + comm
 }
 
-/// Precomputed, order-preserving evaluation tables for the exhaustive
-/// search's inner loop. Three folds are hoisted out of the per-candidate
-/// cost: the `(group, PE)` time matrix (penalty lookup plus multiply and
-/// divide), the non-zero communication pairs as an ordered term list
-/// (skipping the `O(groups²)` zero scan), and the per-PE load fold over
-/// the *pinned prefix* — every group below the lowest index the odometer
-/// can touch contributes a constant load, summed once.
-///
-/// Evaluation replays exactly [`cost_into`]'s float operations in
-/// exactly its order (same values, same accumulation sequence, same
-/// parenthesisation), so every candidate cost is **bit-identical** to
-/// the reference — pinned by `hoisted_eval_is_bit_identical_to_cost_into`.
-struct CostTables<'a> {
-    problem: &'a MappingProblem,
-    pes: usize,
-    /// `time[group * pes + pe]`: load contribution of `group` on `pe`.
-    time: Vec<f64>,
-    /// `(g, h, signals)` for `g < h` with any traffic, in pair order.
-    comm_terms: Vec<(usize, usize, f64)>,
-    comm_weight: f64,
-    /// First group index the search may reassign; groups below it are
-    /// folded into `prefix_loads`.
-    lo: usize,
-    prefix_loads: Vec<f64>,
-}
-
-impl<'a> CostTables<'a> {
-    fn new(
-        problem: &'a MappingProblem,
-        options: &MappingOptions,
-        base: &[usize],
-        free: &[usize],
-    ) -> CostTables<'a> {
-        let pes = problem.pes.len();
-        let groups = problem.group_cycles.len();
-        let mut time = vec![0.0; groups * pes];
-        for group in 0..groups {
-            for pe in 0..pes {
-                let penalty = kind_penalty(problem.group_kinds[group], problem.pes[pe].kind);
-                time[group * pes + pe] = problem.group_cycles[group] as f64 * penalty
-                    / problem.pes[pe].frequency_mhz.max(1) as f64;
-            }
-        }
-        let mut comm_terms = Vec::new();
-        for g in 0..groups {
-            for h in (g + 1)..groups {
-                let signals = problem.comm[g][h] + problem.comm[h][g];
-                if signals != 0 {
-                    comm_terms.push((g, h, signals as f64));
-                }
-            }
-        }
-        let lo = free.iter().copied().min().unwrap_or(groups);
-        let mut prefix_loads = vec![0.0; pes];
-        for (group, &pe) in base.iter().enumerate().take(lo) {
-            prefix_loads[pe] += time[group * pes + pe];
-        }
-        CostTables {
-            problem,
-            pes,
-            time,
-            comm_terms,
-            comm_weight: options.comm_weight,
-            lo,
-            prefix_loads,
-        }
-    }
-
-    /// [`cost_into`], replayed from the tables.
-    fn eval(&self, assignment: &[usize], loads: &mut Vec<f64>) -> f64 {
-        loads.clear();
-        loads.extend_from_slice(&self.prefix_loads);
-        for (group, &pe) in assignment.iter().enumerate().skip(self.lo) {
-            loads[pe] += self.time[group * self.pes + pe];
-        }
-        let bottleneck = loads.iter().cloned().fold(0.0, f64::max);
-        let total: f64 = loads.iter().sum();
-        let mut comm = 0.0;
-        for &(g, h, signals) in &self.comm_terms {
-            let distance = self.problem.distance[assignment[g]][assignment[h]] as f64;
-            comm += signals * distance * self.comm_weight;
-        }
-        bottleneck + 0.2 * total + comm
-    }
-}
-
 /// Finds the cost-minimal assignment by exhaustive search. Pinned groups
 /// are collapsed out of the enumeration, so the space is
 /// `pes^free_groups` (the paper's case is `4^4 = 256` unpinned, `4^3`
 /// with the accelerator pin). For larger systems use a coarser group
-/// count first.
-///
-/// The enumeration is cut into [`CHECKPOINT_SHARDS`] fixed shards that
-/// run on up to `options.threads` scoped workers; the reduction keeps the
-/// first strict minimum in enumeration order, so the result is
-/// bit-identical at every thread count.
+/// count first. Ties go to the first minimum in enumeration order. The
+/// search is the `explore.mapping.search` self-profiler frame (see
+/// [`tut_trace::perf`]).
 ///
 /// # Panics
 ///
 /// Panics if the problem is inconsistent (mismatched lengths, pins out of
 /// range) or the pin-collapsed search space exceeds `10^7` candidates.
 pub fn optimise_mapping(problem: &MappingProblem, options: &MappingOptions) -> MappingSolution {
-    optimise_mapping_checkpointed(
-        problem,
-        options,
-        &mut NoopSink,
-        &Progress::disabled(),
-        &NoCheckpoint,
-    )
-}
-
-/// [`optimise_mapping`] with every hook:
-///
-/// - `tracer`: the search becomes a host-clock span on the
-///   `tool/explore.mapping` track, and the candidate count is recorded
-///   as the `explore.mapping.candidates` counter metric.
-/// - `progress`: every finished shard ticks it by its candidate count
-///   and reports its shard-best cost. The search and each shard are also
-///   self-profiler frames (see [`tut_trace::perf`]).
-/// - `checkpoint`: each finished shard's best is reported to it, and
-///   shards a previous run completed are replayed instead of rescanned.
-///   The shards are fixed (thread-count independent), so the checkpoint
-///   units of an interrupted run line up with the resumed one.
-///
-/// Each shard's best is a pure function of the problem and the shard
-/// range, so observation, replay and thread count never change the
-/// solution.
-pub fn optimise_mapping_checkpointed<T: TraceSink, C: ExploreCheckpoint>(
-    problem: &MappingProblem,
-    options: &MappingOptions,
-    tracer: &mut T,
-    progress: &Progress,
-    checkpoint: &C,
-) -> MappingSolution {
     let _search_span = perf::enter_named("explore.mapping.search");
-    let track = tracer.track("tool/explore.mapping", Clock::Host);
-    let search_start = tracer.host_now_ns();
-    let (base, free, total) = pin_collapse(problem, options);
-    let tables = CostTables::new(problem, options, &base, &free);
-
-    let shards = parallel::shard_ranges(total, CHECKPOINT_SHARDS);
-    let per_shard = parallel::map_ordered(shards.len(), options.threads, |shard| {
-        if let Some(prev) = checkpoint.replay_mapping_shard(shard) {
-            return prev; // no progress tick: the driver pre-accounts replays
+    let (mut assignment, free, total) = pin_collapse(problem, options);
+    let pes = problem.pes.len();
+    let mut best_assignment = assignment.clone();
+    let mut best_cost = 0.0;
+    let mut loads = Vec::new();
+    for index in 0..total {
+        let cost = cost_into(problem, &assignment, options, &mut loads);
+        if index == 0 || cost < best_cost {
+            best_cost = cost;
+            best_assignment.copy_from_slice(&assignment);
         }
-        let best = scan_shard(&tables, &base, &free, shards[shard].clone(), progress);
-        checkpoint.mapping_shard_done(shard, &best);
-        best
-    });
-    // Deterministic reduction: shards are in enumeration order and each
-    // carries its first strict minimum, so keeping the first shard that
-    // strictly improves reproduces a serial scan.
-    let mut best: Option<(f64, u64)> = None;
-    for candidate in per_shard.into_iter().flatten() {
-        if best.map(|(cost, _)| candidate.0 < cost).unwrap_or(true) {
-            best = Some(candidate);
+        // Odometer increment over the free digits, digit 0 fastest.
+        for &group in &free {
+            assignment[group] += 1;
+            if assignment[group] < pes {
+                break;
+            }
+            assignment[group] = 0;
         }
     }
-    let (cost, winner) = best.expect("at least one assignment is feasible");
-
-    let mut assignment = base;
-    decode_candidate(winner, problem.pes.len(), &free, &mut assignment);
-    let now = tracer.host_now_ns();
-    tracer.span(
-        track,
-        "search",
-        search_start,
-        now.saturating_sub(search_start),
-    );
-    tracer.add("explore.mapping.candidates", total);
-    MappingSolution { assignment, cost }
+    MappingSolution {
+        assignment: best_assignment,
+        cost: best_cost,
+    }
 }
 
 /// Validates the problem, collapses pins out of the enumeration, and
@@ -347,67 +196,6 @@ fn pin_collapse(
     assert!(space <= 1e7, "search space too large: {space}");
     let total = (pes as u64).pow(free.len() as u32);
     (base, free, total)
-}
-
-/// Writes candidate `index` into `assignment`: free group `free[j]` gets
-/// digit `j` of `index` in base `pes` (digit 0 varies fastest, matching
-/// the odometer).
-fn decode_candidate(index: u64, pes: usize, free: &[usize], assignment: &mut [usize]) {
-    let mut rem = index;
-    for &group in free {
-        assignment[group] = (rem % pes as u64) as usize;
-        rem /= pes as u64;
-    }
-}
-
-/// [`best_in_range`] as one observed worker shard: a self-profiler frame
-/// plus a progress tick (by candidate count) and shard-best report.
-fn scan_shard(
-    tables: &CostTables<'_>,
-    base: &[usize],
-    free: &[usize],
-    range: std::ops::Range<u64>,
-    progress: &Progress,
-) -> Option<(f64, u64)> {
-    let _shard_span = perf::enter_named("explore.mapping.shard");
-    let candidates = range.end.saturating_sub(range.start);
-    let best = best_in_range(tables, base, free, range);
-    if let Some((cost, _)) = best {
-        progress.record_best(cost);
-    }
-    progress.tick_n(candidates);
-    best
-}
-
-/// Scans candidates `range` (a contiguous slice of the pin-collapsed
-/// enumeration) and returns the first strict minimum as
-/// `(cost, candidate index)`.
-fn best_in_range(
-    tables: &CostTables<'_>,
-    base: &[usize],
-    free: &[usize],
-    range: std::ops::Range<u64>,
-) -> Option<(f64, u64)> {
-    let pes = tables.pes;
-    let mut assignment = base.to_vec();
-    decode_candidate(range.start, pes, free, &mut assignment);
-    let mut loads = Vec::new();
-    let mut best: Option<(f64, u64)> = None;
-    for index in range {
-        let cost = tables.eval(&assignment, &mut loads);
-        if best.map(|(c, _)| cost < c).unwrap_or(true) {
-            best = Some((cost, index));
-        }
-        // Odometer increment over the free digits, digit 0 fastest.
-        for &group in free {
-            assignment[group] += 1;
-            if assignment[group] < pes {
-                break;
-            }
-            assignment[group] = 0;
-        }
-    }
-    best
 }
 
 /// Builds a [`MappingProblem`] from a system and its profiling report:
@@ -625,95 +413,19 @@ mod tests {
         assert!(on_acc > on_cpu);
     }
 
-    /// The hoisted evaluation tables must reproduce the reference
-    /// [`cost_into`] bit-for-bit on every assignment, for every pin set
-    /// (which moves the folded prefix boundary) and at a non-trivial
-    /// comm weight (which exercises the ordered term list).
-    #[test]
-    fn hoisted_eval_is_bit_identical_to_cost_into() {
-        let mut problem = small_problem();
-        problem.comm[1][2] = 37; // extra asymmetric traffic in the term list
-        let options = MappingOptions {
-            comm_weight: 0.73,
-            ..MappingOptions::default()
-        };
-        let groups = problem.group_cycles.len();
-        let pes = problem.pes.len();
-        let mut seed = 0x2bad_f00du64;
-        let mut rng = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (seed >> 33) as usize
-        };
-        for free in [vec![0, 1, 2], vec![1, 2], vec![2], vec![]] {
-            let mut base: Vec<usize> = (0..groups).map(|g| g % pes).collect();
-            let tables = CostTables::new(&problem, &options, &base, &free);
-            let mut loads = Vec::new();
-            let mut reference = Vec::new();
-            for _ in 0..200 {
-                for &g in &free {
-                    base[g] = rng() % pes;
-                }
-                let hoisted = tables.eval(&base, &mut loads);
-                let plain = cost_into(&problem, &base, &options, &mut reference);
-                assert_eq!(
-                    hoisted.to_bits(),
-                    plain.to_bits(),
-                    "free {free:?}, assignment {base:?}: {hoisted} vs {plain}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_search_is_bit_identical_to_serial() {
-        let problem = small_problem();
-        for pinned in [vec![], vec![(2usize, 2usize)], vec![(0, 1), (2, 2)]] {
-            let serial = optimise_mapping(
-                &problem,
-                &MappingOptions {
-                    pinned: pinned.clone(),
-                    threads: 1,
-                    ..MappingOptions::default()
-                },
-            );
-            for threads in [2usize, 4] {
-                let parallel = optimise_mapping(
-                    &problem,
-                    &MappingOptions {
-                        pinned: pinned.clone(),
-                        threads,
-                        ..MappingOptions::default()
-                    },
-                );
-                assert_eq!(serial.assignment, parallel.assignment);
-                assert_eq!(
-                    serial.cost.to_bits(),
-                    parallel.cost.to_bits(),
-                    "cost must be bit-identical at {threads} threads (pins {pinned:?})"
-                );
-            }
-        }
-    }
-
     #[test]
     fn pin_collapse_shrinks_the_enumerated_space() {
-        let problem = small_problem();
-        let mut tracer = tut_trace::Recorder::new();
-        optimise_mapping_checkpointed(
-            &problem,
+        let (base, free, total) = pin_collapse(
+            &small_problem(),
             &MappingOptions {
                 pinned: vec![(2, 2)],
                 ..MappingOptions::default()
             },
-            &mut tracer,
-            &Progress::disabled(),
-            &NoCheckpoint,
         );
+        assert_eq!(base, vec![0, 0, 2], "the pinned group sits on its element");
+        assert_eq!(free, vec![0, 1]);
         assert_eq!(
-            tracer.metrics.counter("explore.mapping.candidates"),
-            Some(9),
+            total, 9,
             "3 pes ^ 2 free groups — the pinned group is out of the odometer"
         );
     }

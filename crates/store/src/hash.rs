@@ -1,10 +1,7 @@
-//! Stable job hashing: a campaign job is content-addressed by an FNV-1a
-//! 64-bit hash over everything result-relevant — the model text, the
-//! simulation configuration, the sweep/exploration parameters, the
-//! seeds, and the record-codec version. Two invocations with the same
-//! inputs resolve to the same journal; any input change makes the old
-//! journal *stale* (restarted from scratch with a diagnostic) instead of
-//! silently resuming into wrong results.
+//! Stable FNV-1a 64-bit hashing with length-prefixed field framing: the
+//! query engine's input fingerprints and the disk report cache's format
+//! hash. A cache journal whose header hash differs from the running
+//! build's is recreated empty instead of replayed.
 //!
 //! FNV-1a is used (not `DefaultHasher`) because the hash must be stable
 //! across processes, Rust versions, and platforms — it is persisted in
@@ -37,18 +34,6 @@ impl JobHasher {
     /// Feeds a `u64` (little-endian).
     pub fn write_u64(&mut self, value: u64) -> &mut Self {
         self.write(&value.to_le_bytes())
-    }
-
-    /// Feeds an `i64` (little-endian two's complement).
-    pub fn write_i64(&mut self, value: i64) -> &mut Self {
-        self.write(&value.to_le_bytes())
-    }
-
-    /// Feeds an `f64` by bit pattern, so `-0.0` and `0.0` (or two NaNs
-    /// with different payloads) hash differently — the journal cares
-    /// about byte identity, not numeric equality.
-    pub fn write_f64(&mut self, value: f64) -> &mut Self {
-        self.write(&value.to_bits().to_le_bytes())
     }
 
     /// Feeds a string, length-prefixed so `("ab","c")` and `("a","bc")`
@@ -89,12 +74,5 @@ mod tests {
         let ab_c = JobHasher::new().write_str("ab").write_str("c").finish();
         let a_bc = JobHasher::new().write_str("a").write_str("bc").finish();
         assert_ne!(ab_c, a_bc);
-    }
-
-    #[test]
-    fn floats_hash_by_bits() {
-        let pos = JobHasher::new().write_f64(0.0).finish();
-        let neg = JobHasher::new().write_f64(-0.0).finish();
-        assert_ne!(pos, neg);
     }
 }

@@ -17,19 +17,14 @@
 //!   record* and reopens for append. A crash mid-write therefore loses at
 //!   most the uncommitted tail, never the journal.
 //! * a bad header (wrong magic/version, short file) is [`StoreError::Corrupt`]:
-//!   the job layer treats it as a stale journal and restarts from scratch
-//!   with a diagnostic instead of panicking.
-//!
-//! Kill-injection sites (`store.append`, `store.torn`, `store.commit` —
-//! see [`crate::kill`]) bracket every durability boundary so the
-//! recovery property tests can crash at each one.
+//!   the caller decides what to do with it (the disk report cache
+//!   recreates the journal empty) instead of panicking.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::crc::crc32;
-use crate::kill;
 
 /// Journal file magic.
 pub const MAGIC: [u8; 8] = *b"TUTSTOR1";
@@ -239,18 +234,10 @@ impl Journal {
             payload.len() <= MAX_RECORD_LEN as usize,
             "record payload above MAX_RECORD_LEN"
         );
-        kill::kill_point("store.append");
         let mut frame = Vec::with_capacity(8 + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(payload).to_le_bytes());
         frame.extend_from_slice(payload);
-        // Torn-write injection: leave half a frame durable, then die —
-        // exactly what a power cut mid-`write(2)` can leave behind.
-        kill::kill_point_with("store.torn", || {
-            let half = frame.len() / 2;
-            let _ = self.file.write_all(&frame[..half]);
-            let _ = self.file.sync_all();
-        });
         self.file
             .write_all(&frame)
             .map_err(|e| io_err(&self.path, "append", e))?;
@@ -270,7 +257,6 @@ impl Journal {
             .sync_all()
             .map_err(|e| io_err(&self.path, "fsync", e))?;
         self.dirty = 0;
-        kill::kill_point("store.commit");
         Ok(())
     }
 

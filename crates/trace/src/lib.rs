@@ -29,9 +29,6 @@
 //!   [`perf::NoProf`]/[`perf::HostProf`] pair gives instrumented code
 //!   the same statically-dispatched zero-cost-off discipline as
 //!   [`sink::NoopSink`].
-//! * [`progress`] — throttled stderr heartbeats (done/total, rate, ETA,
-//!   best objective) for the long-running drivers; stdout stays
-//!   machine-clean.
 //! * [`json`] — a minimal JSON parser used to validate exporter output
 //!   in tests without external tooling.
 //! * [`rng`] — a SplitMix64 PRNG: the in-tree replacement for the
@@ -59,7 +56,6 @@ pub mod chrome;
 pub mod json;
 pub mod metrics;
 pub mod perf;
-pub mod progress;
 pub mod prom;
 pub mod recorder;
 pub mod rng;
@@ -68,7 +64,6 @@ pub mod vcd;
 
 pub use metrics::{Histogram, MetricsRegistry};
 pub use perf::{HostProf, NoProf, PerfReport, PerfSpan, Prof};
-pub use progress::Progress;
 pub use recorder::{EventKind, Recorder, TraceEvent};
 pub use rng::SplitMix64;
 pub use sink::{Clock, NoopSink, TraceSink, TrackId};

@@ -107,51 +107,6 @@ impl Recorder {
             .position(|t| t.name == name)
             .map(|i| TrackId(i as u32))
     }
-
-    /// Replays everything this recorder captured into another sink, so
-    /// traces recorded on worker threads can be merged back into the
-    /// parent sink.
-    ///
-    /// Tracks are re-interned by name (shared tracks merge), and
-    /// `host_offset_ns` — the parent's host clock when the worker started
-    /// — is added to Host-clock timestamps to re-base them onto the
-    /// parent's clock; Sim-clock timestamps pass through untouched.
-    /// Counters replay via [`TraceSink::add`] and gauges via
-    /// [`TraceSink::gauge`]. Histograms replay per bucket at the bucket's
-    /// low edge, which lands in the same bucket (bucket counts are exact;
-    /// the merged sum/min/max are approximated by the bucket edges).
-    pub fn replay_into<T: TraceSink>(&self, sink: &mut T, host_offset_ns: u64) {
-        let mapped: Vec<TrackId> = self
-            .tracks
-            .iter()
-            .map(|t| sink.track(&t.name, t.clock))
-            .collect();
-        for event in &self.events {
-            let track = mapped[event.track.index()];
-            let ts = match self.tracks[event.track.index()].clock {
-                Clock::Host => event.ts_ns.saturating_add(host_offset_ns),
-                Clock::Sim => event.ts_ns,
-            };
-            match event.kind {
-                EventKind::Span { dur_ns } => sink.span(track, &event.name, ts, dur_ns),
-                EventKind::Instant => sink.instant(track, &event.name, ts),
-                EventKind::Counter { value } => sink.counter(track, &event.name, ts, value),
-            }
-        }
-        for (name, value) in self.metrics.counters() {
-            sink.add(name, value);
-        }
-        for (name, value) in self.metrics.gauges() {
-            sink.gauge(name, value);
-        }
-        for (name, histogram) in self.metrics.histograms() {
-            for (low, _, count) in histogram.nonzero_buckets() {
-                for _ in 0..count {
-                    sink.observe(name, low);
-                }
-            }
-        }
-    }
 }
 
 impl TraceSink for Recorder {
@@ -266,42 +221,5 @@ mod tests {
         let a = rec.host_now_ns();
         let b = rec.host_now_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn replay_merges_tracks_offsets_host_time_and_sums_metrics() {
-        let mut worker = Recorder::new();
-        let host = worker.track("tool/anneal", Clock::Host);
-        let sim = worker.track("pe/cpu1", Clock::Sim);
-        worker.span(host, "restart", 10, 5);
-        worker.instant(sim, "tick", 42);
-        worker.counter(host, "objective", 12, 3.5);
-        worker.add("runs", 2);
-        worker.gauge("temp", 0.5);
-        worker.observe("wait", 7);
-        worker.observe("wait", 100);
-
-        let mut parent = Recorder::new();
-        let parent_host = parent.track("tool/anneal", Clock::Host);
-        parent.add("runs", 1);
-        worker.replay_into(&mut parent, 1_000);
-
-        // The shared host track was merged, not duplicated.
-        assert_eq!(parent.find_track("tool/anneal"), Some(parent_host));
-        assert_eq!(parent.tracks().len(), 2);
-        // Host timestamps were re-based; sim timestamps pass through.
-        let span = &parent.events()[0];
-        assert_eq!(span.ts_ns, 1_010);
-        assert!(matches!(span.kind, EventKind::Span { dur_ns: 5 }));
-        let instant = &parent.events()[1];
-        assert_eq!(instant.ts_ns, 42, "sim clock must not be offset");
-        assert_eq!(parent.events()[2].ts_ns, 1_012);
-        // Counters accumulate, gauges land, histogram bucket counts are
-        // exact.
-        assert_eq!(parent.metrics.counter("runs"), Some(3));
-        assert_eq!(parent.metrics.gauge_value("temp"), Some(0.5));
-        let wait = parent.metrics.histogram("wait").unwrap();
-        assert_eq!(wait.count(), 2);
-        assert_eq!(wait.min(), Some(7), "low linear buckets replay exactly");
     }
 }

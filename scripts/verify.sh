@@ -25,54 +25,17 @@ echo "==> cargo test -q"
 cargo test -q
 
 echo "==> cargo test --workspace -q (every crate's unit and integration tests)"
-# This also runs the root suites `exploration` (parallel == serial
-# properties), `faults` (fault-injection determinism + ARQ contract) and
+# This also runs the root suites `exploration` (the pinned `repro
+# explore` design, A2/A3 rows, mapping search against brute force),
+# `faults` (fault-injection determinism + ARQ contract) and
 # `log_identity` (pinned simulation logs).
 cargo test --workspace -q
-
-echo "==> repro --threads 2 explore (parallel path smoke run)"
-cargo run --release -q -p tut-bench --bin repro -- --threads 2 explore
 
 echo "==> repro fault-sweep --quick (reliability smoke point)"
 cargo run --release -q -p tut-bench --bin repro -- fault-sweep --quick
 
-echo "==> repro fault-sweep --quick --store (kill mid-write, resume, bit-identical)"
-# Crash drill: abort the sweep halfway through the third record's write
-# (a torn frame on disk), then resume. The resume must truncate the torn
-# tail, replay the 2 durable points, recompute the rest, and pass the
-# same pinned band as the uninterrupted smoke.
-store_dir=$(mktemp -d)
-trap 'rm -rf "$store_dir"' EXIT
-if TUT_STORE_KILL=store.torn:3:abort cargo run --release -q -p tut-bench --bin repro -- \
-    fault-sweep --quick --no-progress --store "$store_dir" 2> /dev/null; then
-    echo "repro fault-sweep --store: armed kill did not fire"; exit 1;
-fi
-resume_out=$(cargo run --release -q -p tut-bench --bin repro -- \
-    fault-sweep --quick --no-progress --store "$store_dir" --resume)
-if ! grep -q "resumed=2 total=5" <<< "$resume_out"; then
-    echo "repro fault-sweep --resume: expected resumed=2 total=5"; exit 1;
-fi
-if ! grep -q "within pinned band" <<< "$resume_out"; then
-    echo "repro fault-sweep --resume: resumed table left the pinned band"; exit 1;
-fi
-
-echo "==> repro fault-sweep --quick at 1 and 2 threads, in memory and durable (same BER rows)"
-# repro defaults to one thread, so the steps above never take either
-# sweep's parallel branch. All three tables must carry the same rows.
-sweep_rows() {
-    cargo run --release -q -p tut-bench --bin repro -- fault-sweep --quick --no-progress "$@" \
-        | grep -E '^[0-9]+e-?[0-9]+ '
-}
-sweep_serial=$(sweep_rows --threads 1)
-sweep_parallel=$(sweep_rows --threads 2)
-sweep_durable=$(sweep_rows --threads 2 --store "$(mktemp -d -p "$store_dir")")
-if [[ $(wc -l <<< "$sweep_serial") -ne 5 ]]; then
-    echo "repro fault-sweep --quick: expected 5 BER rows, got: $sweep_serial"; exit 1;
-fi
-if ! diff <(echo "$sweep_serial") <(echo "$sweep_parallel") \
-    || ! diff <(echo "$sweep_serial") <(echo "$sweep_durable"); then
-    echo "repro fault-sweep --quick: BER rows differ across threads or the durable store"; exit 1;
-fi
+tmp_dir=$(mktemp -d)
+trap 'rm -rf "$tmp_dir"' EXIT
 
 echo "==> repro profile --quick --folded (self-profiler smoke)"
 folded_out=$(cargo run --release -q -p tut-bench --bin repro -- profile --quick --folded)
@@ -111,7 +74,7 @@ fi
 echo "==> repro check --store (warm re-check drill: second process answers from disk)"
 # First process populates the disk report cache; a second process must
 # answer the identical check entirely from the journal (100% hit rate).
-check_store=$(mktemp -d -p "$store_dir")
+check_store=$(mktemp -d -p "$tmp_dir")
 cargo run --release -q -p tut-bench --bin repro -- check --cache-stats \
     --store "$check_store" > /dev/null
 warm_out=$(cargo run --release -q -p tut-bench --bin repro -- check --cache-stats \
@@ -130,7 +93,7 @@ echo "==> perfbench smoke (each flow workload builds, runs 1 s, fails no check, 
 # Every `exact:`/`fingerprint:` line (simulated counts, log and report
 # hashes) must match scripts/perfbench_exact.txt, so a speed-only change
 # that alters a simulated count or a log byte fails here.
-perf_exact=$(mktemp -p "$store_dir")
+perf_exact=$(mktemp -p "$tmp_dir")
 for workload in paper_flow fault_campaign edit_check; do
     perf_out=$(cargo run --quiet --release --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0)

@@ -120,11 +120,35 @@ fn remapping_respects_fixed_group4() {
     assert!(report2.total_cycles > 0);
 }
 
-/// Property: the parallel exhaustive mapping search returns exactly the
-/// serial solution — same assignment, bit-identical cost — across random
-/// problems, pin sets, and thread counts.
+/// `repro explore`'s answer on the paper system, pinned bit for bit: a
+/// change to either optimiser's search order, cost arithmetic or seeding
+/// shows here.
 #[test]
-fn parallel_mapping_matches_serial_on_random_problems() {
+fn repro_explore_finds_the_pinned_design() {
+    let explore = tut_bench::explore_paper_system();
+    assert_eq!(explore.nodes, 10);
+    assert_eq!(explore.grouping.cut_weight, 0);
+    assert_eq!(explore.grouping.objective.to_bits(), 0.0f64.to_bits());
+    assert_eq!(explore.grouping.assignment, vec![4; 10]);
+    assert_eq!(
+        explore.group_names,
+        ["group1", "group2", "group3", "group4"]
+    );
+    assert_eq!(explore.pes, 4);
+    assert_eq!(explore.mapping.assignment, vec![2, 0, 2, 3]);
+    assert_eq!(
+        explore.mapping.cost.to_bits(),
+        0x40d3_f69f_be76_c8b5,
+        "mapping cost {} moved",
+        explore.mapping.cost
+    );
+}
+
+/// Property: the exhaustive mapping search returns the first minimum of
+/// `mapping_cost` over every assignment that honours the pins, across
+/// random problems and pin sets.
+#[test]
+fn mapping_search_matches_brute_force_on_random_problems() {
     let mut rng = SplitMix64::new(0x5EED_0001);
     let kinds = [
         ProcessType::General,
@@ -174,76 +198,37 @@ fn parallel_mapping_matches_serial_on_random_problems() {
                 pinned.push((g, rng.next_index(pes)));
             }
         }
-        let options = |threads| explore::MappingOptions {
+        let options = explore::MappingOptions {
             pinned: pinned.clone(),
-            threads,
             ..Default::default()
         };
-        let serial = explore::optimise_mapping(&problem, &options(1));
-        for threads in [2usize, 4] {
-            let parallel = explore::optimise_mapping(&problem, &options(threads));
-            assert_eq!(
-                serial.assignment, parallel.assignment,
-                "assignment diverged at {threads} threads (pins {pinned:?})"
-            );
-            assert_eq!(
-                serial.cost.to_bits(),
-                parallel.cost.to_bits(),
-                "cost diverged at {threads} threads"
-            );
-        }
-    }
-}
+        let found = explore::optimise_mapping(&problem, &options);
 
-/// Property: multi-start partitioning is bit-identical across thread
-/// counts — every restart is a pure function of (graph, start, seed), and
-/// the reduction picks the same winner regardless of which worker ran it.
-#[test]
-fn parallel_partition_matches_serial_on_random_graphs() {
-    let mut rng = SplitMix64::new(0x5EED_0002);
-    for _case in 0..15 {
-        let nodes = 5 + rng.next_index(10);
-        let mut graph = explore::CommGraph::default();
-        for i in 0..nodes {
-            let index = graph.intern(&format!("p{i}"));
-            graph.set_load(index, rng.next_below(5_000));
-        }
-        for _ in 0..nodes * 2 {
-            let a = rng.next_index(nodes);
-            let b = rng.next_index(nodes);
-            graph.add_edge(a, b, 1 + rng.next_below(40));
-        }
-        let groups = 2 + rng.next_index(3);
-        let mut pinned: Vec<(usize, usize)> = Vec::new();
-        for n in 0..nodes {
-            if rng.next_below(4) == 0 {
-                pinned.push((n, rng.next_index(groups)));
+        // Every assignment in lexicographic order; the first strict
+        // minimum wins.
+        let mut best: Option<(f64, Vec<usize>)> = None;
+        for index in 0..(pes as u64).pow(groups as u32) {
+            let assignment: Vec<usize> = (0..groups)
+                .map(|g| (index / (pes as u64).pow(g as u32) % pes as u64) as usize)
+                .collect();
+            if pinned.iter().any(|&(g, pe)| assignment[g] != pe) {
+                continue;
+            }
+            let cost = explore::mapping::mapping_cost(&problem, &assignment, &options);
+            if best.as_ref().map(|(c, _)| cost < *c).unwrap_or(true) {
+                best = Some((cost, assignment));
             }
         }
-        let seed = rng.next_u64();
-        let options = |threads| explore::GroupingOptions {
-            groups,
-            balance_weight: if nodes.is_multiple_of(2) { 0.2 } else { 0.0 },
-            pinned: pinned.clone(),
-            annealing_iterations: 400,
-            seed,
-            restarts: 3,
-            threads,
-        };
-        let serial = explore::partition(&graph, &options(1));
-        for threads in [2usize, 4] {
-            let parallel = explore::partition(&graph, &options(threads));
-            assert_eq!(
-                serial.assignment, parallel.assignment,
-                "assignment diverged at {threads} threads (pins {pinned:?})"
-            );
-            assert_eq!(serial.cut_weight, parallel.cut_weight);
-            assert_eq!(
-                serial.objective.to_bits(),
-                parallel.objective.to_bits(),
-                "objective diverged at {threads} threads"
-            );
-        }
+        let (cost, assignment) = best.expect("a feasible assignment");
+        assert_eq!(
+            found.cost.to_bits(),
+            cost.to_bits(),
+            "cost differs from brute force (pins {pinned:?})"
+        );
+        assert_eq!(
+            found.assignment, assignment,
+            "assignment differs (pins {pinned:?})"
+        );
     }
 }
 
