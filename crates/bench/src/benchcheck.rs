@@ -1,7 +1,7 @@
 //! The `repro bench-check` driver: cold vs warm front-end latency.
 //!
 //! Measures the cold `repro check` pipeline against the incremental
-//! [`Checker`](crate::incremental::Checker) on the TUTMAC fixture,
+//! [`Checker`] on the TUTMAC fixture,
 //! applying a fresh single-statement behaviour edit before every warm
 //! repetition so each one does genuine patch work (never a report-cache
 //! hit). Every warm iteration is also verified byte-identical against

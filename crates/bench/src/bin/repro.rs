@@ -274,7 +274,8 @@ fn run_traced(trace: Option<&str>, vcd: Option<&str>, prom: Option<&str>) {
 /// when none is given) through the incremental query pipeline. Each
 /// distinct file is read, hashed and checked exactly once — repeated
 /// paths reuse the first outcome. Returns the process exit code per the
-/// contract: errors → 1, warnings only → 0.
+/// contract: errors → 1, warnings only → 0, an unreadable path → 2
+/// (before any file is checked or the store is opened).
 fn run_check(
     paths: &[String],
     json: bool,
@@ -282,6 +283,19 @@ fn run_check(
     store: Option<&std::path::Path>,
 ) -> i32 {
     use tut_bench::incremental::{CheckOutcome, Checker};
+    let mut sources: Vec<(&str, String)> = Vec::new();
+    for path in paths {
+        if sources.iter().any(|(seen, _)| *seen == path.as_str()) {
+            continue;
+        }
+        match std::fs::read_to_string(path) {
+            Ok(text) => sources.push((path, text)),
+            Err(e) => {
+                eprintln!("[check] cannot read `{path}`: {e}");
+                return 2;
+            }
+        }
+    }
     let mut checker = Checker::new();
     if let Some(dir) = store {
         match checker.open_disk(&dir.join("check-cache.journal")) {
@@ -292,21 +306,13 @@ fn run_check(
     let outcomes: Vec<CheckOutcome> = if paths.is_empty() {
         vec![checker.check("paper-system.xml", &tut_bench::paper_system().to_xml())]
     } else {
-        // The read-source step deduplicates: one read + one check per
-        // distinct path, however often it appears on the command line.
-        let mut by_path: std::collections::HashMap<&str, CheckOutcome> = Default::default();
+        let by_path: std::collections::HashMap<&str, CheckOutcome> = sources
+            .iter()
+            .map(|(path, text)| (*path, checker.check(path, text)))
+            .collect();
         paths
             .iter()
-            .map(|path| {
-                by_path
-                    .entry(path.as_str())
-                    .or_insert_with(|| {
-                        let text = std::fs::read_to_string(path)
-                            .unwrap_or_else(|e| panic!("reading `{path}`: {e}"));
-                        checker.check(path, &text)
-                    })
-                    .clone()
-            })
+            .map(|path| by_path[path.as_str()].clone())
             .collect()
     };
     let mut failed = false;
@@ -327,6 +333,30 @@ fn run_check(
     i32::from(failed)
 }
 
+/// The items `all` (or an empty item list) runs, in order.
+const ALL_ITEMS: &[&str] = &[
+    "fig1",
+    "fig2",
+    "fig3",
+    "table1",
+    "table2",
+    "table3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "table4",
+    "explore",
+    "fault-sweep",
+];
+
+/// Reports a command-line mistake and exits 2 before any item runs.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut args: Vec<String> = Vec::new();
@@ -341,7 +371,7 @@ fn main() {
     while let Some(arg) = iter.next() {
         let mut take = |flag: &str| {
             iter.next()
-                .unwrap_or_else(|| panic!("{flag} needs an argument"))
+                .unwrap_or_else(|| usage_error(&format!("{flag} needs an argument")))
         };
         match arg.as_str() {
             "--trace" => trace = Some(take("--trace")),
@@ -353,11 +383,10 @@ fn main() {
             "--folded" => folded = true,
             "--store" => store = Some(take("--store")),
             "--top" => {
-                top = Some(
-                    take("--top")
-                        .parse()
-                        .expect("--top needs a number of table rows"),
-                )
+                let rows = take("--top");
+                top = Some(rows.parse().unwrap_or_else(|_| {
+                    usage_error(&format!("--top needs a number of table rows, not `{rows}`"))
+                }))
             }
             _ => args.push(arg),
         }
@@ -398,6 +427,21 @@ fn main() {
         };
         std::process::exit(tut_bench::profile_cmd::run_profile(&args[1..], &flags));
     }
+    // Every item is validated before the first one (or the traced run)
+    // starts, so a bad item anywhere on the line prints nothing.
+    if let Some(unknown) = args.iter().find(|item| {
+        !ALL_ITEMS.contains(&item.as_str()) && !["transfers", "all"].contains(&item.as_str())
+    }) {
+        usage_error(&format!(
+            "unknown item `{unknown}`; known: fig1..fig8, table1..table4, transfers, \
+             explore, fault-sweep, bench-check, check, watch, profile, all"
+        ));
+    }
+    let selected: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
+        ALL_ITEMS.to_vec()
+    } else {
+        args.iter().map(String::as_str).collect()
+    };
     let tracing_requested = trace.is_some() || vcd.is_some() || prom.is_some();
     if tracing_requested {
         run_traced(trace.as_deref(), vcd.as_deref(), prom.as_deref());
@@ -406,27 +450,6 @@ fn main() {
         }
         println!("\n{}\n", "=".repeat(72));
     }
-    let selected: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        vec![
-            "fig1",
-            "fig2",
-            "fig3",
-            "table1",
-            "table2",
-            "table3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "table4",
-            "explore",
-            "fault-sweep",
-        ]
-    } else {
-        args.iter().map(String::as_str).collect()
-    };
-
     let tut = TutProfile::new();
     for (index, item) in selected.iter().enumerate() {
         if index > 0 {
@@ -448,13 +471,7 @@ fn main() {
             "transfers" => print_transfers(),
             "explore" => print_explore(),
             "fault-sweep" => print_fault_sweep(quick),
-            other => {
-                eprintln!(
-                    "unknown item `{other}`; known: fig1..fig8, table1..table4, transfers, \
-                     explore, fault-sweep, bench-check, check, watch, profile, all"
-                );
-                std::process::exit(2);
-            }
+            other => unreachable!("item `{other}` was validated"),
         }
     }
 }

@@ -4,7 +4,7 @@
 //! a content hash before re-checking, so editors that rewrite the file
 //! without changing it (or touch the mtime twice per save) never trigger
 //! a duplicate report. Each re-check runs through the incremental
-//! [`Checker`](crate::incremental::Checker), so after the first pass the
+//! [`Checker`], so after the first pass the
 //! turnaround is dominated by what the edit actually invalidated.
 
 use std::path::Path;

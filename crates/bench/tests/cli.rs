@@ -1,6 +1,8 @@
 //! Binary-level tests of `repro`'s command line: machine-readable stdout
 //! stays machine-clean, `repro profile` emits parseable artefacts, and
-//! flags an item does not take exit 2.
+//! every usage mistake (an unknown item or flag, a missing or malformed
+//! flag value, an unreadable model path, a flag an item does not take)
+//! exits 2 with a message before anything runs.
 
 use std::process::{Command, Output};
 
@@ -13,6 +15,30 @@ fn repro(args: &[&str]) -> Output {
 
 fn text(bytes: &[u8]) -> String {
     String::from_utf8_lossy(bytes).into_owned()
+}
+
+/// Asserts `args` is a usage error: exit 2, nothing on stdout, `message`
+/// on stderr, and no panic.
+fn assert_usage_error(args: &[&str], message: &str) {
+    let out = repro(args);
+    let stderr = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{args:?} ran before failing:\n{}",
+        text(&out.stdout)
+    );
+    assert!(!stderr.contains("panicked"), "{args:?} panicked:\n{stderr}");
+    assert!(
+        stderr.contains(message),
+        "{args:?}: expected `{message}` on stderr:\n{stderr}"
+    );
+}
+
+/// A path under the system temp directory unique to this test process.
+fn temp_path(name: &str) -> String {
+    let path = std::env::temp_dir().join(format!("repro-cli-{name}-{}", std::process::id()));
+    path.to_str().expect("utf-8 temp path").to_owned()
 }
 
 #[test]
@@ -72,8 +98,8 @@ fn profile_rejects_unknown_items() {
 
 #[test]
 fn store_is_rejected_outside_check_and_watch() {
-    let dir = std::env::temp_dir().join(format!("repro-cli-store-{}", std::process::id()));
-    let dir = dir.to_str().expect("utf-8 temp path");
+    let dir = temp_path("rejected-store");
+    let dir = dir.as_str();
     for args in [
         &["fault-sweep", "--quick", "--store", dir][..],
         &["explore", "--store", dir],
@@ -109,4 +135,46 @@ fn removed_flags_are_unknown_items() {
             text(&out.stderr)
         );
     }
+}
+
+#[test]
+fn every_item_is_validated_before_the_first_runs() {
+    let trace = temp_path("trace.json");
+    for args in [
+        &["explore", "--threads", "2"][..],
+        &["table1", "fig1", "bogus"],
+        &["all", "bogus"],
+        &["--trace", &trace, "fig1", "bogus"],
+    ] {
+        assert_usage_error(args, "unknown item `");
+    }
+    assert!(
+        !std::path::Path::new(&trace).exists(),
+        "the traced run must not start before the items are validated"
+    );
+}
+
+#[test]
+fn missing_or_malformed_flag_values_exit_2() {
+    assert_usage_error(&["profile", "--top", "x"], "--top needs a number");
+    assert_usage_error(&["profile", "--top"], "--top needs an argument");
+    assert_usage_error(&["fig1", "--trace"], "--trace needs an argument");
+    assert_usage_error(&["check", "--store"], "--store needs an argument");
+}
+
+#[test]
+fn unreadable_check_paths_exit_2() {
+    assert_usage_error(&["check", "--help"], "cannot read `--help`");
+    // A readable model before the unreadable one is not checked either,
+    // and the store is not opened.
+    let store = temp_path("store");
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/check_bad.xml");
+    assert_usage_error(
+        &["check", "--store", &store, fixture, "no-such-model.xml"],
+        "cannot read `no-such-model.xml`",
+    );
+    assert!(
+        !std::path::Path::new(&store).exists(),
+        "an unreadable path must not create the store"
+    );
 }

@@ -1,4 +1,4 @@
-//! A HIBI v2 on-chip interconnection network simulator.
+//! A timing model of the HIBI v2 on-chip interconnection network.
 //!
 //! The paper's platform communicates over the HIBI bus (Salminen et al.,
 //! "HIBI v.2 Interconnection for System-on-Chip" — reference 5 of the
@@ -8,15 +8,12 @@
 //! schedule — exactly the `«CommunicationSegment»` /
 //! `«CommunicationWrapper»` parameters of Table 3.
 //!
-//! Two complementary layers:
-//!
-//! * [`topology`] + [`transfer`] — the network used during co-simulation:
-//!   a reservation-based timing model that routes each transfer across the
-//!   segment graph, accounts arbitration overhead, burst splitting
-//!   (`MaxTime`), bridge store-and-forward, and per-segment utilisation.
-//! * [`arbiter`] — a cycle-accurate single-segment arbitration simulator
-//!   used by the arbitration ablation bench and for validating the
-//!   overhead constants of the transfer layer.
+//! [`topology`] builds the network and [`transfer`] times it during
+//! co-simulation: a reservation-based timing model that routes each
+//! transfer across the segment graph and accounts arbitration overhead,
+//! burst splitting (`MaxTime`), bridge store-and-forward and per-segment
+//! utilisation. It is the only bus model; the simulator calls
+//! [`Network::transfer`] for every signal between processing elements.
 //!
 //! # Example
 //!
@@ -28,7 +25,7 @@
 //! let a0 = b.add_agent(seg, WrapperConfig::new(0x10));
 //! let a1 = b.add_agent(seg, WrapperConfig::new(0x20));
 //! let mut network = b.build()?;
-//! let done = network.transfer(a0, a1, 64, 0);
+//! let done = network.transfer(a0, a1, 64, 0, &mut tut_trace::NoopSink);
 //! assert!(done.completion_ns > 0);
 //! # Ok::<(), tut_hibi::HibiError>(())
 //! ```
@@ -36,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arbiter;
 pub mod error;
 pub mod stats;
 pub mod topology;

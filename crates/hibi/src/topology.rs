@@ -150,11 +150,8 @@ impl WrapperConfig {
 pub(crate) struct Segment {
     pub(crate) name: String,
     pub(crate) config: SegmentConfig,
-    pub(crate) agents: Vec<AgentId>,
     /// Earliest time the segment is free for a new reservation.
     pub(crate) free_at_ns: u64,
-    /// Round-robin pointer (index into `agents`).
-    pub(crate) rr_next: usize,
     pub(crate) stats: SegmentStats,
 }
 
@@ -197,9 +194,7 @@ impl NetworkBuilder {
         self.segments.push(Segment {
             name: name.into(),
             config,
-            agents: Vec::new(),
             free_at_ns: 0,
-            rr_next: 0,
             stats: SegmentStats::default(),
         });
         id
@@ -211,8 +206,8 @@ impl NetworkBuilder {
     ///
     /// Panics if `segment` was not created by this builder.
     pub fn add_agent(&mut self, segment: SegmentId, config: WrapperConfig) -> AgentId {
+        assert!(segment.index() < self.segments.len(), "unknown {segment}");
         let id = AgentId(self.agents.len() as u32);
-        self.segments[segment.index()].agents.push(id);
         self.agents.push(Agent { segment, config });
         id
     }
@@ -365,16 +360,6 @@ pub struct Network {
 }
 
 impl Network {
-    /// Number of segments.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Number of agents.
-    pub fn agent_count(&self) -> usize {
-        self.agents.len()
-    }
-
     /// The segment an agent is attached to.
     ///
     /// # Panics
@@ -447,7 +432,6 @@ impl Network {
     pub fn reset(&mut self) {
         for segment in &mut self.segments {
             segment.free_at_ns = 0;
-            segment.rr_next = 0;
             segment.stats = SegmentStats::default();
         }
         self.unroutable = 0;

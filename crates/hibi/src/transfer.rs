@@ -15,12 +15,11 @@
 //!   `MaxTime` re-arbitrates between bursts;
 //! * **bridge store-and-forward** — fixed latency per segment crossing.
 //!
-//! The cycle-accurate single-segment behaviour (who wins under
-//! contention, fairness) is modelled separately in [`crate::arbiter`];
-//! this layer is deliberately a timing envelope, which is what the
+//! This layer is deliberately a timing envelope, not a cycle-level bus
+//! model: it answers when each payload lands, which is what the
 //! profiling flow of the paper needs.
 
-use tut_trace::{Clock, NoopSink, TraceSink};
+use tut_trace::{Clock, TraceSink};
 
 use crate::topology::{AgentId, Arbitration, Network};
 
@@ -45,7 +44,12 @@ pub struct TransferResult {
 impl Network {
     /// Schedules a `bytes`-byte transfer from `from` to `to`, submitted at
     /// `now_ns`, and returns its timing. Per-segment statistics are
-    /// accumulated (see [`Network::segment_stats`]).
+    /// accumulated (see [`Network::segment_stats`]). With an enabled
+    /// `tracer`, every traversed segment gets `arb` and `busy` spans on its
+    /// `hibi/<segment>` track (simulated clock), plus
+    /// `hibi.<segment>.{busy,wait,arbitration}_ns` counter metrics — the
+    /// per-segment utilisation view of the paper's communication
+    /// profiling; pass [`tut_trace::NoopSink`] for none.
     ///
     /// Transfers between two agents on the same wrapper (i.e. `from ==
     /// to`) complete immediately — local communication never touches the
@@ -62,22 +66,7 @@ impl Network {
     /// carries `routed: false`, the network tallies it
     /// ([`Network::unroutable_transfers`]), and a
     /// `hibi.unroutable_transfers` counter is traced.
-    pub fn transfer(
-        &mut self,
-        from: AgentId,
-        to: AgentId,
-        bytes: u64,
-        now_ns: u64,
-    ) -> TransferResult {
-        self.transfer_with(from, to, bytes, now_ns, &mut NoopSink)
-    }
-
-    /// [`Network::transfer`] with tracing: every traversed segment gets
-    /// `arb` and `busy` spans on its `hibi/<segment>` track (simulated
-    /// clock), plus `hibi.<segment>.{busy,wait,arbitration}_ns` counter
-    /// metrics — the per-segment utilisation view of the paper's
-    /// communication profiling.
-    pub fn transfer_with<T: TraceSink>(
+    pub fn transfer<T: TraceSink>(
         &mut self,
         from: AgentId,
         to: AgentId,
@@ -197,42 +186,13 @@ impl Network {
             routed: true,
         }
     }
-
-    /// Estimates the unloaded latency of a transfer (no queueing), without
-    /// mutating statistics. Used for static analysis in the exploration
-    /// tools.
-    pub fn unloaded_latency_ns(&self, from: AgentId, to: AgentId, bytes: u64) -> u64 {
-        if from == to || bytes == 0 {
-            return 0;
-        }
-        let Ok(route) = self.route(from, to) else {
-            return 0;
-        };
-        let sender = self.agents[from.index()].config;
-        let mut total = 0;
-        for (hop, &segment_id) in route.iter().enumerate() {
-            if hop > 0 {
-                total += self.hop_latency[route[hop - 1].index()][segment_id.index()];
-            }
-            let cfg = self.segments[segment_id.index()].config;
-            let cycle = cfg.cycle_ns();
-            let words = bytes.div_ceil(cfg.bytes_per_cycle());
-            let bursts = words.div_ceil(u64::from(sender.max_time).max(1));
-            let arb = match cfg.arbitration {
-                Arbitration::Priority => cycle,
-                Arbitration::RoundRobin => 2 * cycle,
-                Arbitration::Tdma => cycle,
-            };
-            total += words * cycle + bursts * arb;
-        }
-        total
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topology::{BridgeConfig, NetworkBuilder, SegmentConfig, WrapperConfig};
+    use tut_trace::NoopSink;
 
     fn single_segment(arbitration: Arbitration) -> (Network, AgentId, AgentId) {
         let mut b = NetworkBuilder::new();
@@ -253,7 +213,7 @@ mod tests {
     #[test]
     fn local_transfer_is_free() {
         let (mut n, a0, _) = single_segment(Arbitration::Priority);
-        let r = n.transfer(a0, a0, 1024, 500);
+        let r = n.transfer(a0, a0, 1024, 500, &mut NoopSink);
         assert_eq!(r.completion_ns, 500);
         assert_eq!(r.segments_traversed, 0);
     }
@@ -262,11 +222,11 @@ mod tests {
     fn single_segment_latency_scales_with_bytes() {
         let (mut n, a0, a1) = single_segment(Arbitration::Priority);
         // 64 bytes = 16 words = 160 ns busy + 10 ns arbitration.
-        let r = n.transfer(a0, a1, 64, 0);
+        let r = n.transfer(a0, a1, 64, 0, &mut NoopSink);
         assert_eq!(r.completion_ns, 170);
         assert_eq!(r.bursts, 1);
         n.reset();
-        let r2 = n.transfer(a0, a1, 128, 0);
+        let r2 = n.transfer(a0, a1, 128, 0, &mut NoopSink);
         assert!(r2.completion_ns > 170, "double the bytes takes longer");
     }
 
@@ -274,7 +234,7 @@ mod tests {
     fn bursts_split_on_max_time() {
         let (mut n, a0, a1) = single_segment(Arbitration::Priority);
         // 256 bytes = 64 words, max_time 16 -> 4 bursts.
-        let r = n.transfer(a0, a1, 256, 0);
+        let r = n.transfer(a0, a1, 256, 0, &mut NoopSink);
         assert_eq!(r.bursts, 4);
         // 4 bursts x 10ns arb + 64 words x 10ns = 680.
         assert_eq!(r.completion_ns, 680);
@@ -283,8 +243,8 @@ mod tests {
     #[test]
     fn queueing_delays_second_transfer() {
         let (mut n, a0, a1) = single_segment(Arbitration::Priority);
-        let first = n.transfer(a0, a1, 64, 0);
-        let second = n.transfer(a1, a0, 64, 0);
+        let first = n.transfer(a0, a1, 64, 0, &mut NoopSink);
+        let second = n.transfer(a1, a0, 64, 0, &mut NoopSink);
         assert!(second.queued_ns > 0);
         assert!(second.completion_ns > first.completion_ns);
         let stats = n.segment_stats(n.segment_of(a0));
@@ -296,8 +256,8 @@ mod tests {
     fn round_robin_costs_more_arbitration_than_priority() {
         let (mut p, a0, a1) = single_segment(Arbitration::Priority);
         let (mut rr, b0, b1) = single_segment(Arbitration::RoundRobin);
-        let rp = p.transfer(a0, a1, 64, 0);
-        let rrr = rr.transfer(b0, b1, 64, 0);
+        let rp = p.transfer(a0, a1, 64, 0, &mut NoopSink);
+        let rrr = rr.transfer(b0, b1, 64, 0, &mut NoopSink);
         assert!(rrr.completion_ns > rp.completion_ns);
     }
 
@@ -306,10 +266,10 @@ mod tests {
         let (mut n, a0, a1) = single_segment(Arbitration::Tdma);
         // Agent 0 owns slot 0; a transfer submitted at time 0 starts with
         // at most one slot-alignment penalty.
-        let r0 = n.transfer(a0, a1, 64, 0);
+        let r0 = n.transfer(a0, a1, 64, 0, &mut NoopSink);
         n.reset();
         // Agent 1 owns slot 1 and must wait for its slot.
-        let r1 = n.transfer(a1, a0, 64, 0);
+        let r1 = n.transfer(a1, a0, 64, 0, &mut NoopSink);
         assert!(r1.completion_ns >= r0.completion_ns);
     }
 
@@ -323,9 +283,9 @@ mod tests {
         let a2 = b.add_agent(s1, WrapperConfig::new(2));
         b.add_bridge(s0, s1, BridgeConfig { latency_ns: 1000 });
         let mut n = b.build().unwrap();
-        let local = n.transfer(a0, a1, 64, 0);
+        let local = n.transfer(a0, a1, 64, 0, &mut NoopSink);
         n.reset();
-        let remote = n.transfer(a0, a2, 64, 0);
+        let remote = n.transfer(a0, a2, 64, 0, &mut NoopSink);
         assert!(
             remote.completion_ns >= local.completion_ns + 1000,
             "crossing the bridge must add its latency: {} vs {}",
@@ -336,17 +296,9 @@ mod tests {
     }
 
     #[test]
-    fn unloaded_latency_matches_uncontended_transfer() {
-        let (mut n, a0, a1) = single_segment(Arbitration::Priority);
-        let estimate = n.unloaded_latency_ns(a0, a1, 64);
-        let actual = n.transfer(a0, a1, 64, 0);
-        assert_eq!(estimate, actual.completion_ns);
-    }
-
-    #[test]
     fn stats_reset() {
         let (mut n, a0, a1) = single_segment(Arbitration::Priority);
-        n.transfer(a0, a1, 64, 0);
+        n.transfer(a0, a1, 64, 0, &mut NoopSink);
         assert!(n.segment_stats(n.segment_of(a0)).bytes > 0);
         n.reset();
         assert_eq!(n.segment_stats(n.segment_of(a0)).bytes, 0);
@@ -355,7 +307,7 @@ mod tests {
     #[test]
     fn zero_byte_transfer_is_instant() {
         let (mut n, a0, a1) = single_segment(Arbitration::Priority);
-        let r = n.transfer(a0, a1, 0, 42);
+        let r = n.transfer(a0, a1, 0, 42, &mut NoopSink);
         assert_eq!(r.completion_ns, 42);
         assert!(r.routed);
     }
@@ -371,7 +323,7 @@ mod tests {
         let mut n = b.build().unwrap();
 
         let mut recorder = tut_trace::Recorder::new();
-        let r = n.transfer_with(a0, a1, 64, 7, &mut recorder);
+        let r = n.transfer(a0, a1, 64, 7, &mut recorder);
         assert_eq!(r.completion_ns, 7, "fallback stays free");
         assert!(!r.routed);
         assert_eq!(n.unroutable_transfers(), 1);

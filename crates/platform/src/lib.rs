@@ -1,5 +1,5 @@
-//! The platform component library: processing-element models, execution
-//! cost model, hardware accelerators, and memory budgets.
+//! The platform models the co-simulation reads: processing-element
+//! descriptors and the execution cost model.
 //!
 //! The paper's platform is "Altera Stratix FPGA with soft processor cores"
 //! plus "implementations of some time critical algorithms, such as Cyclic
@@ -12,26 +12,19 @@
 //!   `Compute` workload units into cycles, with a kind-vs-workload match
 //!   matrix (a DSP runs `dsp` work fast, a CPU runs `bit` work slowly,
 //!   the accelerator runs `bit` work very fast and anything else not at
-//!   all well);
-//! * [`accel::Crc32Accelerator`] — a table-driven CRC-32 engine that is
-//!   bit-exact with the software reference
-//!   ([`tut_uml::action::crc32_bitwise`]) but with hardware-like timing;
-//! * [`memory::MemoryBudget`] — internal-memory accounting against the
-//!   `IntMemory` / `CodeMemory` / `DataMemory` tagged values;
-//! * [`library::ComponentLibrary`] — the named catalogue a designer picks
-//!   components from (§4.2).
+//!   all well). The CRC accelerator is a processing element of kind
+//!   [`PeKind::HwAccelerator`]; its cost, like every element's, comes
+//!   from this table.
+//!
+//! [`PeDescriptor::int_memory_bytes`] records `IntMemory`, but no cost
+//! reads it: the memory tagged values (`IntMemory`, `CodeMemory`,
+//! `DataMemory`) reach only profile rule E0215 `instance-memory-fits`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod accel;
 pub mod cost;
-pub mod library;
-pub mod memory;
 pub mod pe;
 
-pub use accel::Crc32Accelerator;
 pub use cost::CostModel;
-pub use library::ComponentLibrary;
-pub use memory::MemoryBudget;
 pub use pe::{PeDescriptor, PeKind};

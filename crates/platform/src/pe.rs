@@ -65,8 +65,8 @@ pub struct PeDescriptor {
 }
 
 impl PeDescriptor {
-    /// A descriptor with the given name/kind/frequency and library
-    /// defaults for the rest.
+    /// A descriptor with the given name/kind/frequency and defaults for
+    /// the rest.
     pub fn new(name: impl Into<String>, kind: PeKind, frequency_mhz: u32) -> PeDescriptor {
         PeDescriptor {
             name: name.into(),

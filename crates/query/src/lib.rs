@@ -20,19 +20,52 @@ use std::path::Path;
 use std::rc::Rc;
 
 use tut_store::journal::MAX_RECORD_LEN;
-use tut_store::{JobHasher, Journal};
+use tut_store::Journal;
 use tut_trace::perf;
 
 /// A 64-bit content fingerprint used as a query key component.
 ///
-/// Whole-document and segment texts run through [`Fp::of_bytes`], a
-/// word-at-a-time FNV variant (eight input bytes per multiply, with a
-/// length prefix and a final avalanche) — roughly 6x faster than the
-/// byte-at-a-time `JobHasher` on the ~60 KiB documents the checker
-/// hashes on every keystroke. Key *composition* still goes through
-/// [`FpBuilder`]/`JobHasher`, whose inputs are tiny.
+/// Every fingerprint in the engine — document and segment texts
+/// ([`Fp::of_bytes`]), composed keys ([`FpBuilder`]), stage names and
+/// the disk format hash — runs through one word-at-a-time FNV-1a
+/// variant: eight input bytes per multiply, a length prefix per field,
+/// and a final avalanche. It is stable across processes and platforms,
+/// which the disk cache needs because its keys outlive the process.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct Fp(pub u64);
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds one 64-bit word into the running hash.
+fn mix(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FNV_PRIME)
+}
+
+/// Folds one length-prefixed field into the running hash, eight bytes
+/// per multiply. The length prefix disambiguates trailing-zero padding
+/// in the final partial word and the boundary between consecutive
+/// fields.
+fn absorb(mut h: u64, bytes: &[u8]) -> u64 {
+    h = mix(h, bytes.len() as u64);
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        h = mix(h, u64::from_le_bytes(c.try_into().unwrap()));
+    }
+    let mut tail = 0u64;
+    for (i, &b) in chunks.remainder().iter().enumerate() {
+        tail |= u64::from(b) << (8 * i);
+    }
+    mix(h, tail)
+}
+
+/// Final avalanche so low-entropy tails still spread over all 64 bits
+/// (the multiply alone mixes upward only).
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^ (h >> 33)
+}
 
 impl Fp {
     /// Fingerprint reserved for "input absent" (e.g. a model without a
@@ -46,64 +79,33 @@ impl Fp {
 
     /// Fingerprints raw bytes.
     pub fn of_bytes(bytes: &[u8]) -> Fp {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        // The length prefix disambiguates trailing-zero padding in the
-        // final partial word.
-        let mut h = (OFFSET ^ bytes.len() as u64).wrapping_mul(PRIME);
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            let word = u64::from_le_bytes(c.try_into().unwrap());
-            h = (h ^ word).wrapping_mul(PRIME);
-        }
-        let mut tail = 0u64;
-        for (i, &b) in chunks.remainder().iter().enumerate() {
-            tail |= u64::from(b) << (8 * i);
-        }
-        h = (h ^ tail).wrapping_mul(PRIME);
-        // Final avalanche so low-entropy tails still spread over all
-        // 64 bits (the multiply alone mixes upward only).
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        Fp(h)
-    }
-
-    /// Combines several fingerprints into one (order-sensitive).
-    pub fn combine(parts: &[Fp]) -> Fp {
-        let mut h = JobHasher::new();
-        for p in parts {
-            h.write_u64(p.0);
-        }
-        Fp(h.finish())
+        Fp(avalanche(absorb(FNV_OFFSET, bytes)))
     }
 }
 
 /// Incremental builder for heterogeneous query keys.
-pub struct FpBuilder(JobHasher);
+pub struct FpBuilder(u64);
 
 impl FpBuilder {
     pub fn new() -> FpBuilder {
-        FpBuilder(JobHasher::new())
+        FpBuilder(FNV_OFFSET)
     }
 
-    pub fn str(mut self, s: &str) -> FpBuilder {
-        self.0.write_str(s);
-        self
+    /// Adds a length-prefixed string field.
+    pub fn str(self, s: &str) -> FpBuilder {
+        FpBuilder(absorb(self.0, s.as_bytes()))
     }
 
-    pub fn u64(mut self, v: u64) -> FpBuilder {
-        self.0.write_u64(v);
-        self
+    pub fn u64(self, v: u64) -> FpBuilder {
+        FpBuilder(mix(self.0, v))
     }
 
-    pub fn fp(mut self, f: Fp) -> FpBuilder {
-        self.0.write_u64(f.0);
-        self
+    pub fn fp(self, f: Fp) -> FpBuilder {
+        self.u64(f.0)
     }
 
     pub fn finish(self) -> Fp {
-        Fp(self.0.finish())
+        Fp(avalanche(self.0))
     }
 }
 
@@ -251,9 +253,7 @@ struct DiskCache {
 /// Hash the disk format version into the journal header so stale caches
 /// from an incompatible layout are discarded wholesale.
 fn disk_format_hash() -> u64 {
-    let mut h = JobHasher::new();
-    h.write_str("tut-query disk cache v2");
-    h.finish()
+    Fp::of_str("tut-query disk cache v3").0
 }
 
 /// The memo database: interned stages, an in-memory memo table, stats,
@@ -284,11 +284,9 @@ impl QueryDb {
             return StageId(id);
         }
         let id = self.stages.len() as u32;
-        let mut h = JobHasher::new();
-        h.write_str(name);
         self.stages.push(StageData {
             name,
-            name_fp: h.finish(),
+            name_fp: Fp::of_str(name).0,
             label: perf::label(&format!("query.{name}")),
             hits: 0,
             misses: 0,
@@ -612,6 +610,8 @@ mod tests {
         let b = FpBuilder::new().str("a").str("bc").finish();
         assert_ne!(a, b);
         assert_eq!(Fp::of_str("x"), Fp::of_str("x"));
+        // One hasher core: a single-field key is the field's fingerprint.
+        assert_eq!(FpBuilder::new().str("abc").finish(), Fp::of_str("abc"));
     }
 
     #[test]

@@ -1137,9 +1137,7 @@ impl Simulation {
                 Route::Local => send_time_ns + self.config.local_latency_ns,
                 Route::Env => send_time_ns + self.config.env_latency_ns,
                 Route::Bus { from, to } => {
-                    let result = self
-                        .network
-                        .transfer_with(from, to, bytes, send_time_ns, tracer);
+                    let result = self.network.transfer(from, to, bytes, send_time_ns, tracer);
                     if !result.routed {
                         // The network tallies the count; the log records
                         // which signal fell back.

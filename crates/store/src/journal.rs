@@ -11,10 +11,10 @@
 //!
 //! * **append** buffers a frame into the OS file; **commit** flushes and
 //!   `fsync`s, so a batch of appends costs one disk sync (group commit).
-//! * **recovery** ([`open`]) scans records front to back and stops at the
-//!   first invalid frame — a torn length field, a frame running past EOF,
-//!   or a CRC mismatch — then *truncates the file to the last valid
-//!   record* and reopens for append. A crash mid-write therefore loses at
+//! * **recovery** ([`Journal::open`]) scans records front to back and
+//!   stops at the first invalid frame — a torn length field, a frame
+//!   running past EOF, or a CRC mismatch — then *truncates the file to the
+//!   last valid record* and reopens for append. A crash mid-write therefore loses at
 //!   most the uncommitted tail, never the journal.
 //! * a bad header (wrong magic/version, short file) is [`StoreError::Corrupt`]:
 //!   the caller decides what to do with it (the disk report cache
@@ -101,7 +101,7 @@ pub struct Journal {
     dirty: u64,
 }
 
-/// What [`open`] recovered from an existing journal.
+/// What [`Journal::open`] recovered from an existing journal.
 #[derive(Debug)]
 pub struct Recovery {
     /// The journal, truncated to its last valid record and ready to

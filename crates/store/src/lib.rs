@@ -7,8 +7,6 @@
 //!   length-prefixed records, per-record CRC32, a header carrying magic /
 //!   version / format hash, fsync'd commits, and torn-tail recovery that
 //!   truncates to the last valid record instead of refusing to open.
-//! * [`hash`] — FNV-1a hashing, stable across processes and platforms:
-//!   the query engine's fingerprints and the cache's format hash.
 //! * [`crc`] — the CRC32 (IEEE 802.3) the journal frames carry.
 //! * [`atomic`] — crash-safe whole-file replacement (write a temp file in
 //!   the same directory, fsync, rename) for non-append artefacts such as
@@ -21,10 +19,8 @@
 
 pub mod atomic;
 pub mod crc;
-pub mod hash;
 pub mod journal;
 
 pub use atomic::write_atomic;
 pub use crc::crc32;
-pub use hash::JobHasher;
 pub use journal::{Journal, Recovery, StoreError};

@@ -117,8 +117,8 @@ pub enum Builtin {
     UnpackInt,
     /// `crc32(bytes) -> int` — the slice-by-8 CRC-32 [`crc32`] (IEEE
     /// 802.3 polynomial), bit-exact with the bitwise reference
-    /// [`crc32_bitwise`] and with the hardware accelerator in
-    /// `tut-platform`.
+    /// [`crc32_bitwise`]. A process mapped on the CRC accelerator runs
+    /// this same function; only its cost differs.
     Crc32,
     /// `min(int, int) -> int`.
     Min,
@@ -334,9 +334,9 @@ pub(crate) fn int_operands_error(op: BinOp, l: DataType, r: DataType) -> Error {
 /// Reference software CRC-32 (IEEE 802.3, reflected, init/xorout `!0`).
 ///
 /// This bitwise implementation is the *functional specification*; the
-/// table-driven [`crc32`] (used by the `crc32` builtin and by the
-/// hardware-accelerator model in `tut-platform`) must agree with it
-/// bit-for-bit (checked by property tests here and there).
+/// table-driven [`crc32`] (used by the `crc32` builtin) must agree with
+/// it bit-for-bit (checked by the property tests here and by the
+/// facade's `crc_implementations_agree`).
 pub fn crc32_bitwise(data: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &byte in data {
@@ -388,8 +388,8 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
 
 /// Slice-by-8 CRC-32, bit-exact with [`crc32_bitwise`]: eight table
 /// lookups fold each 8-byte block into the register at once, and the
-/// tail of fewer than 8 bytes goes through [`CRC32_TABLE`] one byte at a
-/// time.
+/// tail of fewer than 8 bytes goes through the byte-at-a-time table one
+/// byte at a time.
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut crc: u32 = !0;

@@ -2,7 +2,7 @@
 # Full local verification: tier-1 (build + tests) plus lints.
 #
 #   scripts/verify.sh          # run everything
-#   scripts/verify.sh --quick  # tier-1 only (skip clippy/fmt)
+#   scripts/verify.sh --quick  # tier-1 only (skip clippy/fmt/rustdoc)
 #
 # Everything runs offline; the workspace has no external dependencies.
 set -euo pipefail
@@ -113,6 +113,9 @@ if [[ "$quick" -eq 0 ]]; then
 
     echo "==> cargo fmt --check"
     cargo fmt --check
+
+    echo "==> cargo doc (rustdoc warnings, dangling intra-doc links included, are errors)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 fi
 
 echo "==> git status unchanged (verify.sh writes no file in the working tree)"
