@@ -1,17 +1,18 @@
 //! The `repro bench-check` driver: cold vs warm front-end latency.
 //!
-//! Measures the cold `repro check` pipeline against the incremental
-//! [`Checker`] on the TUTMAC fixture,
-//! applying a fresh single-statement behaviour edit before every warm
-//! repetition so each one does genuine patch work (never a report-cache
-//! hit). Every warm iteration is also verified byte-identical against
-//! the cold pipeline on the same text — the benchmark doubles as the
+//! Measures a fresh [`Checker`] (the cold check `repro check` runs)
+//! against a warm one on the TUTMAC fixture, applying a fresh
+//! single-statement behaviour edit before every warm repetition so each
+//! one does genuine patch work (never a report-cache hit). Every warm
+//! iteration is also verified byte-identical against the cold
+//! `check_source` pipeline on the same text — the benchmark doubles as the
 //! correctness drill. The command prints its numbers, and the warm path
 //! must clear [`WARM_SPEEDUP_FLOOR`].
 
 use std::time::Instant;
 
 use tut_uml::outline::Outline;
+use tut_uml::xml::XmlNode;
 
 use crate::incremental::Checker;
 
@@ -44,9 +45,9 @@ impl BenchCheckReport {
 
 /// Rewrites one `compute` amount inside the first state-machine segment
 /// that has one, so edit `n` yields a distinct, still-clean document.
-/// `None` if the fixture unexpectedly has no such site.
+/// `None` if the text does not parse or has no such site.
 pub fn edit_behavior(text: &str, n: u64) -> Option<String> {
-    let outline = Outline::scan(text)?;
+    let outline = Outline::of_tree(&XmlNode::parse(text).ok()?);
     for (i, seg) in outline.segments.iter().enumerate() {
         if &*seg.ty != "uml:StateMachine" {
             continue;

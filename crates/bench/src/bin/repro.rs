@@ -357,6 +357,26 @@ fn usage_error(message: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Rejects an export path no file can be written to — one that names a
+/// directory, or whose directory does not exist — before the traced run
+/// spends its time.
+fn check_export_path(flag: &str, path: &str) {
+    let file = std::path::Path::new(path);
+    let dir = file
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+        .unwrap_or(std::path::Path::new("."));
+    if file.is_dir() {
+        usage_error(&format!("{flag} `{path}` is a directory"));
+    }
+    if !dir.is_dir() {
+        usage_error(&format!(
+            "{flag} `{path}`: directory `{}` does not exist",
+            dir.display()
+        ));
+    }
+}
+
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut args: Vec<String> = Vec::new();
@@ -442,6 +462,11 @@ fn main() {
     } else {
         args.iter().map(String::as_str).collect()
     };
+    for (flag, path) in [("--trace", &trace), ("--vcd", &vcd), ("--prom", &prom)] {
+        if let Some(path) = path {
+            check_export_path(flag, path);
+        }
+    }
     let tracing_requested = trace.is_some() || vcd.is_some() || prom.is_some();
     if tracing_requested {
         run_traced(trace.as_deref(), vcd.as_deref(), prom.as_deref());

@@ -8,23 +8,30 @@
 //! memoized query keyed by content fingerprints, so re-checking an
 //! edited document recomputes only what the edit can actually reach.
 //!
-//! The decomposition leans on the [`tut_uml::outline`] scanner: the
-//! document splits into a *skeleton* (the XMI envelope) plus one segment
-//! per top-level `packagedElement` and the `profileApplication`. From
-//! those the checker derives a `struct_fp` — a fingerprint of everything
-//! *except* state-machine bodies — and keys the expensive semantic
-//! queries on it. A behaviour-body edit therefore re-parses one segment,
-//! re-decodes one state machine and re-type-checks one class, while the
-//! fifteen profile rules, the other well-formedness passes and both dry
-//! runs are cache hits.
+//! A check takes one of two paths:
+//!
+//! * **Rebuild.** The whole document is parsed once with
+//!   [`XmlNode::parse`] and read with [`xmi::read_model`], exactly as the
+//!   cold pipeline's first two stages do, and the [`tut_uml::outline`]
+//!   of `packagedElement` segments is read off that tree. From the
+//!   outline the checker derives a `struct_fp` — a fingerprint of
+//!   everything *except* state-machine bodies — and keys the expensive
+//!   semantic queries on it.
+//! * **Patch.** An edit confined to one state-machine body moves the
+//!   previous outline instead of reparsing (`fast_outline`). Only the
+//!   changed machines are parsed, decoded and spliced into the retained
+//!   model, so the fifteen profile rules, the other well-formedness
+//!   passes and both dry runs are cache hits.
+//!
+//! Anything the patch path cannot prove equivalent (a segment that does
+//! not parse, a decode error, a structural change) takes the rebuild,
+//! which reports what the cold pipeline reports by construction.
 //!
 //! Correctness contract: the warm report is **byte-identical** to what a
 //! cold [`check_source`](crate::check::check_source) produces for the
 //! same text — the sub-results are assembled in exactly the order the
 //! cold pipeline pushes them (decode recoveries, profile interchange,
-//! sorted+span-attached findings, codegen, sim setup, final sort), and
-//! whenever the document's shape falls outside what the outline scanner
-//! understands the checker silently falls back to the cold pipeline.
+//! sorted+span-attached findings, codegen, sim setup, final sort).
 //! `crates/bench/tests/incremental.rs` pins the contract with randomised
 //! single-element edits.
 
@@ -68,7 +75,6 @@ fn is_sm(seg: &Segment) -> bool {
 #[derive(Clone, Copy)]
 struct Stages {
     report: StageId,
-    outline: StageId,
     parse_xml: StageId,
     xmi_decode: StageId,
     profile_apply: StageId,
@@ -86,35 +92,36 @@ struct Stages {
 /// Outline of one document plus the fingerprints the queries key on.
 struct OutlineData {
     outline: Outline,
-    /// Per-segment content fingerprints, in document order.
+    /// Content fingerprint of each state-machine segment, in document
+    /// order; [`Fp::ABSENT`] for every other segment, which `struct_fp`
+    /// covers.
     seg_fps: Vec<Fp>,
-    /// The document with all segments spliced out.
-    skeleton: String,
-    skeleton_fp: Fp,
-    /// Fingerprint of the `profileApplication` text ([`Fp::ABSENT`]
-    /// when the document has none).
-    app_fp: Fp,
+    /// Fingerprint of everything except state-machine bodies: the text
+    /// outside the state-machine segments, with each machine's id and
+    /// name in its place.
+    struct_fp: Fp,
 }
 
 impl OutlineData {
-    fn build(text: &str) -> Option<OutlineData> {
-        let outline = Outline::scan(text)?;
-        let seg_fps = (0..outline.segments.len())
-            .map(|i| Fp::of_str(outline.segment_text(text, i)))
-            .collect();
-        let skeleton = outline.skeleton(text);
-        let skeleton_fp = Fp::of_str(&skeleton);
-        let app_fp = match outline.profile_app {
-            Some(pa) => Fp::of_str(&text[pa.start..pa.end]),
-            None => Fp::ABSENT,
-        };
-        Some(OutlineData {
+    fn new(text: &str, outline: Outline) -> OutlineData {
+        let mut seg_fps = Vec::with_capacity(outline.segments.len());
+        let mut b = FpBuilder::new();
+        let mut pos = 0;
+        for seg in &outline.segments {
+            if is_sm(seg) {
+                let r = seg.range;
+                b = b.str(&text[pos..r.start]).str(&seg.id).str(&seg.name);
+                pos = r.end;
+                seg_fps.push(Fp::of_str(&text[r.start..r.end]));
+            } else {
+                seg_fps.push(Fp::ABSENT);
+            }
+        }
+        OutlineData {
             outline,
             seg_fps,
-            skeleton,
-            skeleton_fp,
-            app_fp,
-        })
+            struct_fp: b.str(&text[pos..]).finish(),
+        }
     }
 }
 
@@ -171,94 +178,58 @@ impl EditWindow {
 }
 
 /// Derives the outline of `new_text` from the previous text's outline
-/// when the edit `w` is confined to the interior of one segment (or the
-/// `profileApplication`): surviving ranges shift by the length delta and
-/// only the touched piece is rehashed, so the per-keystroke cost is the
-/// window search instead of a full rescan plus per-segment hashing.
+/// when the edit `w` is confined to the body of one state-machine
+/// segment: later ranges shift by the length delta, only that segment is
+/// rehashed, and `struct_fp` carries over unchanged. The per-keystroke
+/// cost is then the window search instead of a parse.
 ///
-/// `None` means "no proof of equivalence — do the full scan". The fast
-/// path must return exactly what [`OutlineData::build`] would: it bails
-/// unless the changed window (on both the old and new side) is free of
-/// every byte that could alter tag structure — `<` `>` (tags), `"` `'`
-/// (attribute quoting), `/` (self-closing flip), `-` (comment
-/// terminator) — and stays clear of the containing segment's start tag,
-/// whose `xmi:type`/`xmi:id` attributes are cached in the outline.
+/// `None` means the edit is not such an edit, and the caller rebuilds.
+/// The window (on both the old and new side) must be free of every byte
+/// that could alter tag structure — `<` `>` (tags), `"` `'` (attribute
+/// quoting), `/` (self-closing flip), `-` and `!` (comment delimiters) —
+/// and must stay clear of the segment's start tag, whose `xmi:id` and
+/// `name` the outline records. The patch path parses each changed
+/// segment, so a window that slips past these checks still cannot
+/// change a report: a segment that no longer parses on its own sends the
+/// check to the rebuild.
 fn fast_outline(
     old_text: &str,
-    old: &OutlineData,
+    mut od: OutlineData,
     new_text: &str,
     w: EditWindow,
 ) -> Option<OutlineData> {
     let a = old_text.as_bytes();
     let b = new_text.as_bytes();
-    let EditWindow {
-        start: p,
-        old_end: we_old,
-        new_end: we_new,
-    } = w;
     let inert = |w: &[u8]| {
         w.iter()
-            .all(|&c| !matches!(c, b'<' | b'>' | b'"' | b'\'' | b'/' | b'-'))
+            .all(|&c| !matches!(c, b'<' | b'>' | b'"' | b'\'' | b'/' | b'-' | b'!'))
     };
-    if !inert(&a[p..we_old]) || !inert(&b[p..we_new]) {
+    if !inert(&a[w.start..w.old_end]) || !inert(&b[w.start..w.new_end]) {
         return None;
     }
-    let delta = b.len() as isize - a.len() as isize;
-    let shift = |sp: Span| {
-        Span::new(
-            (sp.start as isize + delta) as usize,
-            (sp.end as isize + delta) as usize,
-        )
-    };
-
-    let mut outline = old.outline.clone();
-    let mut seg_fps = old.seg_fps.clone();
-    let mut app_fp = old.app_fp;
-    let seg_hit = old
+    let i = od
         .outline
         .segments
         .iter()
-        .position(|seg| seg.range.start < p && we_old < seg.range.end);
-    if let Some(i) = seg_hit {
-        if p <= start_tag_end(a, old.outline.segments[i].range.start)? {
-            return None;
-        }
-        let r = &mut outline.segments[i].range;
-        *r = Span::new(r.start, (r.end as isize + delta) as usize);
-        for seg in &mut outline.segments[i + 1..] {
-            seg.range = shift(seg.range);
-        }
-        if let Some(pa) = outline.profile_app {
-            if pa.start >= we_old {
-                outline.profile_app = Some(shift(pa));
-            }
-        }
-        let r = outline.segments[i].range;
-        seg_fps[i] = Fp::of_str(&new_text[r.start..r.end]);
-    } else if let Some(pa) = old
-        .outline
-        .profile_app
-        .filter(|pa| pa.start < p && we_old < pa.end)
-    {
-        let new_pa = Span::new(pa.start, (pa.end as isize + delta) as usize);
-        outline.profile_app = Some(new_pa);
-        for seg in &mut outline.segments {
-            if seg.range.start >= we_old {
-                seg.range = shift(seg.range);
-            }
-        }
-        app_fp = Fp::of_str(&new_text[new_pa.start..new_pa.end]);
-    } else {
-        // The window straddles a boundary or sits in the skeleton.
+        .position(|seg| seg.range.start < w.start && w.old_end < seg.range.end)?;
+    let seg = &od.outline.segments[i];
+    if !is_sm(seg) || w.start <= start_tag_end(a, seg.range.start)? {
         return None;
     }
-    Some(OutlineData {
-        outline,
-        seg_fps,
-        skeleton: old.skeleton.clone(),
-        skeleton_fp: old.skeleton_fp,
-        app_fp,
-    })
+    let delta = b.len() as isize - a.len() as isize;
+    let shift = |at: usize| (at as isize + delta) as usize;
+    let r = od.outline.segments[i].range;
+    od.outline.segments[i].range = Span::new(r.start, shift(r.end));
+    for seg in &mut od.outline.segments[i + 1..] {
+        seg.range = Span::new(shift(seg.range.start), shift(seg.range.end));
+    }
+    if let Some(pa) = &mut od.outline.profile_app {
+        if pa.start >= w.old_end {
+            *pa = Span::new(shift(pa.start), shift(pa.end));
+        }
+    }
+    od.seg_fps[i] = Fp::of_str(od.outline.segment_text(new_text, i));
+    Some(od)
 }
 
 /// Position of the `>` closing the start tag that begins at `from`
@@ -279,32 +250,14 @@ fn start_tag_end(bytes: &[u8], from: usize) -> Option<usize> {
     None
 }
 
-/// A memoized standalone parse of one segment (spans are relative to
-/// the segment's first byte).
-enum ParseOut {
-    Ok(XmlNode),
-    /// An `E0101` at a relative offset — rebased it reproduces the
-    /// whole-document error exactly.
-    Syntax(usize, String),
-    /// Any other parse failure: bail to the cold pipeline.
-    Other,
-}
-
-impl ParseOut {
-    fn of(text: &str) -> ParseOut {
-        match XmlNode::parse(text) {
-            Ok(node) => ParseOut::Ok(node),
-            Err(Error::XmlSyntax {
-                offset, message, ..
-            }) => ParseOut::Syntax(offset, message),
-            Err(_) => ParseOut::Other,
-        }
-    }
-}
-
 /// A state machine decoded from one segment: the machine plus the
 /// statement-recovery diagnostics, spans relative to the segment.
 type DecodeOut = Result<(tut_uml::statemachine::StateMachine, Vec<Diagnostic>), ()>;
+
+/// The applications decoded from a `profileApplication` subtree, and the
+/// interchange diagnostic (spans relative to the element) when decoding
+/// failed.
+type ProfileOut = (Applications, Vec<Diagnostic>);
 
 /// The last fully-analysed state of one document, kept so the next edit
 /// can be applied as a patch instead of a rebuild.
@@ -315,6 +268,9 @@ struct PrevAnalysis {
     /// Per-segment decode-recovery diagnostics (relative spans);
     /// `Some` exactly for state-machine segments.
     decode_frags: Vec<Option<Rc<Vec<Diagnostic>>>>,
+    /// The profile-application query's result; `None` when the document
+    /// has no `profileApplication`.
+    profile: Option<Rc<ProfileOut>>,
     /// False when some decode diagnostic could not be attributed to a
     /// segment — the next edit rebuilds instead of patching.
     patchable: bool,
@@ -322,33 +278,37 @@ struct PrevAnalysis {
 
 #[derive(Default)]
 struct DocState {
-    /// Replaced only by a successful rebuild. A report that takes any
-    /// other path (a syntax error, a cold fallback) leaves it: it still
-    /// describes its own `seg_fps`, which the next patch diffs against.
+    /// Replaced only by a rebuild that read a model. A report that takes
+    /// any other path (a syntax or structure error) leaves it: it still
+    /// describes its own `struct_fp` and `seg_fps`, which the next patch
+    /// compares against.
     prev: Option<PrevAnalysis>,
     /// The last checked text, held by its line index, and its outline
-    /// (`None` when it has none, or when a report hit could not derive
-    /// it). The next edit's window (common prefix/suffix) updates both
-    /// instead of rescanning the whole document.
-    last: Option<(SourceMap, Rc<Option<OutlineData>>)>,
+    /// (`None` when it has none: the text did not parse, or a report hit
+    /// could not derive it). The next edit's window (common prefix and
+    /// suffix) updates both instead of reparsing the whole document.
+    last: Option<(SourceMap, Option<OutlineData>)>,
 }
 
 impl DocState {
     /// Takes the carried text and moves it to `text`: locates the edit
     /// against it once (common prefix and suffix), splices the window
     /// into the line index, and tries to derive the new outline from the
-    /// old one instead of rescanning the document.
+    /// old one instead of reparsing the document.
     fn advance(&mut self, name: &str, text: &str) -> (SourceMap, Option<OutlineData>) {
         let Some((mut source, old_od)) = self.last.take() else {
             return (SourceMap::new(name, text), None);
         };
         let window = EditWindow::between(source.text(), text);
-        let fast = window.and_then(|w| fast_outline(source.text(), (*old_od).as_ref()?, text, w));
+        let od = match window {
+            Some(w) => old_od.and_then(|od| fast_outline(source.text(), od, text, w)),
+            None => old_od,
+        };
         if let Some(w) = window {
             source.replace_range(w.start..w.old_end, &text[w.start..w.new_end]);
         }
         debug_assert_eq!(source.text(), text);
-        (source, fast)
+        (source, od)
     }
 }
 
@@ -375,7 +335,6 @@ impl Checker {
         let mut db = QueryDb::new();
         let st = Stages {
             report: db.stage("report"),
-            outline: db.stage("outline"),
             parse_xml: db.stage("parse_xml"),
             xmi_decode: db.stage("xmi_decode"),
             profile_apply: db.stage("profile_apply"),
@@ -419,8 +378,7 @@ impl Checker {
     /// Checks one document. `name` labels the source in the report.
     pub fn check(&mut self, name: &str, text: &str) -> CheckOutcome {
         self.db.begin_run();
-        let text_fp = Fp::of_str(text);
-        let key = FpBuilder::new().str(name).fp(text_fp).finish();
+        let key = FpBuilder::new().str(name).fp(Fp::of_str(text)).finish();
         let db = &mut self.db;
         let st = self.st;
         let tut = &self.tut;
@@ -430,15 +388,21 @@ impl Checker {
         // diffs against this text rather than an older one.
         let mut moved = Some(doc.advance(name, text));
         let payload = db.memo_bytes(st.report, key, |db| {
-            let (source, fast) = moved.take().expect("the report computes once");
-            encode_outcome(&analyze(
-                db, st, tut, rules, doc, text, text_fp, source, fast,
-            ))
+            let (source, od) = moved.take().expect("the report computes once");
+            encode_outcome(&analyze(db, st, tut, rules, doc, source, od))
         });
-        if let Some((source, fast)) = moved {
-            doc.last = Some((source, Rc::new(fast)));
+        match (decode_outcome(&payload), moved) {
+            (Some(outcome), moved) => {
+                if let Some(last) = moved {
+                    doc.last = Some(last);
+                }
+                outcome
+            }
+            // Only a disk record can fail to decode, and a disk hit leaves
+            // the carried text unused: analyse the text afresh.
+            (None, Some((source, od))) => analyze(db, st, tut, rules, doc, source, od),
+            (None, None) => unreachable!("a payload computed in this process decodes"),
         }
-        decode_outcome(&payload).unwrap_or_else(|| cold_outcome(name, text))
     }
 
     /// Cumulative hit/miss/recompute counters per stage.
@@ -455,17 +419,6 @@ impl Checker {
     /// Number of live memoized values (observability for tests).
     pub fn memo_len(&self) -> usize {
         self.db.memo_len()
-    }
-}
-
-/// The cold pipeline as an outcome — the fallback whenever the document
-/// shape is outside what the incremental decomposition handles.
-fn cold_outcome(name: &str, text: &str) -> CheckOutcome {
-    let report = crate::check::check_source(name, text);
-    CheckOutcome {
-        has_errors: report.has_errors(),
-        text: report.render_text(),
-        json: report.render_json(),
     }
 }
 
@@ -493,7 +446,7 @@ fn decode_outcome(b: &[u8]) -> Option<CheckOutcome> {
     let mut field = || -> Option<String> {
         let len = u64::from_le_bytes(b.get(pos..pos + 8)?.try_into().ok()?) as usize;
         pos += 8;
-        let s = std::str::from_utf8(b.get(pos..pos + len)?).ok()?;
+        let s = std::str::from_utf8(b.get(pos..pos.checked_add(len)?)?).ok()?;
         pos += len;
         Some(s.to_owned())
     };
@@ -537,171 +490,62 @@ fn make_relative(d: &Diagnostic, base: usize) -> Option<Diagnostic> {
     Some(out)
 }
 
-/// The analysis behind a report-level cache miss. Returns a rendered
-/// outcome byte-identical to the cold pipeline's.
-#[allow(clippy::too_many_arguments)]
+/// The analysis behind a report-level cache miss: the patch path when
+/// `od` was derived from the previous outline and the structure matches
+/// the retained analysis, the rebuild otherwise. Returns a rendered
+/// outcome byte-identical to the cold pipeline's, and carries the text
+/// and its outline forward for the next edit.
 fn analyze(
     db: &mut QueryDb,
     st: Stages,
     tut: &TutProfile,
     rules: &ConstraintSet,
     doc: &mut DocState,
-    text: &str,
-    text_fp: Fp,
     source: SourceMap,
-    fast: Option<OutlineData>,
+    od: Option<OutlineData>,
 ) -> CheckOutcome {
-    // The memoized query owns the outline; `fast` (derived from the
-    // previous text's outline) only saves the rescan on a miss.
-    let od = db.memo(st.outline, text_fp, |_| match fast {
-        Some(od) => Some(od),
-        None => OutlineData::build(text),
-    });
     let DocState { prev, last } = doc;
-    let src = &last.insert((source, od.clone())).0;
-    let name = src.name();
-    let Some(od) = od.as_ref() else {
-        return cold_outcome(name, text);
-    };
-
-    // Parse every piece through the content-keyed parse query: the
-    // skeleton, each segment, and the profile application.
-    let skeleton = db.memo(st.parse_xml, od.skeleton_fp, |_| ParseOut::of(&od.skeleton));
-    let ParseOut::Ok(skeleton_node) = &*skeleton else {
-        // A skeleton-local error offset cannot be mapped back onto the
-        // document, so this (never seen from the scanner's subset) goes
-        // through the cold pipeline.
-        return cold_outcome(name, text);
-    };
-    let mut seg_nodes: Vec<Rc<ParseOut>> = Vec::with_capacity(od.seg_fps.len());
-    for (i, &fp) in od.seg_fps.iter().enumerate() {
-        let seg_text = od.outline.segment_text(text, i);
-        seg_nodes.push(db.memo(st.parse_xml, fp, |_| ParseOut::of(seg_text)));
-    }
-    let app_node = od.outline.profile_app.map(|pa| {
-        let app_text = &text[pa.start..pa.end];
-        (
-            pa,
-            db.memo(st.parse_xml, od.app_fp, |_| ParseOut::of(app_text)),
-        )
-    });
-
-    // First syntax error in document order wins, exactly as the cold
-    // linear parse would have stopped there.
-    let mut first_err: Option<(usize, String)> = None;
-    let mut note_err = |abs: usize, msg: &str| {
-        if first_err.as_ref().is_none_or(|(at, _)| abs < *at) {
-            first_err = Some((abs, msg.to_owned()));
-        }
-    };
-    for (i, parse) in seg_nodes.iter().enumerate() {
-        match &**parse {
-            ParseOut::Ok(_) => {}
-            ParseOut::Syntax(off, msg) => {
-                note_err(od.outline.segments[i].range.start + off, msg);
-            }
-            ParseOut::Other => return cold_outcome(name, text),
-        }
-    }
-    if let Some((pa, parse)) = &app_node {
-        match &**parse {
-            ParseOut::Ok(_) => {}
-            ParseOut::Syntax(off, msg) => note_err(pa.start + *off, msg),
-            ParseOut::Other => return cold_outcome(name, text),
-        }
-    }
-    if let Some((abs, msg)) = first_err {
-        let mut bag = DiagnosticBag::new();
-        bag.push(Diagnostic::error(E_XML_SYNTAX, msg).with_span(Span::point(abs)));
-        bag.sort();
-        return render_outcome(src, bag);
-    }
-
-    // The structural fingerprint: everything except state-machine
-    // bodies. Expensive whole-model queries key on this, so behaviour
-    // edits leave them untouched.
-    let mut b = FpBuilder::new().fp(od.skeleton_fp).fp(od.app_fp);
-    for (i, seg) in od.outline.segments.iter().enumerate() {
-        if is_sm(seg) {
-            let sm_name = match &*seg_nodes[i] {
-                ParseOut::Ok(node) => node.attr("name").unwrap_or(""),
-                _ => "",
-            };
-            b = b.str("sm").str(&seg.id).str(sm_name);
-        } else {
-            b = b.str("seg").fp(od.seg_fps[i]);
-        }
-    }
-    let struct_fp = b.finish();
-
-    // Patch path: same structure as the previous analysis and only
-    // state-machine bodies changed — splice freshly decoded machines
-    // into the retained model instead of re-reading the document.
-    if let Some(prev) = prev.as_mut() {
-        if prev.patchable && prev.struct_fp == struct_fp && prev.seg_fps.len() == od.seg_fps.len() {
-            let changed: Vec<usize> = (0..od.seg_fps.len())
-                .filter(|&i| od.seg_fps[i] != prev.seg_fps[i])
-                .collect();
-            if changed.iter().all(|&i| is_sm(&od.outline.segments[i])) {
-                if let Some(outcome) = patch(
-                    db,
-                    st,
-                    tut,
-                    rules,
-                    prev,
-                    od,
-                    &seg_nodes,
-                    app_node.as_ref(),
-                    &changed,
-                    struct_fp,
-                    src,
-                ) {
-                    return outcome;
-                }
+    if let (Some(fast), Some(prev)) = (&od, prev.as_mut()) {
+        if prev.patchable
+            && prev.struct_fp == fast.struct_fp
+            && prev.seg_fps.len() == fast.seg_fps.len()
+        {
+            if let Some(outcome) = patch(db, st, rules, prev, fast, &source) {
+                *last = Some((source, od));
+                return outcome;
             }
         }
     }
-
-    rebuild(
-        db,
-        st,
-        tut,
-        rules,
-        prev,
-        od,
-        skeleton_node,
-        &seg_nodes,
-        app_node.as_ref(),
-        struct_fp,
-        src,
-    )
+    let (outcome, od) = rebuild(db, st, tut, rules, prev, &source, od);
+    *last = Some((source, od));
+    outcome
 }
 
 /// Applies an edit confined to state-machine bodies onto the previous
-/// analysis. `None` means a decode error surfaced — the caller rebuilds
-/// (reproducing the cold `E0102` path exactly).
-#[allow(clippy::too_many_arguments)]
+/// analysis: parses and decodes each changed machine and splices it into
+/// the retained model. `None` when a changed segment does not parse or
+/// decode — the caller rebuilds, which reports the error exactly as the
+/// cold pipeline does.
 fn patch(
     db: &mut QueryDb,
     st: Stages,
-    tut: &TutProfile,
     rules: &ConstraintSet,
     prev: &mut PrevAnalysis,
     od: &OutlineData,
-    seg_nodes: &[Rc<ParseOut>],
-    app_node: Option<&(Span, Rc<ParseOut>)>,
-    changed: &[usize],
-    struct_fp: Fp,
     src: &SourceMap,
 ) -> Option<CheckOutcome> {
-    // Decode each changed machine against the retained model (signal
-    // and port resolution only touch structure, which is unchanged).
-    let mut decoded: Vec<(usize, Rc<DecodeOut>)> = Vec::with_capacity(changed.len());
-    for &i in changed {
-        let ParseOut::Ok(node) = &*seg_nodes[i] else {
-            return None;
-        };
-        let key = FpBuilder::new().fp(od.seg_fps[i]).fp(struct_fp).finish();
+    // `struct_fp` matches, so only state-machine bodies can differ.
+    let segments = &od.outline.segments;
+    let mut decoded: Vec<(usize, Rc<DecodeOut>)> = Vec::new();
+    for i in (0..segments.len()).filter(|&i| od.seg_fps[i] != prev.seg_fps[i]) {
+        let seg_text = od.outline.segment_text(src.text(), i);
+        let parsed = db.memo(st.parse_xml, od.seg_fps[i], |_| {
+            XmlNode::parse(seg_text).ok()
+        });
+        let node = (*parsed).as_ref()?;
+        // Decode against the retained model (signal and port resolution
+        // only touch structure, which is unchanged).
+        let key = FpBuilder::new().fp(od.seg_fps[i]).fp(od.struct_fp).finish();
         let model = &prev.system.model;
         let out = db.memo(st.xmi_decode, key, |_| {
             let mut frag = DiagnosticBag::new();
@@ -720,44 +564,36 @@ fn patch(
     // arena index n (the reader allocates them in document order).
     for (i, out) in &decoded {
         let Ok((sm, frag)) = &**out else { return None };
-        let ordinal = od.outline.segments[..*i]
-            .iter()
-            .filter(|s| is_sm(s))
-            .count();
+        let ordinal = segments[..*i].iter().filter(|s| is_sm(s)).count();
         *prev
             .system
             .model
             .state_machine_mut(StateMachineId::from_index(ordinal)) = sm.clone();
         prev.decode_frags[*i] = Some(Rc::new(frag.clone()));
     }
-    prev.seg_fps = od.seg_fps.clone();
+    prev.seg_fps.clone_from(&od.seg_fps);
 
     // Replay decode recoveries (relative fragments rebased to the new
     // segment offsets), in document order — the order the cold reader
-    // pushes them.
+    // pushes them — then the profile interchange diagnostic.
     let mut bag = DiagnosticBag::new();
-    for (i, seg) in od.outline.segments.iter().enumerate() {
-        if let Some(frag) = &prev.decode_frags[i] {
+    for (seg, frag) in segments.iter().zip(&prev.decode_frags) {
+        if let Some(frag) = frag {
             bag.merge_fragment(frag, seg.range.start);
         }
     }
-    // `struct_fp` folds in `app_fp`, so `prev.system.apps` is already the
-    // applications of this text; the query only replays the fragment.
-    apply_profile(db, st, tut, od, app_node, &mut bag)?;
+    if let (Some(out), Some(pa)) = (&prev.profile, od.outline.profile_app) {
+        bag.merge_fragment(&out.1, pa.start);
+    }
 
     // Segment offsets moved with the edit, so spans are looked up on
     // demand: the last segment declaring the id (the reader's index keeps
-    // the last too), its `<packagedElement` span moved to the segment.
+    // the last too).
     let span_of = |element: &str| {
-        let i = od
-            .outline
-            .segments
+        segments
             .iter()
-            .rposition(|s| &*s.id == element)?;
-        let ParseOut::Ok(node) = &*seg_nodes[i] else {
-            return None;
-        };
-        Some(node.span.offset(od.outline.segments[i].range.start)).filter(|s| *s != Span::NONE)
+            .rfind(|s| &*s.id == element)
+            .map(Segment::tag_span)
     };
     Some(assemble(
         db,
@@ -766,42 +602,42 @@ fn patch(
         &prev.system,
         &span_of,
         od,
-        struct_fp,
         bag,
         src,
     ))
 }
 
-/// Reconstructs the whole document tree from cached per-segment parses
-/// and runs the plain reader over it — the path for first sights and
-/// structural edits. Byte-identity holds by construction: the reader
-/// sees a tree equal (spans included) to a whole-document parse.
-#[allow(clippy::too_many_arguments)]
+/// Parses and reads the whole document, exactly as the cold pipeline's
+/// first stages do, and runs the semantic stages over the result — the
+/// path for first sights, structural edits and every error. Returns the
+/// outcome and the outline to carry: the tree's when the text parsed,
+/// else the one `fast` derived from the previous text, if any.
 fn rebuild(
     db: &mut QueryDb,
     st: Stages,
     tut: &TutProfile,
     rules: &ConstraintSet,
     prev: &mut Option<PrevAnalysis>,
-    od: &OutlineData,
-    skeleton_node: &XmlNode,
-    seg_nodes: &[Rc<ParseOut>],
-    app_node: Option<&(Span, Rc<ParseOut>)>,
-    struct_fp: Fp,
     src: &SourceMap,
-) -> CheckOutcome {
-    let mut root = skeleton_node.clone();
-    let Some(model_child) = root.children.iter_mut().find(|c| c.name == "uml:Model") else {
-        return cold_outcome(src.name(), src.text());
+    fast: Option<OutlineData>,
+) -> (CheckOutcome, Option<OutlineData>) {
+    let text = src.text();
+    let root = match XmlNode::parse(text) {
+        Ok(root) => root,
+        Err(e) => {
+            let d = match e {
+                Error::XmlSyntax {
+                    offset, message, ..
+                } => Diagnostic::error(E_XML_SYNTAX, message).with_span(Span::point(offset)),
+                e => Diagnostic::error(E_XML_SYNTAX, e.to_string()),
+            };
+            let mut bag = DiagnosticBag::new();
+            bag.push(d);
+            bag.sort();
+            return (render_outcome(src, bag), fast);
+        }
     };
-    for (i, seg) in od.outline.segments.iter().enumerate() {
-        let ParseOut::Ok(node) = &*seg_nodes[i] else {
-            return cold_outcome(src.name(), src.text());
-        };
-        let mut tree = node.clone();
-        tree.offset_spans(seg.range.start);
-        model_child.children.push(tree);
-    }
+    let od = OutlineData::new(text, Outline::of_tree(&root));
 
     let mut decode_bag = DiagnosticBag::new();
     let (model, index) = match xmi::read_model(&root, &mut decode_bag) {
@@ -809,28 +645,24 @@ fn rebuild(
         Err(e) => {
             decode_bag.push(Diagnostic::error(E_XMI_STRUCTURE, e.to_string()));
             decode_bag.sort();
-            return render_outcome(src, decode_bag);
+            return (render_outcome(src, decode_bag), Some(od));
         }
     };
 
     // Attribute each decode recovery to its segment (relative spans) so
     // the next edit can replay them without re-reading the document.
-    let mut frags: Vec<Option<Vec<Diagnostic>>> = od
-        .outline
-        .segments
-        .iter()
-        .map(|s| is_sm(s).then(Vec::new))
-        .collect();
+    let segments = &od.outline.segments;
+    let mut frags: Vec<Option<Vec<Diagnostic>>> =
+        segments.iter().map(|s| is_sm(s).then(Vec::new)).collect();
     let mut patchable = true;
     for d in decode_bag.iter() {
         let seg = d.span.filter(|&s| s != Span::NONE).and_then(|span| {
-            od.outline
-                .segments
+            segments
                 .iter()
                 .position(|s| is_sm(s) && s.range.start <= span.start && span.end <= s.range.end)
         });
         match seg {
-            Some(i) => match make_relative(d, od.outline.segments[i].range.start) {
+            Some(i) => match make_relative(d, segments[i].range.start) {
                 Some(rel) => frags[i].get_or_insert_with(Vec::new).push(rel),
                 None => patchable = false,
             },
@@ -838,68 +670,44 @@ fn rebuild(
         }
     }
 
+    // The profile-application query, keyed on the element's text, with
+    // its interchange diagnostic cached relative to the element.
     let mut bag = decode_bag;
-    let Some(apps) = apply_profile(db, st, tut, od, app_node, &mut bag) else {
-        return cold_outcome(src.name(), src.text());
-    };
+    let profile = root.child("profileApplication").map(|node| {
+        let out = db.memo(
+            st.profile_apply,
+            Fp::of_str(&text[node.span.start..node.end]),
+            |_| match applications_from_xml_node(tut.profile(), node) {
+                Ok(apps) => (apps, Vec::new()),
+                Err(e) => {
+                    let d = Diagnostic::error(E_PROFILE_INTERCHANGE, e.to_string())
+                        .with_span(Span::new(0, node.span.len()));
+                    (Applications::new(), vec![d])
+                }
+            },
+        );
+        bag.merge_fragment(&out.1, node.span.start);
+        out
+    });
     let system = SystemModel {
         tut: tut.clone(),
         model,
-        apps: apps.map_or_else(Applications::new, |out| out.0.clone()),
+        apps: profile
+            .as_ref()
+            .map_or_else(Applications::new, |out| out.0.clone()),
     };
 
     let span_of = |element: &str| index.get(element);
-    let outcome = assemble(db, st, rules, &system, &span_of, od, struct_fp, bag, src);
+    let outcome = assemble(db, st, rules, &system, &span_of, &od, bag, src);
     *prev = Some(PrevAnalysis {
-        struct_fp,
+        struct_fp: od.struct_fp,
         seg_fps: od.seg_fps.clone(),
         system,
         decode_frags: frags.into_iter().map(|f| f.map(Rc::new)).collect(),
+        profile,
         patchable,
     });
-    outcome
-}
-
-/// The applications decoded from a `profileApplication` subtree, and the
-/// interchange diagnostic (relative spans) when decoding failed.
-type ProfileOut = (Applications, Vec<Diagnostic>);
-
-/// The profile-application query: decodes the (standalone-parsed)
-/// `profileApplication` subtree into [`Applications`], caching both the
-/// result and any interchange diagnostic as a relative fragment. Pushes
-/// the rebased fragment into `bag` and returns the memoized result
-/// (`Some(None)` when the document has no profile application), or
-/// `None` when the subtree failed to parse (callers bail to cold).
-fn apply_profile(
-    db: &mut QueryDb,
-    st: Stages,
-    tut: &TutProfile,
-    od: &OutlineData,
-    app_node: Option<&(Span, Rc<ParseOut>)>,
-    bag: &mut DiagnosticBag,
-) -> Option<Option<Rc<ProfileOut>>> {
-    let Some((pa, parse)) = app_node else {
-        return Some(None);
-    };
-    let ParseOut::Ok(node) = &**parse else {
-        return None;
-    };
-    let out = db.memo(
-        st.profile_apply,
-        od.app_fp,
-        |_| match applications_from_xml_node(tut.profile(), node) {
-            Ok(apps) => (apps, Vec::new()),
-            Err(e) => {
-                let mut d = Diagnostic::error(E_PROFILE_INTERCHANGE, e.to_string());
-                if node.span != Span::NONE {
-                    d = d.with_span(node.span);
-                }
-                (Applications::new(), vec![d])
-            }
-        },
-    );
-    bag.merge_fragment(&out.1, pa.start);
-    Some(Some(out))
+    (outcome, Some(od))
 }
 
 /// Runs (or replays) the semantic stages and assembles the final bag in
@@ -915,11 +723,11 @@ fn assemble(
     system: &SystemModel,
     span_of: &dyn Fn(&str) -> Option<Span>,
     od: &OutlineData,
-    struct_fp: Fp,
     mut bag: DiagnosticBag,
     src: &SourceMap,
 ) -> CheckOutcome {
     let model = &system.model;
+    let struct_fp = od.struct_fp;
 
     // Map each class to the fingerprint of its behaviour's segment, so
     // the per-class behaviour query misses exactly for the edited body.
@@ -1071,66 +879,66 @@ mod tests {
         );
     }
 
-    /// The incremental re-outline must agree exactly with a full rescan
-    /// on in-segment edits (replacement, growth, shrinkage, profile
-    /// application) and must refuse anything structural.
+    /// The outline a parse of `text` yields.
+    fn tree_outline(text: &str) -> OutlineData {
+        let root = XmlNode::parse(text).expect("the text parses");
+        OutlineData::new(text, Outline::of_tree(&root))
+    }
+
+    fn assert_same_outline(a: &OutlineData, b: &OutlineData) {
+        assert_eq!(a.outline, b.outline);
+        assert_eq!(a.seg_fps, b.seg_fps);
+        assert_eq!(a.struct_fp, b.struct_fp);
+    }
+
+    /// The outline moved through an edit must agree exactly with the one
+    /// read off a parse of the edited text on state-machine body edits
+    /// (replacement, growth, shrinkage), and the edit must be refused
+    /// anywhere else.
     #[test]
-    fn fast_outline_matches_full_scan() {
+    fn fast_outline_matches_the_tree_outline() {
         let base = paper_xml();
-        let old = OutlineData::build(&base).expect("fixture outlines");
         let fast = |edited: &str| {
             let w = EditWindow::between(&base, edited).expect("an edit");
-            fast_outline(&base, &old, edited, w)
+            fast_outline(&base, tree_outline(&base), edited, w)
         };
         let compare = |edited: &str| {
             let fast = fast(edited).expect("fast path applies");
-            let full = OutlineData::build(edited).expect("edited text outlines");
-            assert_eq!(fast.outline.segments, full.outline.segments);
-            assert_eq!(fast.outline.profile_app, full.outline.profile_app);
-            assert_eq!(fast.seg_fps, full.seg_fps);
-            assert_eq!(fast.skeleton, full.skeleton);
-            assert_eq!(fast.skeleton_fp, full.skeleton_fp);
-            assert_eq!(fast.app_fp, full.app_fp);
+            assert_same_outline(&fast, &tree_outline(edited));
         };
         // Same-length replacement, growth, and shrinkage of a behaviour
         // constant (the bench edit takes `data="100"`-style sites).
         compare(&crate::benchcheck::edit_behavior(&base, 0).unwrap());
-        let site = base.find("data=\"").map(|i| i + "data=\"".len()).unwrap();
-        let digits = base[site..].find('"').unwrap();
-        compare(&format!(
-            "{}{}{}",
-            &base[..site],
-            "123456789",
-            &base[site + digits..]
-        ));
-        compare(&format!(
-            "{}{}{}",
-            &base[..site],
-            "7",
-            &base[site + digits..]
-        ));
-        // An edit inside the profileApplication element.
-        if let Some(pa) = old.outline.profile_app {
-            let inner = base[pa.start..pa.end]
-                .find("base=\"")
-                .map(|i| pa.start + i + "base=\"".len());
-            if let Some(at) = inner {
-                let end = at + base[at..].find('"').unwrap();
-                compare(&format!("{}{}{}", &base[..at], "classX", &base[end..]));
-            }
+        let old = tree_outline(&base);
+        let sm = old.outline.segments.iter().find(|s| is_sm(s)).unwrap();
+        let at = sm.range.start + base[sm.range.start..].find("<compute ").unwrap();
+        let at = at + base[at..].find("data=\"").unwrap() + "data=\"".len();
+        let digits = base[at..].find('"').unwrap();
+        for value in ["123456789", "7"] {
+            compare(&format!("{}{value}{}", &base[..at], &base[at + digits..]));
         }
-        // A close-tag rename keeps every range (the scanner tracks depth
-        // only), so the fast path applies and must agree with the full
-        // scan; the parse queries surface the mismatch later.
-        compare(&base.replacen("</packagedElement>", "</wrongElement>", 1));
+        // An edit inside the profileApplication element changes structure.
+        let pa = old
+            .outline
+            .profile_app
+            .expect("the paper system applies the profile");
+        let at = pa.start + base[pa.start..pa.end].find("data=\"").unwrap() + "data=\"".len();
+        let end = at + base[at..].find('"').unwrap();
+        let app_edit = format!("{}9{}", &base[..at], &base[end..]);
+        assert!(
+            fast(&app_edit).is_none(),
+            "profile application edits rebuild"
+        );
+        // So does one inside a class, or in a machine's start tag.
+        let renamed = base.replacen("name=\"user\"", "name=\"customer\"", 1);
+        assert!(fast(&renamed).is_none(), "class edits rebuild");
+        let sm = old.outline.segments.iter().find(|s| is_sm(s)).unwrap();
+        let sm_name = format!("name=\"{}\"", sm.name);
+        let renamed_sm = base.replacen(&sm_name, "name=\"Renamed\"", 1);
+        assert!(fast(&renamed_sm).is_none(), "start-tag edits rebuild");
         // Deleting markup puts `<` in the changed window: refused.
         let broken = base.replacen("<packagedElement", "packagedElement", 1);
         assert!(fast(&broken).is_none(), "window has structural bytes");
-        let renamed_id = base.replacen("xmi:id=\"class0\"", "xmi:id=\"classZ\"", 1);
-        assert!(
-            fast(&renamed_id).is_none(),
-            "start-tag edits fall back to the full scan"
-        );
     }
 
     /// A report-cache hit still moves the carried text and outline to
@@ -1151,10 +959,39 @@ mod tests {
         );
         let (source, od) = checker.docs["m.xml"].last.as_ref().expect("carried");
         assert_eq!(source.text(), base);
-        let od = (**od).as_ref().expect("the repair's outline is derived");
-        let full = OutlineData::build(&base).expect("fixture outlines");
-        assert_eq!(od.outline.segments, full.outline.segments);
-        assert_eq!(od.seg_fps, full.seg_fps);
+        let od = od.as_ref().expect("the repair's outline is derived");
+        assert_same_outline(od, &tree_outline(&base));
+    }
+
+    /// A disk record that does not decode as an outcome is recomputed by
+    /// the checker's own analysis, and the report still matches the
+    /// plain pipeline.
+    #[test]
+    fn undecodable_disk_payload_is_recomputed() {
+        let dir = std::env::temp_dir().join(format!("tut-corrupt-report-{}", std::process::id()));
+        let path = dir.join("reports.journal");
+        std::fs::create_dir_all(&dir).unwrap();
+        let xml = paper_xml();
+        let mut first = Checker::new();
+        first.open_disk(&path).unwrap();
+        first.check("m.xml", &xml);
+        drop(first);
+        // Append a record under the same stage and key whose payload is
+        // not an encoded outcome; replay keeps the later record.
+        let mut rec = tut_store::Journal::open(&path).unwrap();
+        let mut record = rec.records[0][..16].to_vec();
+        record.push(1);
+        rec.journal.append(&record).unwrap();
+        rec.journal.commit().unwrap();
+        drop(rec);
+        let mut second = Checker::new();
+        second.open_disk(&path).unwrap();
+        let out = second.check("m.xml", &xml);
+        let oracle = crate::check::check_source("m.xml", &xml);
+        assert_eq!(out.text, oracle.render_text());
+        assert_eq!(out.json, oracle.render_json());
+        assert_eq!(second.stats().total_hits(), 1, "the disk record was hit");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1167,5 +1004,11 @@ mod tests {
         assert_eq!(decode_outcome(&encode_outcome(&out)).unwrap(), out);
         assert!(decode_outcome(&[]).is_none());
         assert!(decode_outcome(&[1, 2, 3]).is_none());
+        let mut huge = vec![1];
+        huge.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(
+            decode_outcome(&huge).is_none(),
+            "a corrupt length is rejected"
+        );
     }
 }

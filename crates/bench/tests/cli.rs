@@ -163,6 +163,26 @@ fn missing_or_malformed_flag_values_exit_2() {
 }
 
 #[test]
+fn unwritable_export_paths_exit_2_before_the_traced_run() {
+    let missing = "/nonexistent-dir/m.txt";
+    assert_usage_error(
+        &["--prom", missing, "fig1"],
+        "--prom `/nonexistent-dir/m.txt`",
+    );
+    assert_usage_error(
+        &["--trace", missing],
+        "directory `/nonexistent-dir` does not exist",
+    );
+    assert_usage_error(
+        &["fig1", "--vcd", missing],
+        "--vcd `/nonexistent-dir/m.txt`",
+    );
+    let dir = std::env::temp_dir();
+    let dir = dir.to_str().expect("utf-8 temp path");
+    assert_usage_error(&["--trace", dir], "is a directory");
+}
+
+#[test]
 fn unreadable_check_paths_exit_2() {
     assert_usage_error(&["check", "--help"], "cannot read `--help`");
     // A readable model before the unreadable one is not checked either,

@@ -68,7 +68,7 @@ impl Lcg {
 
 /// Property: one checker fed a stream of random single-byte mutations
 /// (overwrites, deletions, insertions — structural bytes included, so
-/// both the patch path and every fallback fire) always renders exactly
+/// both the patch path and the rebuild fire) always renders exactly
 /// what the cold pipeline renders for the same bytes.
 #[test]
 fn random_edits_stay_byte_identical_to_the_cold_pipeline() {
@@ -201,9 +201,8 @@ fn trimmed_session_stays_bounded_and_byte_identical() {
 }
 
 /// A behaviour-body edit recomputes exactly the queries downstream of
-/// the edited segment: the report, the outline, one segment parse, one
-/// state-machine decode, one per-class behaviour check — and nothing
-/// else.
+/// the edited segment: the report, one segment parse, one state-machine
+/// decode, one per-class behaviour check — and nothing else.
 #[test]
 fn behavior_edit_invalidates_exactly_the_downstream_queries() {
     let base = paper_xml();
@@ -213,13 +212,7 @@ fn behavior_edit_invalidates_exactly_the_downstream_queries() {
     let before = checker.stats();
     check_against_oracle(&mut checker, &edited, "behaviour edit");
     let warm = checker.stats().since(&before);
-    for stage in [
-        "report",
-        "outline",
-        "parse_xml",
-        "xmi_decode",
-        "wf_behavior",
-    ] {
+    for stage in ["report", "parse_xml", "xmi_decode", "wf_behavior"] {
         assert_eq!(
             misses_of(&warm, stage),
             1,
@@ -229,7 +222,7 @@ fn behavior_edit_invalidates_exactly_the_downstream_queries() {
     }
     assert_eq!(
         warm.total_misses(),
-        5,
+        4,
         "no other stage recomputes:\n{}",
         warm.render()
     );

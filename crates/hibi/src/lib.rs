@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod stats;
 pub mod topology;
 pub mod transfer;
 

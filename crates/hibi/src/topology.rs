@@ -4,7 +4,6 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use crate::error::HibiError;
-use crate::stats::SegmentStats;
 
 /// Identifies a segment in a [`Network`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -152,7 +151,6 @@ pub(crate) struct Segment {
     pub(crate) config: SegmentConfig,
     /// Earliest time the segment is free for a new reservation.
     pub(crate) free_at_ns: u64,
-    pub(crate) stats: SegmentStats,
 }
 
 #[derive(Clone, Debug)]
@@ -195,7 +193,6 @@ impl NetworkBuilder {
             name: name.into(),
             config,
             free_at_ns: 0,
-            stats: SegmentStats::default(),
         });
         id
     }
@@ -345,8 +342,8 @@ impl Routes {
 }
 
 /// A built HIBI network; drive it with
-/// [`Network::transfer`](crate::transfer) and read statistics back with
-/// [`Network::segment_stats`].
+/// [`Network::transfer`](crate::transfer). Per-segment busy and wait
+/// time go to the tracer's `hibi/<segment>` tracks.
 #[derive(Clone, Debug)]
 pub struct Network {
     pub(crate) segments: Vec<Segment>,
@@ -378,14 +375,6 @@ impl Network {
         self.agents[agent.index()].config.address
     }
 
-    /// Finds an agent by bus address.
-    pub fn agent_by_address(&self, address: u64) -> Option<AgentId> {
-        self.agents
-            .iter()
-            .position(|a| a.config.address == address)
-            .map(|i| AgentId(i as u32))
-    }
-
     /// The ordered list of segments a transfer from `from` to `to`
     /// traverses (both endpoints' segments included), precomputed when
     /// the network was built.
@@ -402,24 +391,6 @@ impl Network {
             })
     }
 
-    /// Statistics gathered by the transfers on one segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segment` does not belong to this network.
-    pub fn segment_stats(&self, segment: SegmentId) -> &SegmentStats {
-        &self.segments[segment.index()].stats
-    }
-
-    /// The segment's display name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segment` does not belong to this network.
-    pub fn segment_name(&self, segment: SegmentId) -> &str {
-        &self.segments[segment.index()].name
-    }
-
     /// Number of transfers that found no route between their endpoints
     /// and fell back to free local delivery. A non-zero count means the
     /// platform model is broken (disconnected segments) and every
@@ -428,11 +399,11 @@ impl Network {
         self.unroutable
     }
 
-    /// Resets the reservation clock and statistics (fresh simulation run).
+    /// Resets the reservation clock and the unroutable tally (fresh
+    /// simulation run).
     pub fn reset(&mut self) {
         for segment in &mut self.segments {
             segment.free_at_ns = 0;
-            segment.stats = SegmentStats::default();
         }
         self.unroutable = 0;
     }
@@ -521,14 +492,12 @@ mod tests {
         let network = b.build().unwrap();
         let route = network.route(a0, a1).unwrap();
         assert_eq!(route.len(), 3);
-        assert_eq!(network.segment_name(route[1]), "bridge");
+        assert_eq!(route[1], bridge_seg);
     }
 
     #[test]
     fn address_lookup() {
         let (network, a0, ..) = two_segment_network();
-        assert_eq!(network.agent_by_address(0x10), Some(a0));
-        assert_eq!(network.agent_by_address(0x99), None);
         assert_eq!(network.address_of(a0), 0x10);
     }
 

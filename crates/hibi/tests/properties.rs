@@ -102,22 +102,3 @@ fn contended_transfer_is_never_faster_than_fresh() {
         assert!(contended.completion_ns >= fresh.completion_ns);
     }
 }
-
-/// Byte accounting: segment stats sum exactly the bytes offered.
-#[test]
-fn stats_account_all_bytes() {
-    let mut rng = SplitMix64::new(0x11B1_0005);
-    for _ in 0..CASES {
-        let count = in_range(&mut rng, 1, 16);
-        let (mut n, a0, a1, _) = two_segment_network();
-        let mut total = 0;
-        for _ in 0..count {
-            let bytes = in_range(&mut rng, 1, 2048);
-            let at = in_range(&mut rng, 0, 100_000);
-            n.transfer(a0, a1, bytes, at, &mut NoopSink);
-            total += bytes;
-        }
-        let seg = n.segment_of(a0);
-        assert_eq!(n.segment_stats(seg).bytes, total);
-    }
-}

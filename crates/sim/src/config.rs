@@ -38,30 +38,6 @@ impl Default for Scheduler {
     }
 }
 
-/// What an attached [`tut_trace::TraceSink`] receives from the engine.
-///
-/// These only select *which* events are emitted; with the default
-/// [`tut_trace::NoopSink`] nothing is recorded regardless, and the
-/// simulated behaviour (report, log) never depends on them.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct TraceOptions {
-    /// One span per run-to-completion step on the executing element's
-    /// `pe/<name>` track (simulated clock).
-    pub step_spans: bool,
-    /// Event-queue depth counter samples on the `sim/events` track each
-    /// time the engine pops an event.
-    pub queue_depth: bool,
-}
-
-impl Default for TraceOptions {
-    fn default() -> Self {
-        TraceOptions {
-            step_spans: true,
-            queue_depth: true,
-        }
-    }
-}
-
 /// Watchdog limits that convert livelock into a structured
 /// [`crate::SimError::WatchdogExpired`] instead of running (or idling)
 /// to the horizon.
@@ -96,21 +72,8 @@ pub struct SimConfig {
     pub max_steps: u64,
     /// The execution cost model.
     pub cost_model: CostModel,
-    /// Delivery latency for signals between processes on the same
-    /// processing element (local queue push), nanoseconds.
-    pub local_latency_ns: u64,
-    /// Delivery latency for signals crossing the environment boundary
-    /// (traffic sources, radio channel), nanoseconds.
-    pub env_latency_ns: u64,
-    /// Protocol header bytes added to every signal payload on the bus.
-    pub header_bytes: u64,
-    /// Sender-side copy cost: one `mem` workload unit per this many
-    /// payload bytes.
-    pub bytes_per_mem_unit: u64,
     /// The RTOS scheduling model of the processing elements.
     pub scheduler: Scheduler,
-    /// Event selection for [`crate::Simulation::run_with_faults`] tracing.
-    pub trace: TraceOptions,
     /// Livelock watchdog (disabled by default).
     pub watchdog: Watchdog,
 }
@@ -121,12 +84,7 @@ impl Default for SimConfig {
             max_time_ns: 10_000_000, // 10 ms
             max_steps: 2_000_000,
             cost_model: CostModel::paper_defaults(),
-            local_latency_ns: 20,
-            env_latency_ns: 1_000,
-            header_bytes: 8,
-            bytes_per_mem_unit: 4,
             scheduler: Scheduler::default(),
-            trace: TraceOptions::default(),
             watchdog: Watchdog::default(),
         }
     }
@@ -152,7 +110,6 @@ mod tests {
         let c = SimConfig::default();
         assert!(c.max_time_ns > 0);
         assert!(c.max_steps > 0);
-        assert!(c.bytes_per_mem_unit > 0);
     }
 
     #[test]

@@ -25,6 +25,18 @@ use crate::log::SimLog;
 use crate::queue::EventQueue;
 use crate::report::{FaultTally, PeStats, ProcessStats, SimReport};
 
+/// Delivery latency for signals between processes on the same
+/// processing element (local queue push), nanoseconds.
+const LOCAL_LATENCY_NS: u64 = 20;
+/// Delivery latency for signals crossing the environment boundary
+/// (traffic sources, radio channel), nanoseconds.
+const ENV_LATENCY_NS: u64 = 1_000;
+/// Protocol header bytes added to every signal payload on the bus.
+const HEADER_BYTES: u64 = 8;
+/// Sender-side copy cost: one `mem` workload unit per this many payload
+/// bytes.
+const BYTES_PER_MEM_UNIT: u64 = 4;
+
 /// Index of a processing element inside a [`Simulation`].
 type PeIndex = usize;
 /// Index of a process inside a [`Simulation`].
@@ -581,8 +593,7 @@ impl Simulation {
     /// per-element `pe/<name>` tracks and bus reservations into spans on
     /// per-segment `hibi/<name>` tracks; signal latencies feed the
     /// `sim.signal_latency_ns` histogram, and the event-queue depth is
-    /// sampled on the `sim/events` track (see
-    /// [`crate::config::TraceOptions`]). Tracing is observation only:
+    /// sampled on the `sim/events` track. Tracing is observation only:
     /// with [`NoopSink`] or any other sink the report and log are
     /// byte-identical.
     ///
@@ -654,7 +665,7 @@ impl Simulation {
                 return Err(self.watchdog_expired(time_ns, events_popped, "quiescence"));
             }
             self.now_ns = time_ns;
-            if tracer.enabled() && self.config.trace.queue_depth {
+            if tracer.enabled() {
                 let depth = self.events.len() as f64;
                 tracer.counter(queue_track, "queue_depth", self.now_ns, depth);
                 tracer.gauge("sim.event_queue_depth", depth);
@@ -951,7 +962,7 @@ impl Simulation {
                 _ => {}
             }
         }
-        let mem_units = send_bytes_total / self.config.bytes_per_mem_unit.max(1);
+        let mem_units = send_bytes_total / BYTES_PER_MEM_UNIT;
         cycles += cost_model.compute_cycles(pe_kind, tut_uml::action::CostClass::Mem, mem_units);
         // RTOS context switch: charged when the element switches to a
         // different process than the one that ran last.
@@ -1036,7 +1047,7 @@ impl Simulation {
 
     /// Size of a sent payload on the wire: header plus every value.
     fn payload_bytes(&self, values: &[Value]) -> u64 {
-        self.config.header_bytes + values.iter().map(|v| v.size_bytes() as u64).sum::<u64>()
+        HEADER_BYTES + values.iter().map(|v| v.size_bytes() as u64).sum::<u64>()
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1055,19 +1066,17 @@ impl Simulation {
         let end_ns = start_ns + duration_ns;
         if tracer.enabled() {
             let pe_name = &self.pes[pe_index].descriptor.name;
-            if self.config.trace.step_spans {
-                let track = tracer.track(&format!("pe/{pe_name}"), Clock::Sim);
-                tracer.span(
-                    track,
-                    &format!(
-                        "{} [{}]",
-                        self.processes[proc_index].name,
-                        self.log.resolve(trigger)
-                    ),
-                    start_ns,
-                    duration_ns,
-                );
-            }
+            let track = tracer.track(&format!("pe/{pe_name}"), Clock::Sim);
+            tracer.span(
+                track,
+                &format!(
+                    "{} [{}]",
+                    self.processes[proc_index].name,
+                    self.log.resolve(trigger)
+                ),
+                start_ns,
+                duration_ns,
+            );
             tracer.observe("sim.step_duration_ns", duration_ns);
             tracer.add(&format!("pe.{pe_name}.busy_ns"), duration_ns);
         }
@@ -1134,8 +1143,8 @@ impl Simulation {
                     .clone()
             };
             let delivery_ns = match receiver.route {
-                Route::Local => send_time_ns + self.config.local_latency_ns,
-                Route::Env => send_time_ns + self.config.env_latency_ns,
+                Route::Local => send_time_ns + LOCAL_LATENCY_NS,
+                Route::Env => send_time_ns + ENV_LATENCY_NS,
                 Route::Bus { from, to } => {
                     let result = self.network.transfer(from, to, bytes, send_time_ns, tracer);
                     if !result.routed {
@@ -1689,8 +1698,7 @@ mod tests {
                     .unwrap()
             };
             assert_eq!(stats("src").signals_sent, 2);
-            let header = SimConfig::default().header_bytes;
-            assert_eq!(stats("src").bytes_sent, 2 * (header + 64));
+            assert_eq!(stats("src").bytes_sent, 2 * (HEADER_BYTES + 64));
             let users: Vec<(String, String)> = report
                 .log
                 .iter()

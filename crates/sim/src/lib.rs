@@ -39,7 +39,7 @@ pub mod log;
 mod queue;
 pub mod report;
 
-pub use config::{SimConfig, TraceOptions, Watchdog};
+pub use config::{SimConfig, Watchdog};
 pub use engine::{setup_diagnostic, Simulation};
 pub use error::{SimError, E_PARAM_RANGE};
 pub use intern::{Interner, Sym};

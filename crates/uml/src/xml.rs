@@ -52,6 +52,9 @@ pub struct XmlNode {
     /// Value spans parallel to `attrs` (each covers the text between the
     /// quotes in the source document).
     pub attr_spans: Vec<Span>,
+    /// One past the element's last byte (the `>` of its closing tag or of
+    /// `/>`) in the source document; 0 when built programmatically.
+    pub end: usize,
 }
 
 /// Source spans are bookkeeping, not document content: two trees that
@@ -175,25 +178,6 @@ impl XmlNode {
             }
         }
         let _ = writeln!(out, "</{}>", self.name);
-    }
-
-    /// Shifts this node's span and attribute spans — and recursively
-    /// every descendant's — by `delta` bytes. Used by the incremental
-    /// front end to rebase a tree parsed from a document fragment into
-    /// whole-document coordinates. [`Span::NONE`] spans are left alone:
-    /// they mean "no location", not offset zero.
-    pub fn offset_spans(&mut self, delta: usize) {
-        if self.span != Span::NONE {
-            self.span = self.span.offset(delta);
-        }
-        for span in &mut self.attr_spans {
-            if *span != Span::NONE {
-                *span = span.offset(delta);
-            }
-        }
-        for child in &mut self.children {
-            child.offset_spans(delta);
-        }
     }
 
     /// Parses a document and returns its root element.
@@ -400,6 +384,7 @@ impl<'a> Parser<'a> {
         node.attrs = self.attrs.drain(..).collect();
         node.attr_spans = self.attr_spans.drain(..).collect();
         if self_closing {
+            node.end = self.pos;
             return Ok(node);
         }
         let first_child = self.children.len();
@@ -423,6 +408,7 @@ impl<'a> Parser<'a> {
                         }
                         self.skip_whitespace();
                         self.expect(b'>')?;
+                        node.end = self.pos;
                         let trimmed = node.text.trim();
                         if trimmed.len() != node.text.len() {
                             node.text = trimmed.to_owned();
@@ -611,6 +597,9 @@ mod tests {
         assert_eq!(&doc[leaf.span.start..leaf.span.end], "<leaf");
         let kind_span = leaf.attr_span("kind").unwrap();
         assert_eq!(&doc[kind_span.start..kind_span.end], "x");
+        // Each element runs from its span's start to its end offset.
+        assert_eq!(&doc[leaf.span.start..leaf.end], "<leaf kind=\"x\"/>");
+        assert_eq!(parsed.end, doc.len());
         // Built nodes have no spans, and equality ignores spans entirely.
         let mut built = XmlNode::new("leaf");
         built.set_attr("kind", "x");
@@ -650,25 +639,6 @@ mod tests {
         assert!(root.child("z").is_none());
         assert!(root.required_child("z").is_err());
         assert!(root.required_attr("missing").is_err());
-    }
-
-    #[test]
-    fn offset_spans_rebases_recursively() {
-        let doc = "<root name=\"top\">\n  <leaf kind=\"x\"/>\n</root>";
-        let padded = format!("{}{doc}", " ".repeat(10));
-        let mut parsed = XmlNode::parse(doc).unwrap();
-        parsed.offset_spans(10);
-        assert_eq!(&padded[parsed.span.start..parsed.span.end], "<root");
-        let leaf = &parsed.children[0];
-        assert_eq!(&padded[leaf.span.start..leaf.span.end], "<leaf");
-        let kind = leaf.attr_span("kind").unwrap();
-        assert_eq!(&padded[kind.start..kind.end], "x");
-        // NONE spans stay NONE instead of becoming a real location.
-        let mut built = XmlNode::new("n");
-        built.set_attr("a", "1");
-        built.offset_spans(10);
-        assert_eq!(built.span, Span::NONE);
-        assert_eq!(built.attr_span("a"), Some(Span::NONE));
     }
 
     #[test]

@@ -85,8 +85,10 @@ fi
 
 echo "==> repro bench-check (cold vs warm floor, byte-identity)"
 # Full mode: enforces the >=10x warm re-check floor and verifies every
-# warm report byte-identical to the cold pipeline.
-cargo run --release -q -p tut-bench --bin repro -- bench-check > /dev/null
+# warm report byte-identical to the cold pipeline. The speedup line is
+# printed so every run shows the margin over the floor.
+bench_out=$(cargo run --release -q -p tut-bench --bin repro -- bench-check)
+grep "speedup" <<< "$bench_out"
 
 echo "==> perfbench smoke (each flow workload builds, runs 1 s, fails no check, same exact lines)"
 # perfbench is a workspace of its own, so the steps above never build it.
