@@ -4,9 +4,24 @@
 //! [`Checker`] runs the same pipeline as [`crate::check::check_source`]
 //! — XML parse, XMI decode, profile application, well-formedness, the
 //! TUT-Profile rule catalogue, codegen and simulation-setup dry runs —
-//! but demand-driven over a [`tut_query::QueryDb`]: every stage is a
-//! memoized query keyed by content fingerprints, so re-checking an
+//! but demand-driven over a [`tut_query::QueryDb`], so re-checking an
 //! edited document recomputes only what the edit can actually reach.
+//! A stage is memoized only where its key can repeat and differs from
+//! every other stage's key:
+//!
+//! * `report` — the rendered outcome, keyed on name and text (in memory
+//!   and, with [`Checker::open_disk`], on disk);
+//! * `profile_apply` — the `profileApplication` element, keyed on its
+//!   text;
+//! * `structure` — every pass that reads no state-machine body (the
+//!   other well-formedness passes, the profile rules and both dry runs),
+//!   keyed on `struct_fp` alone;
+//! * `wf_behavior` — one class's behaviour check, keyed on `struct_fp`
+//!   and the class's machine segment.
+//!
+//! `parse_xml` and `xmi_decode`, the patch path's per-segment parse and
+//! decode, are counted and profiled but never stored: their key is the
+//! edited segment's text, which the next edit changes again.
 //!
 //! A check takes one of two paths:
 //!
@@ -19,9 +34,8 @@
 //!   semantic queries on it.
 //! * **Patch.** An edit confined to one state-machine body moves the
 //!   previous outline instead of reparsing (`fast_outline`). Only the
-//!   changed machines are parsed, decoded and spliced into the retained
-//!   model, so the fifteen profile rules, the other well-formedness
-//!   passes and both dry runs are cache hits.
+//!   changed machines are parsed, decoded and moved into the retained
+//!   model, so the `structure` query is a cache hit.
 //!
 //! Anything the patch path cannot prove equivalent (a segment that does
 //! not parse, a decode error, a structural change) takes the rebuild,
@@ -78,15 +92,8 @@ struct Stages {
     parse_xml: StageId,
     xmi_decode: StageId,
     profile_apply: StageId,
-    wf_unique_names: StageId,
-    wf_parts_ports: StageId,
-    wf_connectors: StageId,
-    wf_composition: StageId,
+    structure: StageId,
     wf_behavior: StageId,
-    wf_generalisation: StageId,
-    profile_rules: StageId,
-    codegen_dry_run: StageId,
-    sim_setup: StageId,
 }
 
 /// Outline of one document plus the fingerprints the queries key on.
@@ -250,10 +257,6 @@ fn start_tag_end(bytes: &[u8], from: usize) -> Option<usize> {
     None
 }
 
-/// A state machine decoded from one segment: the machine plus the
-/// statement-recovery diagnostics, spans relative to the segment.
-type DecodeOut = Result<(tut_uml::statemachine::StateMachine, Vec<Diagnostic>), ()>;
-
 /// The applications decoded from a `profileApplication` subtree, and the
 /// interchange diagnostic (spans relative to the element) when decoding
 /// failed.
@@ -267,7 +270,7 @@ struct PrevAnalysis {
     system: SystemModel,
     /// Per-segment decode-recovery diagnostics (relative spans);
     /// `Some` exactly for state-machine segments.
-    decode_frags: Vec<Option<Rc<Vec<Diagnostic>>>>,
+    decode_frags: Vec<Option<Vec<Diagnostic>>>,
     /// The profile-application query's result; `None` when the document
     /// has no `profileApplication`.
     profile: Option<Rc<ProfileOut>>,
@@ -338,15 +341,8 @@ impl Checker {
             parse_xml: db.stage("parse_xml"),
             xmi_decode: db.stage("xmi_decode"),
             profile_apply: db.stage("profile_apply"),
-            wf_unique_names: db.stage("wf_unique_names"),
-            wf_parts_ports: db.stage("wf_parts_ports"),
-            wf_connectors: db.stage("wf_connectors"),
-            wf_composition: db.stage("wf_composition"),
+            structure: db.stage("structure"),
             wf_behavior: db.stage("wf_behavior"),
-            wf_generalisation: db.stage("wf_generalisation"),
-            profile_rules: db.stage("profile_rules"),
-            codegen_dry_run: db.stage("codegen_dry_run"),
-            sim_setup: db.stage("sim_setup"),
         };
         let tut = TutProfile::new();
         let rules = tut_profile_rules(&tut);
@@ -522,10 +518,10 @@ fn analyze(
 }
 
 /// Applies an edit confined to state-machine bodies onto the previous
-/// analysis: parses and decodes each changed machine and splices it into
+/// analysis: parses and decodes each changed machine and moves it into
 /// the retained model. `None` when a changed segment does not parse or
 /// decode — the caller rebuilds, which reports the error exactly as the
-/// cold pipeline does.
+/// cold pipeline does, and the retained analysis is left as it was.
 fn patch(
     db: &mut QueryDb,
     st: Stages,
@@ -535,41 +531,34 @@ fn patch(
     src: &SourceMap,
 ) -> Option<CheckOutcome> {
     // `struct_fp` matches, so only state-machine bodies can differ.
+    // Every changed machine decodes before any is spliced, so a refusal
+    // leaves the retained model describing `prev.seg_fps`.
     let segments = &od.outline.segments;
-    let mut decoded: Vec<(usize, Rc<DecodeOut>)> = Vec::new();
+    let mut decoded = Vec::new();
     for i in (0..segments.len()).filter(|&i| od.seg_fps[i] != prev.seg_fps[i]) {
         let seg_text = od.outline.segment_text(src.text(), i);
-        let parsed = db.memo(st.parse_xml, od.seg_fps[i], |_| {
-            XmlNode::parse(seg_text).ok()
-        });
-        let node = (*parsed).as_ref()?;
+        let node = db.execute(st.parse_xml, |_| XmlNode::parse(seg_text).ok())?;
         // Decode against the retained model (signal and port resolution
         // only touch structure, which is unchanged).
-        let key = FpBuilder::new().fp(od.seg_fps[i]).fp(od.struct_fp).finish();
         let model = &prev.system.model;
-        let out = db.memo(st.xmi_decode, key, |_| {
-            let mut frag = DiagnosticBag::new();
-            match xmi::decode_state_machine(node, model, &mut frag) {
-                Ok(sm) => Ok((sm, frag.into_vec())),
-                Err(_) => Err(()),
-            }
-        });
-        if out.is_err() {
-            return None;
-        }
-        decoded.push((i, out));
+        let mut frag = DiagnosticBag::new();
+        let sm = db
+            .execute(st.xmi_decode, |_| {
+                xmi::decode_state_machine(&node, model, &mut frag)
+            })
+            .ok()?;
+        decoded.push((i, sm, frag.into_vec()));
     }
 
     // Splice: the n-th state-machine segment holds the machine with
     // arena index n (the reader allocates them in document order).
-    for (i, out) in &decoded {
-        let Ok((sm, frag)) = &**out else { return None };
-        let ordinal = segments[..*i].iter().filter(|s| is_sm(s)).count();
+    for (i, sm, frag) in decoded {
+        let ordinal = segments[..i].iter().filter(|s| is_sm(s)).count();
         *prev
             .system
             .model
-            .state_machine_mut(StateMachineId::from_index(ordinal)) = sm.clone();
-        prev.decode_frags[*i] = Some(Rc::new(frag.clone()));
+            .state_machine_mut(StateMachineId::from_index(ordinal)) = sm;
+        prev.decode_frags[i] = Some(frag);
     }
     prev.seg_fps.clone_from(&od.seg_fps);
 
@@ -703,11 +692,46 @@ fn rebuild(
         struct_fp: od.struct_fp,
         seg_fps: od.seg_fps.clone(),
         system,
-        decode_frags: frags.into_iter().map(|f| f.map(Rc::new)).collect(),
+        decode_frags: frags,
         profile,
         patchable,
     });
     (outcome, Some(od))
+}
+
+/// What the `structure` query holds: every result that reads no
+/// state-machine body, so `struct_fp` alone keys it. The findings are
+/// split around the per-class behaviour checks, which the cold pipeline
+/// runs between them; `DiagnosticBag::sort` is stable, so the push order
+/// must be kept.
+struct Structure {
+    /// Well-formedness passes 1–4: unique names, parts and ports,
+    /// connectors, composition.
+    before_behavior: Vec<Diagnostic>,
+    /// Well-formedness pass 6 (generalisation), then the profile rules.
+    after_behavior: Vec<Diagnostic>,
+    codegen: Option<Diagnostic>,
+    sim: Option<Diagnostic>,
+}
+
+impl Structure {
+    fn of(system: &SystemModel, rules: &ConstraintSet) -> Structure {
+        let model = &system.model;
+        Structure {
+            before_behavior: frag_of(|b| {
+                validate::check_unique_names(model, b);
+                validate::check_parts_and_ports(model, b);
+                validate::check_connectors(model, b);
+                validate::check_composition_cycles(model, b);
+            }),
+            after_behavior: frag_of(|b| {
+                validate::check_generalisation_cycles(model, b);
+                b.merge(rules.check_all(model, system.tut.profile(), &system.apps));
+            }),
+            codegen: tut_codegen::dry_run_diagnostic(system),
+            sim: tut_sim::setup_diagnostic(system, tut_sim::SimConfig::default()),
+        }
+    }
 }
 
 /// Runs (or replays) the semantic stages and assembles the final bag in
@@ -728,6 +752,7 @@ fn assemble(
 ) -> CheckOutcome {
     let model = &system.model;
     let struct_fp = od.struct_fp;
+    let structure = db.memo(st.structure, struct_fp, |_| Structure::of(system, rules));
 
     // Map each class to the fingerprint of its behaviour's segment, so
     // the per-class behaviour query misses exactly for the edited body.
@@ -741,28 +766,7 @@ fn assemble(
         .collect();
 
     let mut findings = DiagnosticBag::new();
-    let names = db.memo(st.wf_unique_names, struct_fp, |_| {
-        frag_of(|b| validate::check_unique_names(model, b))
-    });
-    findings.merge_fragment(&names, 0);
-    for (class_id, _) in model.classes() {
-        let key = FpBuilder::new()
-            .u64(class_id.index() as u64)
-            .fp(struct_fp)
-            .finish();
-        let frag = db.memo(st.wf_parts_ports, key, |_| {
-            frag_of(|b| validate::check_parts_and_ports_of(model, class_id, b))
-        });
-        findings.merge_fragment(&frag, 0);
-    }
-    let connectors = db.memo(st.wf_connectors, struct_fp, |_| {
-        frag_of(|b| validate::check_connectors(model, b))
-    });
-    findings.merge_fragment(&connectors, 0);
-    let composition = db.memo(st.wf_composition, struct_fp, |_| {
-        frag_of(|b| validate::check_composition_cycles(model, b))
-    });
-    findings.merge_fragment(&composition, 0);
+    findings.merge_fragment(&structure.before_behavior, 0);
     for (class_id, class) in model.classes() {
         let body_fp = class
             .behavior()
@@ -778,18 +782,7 @@ fn assemble(
         });
         findings.merge_fragment(&frag, 0);
     }
-    let generalisation = db.memo(st.wf_generalisation, struct_fp, |_| {
-        frag_of(|b| validate::check_generalisation_cycles(model, b))
-    });
-    findings.merge_fragment(&generalisation, 0);
-
-    for i in 0..rules.len() {
-        let key = FpBuilder::new().u64(i as u64).fp(struct_fp).finish();
-        let frag = db.memo(st.profile_rules, key, |_| {
-            frag_of(|b| rules.check_one(i, model, system.tut.profile(), &system.apps, b))
-        });
-        findings.merge_fragment(&frag, 0);
-    }
+    findings.merge_fragment(&structure.after_behavior, 0);
 
     findings.sort();
     for d in findings.iter_mut() {
@@ -801,17 +794,10 @@ fn assemble(
     }
     bag.merge(findings);
 
-    let codegen = db.memo(st.codegen_dry_run, struct_fp, |_| {
-        tut_codegen::dry_run_diagnostic(system)
-    });
-    if let Some(d) = codegen.as_ref() {
+    if let Some(d) = &structure.codegen {
         bag.push(d.clone());
     }
-
-    let sim = db.memo(st.sim_setup, struct_fp, |_| {
-        tut_sim::setup_diagnostic(system, tut_sim::SimConfig::default())
-    });
-    if let Some(d) = sim.as_ref() {
+    if let Some(d) = &structure.sim {
         let mut d = d.clone();
         if let Some(element) = &d.element {
             if let Some(span) = span_of(element) {

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::Range;
 
-use crate::span::Span;
-
 /// A 1-based line and column position.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct LineCol {
@@ -99,11 +97,6 @@ impl SourceMap {
             line: line_index + 1,
             column: offset - self.line_starts[line_index] + 1,
         }
-    }
-
-    /// Resolves a span's start position.
-    pub fn locate_span(&self, span: Span) -> LineCol {
-        self.locate(span.start)
     }
 
     /// Returns the text of a 1-based line, without its trailing newline.

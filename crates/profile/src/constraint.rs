@@ -72,23 +72,6 @@ impl ConstraintSet {
         self.constraints.iter().map(Box::as_ref)
     }
 
-    /// Runs the constraint at `index` (rule order) into `out`. The
-    /// incremental front end uses this to cache each rule's findings as
-    /// its own query; whole-model callers should use [`check_all`],
-    /// which is equivalent to running every index in order.
-    ///
-    /// [`check_all`]: ConstraintSet::check_all
-    pub fn check_one(
-        &self,
-        index: usize,
-        model: &Model,
-        profile: &Profile,
-        applications: &Applications,
-        out: &mut DiagnosticBag,
-    ) {
-        self.constraints[index].check(model, profile, applications, out);
-    }
-
     /// Runs every constraint and returns all findings, in rule order.
     pub fn check_all(
         &self,

@@ -15,7 +15,7 @@
 //! reverted falls back onto the original cache entries.
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
 use std::rc::Rc;
 
@@ -127,9 +127,8 @@ pub struct StageStats {
     pub hits: u64,
     /// Lookups that had to execute the query.
     pub misses: u64,
-    /// The subset of misses where the stage had already executed in an
-    /// earlier run (or for this exact key before): downstream work that
-    /// an edit genuinely invalidated.
+    /// The subset of misses after the run in which the stage first
+    /// executed: downstream work that an edit genuinely invalidated.
     pub recomputes: u64,
 }
 
@@ -231,11 +230,9 @@ struct StageData {
     hits: u64,
     misses: u64,
     recomputes: u64,
-    /// Whether this stage executed in a generation before the current
-    /// one (used to classify misses as recomputes).
-    ran_before: Option<u64>,
-    /// Every key this stage has ever executed for.
-    seen: HashSet<u64>,
+    /// The generation in which this stage first executed; every miss in
+    /// a later generation is a recompute.
+    first_run: Option<u64>,
 }
 
 struct Entry {
@@ -291,8 +288,7 @@ impl QueryDb {
             hits: 0,
             misses: 0,
             recomputes: 0,
-            ran_before: None,
-            seen: HashSet::new(),
+            first_run: None,
         });
         self.by_name.insert(name, id);
         StageId(id)
@@ -355,11 +351,7 @@ impl QueryDb {
                 return v;
             }
         }
-        self.count_miss(stage, key);
-        let value = {
-            let _span = perf::enter(self.stages[stage.0 as usize].label);
-            Rc::new(compute(self))
-        };
+        let value = Rc::new(self.execute(stage, compute));
         self.memo.insert(
             (stage.0, key.0),
             Entry {
@@ -399,11 +391,7 @@ impl QueryDb {
                 return value;
             }
         }
-        self.count_miss(stage, key);
-        let value = {
-            let _span = perf::enter(self.stages[stage.0 as usize].label);
-            Rc::new(compute(self))
-        };
+        let value = Rc::new(self.execute(stage, compute));
         self.persist(name_fp, key, &value);
         self.memo.insert(
             (stage.0, key.0),
@@ -413,6 +401,23 @@ impl QueryDb {
             },
         );
         value
+    }
+
+    /// Executes `compute` for `stage` and stores nothing: the miss is
+    /// counted (a recompute after the stage's first run) and `compute`
+    /// runs under the stage's `query.<stage>` profiler frame. The memo
+    /// lookups run their misses through here; called directly, it serves
+    /// stages whose keys never repeat, where a memo entry could never be
+    /// hit.
+    pub fn execute<T>(&mut self, stage: StageId, compute: impl FnOnce(&mut QueryDb) -> T) -> T {
+        let generation = self.generation;
+        let s = &mut self.stages[stage.0 as usize];
+        s.misses += 1;
+        if *s.first_run.get_or_insert(generation) < generation {
+            s.recomputes += 1;
+        }
+        let _span = perf::enter(s.label);
+        compute(self)
     }
 
     fn persist(&mut self, name_fp: u64, key: Fp, payload: &[u8]) {
@@ -435,18 +440,6 @@ impl QueryDb {
 
     fn count_hit(&mut self, stage: StageId) {
         self.stages[stage.0 as usize].hits += 1;
-    }
-
-    fn count_miss(&mut self, stage: StageId, key: Fp) {
-        let generation = self.generation;
-        let s = &mut self.stages[stage.0 as usize];
-        s.misses += 1;
-        let executed_earlier = s.ran_before.is_some_and(|g| g < generation);
-        if executed_earlier || s.seen.contains(&key.0) {
-            s.recomputes += 1;
-        }
-        s.seen.insert(key.0);
-        s.ran_before = Some(generation);
     }
 
     /// Snapshot of all counters.
@@ -560,6 +553,45 @@ mod tests {
         db.memo(stage, Fp(1), |_| 1u64);
         db.memo(stage, Fp(2), |_| 2u64);
         assert_eq!(db.stats().stages[0].recomputes, 0);
+    }
+
+    #[test]
+    fn every_miss_after_the_first_run_is_a_recompute() {
+        let mut db = QueryDb::new();
+        let stage = db.stage("per_class");
+        db.begin_run();
+        db.memo(stage, Fp(1), |_| 1u64);
+        db.begin_run();
+        db.memo(stage, Fp(2), |_| 2u64);
+        db.memo(stage, Fp(3), |_| 3u64);
+        let st = db.stats();
+        assert_eq!(st.stages[0].misses, 3);
+        assert_eq!(st.stages[0].recomputes, 2, "both later misses count");
+    }
+
+    #[test]
+    fn execute_counts_and_profiles_but_stores_nothing() {
+        let mut db = QueryDb::new();
+        let stage = db.stage("execute_test");
+        perf::reset();
+        perf::enable();
+        db.begin_run();
+        assert_eq!(db.execute(stage, |_| 7u64), 7);
+        perf::disable();
+        let folded = perf::drain().to_folded();
+        assert_eq!(
+            folded
+                .lines()
+                .filter(|l| l.contains("query.execute_test"))
+                .count(),
+            1,
+            "{folded}"
+        );
+        db.begin_run();
+        assert_eq!(db.execute(stage, |_| 8u64), 8);
+        assert_eq!(db.memo_len(), 0);
+        let st = db.stats();
+        assert_eq!((st.stages[0].misses, st.stages[0].recomputes), (2, 1));
     }
 
     #[test]

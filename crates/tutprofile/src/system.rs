@@ -35,15 +35,6 @@ impl SystemModel {
         }
     }
 
-    /// Wraps an existing model and application set.
-    pub fn from_parts(model: Model, apps: Applications) -> SystemModel {
-        SystemModel {
-            tut: TutProfile::new(),
-            model,
-            apps,
-        }
-    }
-
     /// Applies a stereotype chosen from the profile, e.g.
     /// `system.apply(class, |tut| tut.application)`.
     ///

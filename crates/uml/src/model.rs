@@ -566,13 +566,6 @@ impl Model {
             .find(|&p| self.port(p).name() == name)
     }
 
-    /// Finds a package by name.
-    pub fn find_package(&self, name: &str) -> Option<PackageId> {
-        self.packages()
-            .find(|(_, p)| p.name() == name)
-            .map(|(id, _)| id)
-    }
-
     /// The connectors owned by the composite structure of `owner`.
     pub fn connectors_of(&self, owner: ClassId) -> impl Iterator<Item = (ConnectorId, &Connector)> {
         self.connectors().filter(move |(_, c)| c.owner() == owner)

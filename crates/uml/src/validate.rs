@@ -86,9 +86,10 @@ pub fn check_model(model: &Model) -> DiagnosticBag {
 
 /// Pass 1: unique class/signal/package names (`E0301`–`E0303`).
 ///
-/// The passes below are public so the incremental front end can run (and
-/// cache) each one as its own query; [`check_model`] composes them in a
-/// fixed order and whole-model callers should keep using it.
+/// The passes below are public so the incremental front end can cache
+/// the behaviour pass per class apart from the others; [`check_model`]
+/// composes them in a fixed order and whole-model callers should keep
+/// using it.
 pub fn check_unique_names(model: &Model, bag: &mut DiagnosticBag) {
     let mut seen: HashSet<&str> = HashSet::new();
     for (id, class) in model.classes() {
@@ -131,10 +132,8 @@ pub fn check_parts_and_ports(model: &Model, bag: &mut DiagnosticBag) {
 }
 
 /// Pass 2 restricted to one class: duplicate part names, zero
-/// multiplicity, duplicate port names. Reads only the class itself and
-/// the properties/ports it owns, so the incremental front end caches it
-/// per class.
-pub fn check_parts_and_ports_of(model: &Model, class_id: ClassId, bag: &mut DiagnosticBag) {
+/// multiplicity, duplicate port names.
+fn check_parts_and_ports_of(model: &Model, class_id: ClassId, bag: &mut DiagnosticBag) {
     let class = model.class(class_id);
     {
         let mut seen: HashSet<&str> = HashSet::new();

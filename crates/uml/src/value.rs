@@ -20,16 +20,6 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// The C type the code generator emits for this data type.
-    pub fn c_type(self) -> &'static str {
-        match self {
-            DataType::Int => "int64_t",
-            DataType::Bool => "bool",
-            DataType::Bytes => "tut_bytes_t",
-            DataType::Str => "const char *",
-        }
-    }
-
     /// A zero/empty value of this type.
     pub fn default_value(self) -> Value {
         match self {

@@ -4,8 +4,11 @@
 //! checker has: behaviour constants (the patch path), a tagged value (a
 //! structural rebuild), an inserted and removed element (a full
 //! rebuild), and a syntax error with its repair (an `E0101` report,
-//! then a report-cache hit). A second test takes the document shapes an
-//! outline must survive through a fresh checker and one warm edit.
+//! then a report-cache hit). The same script gates the memo layer: every
+//! stage the checker stores must hit at least once. Further tests take
+//! the document shapes an outline must survive through a fresh checker
+//! and one warm edit, and body edits that fire behaviour findings
+//! through the patch path.
 
 use tut_bench::check::check_source;
 use tut_bench::incremental::Checker;
@@ -42,8 +45,9 @@ fn rewrite_value(rng: &mut SplitMix64, text: &mut String, needle: &str, modulus:
     text.replace_range(at..end, &value.to_string());
 }
 
-#[test]
-fn seeded_edit_script_stays_byte_identical_to_the_cold_pipeline() {
+/// Runs the seeded edit script on one `Checker`, requiring every report
+/// to equal the cold pipeline's byte for byte, and returns the checker.
+fn run_seeded_edit_script() -> Checker {
     use Op::*;
     let mut text = tut_bench::paper_system().to_xml();
     let mut rng = SplitMix64::new(0x0E17_0008);
@@ -75,6 +79,46 @@ fn seeded_edit_script_stays_byte_identical_to_the_cold_pipeline() {
         assert_eq!(warm.json, oracle.render_json(), "json diverged at {what}");
         assert_eq!(warm.has_errors, oracle.has_errors(), "{what}");
         assert_eq!(warm.has_errors, matches!(op, Break), "{what}");
+    }
+    checker
+}
+
+#[test]
+fn seeded_edit_script_stays_byte_identical_to_the_cold_pipeline() {
+    run_seeded_edit_script();
+}
+
+/// Stages that execute without storing anything: their key is an edited
+/// segment's text, which no later edit repeats.
+const UNSTORED: [&str; 2] = ["parse_xml", "xmi_decode"];
+
+/// A memo earns its place only by hitting: over the seeded edit script,
+/// every stage the checker stores must answer at least one lookup from
+/// its cache, so a memo that never hits cannot return unnoticed.
+#[test]
+fn every_memoized_stage_hits_on_the_seeded_edit_script() {
+    let stats = run_seeded_edit_script().stats();
+    let memoized: Vec<&str> = stats
+        .stages
+        .iter()
+        .map(|s| s.name.as_str())
+        .filter(|name| !UNSTORED.contains(name))
+        .collect();
+    assert_eq!(
+        memoized,
+        ["report", "profile_apply", "structure", "wf_behavior"],
+        "{}",
+        stats.render()
+    );
+    for stage in &stats.stages {
+        let memoized = !UNSTORED.contains(&stage.name.as_str());
+        assert_eq!(
+            stage.hits > 0,
+            memoized,
+            "stage {}:\n{}",
+            stage.name,
+            stats.render()
+        );
     }
 }
 
@@ -180,4 +224,57 @@ fn unusual_document_shapes_stay_byte_identical_to_the_cold_pipeline() {
     let before = checker.stats();
     check_matches_oracle(&mut checker, &edited, "constant edit after the repair");
     assert_eq!(misses(&checker, &before, "xmi_decode"), 1);
+}
+
+/// Rewrites the first `from` after `anchor` to `to`.
+fn edit_after(text: &str, anchor: &str, from: &str, to: &str) -> String {
+    let at = text.find(anchor).expect("anchor present");
+    let at = at + text[at..].find(from).expect("edit site present");
+    format!("{}{to}{}", &text[..at], &text[at + from.len()..])
+}
+
+/// Edits inside one state-machine body that make the behaviour check of
+/// its class fire take the patch path (one machine decoded, the
+/// `structure` query replayed), and the warm report equals the cold
+/// pipeline's byte for byte. This pins the premise of the `structure`
+/// key: no pass it holds reads a machine body.
+#[test]
+fn body_edits_that_fire_behavior_findings_take_the_patch_path() {
+    let base = tut_bench::paper_system().to_xml();
+    let cases = [
+        (
+            "a transition retargeted so a state is unreachable",
+            edit_after(
+                &base,
+                "name=\"RcaBehavior\"",
+                "target=\"state1\"",
+                "target=\"state0\"",
+            ),
+            "E0312",
+        ),
+        (
+            "a trigger on a signal no port provides",
+            edit_after(
+                &base,
+                "name=\"MsduRecBehavior\"",
+                "signal=\"sig0\"",
+                "signal=\"sig1\"",
+            ),
+            "E0313",
+        ),
+    ];
+    assert!(!check_source(NAME, &base).render_text().contains("E031"));
+    for (what, edited, code) in cases {
+        let mut checker = Checker::new();
+        check_matches_oracle(&mut checker, &base, "the base document");
+        let before = checker.stats();
+        check_matches_oracle(&mut checker, &edited, what);
+        assert!(
+            check_source(NAME, &edited).render_text().contains(code),
+            "{what}: {code} fires"
+        );
+        assert_eq!(misses(&checker, &before, "xmi_decode"), 1, "{what}");
+        assert_eq!(misses(&checker, &before, "structure"), 0, "{what}");
+        assert_eq!(misses(&checker, &before, "wf_behavior"), 1, "{what}");
+    }
 }
