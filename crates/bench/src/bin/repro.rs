@@ -137,18 +137,14 @@ fn print_explore() {
     println!();
     let explore = tut_bench::explore_paper_system();
     println!(
-        "  [grouping] {} nodes -> 5 groups, cut weight {}, objective {:.1} ({} ms)",
-        explore.nodes,
-        explore.grouping.cut_weight,
-        explore.grouping.objective,
-        explore.grouping_time.as_millis()
+        "  [grouping] {} nodes -> 5 groups, cut weight {}, objective {:.1}",
+        explore.nodes, explore.grouping.cut_weight, explore.grouping.objective,
     );
     println!(
-        "  [mapping]  {} groups over {} elements, cost {:.1} ({} ms)",
+        "  [mapping]  {} groups over {} elements, cost {:.1}",
         explore.group_names.len(),
         explore.pes,
         explore.mapping.cost,
-        explore.mapping_time.as_millis()
     );
     for (group, &pe) in explore.mapping.assignment.iter().enumerate() {
         println!(

@@ -10,8 +10,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::time::{Duration, Instant};
-
 use tut_explore::{CommGraph, GroupingOptions, GroupingSolution, MappingOptions, MappingSolution};
 use tut_profile::SystemModel;
 use tut_profiling::ProfilingReport;
@@ -58,16 +56,12 @@ pub struct Exploration {
     pub nodes: usize,
     /// The five-group partition of the communication graph.
     pub grouping: GroupingSolution,
-    /// Host time of [`tut_explore::partition`].
-    pub grouping_time: Duration,
     /// The mapping problem's group names, in assignment order.
     pub group_names: Vec<String>,
     /// Processing elements the mapping search chose from.
     pub pes: usize,
     /// The cost-minimal group→element mapping.
     pub mapping: MappingSolution,
-    /// Host time of [`tut_explore::optimise_mapping`].
-    pub mapping_time: Duration,
 }
 
 /// Runs the automated exploration loop of §4.5 on the paper system, as
@@ -98,9 +92,7 @@ pub fn explore_paper_system() -> Exploration {
         pinned,
         ..Default::default()
     };
-    let started = Instant::now();
     let grouping = tut_explore::partition(&graph, &options);
-    let grouping_time = started.elapsed();
 
     let (problem, _, instances) =
         tut_explore::mapping::problem_from_system(&system, &report).expect("mapping problem");
@@ -112,18 +104,14 @@ pub fn explore_paper_system() -> Exploration {
         pinned: vec![(3, acc_index)],
         ..Default::default()
     };
-    let started = Instant::now();
     let mapping = tut_explore::optimise_mapping(&problem, &options);
-    let mapping_time = started.elapsed();
 
     Exploration {
         nodes: graph.len(),
         grouping,
-        grouping_time,
         group_names: problem.group_names,
         pes: problem.pes.len(),
         mapping,
-        mapping_time,
     }
 }
 

@@ -19,7 +19,7 @@
 //! model: it answers when each payload lands, which is what the
 //! profiling flow of the paper needs.
 
-use tut_trace::{Clock, TraceSink};
+use tut_trace::TraceSink;
 
 use crate::topology::{AgentId, Arbitration, Network};
 
@@ -112,7 +112,7 @@ impl Network {
 
             let track = if tracer.enabled() {
                 let name = format!("hibi/{}", self.segments[segment_id.index()].name);
-                Some(tracer.track(&name, Clock::Sim))
+                Some(tracer.track(&name))
             } else {
                 None
             };

@@ -4,7 +4,7 @@ use tut_faults::{FaultModel, NoFaults};
 use tut_profile::SystemModel;
 use tut_sim::{SimConfig, Simulation};
 use tut_trace::perf::{NoProf, Prof};
-use tut_trace::{Clock, NoopSink, TraceSink};
+use tut_trace::{NoopSink, TraceSink};
 
 use crate::analyze::analyze_log;
 use crate::error::ProfilingError;
@@ -41,13 +41,12 @@ pub fn profile_system(
 ///   report's fault tallies and per-group protocol counters. With an
 ///   inactive model (e.g. [`NoFaults`]) the report is identical to
 ///   [`profile_system`].
-/// - Each pipeline stage (serialise, parse groups, build, simulate,
-///   analyse) becomes a host-clock span on the `tool/profiling` track,
-///   and the simulation itself runs traced.
+/// - The simulation runs traced: the sink receives its simulated-clock
+///   tracks and metrics.
 /// - Each pipeline phase becomes a self-profiler frame under
-///   `pipeline.profile`, and host time inside the simulation is
-///   attributed per process and per event kind. Drain with
-///   [`tut_trace::perf::drain`].
+///   `pipeline.profile` (the pipeline's only host-time measurement),
+///   and host time inside the simulation is attributed per process and
+///   per event kind. Drain with [`tut_trace::perf::drain`].
 ///
 /// Tracing and self-profiling are observation only: the report (and the
 /// simulation log inside it) is byte-identical with [`NoopSink`] and
@@ -66,46 +65,30 @@ pub fn profile_system_prof<F: FaultModel, T: TraceSink, P: Prof>(
     prof: P,
 ) -> Result<ProfilingReport, ProfilingError> {
     let _pipeline_span = prof.enter_named("pipeline.profile");
-    let track = tracer.track("tool/profiling", Clock::Host);
-    let mut stage_start = tracer.host_now_ns();
-    let mut stage = |tracer: &mut T, name: &str| {
-        let now = tracer.host_now_ns();
-        tracer.span(track, name, stage_start, now.saturating_sub(stage_start));
-        stage_start = now;
-    };
-
     let xml = {
         let _s = prof.enter_named("pipeline.serialise_xml");
         system.to_xml()
     };
-    stage(tracer, "serialise_xml");
     let groups = {
         let _s = prof.enter_named("pipeline.parse_groups");
         parse_model_xml(&xml)?
     };
-    stage(tracer, "parse_groups");
 
     let simulation = {
         let _s = prof.enter_named("pipeline.sim_setup");
         Simulation::from_system(system, config)
             .map_err(|e| ProfilingError::Simulation(e.to_string()))?
     };
-    stage(tracer, "build_simulation");
     let report = simulation
         .run_with_faults_prof(faults, tracer, prof)
         .map_err(|e| ProfilingError::Simulation(e.to_string()))?;
-    stage(tracer, "simulate");
 
     // Analyse the in-memory log directly: rendering to text and parsing
     // it back is a lossless round-trip (covered by tests), so the
     // double conversion the text boundary used to cost is skipped here.
     // `analyze` stays available for externally produced log-files.
-    let result = {
-        let _s = prof.enter_named("pipeline.analyze");
-        Ok(analyze_log(&groups, &report.log))
-    };
-    stage(tracer, "analyze");
-    result
+    let _s = prof.enter_named("pipeline.analyze");
+    Ok(analyze_log(&groups, &report.log))
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use tut_platform::{PeDescriptor, PeKind};
 use tut_profile::platform::{Arbitration, ComponentKind};
 use tut_profile::SystemModel;
 use tut_trace::perf::{self, Prof};
-use tut_trace::{Clock, NoopSink, TraceSink};
+use tut_trace::{NoopSink, TraceSink};
 use tut_uml::ids::{PropertyId, SignalId, StateId, StateMachineId};
 use tut_uml::instances::{InstanceIndex, InstanceTree, RoutingTable};
 use tut_uml::lower::{Emit, Input, MachineCode};
@@ -648,7 +648,7 @@ impl Simulation {
             None
         };
         let _run_span = prof.enter_named("sim.run");
-        let queue_track = tracer.track("sim/events", Clock::Sim);
+        let queue_track = tracer.track("sim/events");
         let watchdog = self.config.watchdog;
         let mut events_popped: u64 = 0;
         while let Some((time_ns, _seq, kind)) = self.events.pop() {
@@ -1066,7 +1066,7 @@ impl Simulation {
         let end_ns = start_ns + duration_ns;
         if tracer.enabled() {
             let pe_name = &self.pes[pe_index].descriptor.name;
-            let track = tracer.track(&format!("pe/{pe_name}"), Clock::Sim);
+            let track = tracer.track(&format!("pe/{pe_name}"));
             tracer.span(
                 track,
                 &format!(

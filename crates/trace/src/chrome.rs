@@ -1,12 +1,11 @@
 //! Chrome trace-event JSON export (hand-rolled writer).
 //!
 //! The output loads in Perfetto (<https://ui.perfetto.dev>) and
-//! `chrome://tracing`. Layout:
-//!
-//! * process 1 "simulated" — tracks on the simulated clock, one thread
-//!   per track (processing elements, HIBI segments);
-//! * process 2 "host" — tracks on the monotonic host clock (tool
-//!   stages).
+//! `chrome://tracing`. Every track is one thread of process 1, named by
+//! a `thread_name` metadata event. A recorder holds one clock, so the
+//! exporter names no process: [`crate::Recorder`] tracks are simulated
+//! time, and [`crate::perf::PerfReport::to_chrome`] replays host time
+//! through the same writer.
 //!
 //! Timestamps are emitted in microseconds (the trace-event unit) with
 //! nanosecond precision preserved as three decimals.
@@ -14,17 +13,9 @@
 use std::fmt::Write as _;
 
 use crate::recorder::{EventKind, Recorder};
-use crate::sink::Clock;
 
-/// Escapes a string for a JSON string literal (quotes not included).
-pub fn escape_json(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    escape_json_into(&mut out, text);
-    out
-}
-
-/// [`escape_json`] appending to an existing buffer instead of
-/// allocating one per call.
+/// Appends `text` escaped for a JSON string literal (quotes not
+/// included).
 fn escape_json_into(out: &mut String, text: &str) {
     for c in text.chars() {
         match c {
@@ -46,13 +37,6 @@ fn write_us(out: &mut String, ns: u64) {
     let _ = write!(out, "{}.{:03}", ns / 1000, ns % 1000);
 }
 
-fn pid(clock: Clock) -> u32 {
-    match clock {
-        Clock::Sim => 1,
-        Clock::Host => 2,
-    }
-}
-
 /// Renders the recorder's events as a complete Chrome trace-event JSON
 /// document (object form, `traceEvents` array).
 pub fn to_chrome_json(recorder: &Recorder) -> String {
@@ -69,45 +53,27 @@ pub fn to_chrome_json(recorder: &Recorder) -> String {
         out.push('\n');
     };
 
-    // Metadata: name the two processes and every track (thread).
-    for (clock, label) in [(Clock::Sim, "simulated"), (Clock::Host, "host")] {
-        if recorder.tracks().iter().any(|t| t.clock == clock) {
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":{},\"tid\":0,\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                pid(clock),
-                label
-            );
-        }
-    }
+    // Metadata: name every track (thread).
     for (index, track) in recorder.tracks().iter().enumerate() {
         sep(&mut out);
         let _ = write!(
             out,
-            "{{\"ph\":\"M\",\"pid\":{},\"tid\":{},\"name\":\"thread_name\",\
+            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{index},\"name\":\"thread_name\",\
              \"args\":{{\"name\":\"",
-            pid(track.clock),
-            index,
         );
         escape_json_into(&mut out, &track.name);
         out.push_str("\"}}");
     }
 
     for event in recorder.events() {
-        let track = &recorder.tracks()[event.track.index()];
-        let (p, tid) = (pid(track.clock), event.track.index());
+        let tid = event.track.index();
         sep(&mut out);
         let ph = match event.kind {
             EventKind::Span { .. } => "X",
             EventKind::Instant => "i",
             EventKind::Counter { .. } => "C",
         };
-        let _ = write!(
-            out,
-            "{{\"ph\":\"{ph}\",\"pid\":{p},\"tid\":{tid},\"name\":\""
-        );
+        let _ = write!(out, "{{\"ph\":\"{ph}\",\"pid\":1,\"tid\":{tid},\"name\":\"");
         escape_json_into(&mut out, &event.name);
         out.push_str("\",\"ts\":");
         write_us(&mut out, event.ts_ns);
@@ -147,12 +113,12 @@ mod tests {
 
     fn sample() -> Recorder {
         let mut rec = Recorder::new();
-        let cpu = rec.track("pe/cpu1", Clock::Sim);
-        let tool = rec.track("tool/profiling", Clock::Host);
+        let cpu = rec.track("pe/cpu1");
+        let seg = rec.track("hibi/seg0");
         rec.span(cpu, "step \"x\"", 1_500, 250);
         rec.instant(cpu, "drop", 2_000);
         rec.counter(cpu, "queue_depth", 2_000, 3.0);
-        rec.span(tool, "analyze", 10, 20);
+        rec.span(seg, "busy", 10, 20);
         rec
     }
 
@@ -161,8 +127,8 @@ mod tests {
         let text = to_chrome_json(&sample());
         let doc = crate::json::parse(&text).expect("valid JSON");
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
-        // 2 process_name + 2 thread_name + 4 events.
-        assert_eq!(events.len(), 8);
+        // 2 thread_name + 4 events.
+        assert_eq!(events.len(), 6);
     }
 
     #[test]
@@ -179,29 +145,29 @@ mod tests {
     }
 
     #[test]
-    fn host_tracks_live_in_process_two() {
+    fn every_track_lives_in_process_one() {
         let text = to_chrome_json(&sample());
         let doc = crate::json::parse(&text).unwrap();
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
-        let host_span = events
+        assert!(events
+            .iter()
+            .all(|e| e.get("pid").unwrap().as_f64() == Some(1.0)));
+        let seg_span = events
             .iter()
             .find(|e| {
                 e.get("ph").and_then(Json::as_str) == Some("X")
-                    && e.get("pid").unwrap().as_f64() == Some(2.0)
+                    && e.get("tid").unwrap().as_f64() == Some(1.0)
             })
-            .expect("host-clock span present");
-        assert_eq!(
-            host_span.get("name").and_then(Json::as_str),
-            Some("analyze")
-        );
+            .expect("second track's span present");
+        assert_eq!(seg_span.get("name").and_then(Json::as_str), Some("busy"));
     }
 
-    /// Perfetto/chrome://tracing label processes and threads from `M`
-    /// metadata events; without them the UI shows bare pids. Pin both:
-    /// every clock domain gets a `process_name` and every track a
-    /// `thread_name` carrying the track's display name.
+    /// Perfetto/chrome://tracing label threads from `M` metadata events;
+    /// without them the UI shows bare tids. Pin that every track gets a
+    /// `thread_name` carrying the track's display name, and that no
+    /// process is named (a recorder holds one clock, named by no one).
     #[test]
-    fn metadata_names_every_process_and_track() {
+    fn metadata_names_every_track() {
         let text = to_chrome_json(&sample());
         let doc = crate::json::parse(&text).unwrap();
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
@@ -218,9 +184,8 @@ mod tests {
                 )
             })
             .collect();
-        assert!(meta_names.contains(&("process_name", "simulated")));
-        assert!(meta_names.contains(&("process_name", "host")));
-        for track in ["pe/cpu1", "tool/profiling"] {
+        assert!(meta_names.iter().all(|&(kind, _)| kind == "thread_name"));
+        for track in ["pe/cpu1", "hibi/seg0"] {
             assert!(
                 meta_names.contains(&("thread_name", track)),
                 "track {track} must be named: {meta_names:?}"

@@ -12,9 +12,8 @@
 //!   scheduler) is generic over the sink, so the no-op implementation
 //!   ([`sink::NoopSink`]) is statically dispatched and compiles away.
 //! * [`recorder::Recorder`] — the collecting implementation: named
-//!   tracks on two clock domains (simulated nanoseconds and a monotonic
-//!   host clock for tool-stage timing), spans, instants, counter
-//!   samples, plus an embedded [`metrics::MetricsRegistry`].
+//!   tracks on the simulated clock (nanoseconds), spans, instants,
+//!   counter samples, plus an embedded [`metrics::MetricsRegistry`].
 //! * [`metrics`] — counters, gauges, and log-linear histograms
 //!   (constant-size, HdrHistogram-style bucketing) for latency and
 //!   utilisation distributions.
@@ -22,9 +21,9 @@
 //!   `chrome://tracing`), [`prom`] (Prometheus text exposition), and
 //!   [`vcd`] (value-change-dump waveforms of per-segment busy/reserved
 //!   lines, viewable in GTKWave).
-//! * [`perf`] — the host-side self-profiler: scoped span timers over
-//!   `std::time::Instant` with interned labels, a thread-local span
-//!   stack, and per-thread buffers merged at drain. Renders a hotspot
+//! * [`perf`] — the host-side self-profiler and the crate's only host
+//!   clock: scoped span timers over `std::time::Instant` with interned
+//!   labels, one span stack and one call tree. Renders a hotspot
 //!   table, collapsed (flamegraph) stacks, and a Chrome trace; the
 //!   [`perf::NoProf`]/[`perf::HostProf`] pair gives instrumented code
 //!   the same statically-dispatched zero-cost-off discipline as
@@ -38,10 +37,10 @@
 //! # Example
 //!
 //! ```
-//! use tut_trace::{Clock, Recorder, TraceSink};
+//! use tut_trace::{Recorder, TraceSink};
 //!
 //! let mut rec = Recorder::new();
-//! let cpu = rec.track("pe/cpu1", Clock::Sim);
+//! let cpu = rec.track("pe/cpu1");
 //! rec.span(cpu, "step", 100, 40);
 //! rec.counter(cpu, "queue_depth", 140, 2.0);
 //! rec.observe("sim.signal_latency_ns", 1234);
@@ -66,4 +65,4 @@ pub use metrics::{Histogram, MetricsRegistry};
 pub use perf::{HostProf, NoProf, PerfReport, PerfSpan, Prof};
 pub use recorder::{EventKind, Recorder, TraceEvent};
 pub use rng::SplitMix64;
-pub use sink::{Clock, NoopSink, TraceSink, TrackId};
+pub use sink::{NoopSink, TraceSink, TrackId};

@@ -1,35 +1,34 @@
 //! Host-side hierarchical self-profiler.
 //!
 //! [`crate::recorder::Recorder`] observes *simulated* time; this module
-//! observes the tool itself: where host wall-clock time goes across the
-//! whole pipeline (parse → XMI → profile apply → checks → codegen → sim
-//! setup → simulation → analysis) and inside the exploration and
-//! fault-sweep drivers.
+//! observes the tool itself, and is the workspace's one host-time
+//! instrument: where host wall-clock time goes across the whole
+//! pipeline (parse → XMI → profile apply → checks → codegen → sim setup
+//! → simulation → analysis) and inside the exploration and fault-sweep
+//! drivers.
 //!
 //! Design:
 //!
 //! * **Interned labels** — [`label`] resolves a frame name to a [`Label`]
 //!   (a `u32`) through a global table. Hot paths intern once at setup
 //!   time and pass `Copy` ids afterwards.
-//! * **Thread-local span stacks** — [`enter`] pushes a frame onto the
-//!   current thread's stack and returns a scope guard; dropping the guard
-//!   pops the frame and charges its elapsed time to a call-tree node
-//!   keyed by the full stack path. No lock is taken on enter/exit: each
-//!   thread aggregates into its own buffer.
-//! * **Merged at drain** — a thread's buffer is flushed into a global
-//!   pool whenever its outermost span closes, so a scoped worker's frames
-//!   are pooled before the worker's closure returns and therefore before
-//!   its scope ends (a thread-local destructor flushes any remainder at
-//!   thread exit, but may run after the scope has returned); [`drain`]
-//!   flushes the calling thread too, merges every buffered call tree by
-//!   path, and returns a [`PerfReport`].
+//! * **One span stack, one call tree** — [`enter`] pushes a frame onto
+//!   the profiler's stack and returns a scope guard; dropping the guard
+//!   pops the frame, charges its elapsed time to a call-tree node keyed
+//!   by the full stack path, and appends it to a capped raw timeline.
+//!   The profiler is single-threaded: its state belongs to the thread
+//!   that opens the frames, and [`drain`] returns that thread's call
+//!   tree as a [`PerfReport`]. Every profiled flow runs on one thread.
+//! * **Drain closes what is open** — a frame still open at [`drain`] is
+//!   closed there and reported with the time it has run so far; its
+//!   guard then closes nothing, so no time leaks into the next report.
 //! * **Zero cost when off** — the [`Prof`] trait mirrors the
 //!   `TraceSink`/`FaultModel` discipline: instrumented code is generic
 //!   over it, [`NoProf`] monomorphises to nothing (`ACTIVE = false`
 //!   statically removes even the enabled-flag load), and [`HostProf`]
-//!   routes into the thread-local machinery. Observation must never
-//!   perturb behaviour: a profiled simulation's log is byte-identical to
-//!   an unprofiled one (pinned by `tests/profiler.rs`).
+//!   routes into the profiler state. Observation must never perturb
+//!   behaviour: a profiled simulation's log is byte-identical to an
+//!   unprofiled one (pinned by `tests/profiler.rs`).
 //!
 //! The report renders three ways: a top-N hotspot table
 //! ([`PerfReport::render_top`]), collapsed stacks in the
@@ -44,7 +43,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::recorder::Recorder;
-use crate::sink::{Clock, TraceSink};
+use crate::sink::TraceSink;
 
 /// An interned frame label, valid process-wide.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -53,21 +52,14 @@ pub struct Label(u32);
 /// Whether spans are currently recorded.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// The host-clock epoch all span timestamps are relative to (set when
-/// profiling is first enabled, so timelines across threads share a zero).
-static EPOCH: OnceLock<Instant> = OnceLock::new();
-
 /// label text ↔ id table. Interning takes this lock; hot paths intern
 /// once and reuse the `Label`.
 static LABELS: OnceLock<Mutex<LabelTable>> = OnceLock::new();
 
-/// Flushed per-thread buffers awaiting [`drain`].
-static POOL: OnceLock<Mutex<Vec<ThreadDump>>> = OnceLock::new();
-
-/// Raw timeline spans kept per thread for the Chrome export. Aggregation
-/// (the call tree) is unbounded-safe; the raw timeline is capped so a
-/// long simulation cannot exhaust memory — overflow is counted and
-/// surfaced in the report.
+/// Raw timeline spans kept for the Chrome export. Aggregation (the call
+/// tree) is unbounded-safe; the raw timeline is capped so a long
+/// simulation cannot exhaust memory — overflow is counted and surfaced
+/// in the report.
 const RAW_SPAN_CAP: usize = 1 << 20;
 
 #[derive(Default)]
@@ -78,14 +70,6 @@ struct LabelTable {
 
 fn labels() -> &'static Mutex<LabelTable> {
     LABELS.get_or_init(|| Mutex::new(LabelTable::default()))
-}
-
-fn pool() -> &'static Mutex<Vec<ThreadDump>> {
-    POOL.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn epoch() -> Instant {
-    *EPOCH.get_or_init(Instant::now)
 }
 
 /// Interns `name`, returning its process-wide [`Label`]. Takes a global
@@ -101,25 +85,23 @@ pub fn label(name: &str) -> Label {
     Label(id)
 }
 
-/// Turns span recording on. The first call fixes the shared host-clock
-/// epoch.
+/// Turns span recording on.
 pub fn enable() {
-    epoch();
     ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Turns span recording off (buffered data stays until [`drain`]).
+/// Turns span recording off (recorded data stays until [`drain`]).
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
 /// True while span recording is on.
 #[inline]
-pub fn enabled() -> bool {
+fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// One frame on a thread's span stack.
+/// One frame on the span stack.
 struct Frame {
     /// Call-tree node this frame aggregates into.
     node: u32,
@@ -129,7 +111,7 @@ struct Frame {
     child_ns: u64,
 }
 
-/// One call-tree node of a thread's aggregation buffer.
+/// One call-tree node.
 #[derive(Clone, Copy, Debug)]
 struct NodeAgg {
     parent: u32,
@@ -147,34 +129,23 @@ struct RawSpan {
     dur_ns: u64,
 }
 
-/// A thread's flushed profiling buffer.
-struct ThreadDump {
-    thread: String,
-    /// Node 0 is the synthetic root.
-    nodes: Vec<NodeAgg>,
-    raw: Vec<RawSpan>,
-    dropped: u64,
-}
-
-struct ThreadState {
-    thread: String,
+/// Everything recorded since the last [`drain`]: the span stack, the
+/// call tree and the capped raw timeline.
+struct State {
+    /// Zero of the raw timeline's timestamps.
+    epoch: Instant,
     stack: Vec<Frame>,
+    /// Node 0 is the synthetic root.
     nodes: Vec<NodeAgg>,
     children: HashMap<(u32, u32), u32>,
     raw: Vec<RawSpan>,
     dropped: u64,
 }
 
-impl ThreadState {
-    fn new() -> ThreadState {
-        static NEXT_ID: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
-        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-        let thread = std::thread::current()
-            .name()
-            .map(str::to_owned)
-            .unwrap_or_else(|| format!("thread-{id}"));
-        ThreadState {
-            thread,
+impl State {
+    fn new() -> State {
+        State {
+            epoch: Instant::now(),
             stack: Vec::new(),
             nodes: vec![NodeAgg {
                 parent: 0,
@@ -217,7 +188,7 @@ impl ThreadState {
 
     fn end(&mut self) {
         let Some(frame) = self.stack.pop() else {
-            return; // unbalanced guard (e.g. drained mid-span): ignore
+            return; // the frame was already closed by `drain`
         };
         let total_ns = u64::try_from(frame.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let node = &mut self.nodes[frame.node as usize];
@@ -229,8 +200,8 @@ impl ThreadState {
             parent.child_ns += total_ns;
         }
         if self.raw.len() < RAW_SPAN_CAP {
-            let start_ns =
-                u64::try_from(frame.start.duration_since(epoch()).as_nanos()).unwrap_or(u64::MAX);
+            let start_ns = u64::try_from(frame.start.duration_since(self.epoch).as_nanos())
+                .unwrap_or(u64::MAX);
             self.raw.push(RawSpan {
                 label,
                 start_ns,
@@ -239,66 +210,54 @@ impl ThreadState {
         } else {
             self.dropped += 1;
         }
-        if self.stack.is_empty() {
-            // The outermost span closed: pool the buffer while the thread
-            // is certainly still running (see the module docs).
-            self.flush();
-        }
     }
 
-    /// Moves the buffered data into the global pool.
-    fn flush(&mut self) {
-        if let Some(dump) = self.take_dump() {
-            if let Ok(mut pool) = pool().lock() {
-                pool.push(dump);
-            }
+    /// The call tree in depth-first order, siblings by descending total
+    /// time (then by label, so equal times order deterministically).
+    fn into_report(self) -> PerfReport {
+        let table = labels().lock().expect("label table poisoned");
+        let name = |node: &NodeAgg| table.names[node.label as usize].as_str();
+        let order = |a: &usize, b: &usize| {
+            let (a, b) = (&self.nodes[*a], &self.nodes[*b]);
+            b.total_ns
+                .cmp(&a.total_ns)
+                .then_with(|| name(a).cmp(name(b)))
+        };
+        let mut kids: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
+        for (id, node) in self.nodes.iter().enumerate().skip(1) {
+            kids[node.parent as usize].push(id);
         }
-    }
-
-    /// Moves the buffered data out as a [`ThreadDump`], leaving the state
-    /// empty but reusable. Open frames stay on the stack (their time is
-    /// charged when their guards drop).
-    fn take_dump(&mut self) -> Option<ThreadDump> {
-        if self.nodes.len() <= 1 && self.raw.is_empty() {
-            return None;
+        let mut nodes: Vec<PerfNode> = Vec::with_capacity(self.nodes.len() - 1);
+        // (tree node, its parent's index in `nodes`); node 0 is the root.
+        let mut pending: Vec<(usize, Option<usize>)> = vec![(0, None)];
+        while let Some((id, parent)) = pending.pop() {
+            let here = if id == 0 {
+                None
+            } else {
+                let node = &self.nodes[id];
+                nodes.push(PerfNode {
+                    label: name(node).to_owned(),
+                    parent,
+                    self_ns: node.self_ns,
+                    total_ns: node.total_ns,
+                    count: node.count,
+                });
+                Some(nodes.len() - 1)
+            };
+            let mut children = std::mem::take(&mut kids[id]);
+            children.sort_by(order);
+            pending.extend(children.into_iter().rev().map(|child| (child, here)));
         }
-        let nodes = std::mem::replace(
-            &mut self.nodes,
-            vec![NodeAgg {
-                parent: 0,
-                label: u32::MAX,
-                self_ns: 0,
-                total_ns: 0,
-                count: 0,
-            }],
-        );
-        self.children.clear();
-        // Re-anchor any frames still open onto the fresh root so their
-        // eventual exits do not index into the flushed table.
-        for frame in &mut self.stack {
-            frame.node = 0;
-        }
-        Some(ThreadDump {
-            thread: self.thread.clone(),
+        PerfReport {
             nodes,
-            raw: std::mem::take(&mut self.raw),
-            dropped: std::mem::take(&mut self.dropped),
-        })
-    }
-}
-
-/// Thread-local wrapper whose drop flushes the buffer into the global
-/// pool, so scoped worker threads contribute automatically.
-struct TlsState(RefCell<ThreadState>);
-
-impl Drop for TlsState {
-    fn drop(&mut self) {
-        self.0.borrow_mut().flush();
+            dropped_spans: self.dropped,
+            raw: self.raw,
+        }
     }
 }
 
 thread_local! {
-    static TLS: TlsState = TlsState(RefCell::new(ThreadState::new()));
+    static STATE: RefCell<State> = RefCell::new(State::new());
 }
 
 /// Scope guard of one profiled span; created by [`enter`], pops its
@@ -310,7 +269,7 @@ pub struct PerfSpan {
 
 impl PerfSpan {
     /// A guard that does nothing on drop.
-    pub const fn inactive() -> PerfSpan {
+    const fn inactive() -> PerfSpan {
         PerfSpan { active: false }
     }
 
@@ -327,20 +286,19 @@ impl Drop for PerfSpan {
     fn drop(&mut self) {
         if self.active {
             // `try_with`: guards may drop during thread teardown.
-            let _ = TLS.try_with(|tls| tls.0.borrow_mut().end());
+            let _ = STATE.try_with(|state| state.borrow_mut().end());
         }
     }
 }
 
-/// Opens a span labelled `label` on the current thread (no-op while
-/// profiling is off).
+/// Opens a span labelled `label` (no-op while profiling is off).
 #[inline]
 pub fn enter(label: Label) -> PerfSpan {
     if !enabled() {
         return PerfSpan::inactive();
     }
-    let ok = TLS.try_with(|tls| tls.0.borrow_mut().begin(label)).is_ok();
-    PerfSpan { active: ok }
+    STATE.with(|state| state.borrow_mut().begin(label));
+    PerfSpan { active: true }
 }
 
 /// [`enter`] for cold paths: interns `name` only when profiling is on.
@@ -391,8 +349,8 @@ impl Prof for NoProf {
     }
 }
 
-/// The recording profiler: routes into the thread-local machinery (still
-/// gated on the global [`enabled`] flag).
+/// The recording profiler: routes into the profiler state (still
+/// gated on the global flag that [`enable`] and [`disable`] set).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct HostProf;
 
@@ -413,7 +371,7 @@ impl Prof for HostProf {
     }
 }
 
-/// One node of the merged call tree.
+/// One node of the reported call tree.
 #[derive(Clone, PartialEq, Debug)]
 pub struct PerfNode {
     /// Frame name.
@@ -442,139 +400,33 @@ pub struct Hotspot {
     pub count: u64,
 }
 
-/// One thread's raw span timeline (drives the Chrome export).
-struct Timeline {
-    thread: String,
+/// The self-profiling result of one [`drain`].
+pub struct PerfReport {
+    /// The call tree in depth-first order (parents precede children).
+    pub nodes: Vec<PerfNode>,
+    /// Raw timeline spans dropped because the timeline hit its cap.
+    pub dropped_spans: u64,
     raw: Vec<RawSpan>,
 }
 
-/// The merged self-profiling result of one [`drain`].
-pub struct PerfReport {
-    /// The merged call tree in depth-first order (parents precede
-    /// children).
-    pub nodes: Vec<PerfNode>,
-    /// Raw timeline spans dropped because a thread hit the in-memory cap.
-    pub dropped_spans: u64,
-    timelines: Vec<Timeline>,
-}
-
-/// Flushes the calling thread's buffer and merges every flushed buffer
-/// into a [`PerfReport`], leaving the pool empty. The enabled flag is
-/// untouched.
+/// Closes every frame still open, then returns what the calling thread
+/// recorded since the last drain as a [`PerfReport`], leaving the
+/// profiler empty. The enabled flag is untouched.
 pub fn drain() -> PerfReport {
-    let _ = TLS.try_with(|tls| tls.0.borrow_mut().flush());
-    let dumps: Vec<ThreadDump> = std::mem::take(&mut *pool().lock().expect("perf pool poisoned"));
-    let names: Vec<String> = labels().lock().expect("label table poisoned").names.clone();
-    merge(dumps, &names)
+    STATE
+        .with(|state| {
+            let mut state = state.borrow_mut();
+            while !state.stack.is_empty() {
+                state.end();
+            }
+            std::mem::replace(&mut *state, State::new())
+        })
+        .into_report()
 }
 
-/// Discards all buffered data (calling thread + pool).
+/// Discards everything recorded since the last [`drain`].
 pub fn reset() {
     let _ = drain();
-}
-
-/// Merge key trie node during [`merge`].
-struct MergeNode {
-    label: u32,
-    parent: usize, // index into merged, usize::MAX for root
-    self_ns: u64,
-    total_ns: u64,
-    count: u64,
-    children: Vec<usize>,
-}
-
-fn merge(dumps: Vec<ThreadDump>, names: &[String]) -> PerfReport {
-    let mut merged: Vec<MergeNode> = Vec::new();
-    let mut index: HashMap<(usize, u32), usize> = HashMap::new();
-    let mut dropped = 0u64;
-    let mut timelines = Vec::new();
-    for dump in dumps {
-        dropped += dump.dropped;
-        // Map this dump's node ids to merged ids, parents first (node
-        // ids are allocated in discovery order, so a parent always has a
-        // smaller id than its children).
-        let mut map: Vec<usize> = vec![usize::MAX; dump.nodes.len()];
-        for (id, node) in dump.nodes.iter().enumerate() {
-            if id == 0 {
-                continue; // synthetic root
-            }
-            let parent = if node.parent == 0 {
-                usize::MAX
-            } else {
-                map[node.parent as usize]
-            };
-            let slot = *index.entry((parent, node.label)).or_insert_with(|| {
-                merged.push(MergeNode {
-                    label: node.label,
-                    parent,
-                    self_ns: 0,
-                    total_ns: 0,
-                    count: 0,
-                    children: Vec::new(),
-                });
-                let slot = merged.len() - 1;
-                if parent != usize::MAX {
-                    merged[parent].children.push(slot);
-                }
-                slot
-            });
-            merged[slot].self_ns += node.self_ns;
-            merged[slot].total_ns += node.total_ns;
-            merged[slot].count += node.count;
-            map[id] = slot;
-        }
-        if !dump.raw.is_empty() {
-            timelines.push(Timeline {
-                thread: dump.thread,
-                raw: dump.raw,
-            });
-        }
-    }
-    // Deterministic order: threads by name, roots and children by label.
-    timelines.sort_by(|a, b| a.thread.cmp(&b.thread));
-    let resolve = |l: u32| names.get(l as usize).map(String::as_str).unwrap_or("?");
-    // Emit depth-first with children sorted by descending total time.
-    let mut roots: Vec<usize> = (0..merged.len())
-        .filter(|&i| merged[i].parent == usize::MAX)
-        .collect();
-    roots.sort_by(|&a, &b| {
-        merged[b]
-            .total_ns
-            .cmp(&merged[a].total_ns)
-            .then_with(|| resolve(merged[a].label).cmp(resolve(merged[b].label)))
-    });
-    let mut nodes = Vec::with_capacity(merged.len());
-    let mut remap: Vec<usize> = vec![usize::MAX; merged.len()];
-    let mut stack: Vec<usize> = roots.into_iter().rev().collect();
-    while let Some(i) = stack.pop() {
-        let node = &merged[i];
-        let out = nodes.len();
-        remap[i] = out;
-        nodes.push(PerfNode {
-            label: resolve(node.label).to_owned(),
-            parent: if node.parent == usize::MAX {
-                None
-            } else {
-                Some(remap[node.parent])
-            },
-            self_ns: node.self_ns,
-            total_ns: node.total_ns,
-            count: node.count,
-        });
-        let mut kids = node.children.clone();
-        kids.sort_by(|&a, &b| {
-            merged[b]
-                .total_ns
-                .cmp(&merged[a].total_ns)
-                .then_with(|| resolve(merged[a].label).cmp(resolve(merged[b].label)))
-        });
-        stack.extend(kids.into_iter().rev());
-    }
-    PerfReport {
-        nodes,
-        dropped_spans: dropped,
-        timelines,
-    }
 }
 
 impl PerfReport {
@@ -669,25 +521,16 @@ impl PerfReport {
         out
     }
 
-    /// Chrome trace-event rendering of the raw per-thread timelines,
-    /// through the [`crate::chrome`] exporter: one host-clock track per
-    /// profiled thread, so Perfetto shows named profiler threads next to
-    /// the simulated-clock tracks.
+    /// Chrome trace-event rendering of the raw timeline through the
+    /// [`crate::chrome`] exporter: one `profiler` track whose timestamps
+    /// are host nanoseconds since the profiler was last drained.
     pub fn to_chrome(&self) -> String {
         let mut recorder = Recorder::new();
-        for timeline in &self.timelines {
-            let track = recorder.track(&format!("profiler/{}", timeline.thread), Clock::Host);
-            let names: Vec<String> = {
-                let table = labels().lock().expect("label table poisoned");
-                table.names.clone()
-            };
-            for span in &timeline.raw {
-                let name = names
-                    .get(span.label as usize)
-                    .map(String::as_str)
-                    .unwrap_or("?");
-                recorder.span(track, name, span.start_ns, span.dur_ns);
-            }
+        let track = recorder.track("profiler");
+        let table = labels().lock().expect("label table poisoned");
+        for span in &self.raw {
+            let name = &table.names[span.label as usize];
+            recorder.span(track, name, span.start_ns, span.dur_ns);
         }
         crate::chrome::to_chrome_json(&recorder)
     }
@@ -697,8 +540,8 @@ impl PerfReport {
 mod tests {
     use super::*;
 
-    /// Profiler state is process-global; tests that touch it serialise on
-    /// this lock so `cargo test`'s thread pool cannot interleave them.
+    /// The enabled flag is process-global; tests that touch it serialise
+    /// on this lock so `cargo test`'s thread pool cannot interleave them.
     fn guard() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -751,33 +594,35 @@ mod tests {
         assert!(folded.contains("parent;child "), "folded: {folded}");
     }
 
+    /// A frame still open at `drain` is closed there, once: the report
+    /// holds it with one call and its span, and its guard closing later
+    /// records nothing, so the next report is empty and exports no
+    /// span (no unnamed root span, no zero-call node).
     #[test]
-    fn worker_thread_buffers_merge_at_drain() {
+    fn frame_open_at_drain_is_closed_there_once() {
         let _g = guard();
-        let shard = label("shard");
-        // A worker's frames must be pooled by the time its scope ends;
-        // a late flush loses them here or leaks them into the next
-        // round, so one round in a hundred going wrong fails the test.
-        for round in 0..100 {
-            reset();
-            enable();
-            std::thread::scope(|scope| {
-                for _ in 0..2 {
-                    scope.spawn(|| {
-                        let _s = enter(shard);
-                        std::thread::sleep(std::time::Duration::from_micros(100));
-                    });
-                }
-            });
-            disable();
-            let report = drain();
-            let count = report
-                .hotspots()
-                .into_iter()
-                .find(|h| h.label == "shard")
-                .map_or(0, |h| h.count);
-            assert_eq!(count, 2, "round {round}: both workers' frames merged");
-        }
+        reset();
+        enable();
+        let open = enter_named("still.open");
+        let first = drain();
+        drop(open);
+        let second = drain();
+        disable();
+        let spans = |report: &PerfReport| -> Vec<String> {
+            let doc = crate::json::parse(&report.to_chrome()).expect("valid chrome JSON");
+            let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+            events
+                .iter()
+                .filter(|e| e.get("ph").and_then(crate::json::Json::as_str) == Some("X"))
+                .map(|e| e.get("name").unwrap().as_str().unwrap().to_owned())
+                .collect()
+        };
+        assert_eq!(first.nodes.len(), 1);
+        assert_eq!(first.nodes[0].label, "still.open");
+        assert_eq!(first.nodes[0].count, 1);
+        assert_eq!(spans(&first), vec!["still.open".to_owned()]);
+        assert!(second.is_empty());
+        assert!(spans(&second).is_empty(), "closed frame exported again");
     }
 
     #[test]

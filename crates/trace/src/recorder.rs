@@ -1,10 +1,10 @@
-//! The collecting [`TraceSink`]: tracks, events, and embedded metrics.
+//! The collecting [`TraceSink`]: tracks, events, and embedded metrics,
+//! all on the simulated clock.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use crate::metrics::MetricsRegistry;
-use crate::sink::{Clock, TraceSink, TrackId};
+use crate::sink::{TraceSink, TrackId};
 
 /// What kind of event a [`TraceEvent`] is.
 #[derive(Clone, PartialEq, Debug)]
@@ -30,7 +30,7 @@ pub struct TraceEvent {
     pub track: TrackId,
     /// Event name (span label, instant label, or counter series name).
     pub name: String,
-    /// Timestamp in nanoseconds (clock domain of the track).
+    /// Timestamp in simulated nanoseconds.
     pub ts_ns: u64,
     /// Span, instant, or counter payload.
     pub kind: EventKind,
@@ -39,27 +39,23 @@ pub struct TraceEvent {
 /// One named track.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Track {
-    /// Display name (`pe/cpu1`, `hibi/seg0`, `tool/profiling`).
+    /// Display name (`pe/cpu1`, `hibi/seg0`, `sim/events`).
     pub name: String,
-    /// The clock domain of the track's timestamps.
-    pub clock: Clock,
 }
 
 /// An in-memory trace recorder.
 ///
-/// Collects events on interned tracks plus metric samples, and carries
-/// the monotonic host clock used to stamp tool-stage spans. Export the
+/// Collects events on interned tracks plus metric samples. Export the
 /// result with [`crate::chrome::to_chrome_json`],
 /// [`crate::prom::to_prometheus`], or [`crate::vcd::to_vcd`].
 #[derive(Clone, Debug)]
 pub struct Recorder {
     tracks: Vec<Track>,
-    by_name: HashMap<(String, bool), TrackId>,
+    by_name: HashMap<String, TrackId>,
     events: Vec<TraceEvent>,
     /// Counters, gauges, and histograms recorded through the sink
     /// interface (or directly).
     pub metrics: MetricsRegistry,
-    started: Instant,
 }
 
 impl Default for Recorder {
@@ -69,14 +65,13 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// A fresh recorder; the host clock starts now.
+    /// An empty recorder.
     pub fn new() -> Recorder {
         Recorder {
             tracks: Vec::new(),
             by_name: HashMap::new(),
             events: Vec::new(),
             metrics: MetricsRegistry::new(),
-            started: Instant::now(),
         }
     }
 
@@ -102,10 +97,7 @@ impl Recorder {
 
     /// Looks a track up by name without creating it.
     pub fn find_track(&self, name: &str) -> Option<TrackId> {
-        self.tracks
-            .iter()
-            .position(|t| t.name == name)
-            .map(|i| TrackId(i as u32))
+        self.by_name.get(name).copied()
     }
 }
 
@@ -114,17 +106,15 @@ impl TraceSink for Recorder {
         true
     }
 
-    fn track(&mut self, name: &str, clock: Clock) -> TrackId {
-        let key = (name.to_owned(), matches!(clock, Clock::Host));
-        if let Some(&id) = self.by_name.get(&key) {
+    fn track(&mut self, name: &str) -> TrackId {
+        if let Some(&id) = self.by_name.get(name) {
             return id;
         }
         let id = TrackId(self.tracks.len() as u32);
         self.tracks.push(Track {
             name: name.to_owned(),
-            clock,
         });
-        self.by_name.insert(key, id);
+        self.by_name.insert(name.to_owned(), id);
         id
     }
 
@@ -166,10 +156,6 @@ impl TraceSink for Recorder {
     fn observe(&mut self, name: &str, value: u64) {
         self.metrics.observe(name, value);
     }
-
-    fn host_now_ns(&self) -> u64 {
-        u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
 }
 
 #[cfg(test)]
@@ -179,9 +165,9 @@ mod tests {
     #[test]
     fn tracks_are_interned() {
         let mut rec = Recorder::new();
-        let a = rec.track("pe/cpu1", Clock::Sim);
-        let b = rec.track("pe/cpu1", Clock::Sim);
-        let c = rec.track("pe/cpu2", Clock::Sim);
+        let a = rec.track("pe/cpu1");
+        let b = rec.track("pe/cpu1");
+        let c = rec.track("pe/cpu2");
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(rec.tracks().len(), 2);
@@ -192,7 +178,7 @@ mod tests {
     #[test]
     fn events_are_recorded_in_order() {
         let mut rec = Recorder::new();
-        let t = rec.track("t", Clock::Sim);
+        let t = rec.track("t");
         rec.span(t, "a", 0, 5);
         rec.instant(t, "b", 2);
         rec.counter(t, "c", 3, 1.5);
@@ -213,13 +199,5 @@ mod tests {
         rec.gauge("g", 3.0);
         assert_eq!(rec.metrics.counter("n"), Some(2));
         assert_eq!(rec.metrics.histogram("h").unwrap().count(), 1);
-    }
-
-    #[test]
-    fn host_clock_is_monotonic() {
-        let rec = Recorder::new();
-        let a = rec.host_now_ns();
-        let b = rec.host_now_ns();
-        assert!(b >= a);
     }
 }

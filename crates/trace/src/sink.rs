@@ -6,7 +6,7 @@
 //! code — disabled tracing costs at most a dead branch.
 
 /// Identifies one track (a horizontal lane in the trace viewer: one per
-/// processing element, HIBI segment, or tool stage).
+/// processing element, HIBI segment, or the event queue).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TrackId(pub(crate) u32);
 
@@ -17,30 +17,19 @@ impl TrackId {
     }
 }
 
-/// The clock domain a track's timestamps belong to.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum Clock {
-    /// Simulated time in nanoseconds (the discrete-event clock).
-    #[default]
-    Sim,
-    /// Monotonic host time in nanoseconds since the recorder was
-    /// created (tool-stage wall-clock timing).
-    Host,
-}
-
 /// Receives trace events and metric samples from instrumented code.
 ///
 /// All methods take `&mut self`; implementations are single-threaded by
 /// design (the simulator is deterministic and sequential). Timestamps
-/// are nanoseconds in the clock domain of the event's track.
+/// are simulated nanoseconds; host time is measured by [`crate::perf`].
 pub trait TraceSink {
     /// True when events are actually recorded. Instrumentation may
     /// branch on this to skip building event arguments.
     fn enabled(&self) -> bool;
 
     /// Interns a track by name, creating it on first use. Calling again
-    /// with the same name and clock returns the same id.
-    fn track(&mut self, name: &str, clock: Clock) -> TrackId;
+    /// with the same name returns the same id.
+    fn track(&mut self, name: &str) -> TrackId;
 
     /// Records a complete span `[start_ns, start_ns + dur_ns)`.
     fn span(&mut self, track: TrackId, name: &str, start_ns: u64, dur_ns: u64);
@@ -60,10 +49,6 @@ pub trait TraceSink {
 
     /// Records one observation into the named log-linear histogram.
     fn observe(&mut self, name: &str, value: u64);
-
-    /// Nanoseconds of monotonic host time since the sink was created
-    /// (0 for sinks without a host clock).
-    fn host_now_ns(&self) -> u64;
 }
 
 /// The statically-dispatchable do-nothing sink.
@@ -76,7 +61,7 @@ impl TraceSink for NoopSink {
         false
     }
     #[inline]
-    fn track(&mut self, _name: &str, _clock: Clock) -> TrackId {
+    fn track(&mut self, _name: &str) -> TrackId {
         TrackId(0)
     }
     #[inline]
@@ -91,10 +76,6 @@ impl TraceSink for NoopSink {
     fn gauge(&mut self, _name: &str, _value: f64) {}
     #[inline]
     fn observe(&mut self, _name: &str, _value: u64) {}
-    #[inline]
-    fn host_now_ns(&self) -> u64 {
-        0
-    }
 }
 
 /// Forwarding impl so instrumented call chains can hand their sink down
@@ -105,8 +86,8 @@ impl<S: TraceSink + ?Sized> TraceSink for &mut S {
         (**self).enabled()
     }
     #[inline]
-    fn track(&mut self, name: &str, clock: Clock) -> TrackId {
-        (**self).track(name, clock)
+    fn track(&mut self, name: &str) -> TrackId {
+        (**self).track(name)
     }
     #[inline]
     fn span(&mut self, track: TrackId, name: &str, start_ns: u64, dur_ns: u64) {
@@ -132,10 +113,6 @@ impl<S: TraceSink + ?Sized> TraceSink for &mut S {
     fn observe(&mut self, name: &str, value: u64) {
         (**self).observe(name, value)
     }
-    #[inline]
-    fn host_now_ns(&self) -> u64 {
-        (**self).host_now_ns()
-    }
 }
 
 #[cfg(test)]
@@ -146,17 +123,16 @@ mod tests {
     fn noop_is_disabled_and_inert() {
         let mut sink = NoopSink;
         assert!(!sink.enabled());
-        let t = sink.track("anything", Clock::Sim);
+        let t = sink.track("anything");
         assert_eq!(t.index(), 0);
         sink.span(t, "s", 0, 10);
         sink.observe("h", 42);
-        assert_eq!(sink.host_now_ns(), 0);
     }
 
     /// Exercises the forwarding impl through a generic bound, the way
     /// instrumented code hands sinks down call chains.
     fn drive<T: TraceSink>(mut sink: T) -> bool {
-        let t = sink.track("x", Clock::Host);
+        let t = sink.track("x");
         sink.instant(t, "i", 5);
         sink.enabled()
     }

@@ -10,7 +10,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::recorder::{EventKind, Recorder};
-use crate::sink::Clock;
 
 /// A VCD short identifier: base-94 over the printable ASCII range.
 fn id_code(mut index: usize) -> String {
@@ -32,18 +31,18 @@ fn sanitise(name: &str) -> String {
         .collect()
 }
 
-/// Renders every simulated-clock track whose name starts with
+/// Renders every track whose name starts with
 /// `track_prefix` as a set of 1-bit wires, one per distinct span name.
 ///
 /// Overlapping spans on the same wire are merged (the wire stays high
 /// until the last one ends). Tracks without spans are skipped. Passing
-/// an empty prefix selects every simulated track.
+/// an empty prefix selects every track.
 pub fn to_vcd(recorder: &Recorder, track_prefix: &str) -> String {
     // wire key: (track index, span name) -> edge list (ts, delta).
     let mut edges: BTreeMap<(usize, String), Vec<(u64, i64)>> = BTreeMap::new();
     for event in recorder.events() {
         let track = &recorder.tracks()[event.track.index()];
-        if track.clock != Clock::Sim || !track.name.starts_with(track_prefix) {
+        if !track.name.starts_with(track_prefix) {
             continue;
         }
         if let EventKind::Span { dur_ns } = event.kind {
@@ -172,8 +171,8 @@ mod tests {
 
     fn sample() -> Recorder {
         let mut rec = Recorder::new();
-        let seg = rec.track("hibi/seg0", Clock::Sim);
-        let other = rec.track("pe/cpu1", Clock::Sim);
+        let seg = rec.track("hibi/seg0");
+        let other = rec.track("pe/cpu1");
         rec.span(seg, "busy", 100, 50);
         rec.span(seg, "arb", 90, 10);
         rec.span(seg, "busy", 200, 25);
@@ -204,7 +203,7 @@ mod tests {
     #[test]
     fn overlapping_spans_merge() {
         let mut rec = Recorder::new();
-        let seg = rec.track("hibi/seg0", Clock::Sim);
+        let seg = rec.track("hibi/seg0");
         rec.span(seg, "busy", 0, 100);
         rec.span(seg, "busy", 50, 100); // overlaps; wire high 0..150
         let text = to_vcd(&rec, "hibi/");

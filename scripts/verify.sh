@@ -46,6 +46,23 @@ fi
 echo "==> repro profile bench --quick (throughput floor WITH profiling enabled)"
 cargo run --release -q -p tut-bench --bin repro -- profile bench --quick > /dev/null
 
+echo "==> examples (each runs to exit 0; file outputs go to the temporary directory)"
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    # `codegen_demo` takes an output directory and `xmi_roundtrip` an
+    # output file; the other examples ignore the argument.
+    cargo run --release -q --example "$name" -- "$tmp_dir/$name.out" > /dev/null
+done
+
+echo "==> repro --trace --vcd --prom twice (the traced run's exports are byte-reproducible)"
+for run in 1 2; do
+    cargo run --release -q -p tut-bench --bin repro -- --trace "$tmp_dir/trace$run.json" \
+        --vcd "$tmp_dir/bus$run.vcd" --prom "$tmp_dir/metrics$run.prom" fig1 > /dev/null
+done
+cmp "$tmp_dir/trace1.json" "$tmp_dir/trace2.json"
+cmp "$tmp_dir/bus1.vcd" "$tmp_dir/bus2.vcd"
+cmp "$tmp_dir/metrics1.prom" "$tmp_dir/metrics2.prom"
+
 echo "==> repro check (diagnostics exit contract)"
 # Clean model: warnings at most, exit 0.
 cargo run --release -q -p tut-bench --bin repro -- check > /dev/null

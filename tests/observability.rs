@@ -1,15 +1,17 @@
 //! Observability integration through the facade crate: attaching a
-//! [`Recorder`] must not perturb the simulation (observer effect), and
-//! the exporters must emit artefacts the in-tree validators accept for
-//! a tiny two-process model.
+//! [`Recorder`] must not perturb the simulation (observer effect), the
+//! exporters must emit artefacts the in-tree validators accept for a
+//! tiny two-process model, and the traced paper-system run must export
+//! the same bytes on every run.
 
 use tut_profile_suite::faults::NoFaults;
 use tut_profile_suite::profile::application::ProcessType;
 use tut_profile_suite::profile::platform::ComponentKind;
 use tut_profile_suite::profile::SystemModel;
 use tut_profile_suite::profile_core::TagValue;
+use tut_profile_suite::profiling::profile_system_prof;
 use tut_profile_suite::sim::{SimConfig, Simulation};
-use tut_profile_suite::trace::{chrome, json, prom, vcd, Clock, EventKind, Recorder};
+use tut_profile_suite::trace::{chrome, json, prom, vcd, EventKind, NoProf, Recorder};
 use tut_profile_suite::uml::action::{BinOp, CostClass, Expr, Statement};
 use tut_profile_suite::uml::model::ConnectorEnd;
 use tut_profile_suite::uml::statemachine::{StateMachine, Trigger};
@@ -207,8 +209,8 @@ fn tracing_does_not_perturb_the_simulation() {
     assert!(!recorder.is_empty(), "the traced run did record events");
 }
 
-/// Simulated-clock trace content is deterministic across runs (host
-/// clock spans vary; the engine emits none here).
+/// Trace content is deterministic across runs: every timestamp a
+/// recorder holds is simulated time.
 #[test]
 fn traced_runs_are_deterministic() {
     let (_, a) = traced_run(6);
@@ -226,10 +228,9 @@ fn tiny_model_emits_valid_chrome_trace() {
     // One simulated-clock track per processing element and segment,
     // plus the event-queue track.
     for name in ["pe/cpu1", "pe/cpu2", "hibi/seg", "sim/events"] {
-        let id = recorder
+        recorder
             .find_track(name)
             .unwrap_or_else(|| panic!("track `{name}` missing"));
-        assert_eq!(recorder.tracks()[id.index()].clock, Clock::Sim);
     }
 
     let text = chrome::to_chrome_json(&recorder);
@@ -326,4 +327,50 @@ fn prometheus_export_lists_the_core_metrics() {
     ] {
         assert!(text.contains(metric), "`{metric}` missing from:\n{text}");
     }
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    hash
+}
+
+/// The `repro --trace --vcd --prom` run (the paper system under the
+/// Table 4 configuration) writes byte-identical Chrome, VCD and
+/// Prometheus exports on every run, pinned by FNV-1a hash. A host-time
+/// value in any export would break both assertions.
+#[test]
+fn traced_paper_system_exports_are_pinned() {
+    let exports = || {
+        let mut recorder = Recorder::new();
+        profile_system_prof(
+            &tut_bench::paper_system(),
+            tut_bench::table4_config(),
+            &mut NoFaults,
+            &mut recorder,
+            NoProf,
+        )
+        .expect("traced profiling run");
+        [
+            chrome::to_chrome_json(&recorder),
+            vcd::to_vcd(&recorder, "hibi/"),
+            prom::to_prometheus(&recorder.metrics),
+        ]
+    };
+    let first = exports();
+    assert!(first == exports(), "a traced re-run exported other bytes");
+    let hashes = first.map(|text| (text.len(), fnv1a(text.as_bytes())));
+    assert_eq!(
+        hashes,
+        [
+            (232_932, 0xD148_E02B_DD36_1024),
+            (23_958, 0x52F6_2544_F8A7_FBBF),
+            (3_166, 0xF968_CA5F_E573_52C7),
+        ],
+        "export bytes changed: (length, fnv1a) of Chrome, VCD, Prometheus"
+    );
 }

@@ -3,7 +3,8 @@
 //! byte-identical to an unprofiled one), the disabled-profiler no-op
 //! contract, and the renderings (folded stacks, hotspot table).
 //!
-//! The profiler's state is process-global, so every test that enables or
+//! The profiler records on the thread that opens its frames, but its
+//! enabled flag is process-global, so every test that enables it or
 //! drains it serialises on one shared lock — `cargo test` runs
 //! integration tests on a thread pool.
 
