@@ -198,3 +198,17 @@ fn unreadable_check_paths_exit_2() {
         "an unreadable path must not create the store"
     );
 }
+
+/// A document nested far past the XML reader's 1,024-level bound is
+/// reported as a syntax error, not a stack overflow.
+#[test]
+fn deeply_nested_model_is_a_syntax_error() {
+    let path = temp_path("deep.xml");
+    std::fs::write(&path, "<a>".repeat(20_000) + &"</a>".repeat(20_000)).expect("write model");
+    let out = repro(&["check", &path]);
+    let _ = std::fs::remove_file(&path);
+    let (stdout, stderr) = (text(&out.stdout), text(&out.stderr));
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stdout.contains("error[E0101]"), "{stdout}");
+    assert!(!stderr.contains("overflowed"), "{stderr}");
+}

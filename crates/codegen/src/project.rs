@@ -22,7 +22,8 @@ pub struct GeneratedFile {
 pub enum CodegenError {
     /// The model has no `«Application»` top-level class.
     NoApplication,
-    /// Instance unfolding failed (cyclic composition).
+    /// Instance unfolding failed (cyclic composition), or an instantiated
+    /// state machine has no initial state.
     BadStructure(String),
 }
 
@@ -72,8 +73,9 @@ pub fn dry_run_diagnostic(system: &SystemModel) -> Option<tut_diag::Diagnostic> 
 ///
 /// # Errors
 ///
-/// Returns [`CodegenError`] when the model has no application top or its
-/// composition is cyclic.
+/// Returns [`CodegenError`] when the model has no application top, its
+/// composition is cyclic, or an instantiated machine has no initial
+/// state.
 pub fn generate_project(system: &SystemModel) -> Result<Vec<GeneratedFile>, CodegenError> {
     let app = system.application();
     let top = app.top().ok_or(CodegenError::NoApplication)?;
@@ -96,6 +98,15 @@ pub fn generate_project(system: &SystemModel) -> Result<Vec<GeneratedFile>, Code
     classes.sort();
     classes.dedup();
     for &class in &classes {
+        let behavior = model.class(class).behavior();
+        if let Some(sm) = behavior.map(|id| model.state_machine(id)) {
+            if sm.initial().is_none() {
+                return Err(CodegenError::BadStructure(format!(
+                    "state machine `{}` has no initial state",
+                    sm.name()
+                )));
+            }
+        }
         let module = sanitize(model.class(class).name()).to_lowercase();
         files.push(GeneratedFile {
             name: format!("{module}.h"),

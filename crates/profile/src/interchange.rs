@@ -5,7 +5,6 @@
 //! ("the XML presentation of the UML 2.0 model is parsed to gather process
 //! group information", §4.4). [`read_document`] parses it back.
 
-use tut_uml::ids::Metaclass;
 use tut_uml::xml::XmlNode;
 use tut_uml::Model;
 
@@ -20,7 +19,10 @@ pub const E_PROFILE_INTERCHANGE: &str = "E0103";
 
 /// Serialises the stereotype applications as an XML subtree
 /// (`<profileApplication>`).
-pub fn applications_to_xml_node(profile: &Profile, applications: &Applications) -> XmlNode {
+pub fn applications_to_xml_node<'a>(
+    profile: &'a Profile,
+    applications: &'a Applications,
+) -> XmlNode<'a> {
     let mut root = XmlNode::new("profileApplication");
     root.set_attr("profile", profile.name());
     for (element, applied) in applications.iter() {
@@ -44,7 +46,7 @@ pub fn applications_to_xml_node(profile: &Profile, applications: &Applications) 
 ///
 /// Returns [`ProfileError`] when stereotype names don't resolve in
 /// `profile`, elements are malformed, or tagged values fail type checks.
-pub fn applications_from_xml_node(profile: &Profile, node: &XmlNode) -> Result<Applications> {
+pub fn applications_from_xml_node(profile: &Profile, node: &XmlNode<'_>) -> Result<Applications> {
     if node.name != "profileApplication" {
         return Err(ProfileError::Interchange(format!(
             "expected `profileApplication`, found `{}`",
@@ -123,112 +125,6 @@ pub fn read_document(text: &str, profile: &Profile) -> Result<(Model, Applicatio
     Ok((model, applications))
 }
 
-/// Renders the profile definition itself as XML (stereotypes, extended
-/// metaclasses, tag definitions) — a machine-readable Table 1 + 2 + 3.
-pub fn profile_to_xml(profile: &Profile) -> String {
-    let mut root = XmlNode::new("uml:Profile");
-    root.set_attr("name", profile.name());
-    for (_, st) in profile.stereotypes() {
-        let node = root.add_child(XmlNode::new("ownedStereotype"));
-        node.set_attr("name", st.name());
-        node.set_attr("extends", st.extends().name());
-        if !st.description().is_empty() {
-            node.set_attr("description", st.description());
-        }
-        if let Some(parent) = st.specializes() {
-            node.set_attr("specializes", profile.get(parent).name());
-        }
-        for tag in st.own_tags() {
-            let t = node.add_child(XmlNode::new("ownedTag"));
-            t.set_attr("name", tag.name.as_str());
-            t.set_attr("type", tag.tag_type.describe());
-            if let Some(default) = &tag.default {
-                t.set_attr("default", default.to_string());
-            }
-            if !tag.description.is_empty() {
-                t.set_attr("description", tag.description.as_str());
-            }
-        }
-    }
-    root.to_xml_string()
-}
-
-/// Parses a profile definition from the XML produced by
-/// [`profile_to_xml`]. Enum tag types serialise as `Enum(a|b|c)`.
-///
-/// # Errors
-///
-/// Returns [`ProfileError::Interchange`] on structural problems.
-pub fn profile_from_xml(text: &str) -> Result<Profile> {
-    let root = XmlNode::parse(text)?;
-    if root.name != "uml:Profile" {
-        return Err(ProfileError::Interchange(format!(
-            "expected `uml:Profile`, found `{}`",
-            root.name
-        )));
-    }
-    let mut profile = Profile::new(root.required_attr("name")?);
-    for node in root.children_named("ownedStereotype") {
-        let name = node.required_attr("name")?;
-        let metaclass_name = node.required_attr("extends")?;
-        let metaclass = Metaclass::from_name(metaclass_name).ok_or_else(|| {
-            ProfileError::Interchange(format!("unknown metaclass `{metaclass_name}`"))
-        })?;
-        let mut builder = match node.attr("specializes") {
-            Some(parent_name) => {
-                let parent = profile.require(parent_name)?;
-                profile.specialize(name, parent)
-            }
-            None => profile.stereotype(name, metaclass),
-        };
-        if let Some(description) = node.attr("description") {
-            builder = builder.describe(description);
-        }
-        for tag in node.children_named("ownedTag") {
-            let tag_type = parse_tag_type(tag.required_attr("type")?)?;
-            let default = tag
-                .attr("default")
-                .map(|d| decode_tag_value(Some(&tag_type), default_type_name(&tag_type), d))
-                .transpose()?;
-            builder = builder.tag_full(
-                tag.required_attr("name")?,
-                tag_type,
-                default,
-                tag.attr("description").unwrap_or(""),
-            );
-        }
-        builder.finish();
-    }
-    Ok(profile)
-}
-
-fn default_type_name(ty: &TagType) -> &'static str {
-    match ty {
-        TagType::Int => "Int",
-        TagType::Bool => "Bool",
-        TagType::Str => "Str",
-        TagType::Real => "Real",
-        TagType::Enum(_) => "Enum",
-    }
-}
-
-fn parse_tag_type(text: &str) -> Result<TagType> {
-    let ty = match text {
-        "Int" => TagType::Int,
-        "Bool" => TagType::Bool,
-        "Str" => TagType::Str,
-        "Real" => TagType::Real,
-        other => {
-            let literals = other
-                .strip_prefix("Enum(")
-                .and_then(|rest| rest.strip_suffix(')'))
-                .ok_or_else(|| ProfileError::Interchange(format!("unknown tag type `{other}`")))?;
-            TagType::Enum(literals.split('|').map(str::to_owned).collect())
-        }
-    };
-    Ok(ty)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,24 +191,6 @@ mod tests {
         let text = write_document(&model, &profile, &apps);
         let other_profile = Profile::new("Empty");
         assert!(read_document(&text, &other_profile).is_err());
-    }
-
-    #[test]
-    fn profile_definition_round_trips() {
-        let (_, profile, _) = sample();
-        let text = profile_to_xml(&profile);
-        let parsed = profile_from_xml(&text).unwrap();
-        assert_eq!(parsed, profile);
-    }
-
-    #[test]
-    fn tag_type_parsing() {
-        assert_eq!(parse_tag_type("Int").unwrap(), TagType::Int);
-        assert_eq!(
-            parse_tag_type("Enum(a|b)").unwrap(),
-            TagType::Enum(vec!["a".into(), "b".into()])
-        );
-        assert!(parse_tag_type("Float").is_err());
     }
 
     #[test]

@@ -495,12 +495,4 @@ mod tests {
             assert!(h.contains(token), "hierarchy missing {token}");
         }
     }
-
-    #[test]
-    fn profile_definition_round_trips_through_xml() {
-        let tut = TutProfile::new();
-        let text = tut_profile_core::interchange::profile_to_xml(tut.profile());
-        let parsed = tut_profile_core::interchange::profile_from_xml(&text).unwrap();
-        assert_eq!(&parsed, tut.profile());
-    }
 }

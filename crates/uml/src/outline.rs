@@ -55,8 +55,8 @@ pub struct Outline {
 impl Outline {
     /// The outline of the document `root` was parsed from. A document
     /// without a `uml:Model` has no segments.
-    pub fn of_tree(root: &XmlNode) -> Outline {
-        let attr = |node: &XmlNode, key: &str| Rc::from(node.attr(key).unwrap_or(""));
+    pub fn of_tree(root: &XmlNode<'_>) -> Outline {
+        let attr = |node: &XmlNode<'_>, key: &str| Rc::from(node.attr(key).unwrap_or(""));
         let segments = root
             .child("uml:Model")
             .map(|model| {

@@ -29,7 +29,9 @@ use tut_diag::{Diagnostic, DiagnosticBag, Span};
 
 use crate::action::{BinOp, Builtin, CostClass, Expr, Statement, UnaryOp};
 use crate::error::{Error, Result};
-use crate::ids::{ClassId, ElementRef, PackageId, PortId, PropertyId, SignalId, StateId};
+use crate::ids::{
+    ClassId, ElementRef, PackageId, PortId, PropertyId, SignalId, StateId, StateMachineId,
+};
 use crate::model::{ConnectorEnd, Model};
 use crate::statemachine::{StateMachine, Trigger};
 use crate::textual;
@@ -87,7 +89,7 @@ impl SpanIndex {
 }
 
 /// Serialises a model to an [`XmlNode`] tree.
-pub fn to_xml_node(model: &Model) -> XmlNode {
+pub fn to_xml_node(model: &Model) -> XmlNode<'_> {
     let mut root = XmlNode::new("xmi:XMI");
     root.set_attr("xmlns:xmi", "http://schema.omg.org/spec/XMI/2.1");
     root.set_attr("xmlns:uml", "http://schema.omg.org/spec/UML/2.0");
@@ -95,13 +97,13 @@ pub fn to_xml_node(model: &Model) -> XmlNode {
     doc.set_attr("name", model.name());
 
     for (id, pkg) in model.packages() {
-        let node = doc.add_child(packaged("uml:Package", &id.to_string(), pkg.name()));
+        let node = doc.add_child(packaged("uml:Package", id.to_string(), pkg.name()));
         if let Some(parent) = pkg.parent() {
             node.set_attr("parent", parent.to_string());
         }
     }
     for (id, sig) in model.signals() {
-        let node = doc.add_child(packaged("uml:Signal", &id.to_string(), sig.name()));
+        let node = doc.add_child(packaged("uml:Signal", id.to_string(), sig.name()));
         for param in sig.params() {
             let p = node.add_child(XmlNode::new("ownedParameter"));
             p.set_attr("name", &param.name);
@@ -109,7 +111,7 @@ pub fn to_xml_node(model: &Model) -> XmlNode {
         }
     }
     for (id, class) in model.classes() {
-        let node = doc.add_child(packaged("uml:Class", &id.to_string(), class.name()));
+        let node = doc.add_child(packaged("uml:Class", id.to_string(), class.name()));
         node.set_attr("isActive", bool_str(class.is_active()));
         if let Some(pkg) = class.package() {
             node.set_attr("package", pkg.to_string());
@@ -127,13 +129,13 @@ pub fn to_xml_node(model: &Model) -> XmlNode {
         }
     }
     for (id, prop) in model.properties() {
-        let node = doc.add_child(packaged("uml:Property", &id.to_string(), prop.name()));
+        let node = doc.add_child(packaged("uml:Property", id.to_string(), prop.name()));
         node.set_attr("owner", prop.owner().to_string());
         node.set_attr("classType", prop.type_().to_string());
         node.set_attr("multiplicity", prop.multiplicity().to_string());
     }
     for (id, port) in model.ports() {
-        let node = doc.add_child(packaged("uml:Port", &id.to_string(), port.name()));
+        let node = doc.add_child(packaged("uml:Port", id.to_string(), port.name()));
         node.set_attr("owner", port.owner().to_string());
         for sig in port.provided() {
             node.add_child(XmlNode::new("provided"))
@@ -145,7 +147,7 @@ pub fn to_xml_node(model: &Model) -> XmlNode {
         }
     }
     for (id, conn) in model.connectors() {
-        let node = doc.add_child(packaged("uml:Connector", &id.to_string(), conn.name()));
+        let node = doc.add_child(packaged("uml:Connector", id.to_string(), conn.name()));
         node.set_attr("owner", conn.owner().to_string());
         for end in conn.ends() {
             let e = node.add_child(XmlNode::new("end"));
@@ -156,14 +158,14 @@ pub fn to_xml_node(model: &Model) -> XmlNode {
         }
     }
     for (id, dep) in model.dependencies() {
-        let node = doc.add_child(packaged("uml:Dependency", &id.to_string(), dep.name()));
+        let node = doc.add_child(packaged("uml:Dependency", id.to_string(), dep.name()));
         node.set_attr("client", element_ref_str(dep.client()));
         node.set_attr("supplier", element_ref_str(dep.supplier()));
     }
     // State machines are serialised after classes; the owning class is
     // recovered from the class's `classifierBehavior` attribute.
     for (id, sm) in model.state_machines() {
-        let node = doc.add_child(packaged("uml:StateMachine", &id.to_string(), sm.name()));
+        let node = doc.add_child(packaged("uml:StateMachine", id.to_string(), sm.name()));
         for var in sm.variables() {
             let v = node.add_child(XmlNode::new("variable"));
             v.set_attr("name", &var.name);
@@ -224,7 +226,7 @@ pub fn to_xml_node(model: &Model) -> XmlNode {
 ///
 /// Returns [`Error::XmiStructure`] when required elements or attributes
 /// are missing or malformed.
-pub fn from_xml_node(root: &XmlNode) -> Result<Model> {
+pub fn from_xml_node(root: &XmlNode<'_>) -> Result<Model> {
     let mut bag = DiagnosticBag::new();
     let (model, _) = read_model(root, &mut bag)?;
     if let Some(first) = bag.iter().find(|d| d.is_error()) {
@@ -249,7 +251,7 @@ pub fn from_xml_node(root: &XmlNode) -> Result<Model> {
 /// Returns [`Error::XmiStructure`] when required elements or attributes
 /// are missing or malformed — structural damage still fails fast because
 /// nothing downstream can interpret a half-decoded element.
-pub fn read_model(root: &XmlNode, bag: &mut DiagnosticBag) -> Result<(Model, SpanIndex)> {
+pub fn read_model(root: &XmlNode<'_>, bag: &mut DiagnosticBag) -> Result<(Model, SpanIndex)> {
     if root.name != "xmi:XMI" {
         return Err(Error::XmiStructure(format!(
             "expected root `xmi:XMI`, found `{}`",
@@ -315,14 +317,15 @@ pub fn read_model(root: &XmlNode, bag: &mut DiagnosticBag) -> Result<(Model, Spa
         class.set_general(general.map(ClassId::from_index));
         class.set_active(*active);
     }
+    let class_count = class_fixups.len();
     for node in typed("uml:Property") {
-        let owner = ClassId::from_index(parse_id(node.required_attr("owner")?, "class")?);
+        let owner = parse_owner(node, class_count)?;
         let type_ = ClassId::from_index(parse_id(node.required_attr("classType")?, "class")?);
         let id = model.add_part(owner, node.required_attr("name")?, type_);
         check_id(node, &id.to_string())?;
     }
     for node in typed("uml:Port") {
-        let owner = ClassId::from_index(parse_id(node.required_attr("owner")?, "class")?);
+        let owner = parse_owner(node, class_count)?;
         let id = model.add_port(owner, node.required_attr("name")?);
         check_id(node, &id.to_string())?;
         for p in node.children_named("provided") {
@@ -336,7 +339,7 @@ pub fn read_model(root: &XmlNode, bag: &mut DiagnosticBag) -> Result<(Model, Spa
     }
     for node in typed("uml:Connector") {
         let owner = ClassId::from_index(parse_id(node.required_attr("owner")?, "class")?);
-        let ends: Vec<&XmlNode> = node.children_named("end").collect();
+        let ends: Vec<&XmlNode<'_>> = node.children_named("end").collect();
         if ends.len() != 2 {
             return Err(Error::XmiStructure(format!(
                 "connector `{}` must have exactly 2 ends, found {}",
@@ -363,18 +366,18 @@ pub fn read_model(root: &XmlNode, bag: &mut DiagnosticBag) -> Result<(Model, Spa
         check_id(node, &id.to_string())?;
     }
     // State machines: re-attach via the class `classifierBehavior` attr.
-    let mut owners: Vec<Option<ClassId>> = Vec::new();
+    let mut owners: Vec<Option<ClassId>> = vec![None; typed("uml:StateMachine").count()];
     for node in typed("uml:Class") {
         if let Some(sm) = node.attr("classifierBehavior") {
             let class = ClassId::from_index(parse_id(node.required_attr("xmi:id")?, "class")?);
-            let index = parse_id(sm, "sm")?;
-            if owners.len() <= index {
-                owners.resize(index + 1, None);
-            }
-            owners[index] = Some(class);
+            let slot = owners
+                .get_mut(parse_id(sm, "sm")?)
+                .ok_or_else(|| missing_element(sm))?;
+            *slot = Some(class);
         }
     }
     for (i, node) in typed("uml:StateMachine").enumerate() {
+        check_id(node, &StateMachineId::from_index(i).to_string())?;
         let sm = decode_state_machine(node, &model, bag)?;
         let owner = owners.get(i).copied().flatten().ok_or_else(|| {
             Error::XmiStructure(format!("state machine `{}` has no owning class", sm.name()))
@@ -386,7 +389,82 @@ pub fn read_model(root: &XmlNode, bag: &mut DiagnosticBag) -> Result<(Model, Spa
     for (id, _, active) in class_fixups {
         model.class_mut(id).set_active(active);
     }
+    check_references(&model)?;
     Ok((model, index))
+}
+
+/// The error for a reference to an element the document does not
+/// declare.
+fn missing_element(reference: impl std::fmt::Display) -> Error {
+    Error::XmiStructure(format!("reference to undeclared element `{reference}`"))
+}
+
+/// The `owner` class of a property or port, one of the `class_count`
+/// classes already read.
+fn parse_owner(node: &XmlNode<'_>, class_count: usize) -> Result<ClassId> {
+    let owner = node.required_attr("owner")?;
+    let index = parse_id(owner, "class")?;
+    if index >= class_count {
+        return Err(missing_element(owner));
+    }
+    Ok(ClassId::from_index(index))
+}
+
+/// Rejects a model that refers to an element it does not declare. The
+/// reader stores ids as written, and every later pass indexes the
+/// model's arenas with them.
+fn check_references(model: &Model) -> Result<()> {
+    let classes = model.classes().count();
+    let properties = model.properties().count();
+    let ports = model.ports().count();
+    let connectors = model.connectors().count();
+    let dependencies = model.dependencies().count();
+    let signals = model.signals().count();
+    let packages = model.packages().count();
+    let declared = |r: ElementRef| {
+        let (index, count) = match r {
+            ElementRef::Class(id) => (id.index(), classes),
+            ElementRef::Property(id) => (id.index(), properties),
+            ElementRef::Port(id) => (id.index(), ports),
+            ElementRef::Connector(id) => (id.index(), connectors),
+            ElementRef::Dependency(id) => (id.index(), dependencies),
+            ElementRef::Signal(id) => (id.index(), signals),
+            ElementRef::Package(id) => (id.index(), packages),
+        };
+        if index < count {
+            Ok(())
+        } else {
+            Err(missing_element(r))
+        }
+    };
+    let declared_if_set = |r: Option<ElementRef>| r.map_or(Ok(()), declared);
+    for (_, pkg) in model.packages() {
+        declared_if_set(pkg.parent().map(ElementRef::from))?;
+    }
+    for (_, class) in model.classes() {
+        declared_if_set(class.package().map(ElementRef::from))?;
+        declared_if_set(class.general().map(ElementRef::from))?;
+    }
+    for (_, prop) in model.properties() {
+        declared(prop.type_().into())?;
+    }
+    for (_, port) in model.ports() {
+        for &sig in port.provided().iter().chain(port.required()) {
+            declared(sig.into())?;
+        }
+    }
+    for (_, conn) in model.connectors() {
+        declared(conn.owner().into())?;
+        for end in conn.ends() {
+            declared_if_set(end.part.map(ElementRef::from))?;
+            declared(end.port.into())?;
+        }
+    }
+    for (_, dep) in model.dependencies() {
+        declared(dep.client())?;
+        declared(dep.supplier())?;
+    }
+    Ok(())
 }
 
 /// Decodes the body of one `uml:StateMachine` packaged element —
@@ -399,7 +477,7 @@ pub fn read_model(root: &XmlNode, bag: &mut DiagnosticBag) -> Result<(Model, Spa
 /// This is the per-element unit the incremental front end re-runs when
 /// a single state machine's segment changes.
 pub fn decode_state_machine(
-    node: &XmlNode,
+    node: &XmlNode<'_>,
     model: &Model,
     bag: &mut DiagnosticBag,
 ) -> Result<StateMachine> {
@@ -473,13 +551,63 @@ pub fn decode_state_machine(
         };
         sm.add_transition(source, target, trigger, guard, actions);
     }
+    check_machine_references(&sm, model)?;
     Ok(sm)
+}
+
+/// Rejects a machine that refers to a state it does not declare or a
+/// signal `model` does not declare.
+fn check_machine_references(sm: &StateMachine, model: &Model) -> Result<()> {
+    let states = sm.state_count();
+    let signals = model.signals().count();
+    let state = |id: StateId| {
+        if id.index() < states {
+            Ok(())
+        } else {
+            Err(missing_element(id))
+        }
+    };
+    fn sends(statements: &[Statement], signals: usize) -> Result<()> {
+        for statement in statements {
+            match statement {
+                Statement::Send { signal, .. } if signal.index() >= signals => {
+                    return Err(missing_element(signal))
+                }
+                Statement::If {
+                    then_branch,
+                    else_branch,
+                    ..
+                } => {
+                    sends(then_branch, signals)?;
+                    sends(else_branch, signals)?;
+                }
+                Statement::While { body, .. } => sends(body, signals)?,
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+    sm.initial().map_or(Ok(()), state)?;
+    for (_, s) in sm.states() {
+        sends(s.entry(), signals)?;
+    }
+    for (_, t) in sm.transitions() {
+        state(t.source())?;
+        state(t.target())?;
+        if let Trigger::Signal(sig) = t.trigger() {
+            if sig.index() >= signals {
+                return Err(missing_element(sig));
+            }
+        }
+        sends(t.actions(), signals)?;
+    }
+    Ok(())
 }
 
 /// Decodes an `<entry>` or `<actions>` element: structural children by
 /// default, or textual notation from a `text` attribute with recovery.
 fn decode_program(
-    parent: &XmlNode,
+    parent: &XmlNode<'_>,
     model: &Model,
     bag: &mut DiagnosticBag,
 ) -> Result<Vec<Statement>> {
@@ -497,7 +625,7 @@ fn decode_program(
     }
 }
 
-fn packaged(ty: &str, id: &str, name: &str) -> XmlNode {
+fn packaged<'a>(ty: &'static str, id: String, name: &'a str) -> XmlNode<'a> {
     let mut node = XmlNode::new("packagedElement");
     node.set_attr("xmi:type", ty);
     node.set_attr("xmi:id", id);
@@ -513,7 +641,7 @@ fn bool_str(v: bool) -> &'static str {
     }
 }
 
-fn check_id(node: &XmlNode, expected: &str) -> Result<()> {
+fn check_id(node: &XmlNode<'_>, expected: &str) -> Result<()> {
     let found = node.required_attr("xmi:id")?;
     if found != expected {
         return Err(Error::XmiStructure(format!(
@@ -529,7 +657,7 @@ fn parse_id(text: &str, prefix: &'static str) -> Result<usize> {
         .ok_or_else(|| Error::XmiStructure(format!("malformed `{prefix}` id `{text}`")))
 }
 
-fn parse_type(node: &XmlNode) -> Result<DataType> {
+fn parse_type(node: &XmlNode<'_>) -> Result<DataType> {
     let name = node.required_attr("type")?;
     DataType::from_name(name)
         .ok_or_else(|| Error::XmiStructure(format!("unknown data type `{name}`")))
@@ -574,9 +702,11 @@ pub fn parse_element_ref(text: &str) -> Result<ElementRef> {
 }
 
 fn hex_encode(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)] as char);
+        out.push(DIGITS[usize::from(b & 0xf)] as char);
     }
     out
 }
@@ -594,7 +724,7 @@ fn hex_decode(text: &str) -> Result<Vec<u8>> {
         .collect()
 }
 
-fn encode_value(value: &Value) -> XmlNode {
+fn encode_value(value: &Value) -> XmlNode<'_> {
     let mut node = XmlNode::new("value");
     node.set_attr("type", value.data_type().name());
     match value {
@@ -614,7 +744,7 @@ fn encode_value(value: &Value) -> XmlNode {
     node
 }
 
-fn decode_value(node: &XmlNode) -> Result<Value> {
+fn decode_value(node: &XmlNode<'_>) -> Result<Value> {
     let data = node.required_attr("data")?;
     let ty = parse_type(node)?;
     let v = match ty {
@@ -679,7 +809,7 @@ fn binop_from_name(name: &str) -> Result<BinOp> {
 }
 
 /// Encodes an expression as a structural XML subtree.
-pub fn encode_expr(expr: &Expr) -> XmlNode {
+pub fn encode_expr(expr: &Expr) -> XmlNode<'_> {
     match expr {
         Expr::Lit(v) => {
             let mut node = encode_value(v);
@@ -732,8 +862,8 @@ pub fn encode_expr(expr: &Expr) -> XmlNode {
 ///
 /// Returns [`Error::XmiStructure`] for unknown node names, operators, or
 /// malformed literals.
-pub fn decode_expr(node: &XmlNode) -> Result<Expr> {
-    let expr = match node.name.as_str() {
+pub fn decode_expr(node: &XmlNode<'_>) -> Result<Expr> {
+    let expr = match &*node.name {
         "lit" => Expr::Lit(decode_value(node)?),
         "var" => Expr::Var(node.required_attr("name")?.to_owned()),
         "param" => Expr::Param(node.required_attr("name")?.to_owned()),
@@ -792,7 +922,7 @@ pub fn decode_expr(node: &XmlNode) -> Result<Expr> {
 }
 
 /// Encodes a statement as a structural XML subtree.
-pub fn encode_statement(statement: &Statement) -> XmlNode {
+pub fn encode_statement(statement: &Statement) -> XmlNode<'_> {
     match statement {
         Statement::Assign { var, expr } => {
             let mut node = XmlNode::new("assign");
@@ -876,7 +1006,7 @@ pub fn encode_statement(statement: &Statement) -> XmlNode {
     }
 }
 
-fn decode_statements(parent: &XmlNode) -> Result<Vec<Statement>> {
+fn decode_statements(parent: &XmlNode<'_>) -> Result<Vec<Statement>> {
     parent.children.iter().map(decode_statement).collect()
 }
 
@@ -886,9 +1016,9 @@ fn decode_statements(parent: &XmlNode) -> Result<Vec<Statement>> {
 ///
 /// Returns [`Error::XmiStructure`] for unknown node names or malformed
 /// children.
-pub fn decode_statement(node: &XmlNode) -> Result<Statement> {
+pub fn decode_statement(node: &XmlNode<'_>) -> Result<Statement> {
     let statement =
-        match node.name.as_str() {
+        match &*node.name {
             "assign" => Statement::Assign {
                 var: node.required_attr("var")?.to_owned(),
                 expr: decode_expr(node.children.first().ok_or_else(|| {

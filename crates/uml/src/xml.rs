@@ -8,6 +8,27 @@
 //! instructions other than the declaration, or namespace resolution
 //! (namespace prefixes are kept as part of the element/attribute name).
 //!
+//! # Borrowed trees
+//!
+//! An [`XmlNode<'a>`] borrows its strings. A parsed tree borrows every
+//! name, attribute key, attribute value and text from the input. A value
+//! or text is owned only when an entity or character reference (`&amp;`,
+//! `&#x20;`) had to be expanded. So parsing makes one allocation per
+//! element with attributes and one per element with children, and none
+//! for a string. A tree built by an encoder such as
+//! [`crate::xmi::to_xml_node`] borrows the model's own strings and owns
+//! only what it formats (ids, numbers).
+//!
+//! An element's `text` is its character data runs, each unescaped, then
+//! concatenated across children and comments, then trimmed. The trim
+//! comes after unescaping, so `<a>&#x20;x</a>` has the text `"x"`.
+//!
+//! Elements may nest at most 1,024 levels deep. A deeper start tag fails
+//! with [`Error::XmlSyntax`] (`E0101`) at its `<`. The parser keeps open
+//! elements on the heap, so the bound is not about the parser's stack:
+//! it keeps every recursive walk of a tree (drop, equality, the writer,
+//! the XMI reader) shallow.
+//!
 //! # Example
 //!
 //! ```
@@ -23,35 +44,37 @@
 //! # Ok::<(), tut_uml::Error>(())
 //! ```
 
-use std::fmt::Write as _;
+use std::borrow::Cow;
 
 use tut_diag::{locate_in, Span};
 
 use crate::error::{Error, Result};
 
-/// An XML element node.
+/// The deepest element nesting the parser accepts; the root is level 1.
+const MAX_DEPTH: usize = 1024;
+
+/// An XML element node, borrowing its strings for `'a`.
 ///
 /// Parsed nodes carry source [`Span`]s (the start tag for the element, the
 /// quoted value for each attribute) so downstream decoders can attach
 /// line:column locations to their diagnostics. Programmatically built nodes
 /// have [`Span::NONE`] everywhere. Spans are *ignored* by equality so that
 /// write → parse round trips compare equal.
-#[derive(Clone, Eq, Debug, Default)]
-pub struct XmlNode {
+#[derive(Clone, Eq, Debug)]
+pub struct XmlNode<'a> {
     /// Element name (namespace prefixes included verbatim, e.g. `xmi:XMI`).
-    pub name: String,
-    /// Attributes in document order.
-    pub attrs: Vec<(String, String)>,
+    pub name: Cow<'a, str>,
+    /// Attributes in document order: key, value, and the span of the
+    /// value between its quotes in the source ([`Span::NONE`] when built).
+    pub attrs: Vec<(Cow<'a, str>, Cow<'a, str>, Span)>,
     /// Child elements in document order.
-    pub children: Vec<XmlNode>,
-    /// Concatenated character data directly inside this element.
-    pub text: String,
+    pub children: Vec<XmlNode<'a>>,
+    /// Character data directly inside this element (see the module docs
+    /// for how runs combine).
+    pub text: Cow<'a, str>,
     /// Span of `<name` in the source document ([`Span::NONE`] when built
     /// programmatically).
     pub span: Span,
-    /// Value spans parallel to `attrs` (each covers the text between the
-    /// quotes in the source document).
-    pub attr_spans: Vec<Span>,
     /// One past the element's last byte (the `>` of its closing tag or of
     /// `/>`) in the source document; 0 when built programmatically.
     pub end: usize,
@@ -60,33 +83,45 @@ pub struct XmlNode {
 /// Source spans are bookkeeping, not document content: two trees that
 /// serialise identically are equal regardless of where they were parsed
 /// from.
-impl PartialEq for XmlNode {
-    fn eq(&self, other: &XmlNode) -> bool {
+impl PartialEq for XmlNode<'_> {
+    fn eq(&self, other: &Self) -> bool {
         self.name == other.name
-            && self.attrs == other.attrs
+            && self.attrs.len() == other.attrs.len()
+            && self
+                .attrs
+                .iter()
+                .zip(&other.attrs)
+                .all(|((k, v, _), (ok, ov, _))| k == ok && v == ov)
             && self.children == other.children
             && self.text == other.text
     }
 }
 
-impl XmlNode {
+impl<'a> XmlNode<'a> {
     /// Creates an element with no attributes or children.
-    pub fn new(name: impl Into<String>) -> XmlNode {
+    pub fn new(name: impl Into<Cow<'a, str>>) -> XmlNode<'a> {
         XmlNode {
             name: name.into(),
-            ..XmlNode::default()
+            attrs: Vec::new(),
+            children: Vec::new(),
+            text: Cow::Borrowed(""),
+            span: Span::NONE,
+            end: 0,
         }
     }
 
     /// Sets (or replaces) an attribute.
-    pub fn set_attr(&mut self, key: impl Into<String>, value: impl Into<String>) -> &mut Self {
+    pub fn set_attr(
+        &mut self,
+        key: impl Into<Cow<'a, str>>,
+        value: impl Into<Cow<'a, str>>,
+    ) -> &mut Self {
         let key = key.into();
         let value = value.into();
-        if let Some(existing) = self.attrs.iter_mut().find(|(k, _)| *k == key) {
+        if let Some(existing) = self.attrs.iter_mut().find(|(k, _, _)| *k == key) {
             existing.1 = value;
         } else {
-            self.attrs.push((key, value));
-            self.attr_spans.push(Span::NONE);
+            self.attrs.push((key, value, Span::NONE));
         }
         self
     }
@@ -94,16 +129,18 @@ impl XmlNode {
     /// Returns the source span of an attribute's value, when the node was
     /// parsed from a document. [`Span::NONE`] for built nodes.
     pub fn attr_span(&self, key: &str) -> Option<Span> {
-        let index = self.attrs.iter().position(|(k, _)| k == key)?;
-        Some(self.attr_spans.get(index).copied().unwrap_or(Span::NONE))
+        self.attrs
+            .iter()
+            .find(|(k, _, _)| k == key)
+            .map(|&(_, _, span)| span)
     }
 
     /// Returns an attribute value by name.
     pub fn attr(&self, key: &str) -> Option<&str> {
         self.attrs
             .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+            .find(|(k, _, _)| k == key)
+            .map(|(_, v, _)| &**v)
     }
 
     /// Returns an attribute value or an [`Error::XmiStructure`] naming the
@@ -118,23 +155,26 @@ impl XmlNode {
     }
 
     /// Appends a child element and returns a mutable reference to it.
-    pub fn add_child(&mut self, child: XmlNode) -> &mut XmlNode {
+    pub fn add_child(&mut self, child: XmlNode<'a>) -> &mut XmlNode<'a> {
         self.children.push(child);
         self.children.last_mut().expect("just pushed")
     }
 
     /// Iterates over child elements with the given name.
-    pub fn children_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a XmlNode> + 'a {
+    pub fn children_named<'s>(
+        &'s self,
+        name: &'s str,
+    ) -> impl Iterator<Item = &'s XmlNode<'a>> + 's {
         self.children.iter().filter(move |c| c.name == name)
     }
 
     /// Returns the first child with the given name.
-    pub fn child(&self, name: &str) -> Option<&XmlNode> {
+    pub fn child(&self, name: &str) -> Option<&XmlNode<'a>> {
         self.children.iter().find(|c| c.name == name)
     }
 
     /// Returns the first child with the given name, or an error.
-    pub fn required_child(&self, name: &str) -> Result<&XmlNode> {
+    pub fn required_child(&self, name: &str) -> Result<&XmlNode<'a>> {
         self.child(name).ok_or_else(|| {
             Error::XmiStructure(format!(
                 "element `{}` is missing required child `{name}`",
@@ -157,17 +197,19 @@ impl XmlNode {
         }
         out.push('<');
         out.push_str(&self.name);
-        for (k, v) in &self.attrs {
-            let _ = write!(out, " {k}=\"{}\"", escape(v));
+        for (k, v, _) in &self.attrs {
+            out.push(' ');
+            out.push_str(k);
+            out.push_str("=\"");
+            escape(v, out);
+            out.push('"');
         }
         if self.children.is_empty() && self.text.is_empty() {
             out.push_str("/>\n");
             return;
         }
         out.push('>');
-        if !self.text.is_empty() {
-            out.push_str(&escape(&self.text));
-        }
+        escape(&self.text, out);
         if !self.children.is_empty() {
             out.push('\n');
             for child in &self.children {
@@ -177,23 +219,27 @@ impl XmlNode {
                 out.push_str("  ");
             }
         }
-        let _ = writeln!(out, "</{}>", self.name);
+        out.push_str("</");
+        out.push_str(&self.name);
+        out.push_str(">\n");
     }
 
-    /// Parses a document and returns its root element.
+    /// Parses a document and returns its root element, borrowing from
+    /// `input` (see the module docs).
     ///
     /// # Errors
     ///
     /// Returns [`Error::XmlSyntax`] carrying both the byte offset and its
-    /// resolved line:column on malformed input.
-    pub fn parse(input: &str) -> Result<XmlNode> {
+    /// resolved line:column on malformed input, and on elements nested
+    /// deeper than 1,024 levels.
+    pub fn parse(input: &'a str) -> Result<XmlNode<'a>> {
         let mut parser = Parser {
             text: input,
             bytes: input.as_bytes(),
             pos: 0,
             attrs: Vec::new(),
-            attr_spans: Vec::new(),
             children: Vec::new(),
+            open: Vec::new(),
         };
         parser.skip_prolog()?;
         let root = parser.parse_element()?;
@@ -205,20 +251,30 @@ impl XmlNode {
     }
 }
 
-/// Escapes the five XML special characters in text/attribute content.
-pub fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            other => out.push(other),
-        }
+/// Appends `text` to `out` with the five XML special characters escaped.
+fn escape(text: &str, out: &mut String) {
+    let mut from = 0;
+    for (i, b) in text.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            b'\'' => "&apos;",
+            _ => continue,
+        };
+        out.push_str(&text[from..i]);
+        out.push_str(entity);
+        from = i + 1;
     }
-    out
+    out.push_str(&text[from..]);
+}
+
+/// An element whose start tag has been read and whose close has not.
+struct Open<'a> {
+    node: XmlNode<'a>,
+    /// Where its children start in [`Parser::children`].
+    first_child: usize,
 }
 
 struct Parser<'a> {
@@ -227,11 +283,12 @@ struct Parser<'a> {
     pos: usize,
     /// The attributes of the start tag being read, moved into its node
     /// at their exact count.
-    attrs: Vec<(String, String)>,
-    attr_spans: Vec<Span>,
+    attrs: Vec<(Cow<'a, str>, Cow<'a, str>, Span)>,
     /// The children read so far of every open element, innermost last;
     /// an element takes its own, at their exact count, when it closes.
-    children: Vec<XmlNode>,
+    children: Vec<XmlNode<'a>>,
+    /// The open elements, outermost first.
+    open: Vec<Open<'a>>,
 }
 
 impl<'a> Parser<'a> {
@@ -299,11 +356,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_name(&mut self) -> Result<String> {
+    fn parse_name(&mut self) -> Result<&'a str> {
         let start = self.pos;
         while let Some(b) = self.peek() {
-            let ch = b as char;
-            if ch.is_ascii_alphanumeric() || matches!(ch, ':' | '_' | '-' | '.') {
+            if b.is_ascii_alphanumeric() || matches!(b, b':' | b'_' | b'-' | b'.') {
                 self.pos += 1;
             } else {
                 break;
@@ -312,9 +368,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(self.error("expected a name"));
         }
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("name bytes are ascii")
-            .to_owned())
+        Ok(&self.text[start..self.pos])
     }
 
     fn expect(&mut self, byte: u8) -> Result<()> {
@@ -326,36 +380,40 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_attr_value(&mut self) -> Result<(String, Span)> {
+    fn parse_attr_value(&mut self) -> Result<(Cow<'a, str>, Span)> {
         let quote = match self.peek() {
             Some(q @ (b'"' | b'\'')) => q,
             _ => return Err(self.error("expected quoted attribute value")),
         };
         self.pos += 1;
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b == quote {
-                let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.error("attribute value is not utf-8"))?;
-                let span = Span::new(start, self.pos);
-                self.pos += 1;
-                let mut value = String::with_capacity(raw.len());
-                unescape_into(raw, &mut value).map_err(|m| self.error(m))?;
-                return Ok((value, span));
+        let stop = self.bytes[start..]
+            .iter()
+            .position(|&b| b == quote || b == b'<');
+        match stop {
+            Some(rel) if self.bytes[start + rel] == quote => {
+                let span = Span::new(start, start + rel);
+                self.pos = span.end + 1;
+                let value = unescape(&self.text[start..span.end]).map_err(|m| self.error(m))?;
+                Ok((value, span))
             }
-            if b == b'<' {
-                return Err(self.error("`<` inside attribute value"));
+            Some(rel) => {
+                self.pos = start + rel;
+                Err(self.error("`<` inside attribute value"))
             }
-            self.pos += 1;
+            None => {
+                self.pos = self.bytes.len();
+                Err(self.error("unterminated attribute value"))
+            }
         }
-        Err(self.error("unterminated attribute value"))
     }
 
-    fn parse_element(&mut self) -> Result<XmlNode> {
+    /// Reads a start tag. Returns the node and whether it closed itself
+    /// (`/>`), in which case its end offset is set.
+    fn parse_start_tag(&mut self) -> Result<(XmlNode<'a>, bool)> {
         let tag_start = self.pos;
         self.expect(b'<')?;
-        let name = self.parse_name()?;
-        let mut node = XmlNode::new(name);
+        let mut node = XmlNode::new(self.parse_name()?);
         node.span = Span::new(tag_start, self.pos);
         let self_closing = loop {
             self.skip_whitespace();
@@ -375,72 +433,122 @@ impl<'a> Parser<'a> {
                     self.expect(b'=')?;
                     self.skip_whitespace();
                     let (value, span) = self.parse_attr_value()?;
-                    self.attrs.push((key, value));
-                    self.attr_spans.push(span);
+                    self.attrs.push((Cow::Borrowed(key), value, span));
                 }
                 None => return Err(self.error("unterminated start tag")),
             }
         };
         node.attrs = self.attrs.drain(..).collect();
-        node.attr_spans = self.attr_spans.drain(..).collect();
         if self_closing {
             node.end = self.pos;
-            return Ok(node);
         }
-        let first_child = self.children.len();
-        // Content loop. `node.text` is the unescaped character data runs,
-        // concatenated, then trimmed. Runs are unescaped straight into it,
-        // and leading whitespace is never stored while it is still empty:
-        // the closing trim would drop it anyway.
+        Ok((node, self_closing))
+    }
+
+    /// Reads the element at the current position and everything inside
+    /// it. Open elements wait on `self.open`, so nesting costs heap, not
+    /// stack; [`MAX_DEPTH`] bounds it.
+    fn parse_element(&mut self) -> Result<XmlNode<'a>> {
         loop {
-            match self.peek() {
-                Some(b'<') => {
-                    if self.starts_with("<!--") {
-                        self.skip_comment()?;
-                    } else if self.starts_with("</") {
-                        self.pos += 2;
-                        let close = self.parse_name()?;
-                        if close != node.name {
-                            return Err(self.error(format!(
-                                "mismatched closing tag `{close}` for `{}`",
-                                node.name
-                            )));
-                        }
-                        self.skip_whitespace();
-                        self.expect(b'>')?;
-                        node.end = self.pos;
-                        let trimmed = node.text.trim();
-                        if trimmed.len() != node.text.len() {
-                            node.text = trimmed.to_owned();
-                        }
-                        node.children = self.children.drain(first_child..).collect();
+            // At the `<` of a start tag.
+            if self.open.len() == MAX_DEPTH {
+                return Err(self.error(format!("elements nest deeper than {MAX_DEPTH} levels")));
+            }
+            let (node, self_closing) = self.parse_start_tag()?;
+            let mut closed = if self_closing {
+                Some(node)
+            } else {
+                let first_child = self.children.len();
+                self.open.push(Open { node, first_child });
+                None
+            };
+            // Content of the innermost open element, up to the next
+            // start tag; each close hands its node to its parent.
+            loop {
+                if let Some(node) = closed.take() {
+                    if self.open.is_empty() {
                         return Ok(node);
-                    } else {
-                        let child = self.parse_element()?;
-                        self.children.push(child);
+                    }
+                    self.children.push(node);
+                }
+                match self.peek() {
+                    Some(b'<') if self.starts_with("<!--") => self.skip_comment()?,
+                    Some(b'<') if self.starts_with("</") => closed = Some(self.close_element()?),
+                    Some(b'<') => break,
+                    Some(_) => self.read_text()?,
+                    None => {
+                        let name = &self.open.last().expect("an element is open").node.name;
+                        return Err(self.error(format!("unterminated element `{name}`")));
                     }
                 }
-                Some(_) => {
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == b'<' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.error("text content is not utf-8"))?;
-                    let raw = if node.text.is_empty() {
-                        raw.trim_start()
-                    } else {
-                        raw
-                    };
-                    unescape_into(raw, &mut node.text).map_err(|m| self.error(m))?;
-                }
-                None => return Err(self.error(format!("unterminated element `{}`", node.name))),
             }
         }
     }
+
+    /// Reads the closing tag at the current position and returns the
+    /// innermost open element, finished.
+    fn close_element(&mut self) -> Result<XmlNode<'a>> {
+        self.pos += 2;
+        let close = self.parse_name()?;
+        let name = &self.open.last().expect("an element is open").node.name;
+        if close != name {
+            return Err(self.error(format!("mismatched closing tag `{close}` for `{name}`")));
+        }
+        self.skip_whitespace();
+        self.expect(b'>')?;
+        let Open {
+            mut node,
+            first_child,
+        } = self.open.pop().expect("an element is open");
+        node.end = self.pos;
+        node.text = match node.text {
+            Cow::Borrowed(text) => Cow::Borrowed(text.trim()),
+            Cow::Owned(text) if text.trim().len() == text.len() => Cow::Owned(text),
+            Cow::Owned(text) => Cow::Owned(text.trim().to_owned()),
+        };
+        node.children = self.children.drain(first_child..).collect();
+        Ok(node)
+    }
+
+    /// Reads one character data run into the innermost open element's
+    /// text. A run with no reference, reaching a text that is still
+    /// empty, is borrowed; every other run is unescaped onto an owned
+    /// text. Whitespace ahead of the first non-blank run is never stored:
+    /// the closing trim would drop it anyway.
+    fn read_text(&mut self) -> Result<()> {
+        let start = self.pos;
+        self.pos = self.bytes[start..]
+            .iter()
+            .position(|&b| b == b'<')
+            .map_or(self.bytes.len(), |rel| start + rel);
+        let raw = &self.text[start..self.pos];
+        let text = &mut self.open.last_mut().expect("an element is open").node.text;
+        let raw = if text.is_empty() {
+            raw.trim_start()
+        } else {
+            raw
+        };
+        if raw.is_empty() {
+            return Ok(());
+        }
+        if text.is_empty() && !raw.contains('&') {
+            *text = Cow::Borrowed(raw);
+            return Ok(());
+        }
+        let result = unescape_into(raw, text.to_mut());
+        result.map_err(|m| self.error(m))
+    }
+}
+
+/// `raw` with its entity and character references expanded: borrowed
+/// when it has none.
+fn unescape(raw: &str) -> std::result::Result<Cow<'_, str>, String> {
+    if !raw.contains('&') {
+        return Ok(Cow::Borrowed(raw));
+    }
+    let mut out = String::with_capacity(raw.len());
+    unescape_into(raw, &mut out)?;
+    Ok(Cow::Owned(out))
 }
 
 /// Appends `raw` to `out` with its entity and character references
@@ -608,16 +716,17 @@ mod tests {
     }
 
     /// The parser allocates only what the tree keeps: attribute and child
-    /// vectors at their exact length, and no text for whitespace-only
-    /// content.
+    /// vectors at their exact length, and no string for a document
+    /// without references, whitespace-only content included.
     #[test]
     fn parsed_vectors_hold_exactly_their_elements() {
-        fn check(node: &XmlNode) {
+        fn check(node: &XmlNode<'_>) {
             assert_eq!(node.attrs.capacity(), node.attrs.len(), "{}", node.name);
-            assert_eq!(node.attr_spans.capacity(), node.attr_spans.len());
             assert_eq!(node.children.capacity(), node.children.len());
-            if node.text.is_empty() {
-                assert_eq!(node.text.capacity(), 0, "{}", node.name);
+            assert!(matches!(node.name, Cow::Borrowed(_)), "{}", node.name);
+            assert!(matches!(node.text, Cow::Borrowed(_)), "{}", node.name);
+            for (k, v, _) in &node.attrs {
+                assert!(matches!((k, v), (Cow::Borrowed(_), Cow::Borrowed(_))));
             }
             node.children.iter().for_each(check);
         }
@@ -626,6 +735,78 @@ mod tests {
         assert_eq!(parsed.children.len(), 3);
         assert_eq!(parsed.children[2].text, "t");
         check(&parsed);
+    }
+
+    /// True when `s` is a borrowed slice of `input`.
+    fn borrows_from(input: &str, s: Cow<'_, str>) -> bool {
+        let range = input.as_bytes().as_ptr_range();
+        matches!(s, Cow::Borrowed(b) if range.start <= b.as_ptr() && b.as_ptr() <= range.end)
+    }
+
+    #[test]
+    fn entity_free_names_values_and_text_borrow_the_input() {
+        let doc = "<r kind=\"x\">\n  <leaf key='v w'>  some text  </leaf>\n</r>";
+        let parsed = XmlNode::parse(doc).unwrap();
+        let leaf = &parsed.children[0];
+        for s in [&parsed.name, &leaf.name, &leaf.text] {
+            assert!(borrows_from(doc, s.clone()), "{s:?} is not borrowed");
+        }
+        for (k, v, _) in parsed.attrs.iter().chain(&leaf.attrs) {
+            assert!(borrows_from(doc, k.clone()), "{k}");
+            assert!(borrows_from(doc, v.clone()), "{v}");
+        }
+        assert_eq!(leaf.text, "some text");
+        assert_eq!(leaf.attr("key"), Some("v w"));
+    }
+
+    #[test]
+    fn a_value_with_a_reference_is_owned_and_unescaped() {
+        let doc = "<r k=\"a &amp; b\" plain=\"c\">x &lt; y</r>";
+        let parsed = XmlNode::parse(doc).unwrap();
+        let (_, value, span) = &parsed.attrs[0];
+        assert!(matches!(value, Cow::Owned(_)));
+        assert_eq!(value, "a & b");
+        // The span still covers the raw value between the quotes.
+        assert_eq!(&doc[span.start..span.end], "a &amp; b");
+        assert!(borrows_from(doc, parsed.attrs[1].1.clone()));
+        assert!(matches!(parsed.text, Cow::Owned(_)));
+        assert_eq!(parsed.text, "x < y");
+    }
+
+    /// Text is trimmed after unescaping, so whitespace a reference
+    /// produces at either end goes too.
+    #[test]
+    fn text_is_trimmed_after_unescaping() {
+        for (doc, text) in [
+            ("<a>&#x20;x</a>", "x"),
+            ("<a>x&#10;</a>", "x"),
+            ("<a> &#32; x <b/> y &#x9;</a>", "x  y"),
+            ("<a>&#x20;</a>", ""),
+            ("<a>  x  <!-- c -->  </a>", "x"),
+        ] {
+            assert_eq!(XmlNode::parse(doc).unwrap().text, text, "{doc}");
+        }
+    }
+
+    /// Documents nest up to `MAX_DEPTH` levels; the first deeper start
+    /// tag is an `E0101` syntax error at its `<`.
+    #[test]
+    fn nesting_deeper_than_the_bound_is_a_syntax_error() {
+        let nested = |depth: usize| "<a>".repeat(depth) + &"</a>".repeat(depth);
+        let deepest = nested(MAX_DEPTH);
+        assert_eq!(XmlNode::parse(&deepest).unwrap().end, deepest.len());
+        match XmlNode::parse(&nested(MAX_DEPTH + 1)) {
+            Err(Error::XmlSyntax {
+                offset, message, ..
+            }) => {
+                assert_eq!(offset, MAX_DEPTH * 3, "at the offending `<`");
+                assert!(message.contains("1024"), "{message}");
+            }
+            other => panic!("expected a syntax error, got {other:?}"),
+        }
+        // A self-closing element at the bound's next level counts too.
+        let text = "<a>".repeat(MAX_DEPTH) + "<b/>" + &"</a>".repeat(MAX_DEPTH);
+        assert!(XmlNode::parse(&text).is_err());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Allocation budgets of the simulation step and the log analysis.
+//! Allocation budgets of the simulation step, the log analysis and the
+//! XML reader.
 //!
 //! Simulated time never depends on how the host allocates, so these
 //! bounds pin host cost only. A run-to-completion step of
@@ -6,6 +7,9 @@
 //! payload `Vec` and the `Bytes` data the actions compute. `analyze_log`
 //! aggregates the log's interned records and allocates only for the
 //! report, so its allocation count must not grow with the record count.
+//! `XmlNode::parse` borrows every string it can from the input, so it
+//! allocates once per element with attributes and once per element with
+//! children.
 //!
 //! The counting allocator tallies per thread, so tests running in
 //! parallel in this binary cannot charge each other.
@@ -16,6 +20,7 @@ use std::cell::Cell;
 use tut_profile_suite::profiling::{analyze::analyze_log, groups::gather_groups};
 use tut_profile_suite::sim::{SimConfig, Simulation};
 use tut_profile_suite::tutmac::{build_tutmac_system, TutmacConfig};
+use tut_profile_suite::uml::xml::XmlNode;
 
 /// The system allocator, counting allocation calls (fresh and resized
 /// blocks) on the calling thread.
@@ -101,5 +106,26 @@ fn log_analysis_allocations_do_not_grow_with_records() {
         allocations * 100 < log.len() as u64,
         "{allocations} allocations for {} records (budget: under 1 per 100)",
         log.len()
+    );
+}
+
+#[test]
+fn xml_parse_allocates_per_element_not_per_string() {
+    fn vectors(node: &XmlNode<'_>) -> u64 {
+        u64::from(!node.attrs.is_empty())
+            + u64::from(!node.children.is_empty())
+            + node.children.iter().map(vectors).sum::<u64>()
+    }
+    let xml = build_tutmac_system(&TutmacConfig::default())
+        .expect("build")
+        .to_xml();
+    let (root, allocations) = allocations_in(|| XmlNode::parse(&xml).expect("parses"));
+    // The constant covers the parser's three scratch stacks growing to
+    // their peak and the few values that hold an entity reference.
+    let budget = vectors(&root) + 32;
+    assert!(
+        allocations <= budget,
+        "{allocations} allocations to parse {} bytes (budget {budget})",
+        xml.len()
     );
 }

@@ -1,14 +1,20 @@
 //! Randomised tests on the cross-crate invariants: random models
 //! survive the XMI round trip, random expressions survive the structural
-//! encoding, random logs survive the text round trip — driven by a
-//! seeded in-tree generator (deterministic, no external dependencies).
+//! encoding, random logs survive the text round trip, and damaged model
+//! XML fails with a registered code — driven by a seeded in-tree
+//! generator (deterministic, no external dependencies).
 
+use tut_bench::check::check_source;
+use tut_bench::incremental::Checker;
+use tut_profile_suite::diag::{DiagnosticBag, Span};
 use tut_profile_suite::sim::{LogRecord, SimLog};
 use tut_profile_suite::uml::action::{BinOp, Builtin, Expr, Statement, UnaryOp};
+use tut_profile_suite::uml::error::{Error, E_XML_SYNTAX};
 use tut_profile_suite::uml::lower::MachineCode;
+use tut_profile_suite::uml::outline::Outline;
 use tut_profile_suite::uml::statemachine::StateMachine;
 use tut_profile_suite::uml::value::{DataType, Value};
-use tut_profile_suite::uml::xmi;
+use tut_profile_suite::uml::xmi::{self, E_XMI_STRUCTURE};
 use tut_profile_suite::uml::xml::XmlNode;
 use tut_profile_suite::uml::Model;
 use tut_trace::SplitMix64;
@@ -310,5 +316,115 @@ fn xml_text_is_the_trimmed_concatenation_of_unescaped_runs() {
         let mut texts = Vec::new();
         pre_order(&parsed, &mut texts);
         assert_eq!(texts, expected, "document {doc:?}");
+    }
+}
+
+/// The parser holds open elements on the heap, so a document nested far
+/// past its bound fails with a syntax error on a default test thread
+/// instead of overflowing the stack.
+#[test]
+fn xml_nesting_past_the_bound_is_a_syntax_error() {
+    let depth = 100_000;
+    let doc = "<a>".repeat(depth) + &"</a>".repeat(depth);
+    match XmlNode::parse(&doc) {
+        Err(Error::XmlSyntax { offset, .. }) => assert_eq!(offset, 1024 * "<a>".len()),
+        other => panic!("expected a syntax error, got {other:?}"),
+    }
+}
+
+/// Reads `doc` as the first two stages of `repro check` do. `None` when
+/// it reads, else the code the check driver reports for the failure.
+fn read_failure_code(doc: &str) -> Option<String> {
+    let root = match XmlNode::parse(doc) {
+        Ok(root) => root,
+        Err(Error::XmlSyntax { .. }) => return Some(E_XML_SYNTAX.to_owned()),
+        Err(other) => return Some(format!("parse: {other}")),
+    };
+    match xmi::read_model(&root, &mut DiagnosticBag::new()) {
+        Ok(_) => None,
+        Err(Error::XmiStructure(_)) => Some(E_XMI_STRUCTURE.to_owned()),
+        Err(other) => Some(format!("decode: {other}")),
+    }
+}
+
+/// One seeded mutant of `base`: a markup byte swapped for another, a
+/// truncation, or a top-level `packagedElement` segment duplicated or
+/// dropped. Returns what was done and the mutated text.
+fn mutate(
+    rng: &mut SplitMix64,
+    base: &str,
+    markup: &[usize],
+    segments: &[Span],
+) -> (String, String) {
+    const MARKUP: &[u8] = b"<>\"/=&";
+    match rng.next_index(4) {
+        0 => {
+            let at = markup[rng.next_index(markup.len())];
+            let old = base.as_bytes()[at];
+            let others: Vec<u8> = MARKUP.iter().copied().filter(|&b| b != old).collect();
+            let new = others[rng.next_index(others.len())] as char;
+            let doc = format!("{}{new}{}", &base[..at], &base[at + 1..]);
+            (format!("byte {at} `{}` -> `{new}`", old as char), doc)
+        }
+        1 => {
+            let mut at = rng.next_index(base.len());
+            while !base.is_char_boundary(at) {
+                at -= 1;
+            }
+            (format!("truncated at {at}"), base[..at].to_owned())
+        }
+        kind => {
+            let i = rng.next_index(segments.len());
+            let r = segments[i];
+            let (what, doc) = if kind == 2 {
+                let seg = &base[r.start..r.end];
+                (
+                    "duplicated",
+                    format!("{}{seg}{}", &base[..r.end], &base[r.end..]),
+                )
+            } else {
+                ("dropped", format!("{}{}", &base[..r.start], &base[r.end..]))
+            };
+            (format!("segment {i} {what}"), doc)
+        }
+    }
+}
+
+/// Seeded mutants of the TUTMAC XML each read, or fail with `E0101`
+/// (syntax) or `E0102` (structure), without a panic. On a bounded
+/// subset a fresh warm `Checker` reports byte-identically to the cold
+/// `check_source`.
+#[test]
+fn mutated_model_xml_reads_or_fails_with_a_registered_code() {
+    const MUTANTS: usize = 300;
+    const CHECK_EVERY: usize = 25;
+    const NAME: &str = "mutant.xml";
+    let base = tut_bench::paper_system().to_xml();
+    let markup: Vec<usize> = base
+        .bytes()
+        .enumerate()
+        .filter(|(_, b)| b"<>\"/=&".contains(b))
+        .map(|(i, _)| i)
+        .collect();
+    let segments: Vec<Span> = Outline::of_tree(&XmlNode::parse(&base).unwrap())
+        .segments
+        .iter()
+        .map(|s| s.range)
+        .collect();
+    let mut rng = SplitMix64::new(0x0E17_0033);
+    for n in 0..MUTANTS {
+        let (what, doc) = mutate(&mut rng, &base, &markup, &segments);
+        let code = std::panic::catch_unwind(|| read_failure_code(&doc))
+            .unwrap_or_else(|_| panic!("mutant {n} ({what}) panicked while reading"));
+        assert!(
+            code.as_deref()
+                .is_none_or(|c| c == E_XML_SYNTAX || c == E_XMI_STRUCTURE),
+            "mutant {n} ({what}) failed with {code:?}"
+        );
+        if n % CHECK_EVERY == 0 {
+            let cold = check_source(NAME, &doc).render_text();
+            let warm = Checker::new().check(NAME, &doc);
+            assert_eq!(warm.text, cold, "mutant {n} ({what})");
+        }
     }
 }
