@@ -66,13 +66,6 @@ pub fn check_source(name: &str, text: &str) -> CheckReport {
     CheckReport { source, bag }
 }
 
-/// Checks the serialised paper case-study system — the clean baseline
-/// that `repro check` runs when no path is given.
-pub fn check_paper_system() -> CheckReport {
-    let system = crate::paper_system();
-    check_source("paper-system.xml", &system.to_xml())
-}
-
 fn run_stages(text: &str, bag: &mut DiagnosticBag) {
     // Front-end phases are cold (once per document), so the scoped
     // profiler spans here go through the dynamically-gated module entry
@@ -233,15 +226,8 @@ mod tests {
         )
         .unwrap();
         s.model.add_part(platform, "seg1", seg_class);
-        let group_class = s.model.find_class("group1").unwrap();
-        s.map_group(group_class, cpu, false);
+        s.map_group(group, cpu, false);
         s
-    }
-
-    #[test]
-    fn clean_paper_system_has_no_errors() {
-        let report = check_paper_system();
-        assert!(!report.has_errors(), "{}", report.render_text());
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl SweepPoint {
     }
 
     /// Acknowledged payload throughput in Mbit/s of simulated time.
-    pub fn goodput_mbps(&self) -> f64 {
+    pub(crate) fn goodput_mbps(&self) -> f64 {
         if self.horizon_ns == 0 {
             0.0
         } else {
@@ -91,7 +91,11 @@ fn point_from_report(ber: f64, fragment_bytes: i64, report: &ProfilingReport) ->
 ///
 /// Propagates any failure of the profiling pipeline; a broken case-study
 /// model surfaces as [`ProfilingError::Model`].
-pub fn run_point(ber: f64, seed: u64, config: SimConfig) -> Result<SweepPoint, ProfilingError> {
+pub(crate) fn run_point(
+    ber: f64,
+    seed: u64,
+    config: SimConfig,
+) -> Result<SweepPoint, ProfilingError> {
     let _point_span = perf::enter_named("fault_sweep.point");
     let tutmac_config = tutmac::TutmacConfig::default();
     let system = tutmac::build_tutmac_system(&tutmac_config)

@@ -462,9 +462,9 @@ fn frag_of(f: impl FnOnce(&mut DiagnosticBag)) -> Vec<Diagnostic> {
     bag.into_vec()
 }
 
-/// Shifts a diagnostic's spans from document coordinates down to
+/// Shifts a diagnostic's span from document coordinates down to
 /// segment-relative ones (the exact inverse of
-/// [`Diagnostic::rebased`]); `None` when any span starts before `base`.
+/// [`Diagnostic::rebased`]); `None` when the span starts before `base`.
 fn make_relative(d: &Diagnostic, base: usize) -> Option<Diagnostic> {
     let mut out = d.clone();
     if let Some(span) = out.span {
@@ -473,14 +473,6 @@ fn make_relative(d: &Diagnostic, base: usize) -> Option<Diagnostic> {
                 return None;
             }
             out.span = Some(Span::new(span.start - base, span.end - base));
-        }
-    }
-    for label in &mut out.labels {
-        if label.span != Span::NONE {
-            if label.span.start < base {
-                return None;
-            }
-            label.span = Span::new(label.span.start - base, label.span.end - base);
         }
     }
     Some(out)

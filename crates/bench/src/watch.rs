@@ -32,7 +32,7 @@ pub struct Debounce {
 impl Debounce {
     /// True when the mtime differs from the last observation — the
     /// caller should read the file and ask [`Debounce::content_changed`].
-    pub fn mtime_changed(&mut self, mtime: Option<SystemTime>) -> bool {
+    pub(crate) fn mtime_changed(&mut self, mtime: Option<SystemTime>) -> bool {
         if self.last_mtime == mtime && mtime.is_some() {
             return false;
         }
@@ -42,7 +42,7 @@ impl Debounce {
 
     /// True when the content fingerprint differs from the last checked
     /// one; records it either way.
-    pub fn content_changed(&mut self, fp: Fp) -> bool {
+    pub(crate) fn content_changed(&mut self, fp: Fp) -> bool {
         if self.last_fp == Some(fp) {
             return false;
         }

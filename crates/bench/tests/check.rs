@@ -3,7 +3,7 @@
 //! violation, and a profile-rule violation together, each with a stable
 //! code and a real line:column location.
 
-use tut_bench::check::{check_paper_system, check_source};
+use tut_bench::check::check_source;
 
 fn bad_fixture() -> (&'static str, String) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/check_bad.xml");
@@ -90,6 +90,6 @@ fn findings_are_severity_sorted() {
 
 #[test]
 fn clean_tutmac_model_checks_without_errors() {
-    let report = check_paper_system();
+    let report = check_source("paper-system.xml", &tut_bench::paper_system().to_xml());
     assert!(!report.has_errors(), "{}", report.render_text());
 }

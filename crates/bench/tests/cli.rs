@@ -211,4 +211,6 @@ fn deeply_nested_model_is_a_syntax_error() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stdout.contains("error[E0101]"), "{stdout}");
     assert!(!stderr.contains("overflowed"), "{stderr}");
+    // The document is one 140 KB line; the excerpt shows a window of it.
+    assert!(stdout.len() < 4096, "{} bytes of report", stdout.len());
 }

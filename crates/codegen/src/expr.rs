@@ -12,7 +12,7 @@ use tut_uml::value::Value;
 ///
 /// Buffers are runtime-managed `tut_bytes_t` values; the runtime owns
 /// reference counting, so expressions can nest freely.
-pub fn emit_expr(expr: &Expr) -> String {
+pub(crate) fn emit_expr(expr: &Expr) -> String {
     match expr {
         Expr::Lit(value) => emit_literal(value),
         Expr::Var(name) => format!("ctx->var_{name}"),

@@ -136,7 +136,7 @@ fn emit_statements(model: &Model, statements: &[Statement], depth: usize, out: &
 }
 
 /// Emits the header (`<component>.h`) for a functional component.
-pub fn emit_header(model: &Model, class: ClassId) -> String {
+pub(crate) fn emit_header(model: &Model, class: ClassId) -> String {
     let class_data = model.class(class);
     let name = sanitize(class_data.name()).to_lowercase();
     let sm = model.state_machine(
@@ -184,7 +184,7 @@ pub fn emit_header(model: &Model, class: ClassId) -> String {
 }
 
 /// Emits the implementation (`<component>.c`) for a functional component.
-pub fn emit_source(model: &Model, class: ClassId) -> String {
+pub(crate) fn emit_source(model: &Model, class: ClassId) -> String {
     let class_data = model.class(class);
     let name = sanitize(class_data.name()).to_lowercase();
     let upper = name.to_uppercase();

@@ -437,7 +437,7 @@ void tut_rt_run(uint64_t max_events) {
 "#;
 
 /// The canonical generated-file banner.
-pub fn banner(source: &str) -> String {
+pub(crate) fn banner(source: &str) -> String {
     format!("/* Generated by tut-codegen from model `{source}`. Do not edit. */\n")
 }
 

@@ -62,16 +62,11 @@ impl DiagnosticBag {
     }
 
     /// Number of warning-severity diagnostics.
-    pub fn warning_count(&self) -> usize {
+    pub(crate) fn warning_count(&self) -> usize {
         self.diagnostics
             .iter()
             .filter(|d| d.severity == Severity::Warning)
             .count()
-    }
-
-    /// The highest severity present, or `None` for an empty bag.
-    pub fn max_severity(&self) -> Option<Severity> {
-        self.diagnostics.iter().map(|d| d.severity).max()
     }
 
     /// Iterates in current order.
@@ -89,8 +84,7 @@ impl DiagnosticBag {
         self.diagnostics
     }
 
-    /// Sorts the report: errors first, then warnings, then notes; within a
-    /// severity by source position (spanned findings before span-less
+    /// Sorts the report: errors first, then warnings; within a severity by source position (spanned findings before span-less
     /// ones), then by code. The sort is stable, so insertion order breaks
     /// remaining ties.
     pub fn sort(&mut self) {
@@ -183,7 +177,6 @@ mod tests {
         let mut bag = DiagnosticBag::new();
         assert!(bag.is_empty());
         assert_eq!(bag.summary(), "no findings");
-        assert_eq!(bag.max_severity(), None);
         bag.push(Diagnostic::warning("W0207", "w1"));
         bag.push(Diagnostic::error("E0110", "e1"));
         bag.push(Diagnostic::error("E0301", "e2"));
@@ -191,7 +184,6 @@ mod tests {
         assert!(bag.has_errors());
         assert_eq!(bag.error_count(), 2);
         assert_eq!(bag.warning_count(), 1);
-        assert_eq!(bag.max_severity(), Some(Severity::Error));
         assert_eq!(bag.summary(), "2 errors, 1 warning");
     }
 
@@ -215,7 +207,7 @@ mod tests {
         b.push(Diagnostic::warning("W1", "y"));
         a.merge(b);
         assert_eq!(a.len(), 2);
-        a.extend([Diagnostic::note("N1", "z")]);
+        a.extend([Diagnostic::warning("W2", "z")]);
         assert_eq!(a.into_vec().len(), 3);
     }
 

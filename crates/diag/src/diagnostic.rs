@@ -6,15 +6,13 @@ use crate::span::Span;
 
 /// How serious a diagnostic is.
 ///
-/// The ordering is semantic: `Note < Warning < Error`, so
-/// `bag.max_severity() >= Some(Severity::Error)` asks "did anything fail".
-/// This is the *single* severity model shared by UML well-formedness
+/// The ordering is semantic: `Warning < Error`, and a sorted report lists
+/// errors first. This is the *single* severity model shared by UML
+/// well-formedness
 /// checking, the TUT-Profile design rules, the action-language front end,
 /// and code generation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Severity {
-    /// Informational; never affects exit status.
-    Note,
     /// Advisory: the model is usable but suspicious.
     Warning,
     /// The model violates a rule and must be fixed before code
@@ -23,10 +21,9 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// The lowercase renderer keyword (`"error"`, `"warning"`, `"note"`).
+    /// The lowercase renderer keyword (`"error"`, `"warning"`).
     pub fn name(self) -> &'static str {
         match self {
-            Severity::Note => "note",
             Severity::Warning => "warning",
             Severity::Error => "error",
         }
@@ -37,16 +34,6 @@ impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// A secondary span with its own message, rendered under the primary
-/// excerpt (`= label: ...` lines in the text renderer).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Label {
-    /// The labelled range.
-    pub span: Span,
-    /// What the range means.
-    pub message: String,
 }
 
 /// One diagnostic: a stable code, a severity, a message, and optional
@@ -65,8 +52,6 @@ pub struct Diagnostic {
     pub message: String,
     /// Primary source span, when the finding is attributable to text.
     pub span: Option<Span>,
-    /// Secondary labelled spans.
-    pub labels: Vec<Label>,
     /// Free-form notes appended to the rendering.
     pub notes: Vec<String>,
     /// A concrete suggestion for fixing the problem.
@@ -86,7 +71,6 @@ impl Diagnostic {
             code,
             message: message.into(),
             span: None,
-            labels: Vec::new(),
             notes: Vec::new(),
             help: None,
             element: None,
@@ -103,35 +87,15 @@ impl Diagnostic {
         Diagnostic::new(Severity::Warning, code, message)
     }
 
-    /// A note-severity diagnostic.
-    pub fn note(code: &'static str, message: impl Into<String>) -> Diagnostic {
-        Diagnostic::new(Severity::Note, code, message)
-    }
-
     /// Attaches the primary span.
     pub fn with_span(mut self, span: Span) -> Diagnostic {
         self.span = Some(span);
         self
     }
 
-    /// Attaches a labelled secondary span.
-    pub fn with_label(mut self, span: Span, message: impl Into<String>) -> Diagnostic {
-        self.labels.push(Label {
-            span,
-            message: message.into(),
-        });
-        self
-    }
-
     /// Appends a note line.
     pub fn with_note(mut self, note: impl Into<String>) -> Diagnostic {
         self.notes.push(note.into());
-        self
-    }
-
-    /// Attaches a fix suggestion.
-    pub fn with_help(mut self, help: impl Into<String>) -> Diagnostic {
-        self.help = Some(help.into());
         self
     }
 
@@ -146,8 +110,7 @@ impl Diagnostic {
         self.severity == Severity::Error
     }
 
-    /// Returns a copy with the primary span and every label shifted by
-    /// `base` bytes, mapping a fragment-relative diagnostic (cached
+    /// Returns a copy with the primary span shifted by `base` bytes, mapping a fragment-relative diagnostic (cached
     /// against a sub-document) back into the enclosing document.
     /// [`Span::NONE`] spans stay `NONE` — they mark "no location", not
     /// offset zero.
@@ -156,11 +119,6 @@ impl Diagnostic {
         if let Some(span) = out.span {
             if span != Span::NONE {
                 out.span = Some(span.offset(base));
-            }
-        }
-        for label in &mut out.labels {
-            if label.span != Span::NONE {
-                label.span = label.span.offset(base);
             }
         }
         out
@@ -185,7 +143,6 @@ mod tests {
 
     #[test]
     fn severity_orders_semantically() {
-        assert!(Severity::Note < Severity::Warning);
         assert!(Severity::Warning < Severity::Error);
         assert_eq!(Severity::Error.to_string(), "error");
     }
@@ -194,17 +151,14 @@ mod tests {
     fn builder_and_display() {
         let d = Diagnostic::error("E0110", "expected `;`")
             .with_span(Span::new(4, 5))
-            .with_label(Span::new(0, 3), "statement started here")
             .with_note("statements are `;`-terminated")
-            .with_help("insert `;`")
             .with_element("class3");
         assert!(d.is_error());
         assert_eq!(d.span, Some(Span::new(4, 5)));
-        assert_eq!(d.labels.len(), 1);
+        assert_eq!(d.notes.len(), 1);
         assert_eq!(d.to_string(), "error[E0110]: expected `;` (class3)");
         let w = Diagnostic::warning("W0207", "ungrouped");
         assert!(!w.is_error());
         assert_eq!(w.to_string(), "warning[W0207]: ungrouped");
-        assert_eq!(Diagnostic::note("N0001", "fyi").severity, Severity::Note);
     }
 }

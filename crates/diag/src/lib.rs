@@ -9,12 +9,13 @@
 //! * [`SourceMap`] — resolves byte offsets to line:column and renders
 //!   source excerpts.
 //! * [`Diagnostic`] — one finding: a stable code (`E0101`, `W0207`, …), a
-//!   [`Severity`], a message, an optional primary span plus labeled
-//!   secondary spans, notes, and a help suggestion.
+//!   [`Severity`], a message, an optional span, notes, and an optional
+//!   help suggestion.
 //! * [`DiagnosticBag`] — multi-error accumulation, severity sorting, and
 //!   error/warning tallies, so one pass over a model reports everything.
-//! * [`render`] — a rustc-style text renderer with source excerpts and a
-//!   machine-readable JSON renderer.
+//! * [`render`] — a rustc-style text renderer with source excerpts (a long
+//!   line is cut to a window around the span) and a machine-readable JSON
+//!   renderer.
 //!
 //! # Diagnostic code registry
 //!
@@ -45,7 +46,7 @@
 //! bag.push(
 //!     Diagnostic::error("E0110", "expected an expression")
 //!         .with_span(Span::point(10))
-//!         .with_help("binary operators need a right-hand side"),
+//!         .with_note("binary operators need a right-hand side"),
 //! );
 //! assert!(bag.has_errors());
 //! let text = tut_diag::render::render_bag_text(&bag, Some(&source));
@@ -63,7 +64,7 @@ pub mod source;
 pub mod span;
 
 pub use bag::DiagnosticBag;
-pub use diagnostic::{Diagnostic, Label, Severity};
+pub use diagnostic::{Diagnostic, Severity};
 pub use render::{render_bag_json, render_bag_text};
 pub use source::{locate_in, LineCol, SourceMap};
 pub use span::Span;

@@ -24,6 +24,8 @@ use crate::span::Span;
 /// followed by a final summary line (`"2 errors, 1 warning"`). Spans are
 /// resolved against `source` when one is supplied; without a source map
 /// (or for span-less findings) the location and excerpt lines are omitted.
+/// A source line longer than [`EXCERPT_WIDTH`] bytes is cut to a window
+/// around the span, with `…` at each cut end.
 pub fn render_bag_text(bag: &DiagnosticBag, source: Option<&SourceMap>) -> String {
     let mut out = String::new();
     for d in bag {
@@ -41,15 +43,7 @@ fn render_one_text(out: &mut String, d: &Diagnostic, source: Option<&SourceMap>)
     }
     out.push('\n');
     if let (Some(span), Some(sm)) = (d.span, source) {
-        render_excerpt(out, span, sm, "^");
-    }
-    for label in &d.labels {
-        if let Some(sm) = source {
-            let _ = writeln!(out, "  label: {}", label.message);
-            render_excerpt(out, label.span, sm, "-");
-        } else {
-            let _ = writeln!(out, "  label: {} ({})", label.message, label.span);
-        }
+        render_excerpt(out, span, sm);
     }
     for note in &d.notes {
         let _ = writeln!(out, "  = note: {note}");
@@ -59,8 +53,13 @@ fn render_one_text(out: &mut String, d: &Diagnostic, source: Option<&SourceMap>)
     }
 }
 
+/// The widest source line, in bytes, that an excerpt prints whole. A
+/// longer line (a minified or generated document) is cut to a window of
+/// about this many bytes around the span.
+pub const EXCERPT_WIDTH: usize = 160;
+
 /// Writes the ` --> file:line:col` pointer and the underlined source line.
-fn render_excerpt(out: &mut String, span: Span, sm: &SourceMap, mark: &str) {
+fn render_excerpt(out: &mut String, span: Span, sm: &SourceMap) {
     let at = sm.locate(span.start);
     let _ = writeln!(out, " --> {}:{}", sm.name(), at);
     let Some(line_text) = sm.line(at.line) else {
@@ -69,7 +68,6 @@ fn render_excerpt(out: &mut String, span: Span, sm: &SourceMap, mark: &str) {
     let gutter = at.line.to_string();
     let pad = " ".repeat(gutter.len());
     let _ = writeln!(out, "{pad} |");
-    let _ = writeln!(out, "{gutter} | {line_text}");
     // Underline the part of the span that falls on the excerpted line.
     let end = sm.locate(span.end);
     let width = if end.line == at.line && end.column > at.column {
@@ -80,12 +78,54 @@ fn render_excerpt(out: &mut String, span: Span, sm: &SourceMap, mark: &str) {
     let width = width
         .min(line_text.len().saturating_sub(at.column - 1))
         .max(1);
-    let _ = writeln!(
-        out,
-        "{pad} | {}{}",
-        " ".repeat(at.column - 1),
-        mark.repeat(width)
+    if line_text.len() <= EXCERPT_WIDTH {
+        let _ = writeln!(out, "{gutter} | {line_text}");
+        let _ = writeln!(
+            out,
+            "{pad} | {}{}",
+            " ".repeat(at.column - 1),
+            "^".repeat(width)
+        );
+    } else {
+        let (excerpt, underline) = windowed(line_text, at.column - 1, width);
+        let _ = writeln!(out, "{gutter} | {excerpt}");
+        let _ = writeln!(out, "{pad} | {underline}");
+    }
+}
+
+/// Cuts `line` (longer than [`EXCERPT_WIDTH`]) to a window of about
+/// `EXCERPT_WIDTH` bytes around the caret at byte `caret`, which
+/// underlines `width` bytes. Both cuts fall on `char` boundaries and each
+/// cut end shows `…`. The underline counts `char`s, so the caret stays
+/// under the same character after the leading `…`.
+fn windowed(line: &str, caret: usize, width: usize) -> (String, String) {
+    let floor = |mut i: usize| {
+        while !line.is_char_boundary(i) {
+            i -= 1;
+        }
+        i
+    };
+    let ceil = |mut i: usize| {
+        while !line.is_char_boundary(i) {
+            i += 1;
+        }
+        i
+    };
+    let caret = floor(caret.min(line.len()));
+    let start = floor(
+        caret
+            .saturating_sub(EXCERPT_WIDTH / 2)
+            .min(line.len() - EXCERPT_WIDTH),
     );
+    let end = ceil((start + EXCERPT_WIDTH).max(caret));
+    let mark_end = ceil((caret + width).min(end));
+    let lead = if start > 0 { "…" } else { "" };
+    let tail = if end < line.len() { "…" } else { "" };
+    let excerpt = format!("{lead}{}{tail}", &line[start..end]);
+    let indent = lead.chars().count() + line[start..caret].chars().count();
+    let marks = line[caret..mark_end].chars().count().max(1);
+    let underline = format!("{}{}", " ".repeat(indent), "^".repeat(marks));
+    (excerpt, underline)
 }
 
 /// Renders the bag as machine-readable JSON.
@@ -99,14 +139,16 @@ fn render_excerpt(out: &mut String, span: Span, sm: &SourceMap, mark: &str) {
 ///     {"severity": "error", "code": "E0110", "message": "...",
 ///      "element": "class3" | null,
 ///      "span": {"start": 4, "end": 5, "line": 1, "column": 5} | null,
-///      "labels": [{"start": ..., "end": ..., "message": "..."}],
+///      "labels": [],
 ///      "notes": ["..."], "help": "..." | null}
 ///   ]
 /// }
 /// ```
 ///
 /// `line`/`column` appear inside `span` only when a [`SourceMap`] is
-/// supplied. The output is a single line of minified JSON.
+/// supplied. `labels` is always empty: no finding carries a secondary
+/// span, and the key stays so the shape tools parse does not change. The
+/// output is a single line of minified JSON.
 pub fn render_bag_json(bag: &DiagnosticBag, source: Option<&SourceMap>) -> String {
     let mut out = String::new();
     out.push_str("{\"summary\":{");
@@ -154,20 +196,7 @@ fn render_one_json(out: &mut String, d: &Diagnostic, source: Option<&SourceMap>)
         }
         None => out.push_str(",\"span\":null"),
     }
-    out.push_str(",\"labels\":[");
-    for (i, label) in d.labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"start\":{},\"end\":{},\"message\":{}}}",
-            label.span.start,
-            label.span.end,
-            json_string(&label.message)
-        );
-    }
-    out.push_str("],\"notes\":[");
+    out.push_str(",\"labels\":[],\"notes\":[");
     for (i, note) in d.notes.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -213,13 +242,11 @@ mod tests {
     fn sample() -> (DiagnosticBag, SourceMap) {
         let sm = SourceMap::new("model.act", "x := 1\nsend reply(x)\n");
         let mut bag = DiagnosticBag::new();
-        bag.push(
-            Diagnostic::error("E0110", "expected `;`")
-                .with_span(Span::new(20, 21))
-                .with_label(Span::new(7, 11), "statement started here")
-                .with_note("statements are `;`-terminated")
-                .with_help("insert `;`"),
-        );
+        let mut error = Diagnostic::error("E0110", "expected `;`")
+            .with_span(Span::new(20, 21))
+            .with_note("statements are `;`-terminated");
+        error.help = Some("insert `;`".into());
+        bag.push(error);
         bag.push(Diagnostic::warning("W0207", "process ungrouped").with_element("class2"));
         (bag, sm)
     }
@@ -258,6 +285,68 @@ mod tests {
         bag.push(Diagnostic::error("E1", "bad").with_span(Span::new(2, 5)));
         let text = render_bag_text(&bag, Some(&sm));
         assert!(text.contains("1 | abcdef\n  |   ^^^\n"), "{text}");
+    }
+
+    /// Renders one error spanning `span` of a one-line source.
+    fn excerpt_of(line: &str, span: Span) -> String {
+        let sm = SourceMap::new("f", line);
+        let mut bag = DiagnosticBag::new();
+        bag.push(Diagnostic::error("E1", "bad").with_span(span));
+        render_bag_text(&bag, Some(&sm))
+    }
+
+    #[test]
+    fn long_line_excerpt_is_a_window_around_the_span() {
+        let mut line = "a".repeat(100_000);
+        line.replace_range(50_000..50_003, "XYZ");
+        let text = excerpt_of(&line, Span::new(50_000, 50_003));
+        assert!(text.len() < 2 * EXCERPT_WIDTH + 100, "{} bytes", text.len());
+        let lines: Vec<&str> = text.lines().collect();
+        let (excerpt, underline) = (lines[3], lines[4]);
+        let excerpt = excerpt.strip_prefix("1 | ").expect("gutter");
+        assert!(
+            excerpt.starts_with('…') && excerpt.ends_with('…'),
+            "{excerpt}"
+        );
+        let underline = underline.strip_prefix("  | ").expect("gutter");
+        let col = underline.find('^').expect("caret");
+        assert_eq!(underline[col..].trim_end(), "^^^");
+        let shown: Vec<char> = excerpt.chars().collect();
+        assert_eq!(shown[col..col + 3].iter().collect::<String>(), "XYZ");
+        // The caret line and the location still name the real column.
+        assert!(text.contains(" --> f:1:50001"), "{text}");
+    }
+
+    #[test]
+    fn long_line_window_cuts_on_char_boundaries() {
+        // Two-byte characters throughout: every odd byte offset lies inside
+        // one, so the window's edges must move to a boundary. The span is
+        // near the end, so the window's left edge is computed from the end.
+        let line = "é".repeat(200);
+        let caret = line.len() - 2;
+        let text = excerpt_of(&line, Span::new(caret, line.len()));
+        let lines: Vec<&str> = text.lines().collect();
+        let excerpt = lines[3].strip_prefix("1 | ").expect("gutter");
+        assert!(
+            excerpt.starts_with('…') && !excerpt.ends_with('…'),
+            "{excerpt}"
+        );
+        assert!(excerpt.chars().skip(1).all(|c| c == 'é'), "{excerpt}");
+        let underline = lines[4].strip_prefix("  | ").expect("gutter");
+        // The caret sits under the last character of the excerpt.
+        assert_eq!(underline.chars().count(), excerpt.chars().count());
+        assert!(underline.ends_with(" ^"), "{underline}");
+        // Spans at both edges of an odd-length cut never split a char.
+        for at in [0, 1, 161, 201, line.len() - 1] {
+            excerpt_of(&line, Span::new(at, at + 1));
+        }
+    }
+
+    #[test]
+    fn line_at_the_bound_prints_whole() {
+        let line = "b".repeat(EXCERPT_WIDTH);
+        let text = excerpt_of(&line, Span::new(10, 11));
+        assert!(text.contains(&format!("1 | {line}\n")), "{text}");
     }
 
     #[test]

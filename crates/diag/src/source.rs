@@ -109,13 +109,6 @@ impl SourceMap {
             .unwrap_or(self.text.len());
         Some(self.text[start..end].trim_end_matches('\r'))
     }
-
-    /// Number of lines in the source (a trailing newline does not open a
-    /// new line unless followed by text — but the index keeps it, matching
-    /// editor conventions).
-    pub fn line_count(&self) -> usize {
-        self.line_starts.len()
-    }
 }
 
 /// The line starts opened by the newlines of `text`, a slice placed at
@@ -175,7 +168,6 @@ mod tests {
         assert_eq!(sm.line(3), Some("last"));
         assert_eq!(sm.line(4), None);
         assert_eq!(sm.line(0), None);
-        assert_eq!(sm.line_count(), 3);
     }
 
     #[test]

@@ -2,9 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use tut_profile::SystemModel;
 use tut_profiling::ProfilingReport;
-use tut_uml::instances::{InstanceTree, RoutingTable};
 
 /// An undirected weighted graph over process instances (by dotted name).
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -13,7 +11,7 @@ pub struct CommGraph {
     /// Upper-triangle edge weights: `(min_index, max_index) -> weight`.
     edges: BTreeMap<(usize, usize), u64>,
     /// Per-node computation weight (cycles), when known.
-    loads: Vec<u64>,
+    pub(crate) loads: Vec<u64>,
 }
 
 impl CommGraph {
@@ -33,31 +31,6 @@ impl CommGraph {
         graph
     }
 
-    /// Builds the graph statically from the model: every resolved signal
-    /// route contributes weight 1 (no execution needed — the paper's
-    /// "static analysis" path). Node loads are unknown (0).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the model has no application top.
-    pub fn from_static(system: &SystemModel) -> Result<CommGraph, String> {
-        let top = system
-            .application()
-            .top()
-            .ok_or_else(|| "no \u{ab}Application\u{bb} class".to_owned())?;
-        let tree = InstanceTree::build(&system.model, top).map_err(|e| e.to_string())?;
-        let table = RoutingTable::build(&system.model, &tree);
-        let mut graph = CommGraph::default();
-        for (&(sender, _, _), receivers) in table.iter() {
-            for receiver in receivers {
-                let a = graph.intern(&tree.display_name(&system.model, sender));
-                let b = graph.intern(&tree.display_name(&system.model, receiver.instance));
-                graph.add_edge(a, b, 1);
-            }
-        }
-        Ok(graph)
-    }
-
     /// Returns the index of `name`, adding the node if absent.
     pub fn intern(&mut self, name: &str) -> usize {
         if let Some(index) = self.nodes.iter().position(|n| n == name) {
@@ -66,15 +39,6 @@ impl CommGraph {
         self.nodes.push(name.to_owned());
         self.loads.push(0);
         self.nodes.len() - 1
-    }
-
-    /// Sets the computation load of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn set_load(&mut self, node: usize, cycles: u64) {
-        self.loads[node] = cycles;
     }
 
     /// Adds weight to the undirected edge between two node indices
@@ -90,11 +54,6 @@ impl CommGraph {
     /// Node names in index order.
     pub fn nodes(&self) -> &[String] {
         &self.nodes
-    }
-
-    /// Index of a node by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.nodes.iter().position(|n| n == name)
     }
 
     /// Node computation loads (cycles; 0 when unknown).
@@ -186,17 +145,5 @@ mod tests {
         assert_eq!(g.cut_weight(&[0, 1, 1, 0]), 20);
         // everything together: nothing crosses.
         assert_eq!(g.cut_weight(&[0, 0, 0, 0]), 0);
-    }
-
-    #[test]
-    fn static_graph_from_tutmac_connects_the_pipeline() {
-        let system = tutmac::build_tutmac_system(&tutmac::TutmacConfig::light_load()).unwrap();
-        let g = CommGraph::from_static(&system).unwrap();
-        let rec = g.index_of("ui.msduRec").unwrap();
-        let frag = g.index_of("dp.frag").unwrap();
-        assert!(g.weight(rec, frag) > 0, "msduRec talks to frag");
-        let crc = g.index_of("dp.crc").unwrap();
-        let rca = g.index_of("rca").unwrap();
-        assert!(g.weight(crc, rca) > 0, "crc talks to rca");
     }
 }

@@ -8,7 +8,7 @@
 //! (communication) plus a load-imbalance penalty (workload distribution).
 //!
 //! The inner loops evaluate candidate single-node moves through the
-//! incremental [`ObjectiveState`], so a move costs O(degree + groups)
+//! incremental `ObjectiveState`, so a move costs O(degree + groups)
 //! instead of the O(E) full recompute (which survives as the debug-mode
 //! cross-check). The annealing phase is multi-start: `restarts`
 //! independent runs with distinct SplitMix64 seeds, reduced in restart

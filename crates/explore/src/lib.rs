@@ -41,4 +41,4 @@ pub mod objective;
 pub use commgraph::CommGraph;
 pub use grouping::{partition, refine, GroupingOptions, GroupingSolution};
 pub use mapping::{optimise_mapping, MappingOptions, MappingSolution};
-pub use objective::{full_objective, ObjectiveState};
+pub use objective::full_objective;

@@ -3,7 +3,7 @@
 //!
 //! The partitioner's inner loops (refinement, annealing) evaluate the
 //! objective once per candidate single-node move. Recomputing the cut
-//! weight from scratch makes every move cost O(E); [`ObjectiveState`]
+//! weight from scratch makes every move cost O(E); `ObjectiveState`
 //! instead maintains the cut weight and per-group loads so a move costs
 //! O(degree + groups). The two evaluations are **bit-identical**: the cut
 //! is carried as an exact `u64` and the imbalance term is recomputed with
@@ -51,7 +51,7 @@ fn imbalance(loads: &[u64]) -> f64 {
 /// commits it and (in debug builds) cross-checks the incremental value
 /// against [`full_objective`].
 #[derive(Clone, Debug)]
-pub struct ObjectiveState<'g> {
+pub(crate) struct ObjectiveState<'g> {
     graph: &'g CommGraph,
     adjacency: &'g [Vec<(usize, u64)>],
     groups: usize,
@@ -68,7 +68,7 @@ impl<'g> ObjectiveState<'g> {
     ///
     /// Panics if `assignment` length differs from the graph, `groups` is
     /// 0, or an assignment is out of range.
-    pub fn new(
+    pub(crate) fn new(
         graph: &'g CommGraph,
         adjacency: &'g [Vec<(usize, u64)>],
         assignment: Vec<usize>,
@@ -95,28 +95,23 @@ impl<'g> ObjectiveState<'g> {
     }
 
     /// The current assignment.
-    pub fn assignment(&self) -> &[usize] {
+    pub(crate) fn assignment(&self) -> &[usize] {
         &self.assignment
     }
 
     /// The group `node` currently belongs to.
-    pub fn group_of(&self, node: usize) -> usize {
+    pub(crate) fn group_of(&self, node: usize) -> usize {
         self.assignment[node]
     }
 
     /// The number of groups this state was built with.
-    pub fn groups(&self) -> usize {
+    pub(crate) fn groups(&self) -> usize {
         self.groups
-    }
-
-    /// The current exact cut weight.
-    pub fn cut(&self) -> u64 {
-        self.cut
     }
 
     /// The current objective value (bit-identical to
     /// [`full_objective`] on the current assignment).
-    pub fn value(&self) -> f64 {
+    pub(crate) fn value(&self) -> f64 {
         let cut = self.cut as f64;
         if self.balance_weight == 0.0 {
             return cut;
@@ -146,7 +141,7 @@ impl<'g> ObjectiveState<'g> {
     /// # Panics
     ///
     /// Panics if `node` or `to` is out of range.
-    pub fn peek_move(&self, node: usize, to: usize) -> f64 {
+    pub(crate) fn peek_move(&self, node: usize, to: usize) -> f64 {
         let from = self.assignment[node];
         if to == from {
             return self.value();
@@ -187,7 +182,7 @@ impl<'g> ObjectiveState<'g> {
     /// # Panics
     ///
     /// Panics if `node` or `to` is out of range.
-    pub fn apply_move(&mut self, node: usize, to: usize) {
+    pub(crate) fn apply_move(&mut self, node: usize, to: usize) {
         let from = self.assignment[node];
         if to == from {
             return;
@@ -221,7 +216,7 @@ mod tests {
         let mut g = CommGraph::default();
         for i in 0..nodes {
             let index = g.intern(&format!("n{i}"));
-            g.set_load(index, rng.next_below(50));
+            g.loads[index] = rng.next_below(50);
         }
         for _ in 0..nodes * 3 {
             let a = rng.next_index(nodes);
@@ -253,7 +248,7 @@ mod tests {
                     state.value().to_bits(),
                     full_objective(&graph, state.assignment(), groups, balance).to_bits()
                 );
-                assert_eq!(state.cut(), graph.cut_weight(state.assignment()));
+                assert_eq!(state.cut, graph.cut_weight(state.assignment()));
             }
         }
     }

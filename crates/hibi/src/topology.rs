@@ -97,12 +97,12 @@ impl Default for SegmentConfig {
 
 impl SegmentConfig {
     /// Nanoseconds per bus cycle.
-    pub fn cycle_ns(&self) -> u64 {
+    pub(crate) fn cycle_ns(&self) -> u64 {
         (1000 / self.frequency_mhz.max(1)).max(1) as u64
     }
 
     /// Bytes carried per bus cycle.
-    pub fn bytes_per_cycle(&self) -> u64 {
+    pub(crate) fn bytes_per_cycle(&self) -> u64 {
         u64::from(self.data_width_bits / 8).max(1)
     }
 }
@@ -371,7 +371,7 @@ impl Network {
     /// # Panics
     ///
     /// Panics if `agent` does not belong to this network.
-    pub fn address_of(&self, agent: AgentId) -> u64 {
+    pub(crate) fn address_of(&self, agent: AgentId) -> u64 {
         self.agents[agent.index()].config.address
     }
 

@@ -82,22 +82,6 @@ impl CostModel {
     pub fn step_overhead_cycles(&self, kind: PeKind) -> u64 {
         self.step_overhead[kind_index(kind)]
     }
-
-    /// Overrides one table entry (used by ablation benches).
-    pub fn set_cycles_per_unit(&mut self, kind: PeKind, class: CostClass, cycles: u64) {
-        self.table[kind_index(kind)][class_index(class)] = cycles;
-    }
-
-    /// Reads one table entry.
-    pub fn cycles_per_unit(&self, kind: PeKind, class: CostClass) -> u64 {
-        self.table[kind_index(kind)][class_index(class)]
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::paper_defaults()
-    }
 }
 
 #[cfg(test)]
@@ -134,8 +118,8 @@ mod tests {
     }
 
     #[test]
-    fn weight_and_overrides() {
-        let mut m = CostModel::paper_defaults();
+    fn weight_and_overhead() {
+        let m = CostModel::paper_defaults();
         assert_eq!(m.weight_cycles(PeKind::GeneralCpu, 10), 20);
         assert_eq!(
             m.weight_cycles(PeKind::HwAccelerator, 10),
@@ -146,9 +130,6 @@ mod tests {
             m.step_overhead_cycles(PeKind::HwAccelerator)
                 < m.step_overhead_cycles(PeKind::GeneralCpu)
         );
-        m.set_cycles_per_unit(PeKind::GeneralCpu, CostClass::Bit, 1);
-        assert_eq!(m.cycles_per_unit(PeKind::GeneralCpu, CostClass::Bit), 1);
-        assert_eq!(m.compute_cycles(PeKind::GeneralCpu, CostClass::Bit, 5), 5);
     }
 
     #[test]
@@ -171,7 +152,7 @@ mod tests {
         for (kind, row) in expected {
             for (class, cycles) in classes.into_iter().zip(row) {
                 assert_eq!(
-                    m.cycles_per_unit(kind, class),
+                    m.compute_cycles(kind, class, 1),
                     cycles,
                     "{kind:?}/{class:?} must match the documented table"
                 );

@@ -6,8 +6,8 @@
 //! Redundancy Check (CRC), that can be used for hardware acceleration"
 //! (§4). This crate provides the simulation-side equivalents:
 //!
-//! * [`pe::PeDescriptor`] — a parameterised processing element (kind,
-//!   frequency, internal memory), built from the Table 3 tagged values;
+//! * [`pe::PeDescriptor`] — a parameterised processing element (kind and
+//!   frequency), built from the Table 3 tagged values;
 //! * [`cost::CostModel`] — converts action-language execution weight and
 //!   `Compute` workload units into cycles, with a kind-vs-workload match
 //!   matrix (a DSP runs `dsp` work fast, a CPU runs `bit` work slowly,
@@ -16,9 +16,10 @@
 //!   [`PeKind::HwAccelerator`]; its cost, like every element's, comes
 //!   from this table.
 //!
-//! [`PeDescriptor::int_memory_bytes`] records `IntMemory`, but no cost
-//! reads it: the memory tagged values (`IntMemory`, `CodeMemory`,
-//! `DataMemory`) reach only profile rule E0215 `instance-memory-fits`.
+//! No other platform tagged value reaches a descriptor: the memory ones
+//! (`IntMemory`, `CodeMemory`, `DataMemory`) reach only profile rule
+//! E0215 `instance-memory-fits`, and `Area`, `Power` and the instance
+//! `Priority` reach no output (DESIGN §2).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -180,20 +180,6 @@ impl Applications {
             .and_then(|def| def.default.as_ref())
     }
 
-    /// Iterates over every element that carries `stereotype` (or a
-    /// specialisation of it).
-    pub fn elements_with<'a>(
-        &'a self,
-        profile: &'a Profile,
-        stereotype: StereotypeId,
-    ) -> impl Iterator<Item = ElementRef> + 'a {
-        self.entries.iter().filter_map(move |(element, apps)| {
-            apps.iter()
-                .any(|a| profile.is_kind_of(a.stereotype, stereotype))
-                .then_some(*element)
-        })
-    }
-
     /// Iterates over all `(element, applied)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ElementRef, &AppliedStereotype)> + '_ {
         self.entries
@@ -232,7 +218,7 @@ mod tests {
         let mut p = Profile::new("P");
         let seg = p
             .stereotype("CommunicationSegment", Metaclass::Class)
-            .tag_with_default("DataWidth", TagType::Int, 32i64)
+            .tag_full("DataWidth", TagType::Int, Some(32i64.into()), "")
             .tag(
                 "Arbitration",
                 TagType::Enum(vec!["priority".into(), "round-robin".into()]),
@@ -328,8 +314,6 @@ mod tests {
             Some(&TagValue::Int(32)),
             "inherited default resolves through base query"
         );
-        let elements: Vec<_> = apps.elements_with(&p, seg).collect();
-        assert_eq!(elements.len(), 1);
     }
 
     #[test]

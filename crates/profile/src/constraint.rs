@@ -85,27 +85,6 @@ impl ConstraintSet {
         }
         out
     }
-
-    /// Runs every constraint and returns `Ok(warnings)` when no
-    /// error-severity finding fired.
-    ///
-    /// # Errors
-    ///
-    /// Returns the full finding list (errors and warnings) as `Err` when
-    /// at least one error-severity finding fired.
-    pub fn enforce(
-        &self,
-        model: &Model,
-        profile: &Profile,
-        applications: &Applications,
-    ) -> Result<DiagnosticBag, DiagnosticBag> {
-        let findings = self.check_all(model, profile, applications);
-        if findings.has_errors() {
-            Err(findings)
-        } else {
-            Ok(findings)
-        }
-    }
 }
 
 impl fmt::Debug for ConstraintSet {
@@ -170,7 +149,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tut_diag::{Diagnostic, Severity};
+    use tut_diag::Diagnostic;
 
     fn no_empty_model_rule() -> impl Constraint {
         FnConstraint::new(
@@ -203,25 +182,7 @@ mod tests {
             .notes
             .iter()
             .any(|n| n.contains("non-empty-model")));
-        assert!(set.enforce(&model, &profile, &apps).is_err());
-    }
-
-    #[test]
-    fn enforce_passes_clean_model_with_warnings() {
-        let mut set = ConstraintSet::new();
-        set.push(FnConstraint::new(
-            "advice",
-            "always warns",
-            |_m: &Model, _p: &Profile, _a: &Applications, out: &mut DiagnosticBag| {
-                out.push(Diagnostic::warning("W0999", "just so you know"));
-            },
-        ));
-        let model = Model::new("M");
-        let profile = Profile::new("P");
-        let apps = Applications::new();
-        let warnings = set.enforce(&model, &profile, &apps).unwrap();
-        assert_eq!(warnings.len(), 1);
-        assert_eq!(warnings.first().unwrap().severity, Severity::Warning);
+        assert!(findings.has_errors());
     }
 
     #[test]

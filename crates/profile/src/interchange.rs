@@ -19,7 +19,7 @@ pub const E_PROFILE_INTERCHANGE: &str = "E0103";
 
 /// Serialises the stereotype applications as an XML subtree
 /// (`<profileApplication>`).
-pub fn applications_to_xml_node<'a>(
+pub(crate) fn applications_to_xml_node<'a>(
     profile: &'a Profile,
     applications: &'a Applications,
 ) -> XmlNode<'a> {
@@ -40,7 +40,8 @@ pub fn applications_to_xml_node<'a>(
 }
 
 /// Decodes stereotype applications from the subtree produced by
-/// [`applications_to_xml_node`].
+/// the model writer (the `profileApplication` element of a system
+/// document).
 ///
 /// # Errors
 ///
@@ -135,7 +136,7 @@ mod tests {
         let comp = profile
             .stereotype("Component", Metaclass::Class)
             .describe("a platform component")
-            .tag_with_default("Area", TagType::Real, 1.0)
+            .tag_full("Area", TagType::Real, Some(1.0.into()), "")
             .tag(
                 "Type",
                 TagType::Enum(vec!["general".into(), "dsp".into(), "hw".into()]),

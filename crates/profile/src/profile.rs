@@ -130,31 +130,9 @@ impl Profile {
         false
     }
 
-    /// All tag definitions visible on `id`: inherited definitions first
-    /// (root ancestor outward), then its own. A redefined tag name shadows
-    /// the inherited definition.
-    pub fn tag_defs(&self, id: StereotypeId) -> Vec<&TagDef> {
-        let mut chain = Vec::new();
-        let mut current = Some(id);
-        while let Some(c) = current {
-            chain.push(c);
-            current = self.get(c).specializes();
-        }
-        let mut defs: Vec<&TagDef> = Vec::new();
-        for st in chain.into_iter().rev() {
-            for def in self.get(st).own_tags() {
-                if let Some(existing) = defs.iter_mut().find(|d| d.name == def.name) {
-                    *existing = def;
-                } else {
-                    defs.push(def);
-                }
-            }
-        }
-        defs
-    }
-
     /// Looks up a tag definition by name, searching the specialisation
-    /// chain.
+    /// chain from `id` outward, so a redefined tag shadows the inherited
+    /// definition.
     pub fn tag_def(&self, id: StereotypeId, tag: &str) -> Option<&TagDef> {
         let mut current = Some(id);
         while let Some(c) = current {
@@ -196,16 +174,6 @@ impl StereotypeBuilder<'_> {
     /// Declares a tag with no default.
     pub fn tag(self, name: impl Into<String>, tag_type: TagType) -> Self {
         self.tag_full(name, tag_type, None, "")
-    }
-
-    /// Declares a tag with a default value.
-    pub fn tag_with_default(
-        self,
-        name: impl Into<String>,
-        tag_type: TagType,
-        default: impl Into<TagValue>,
-    ) -> Self {
-        self.tag_full(name, tag_type, Some(default.into()), "")
     }
 
     /// Declares a tag with every field spelled out.
@@ -254,7 +222,7 @@ mod tests {
             .stereotype("CommunicationWrapper", Metaclass::Class)
             .describe("Defines wrapper parameters of a communication agent")
             .tag("Address", TagType::Int)
-            .tag_with_default("BufferSize", TagType::Int, 8i64)
+            .tag_full("BufferSize", TagType::Int, Some(8i64.into()), "")
             .finish();
         let hibi = p
             .specialize("HIBIWrapper", base)
@@ -278,9 +246,12 @@ mod tests {
         assert_eq!(p.get(hibi).extends(), Metaclass::Class);
         assert!(p.is_kind_of(hibi, base));
         assert!(!p.is_kind_of(base, hibi));
-        let names: Vec<_> = p.tag_defs(hibi).iter().map(|d| d.name.clone()).collect();
-        assert_eq!(names, vec!["Address", "BufferSize", "MaxTime"]);
-        assert!(p.tag_def(hibi, "Address").is_some());
+        for name in ["Address", "BufferSize", "MaxTime"] {
+            assert!(
+                p.tag_def(hibi, name).is_some(),
+                "{name} visible on the specialisation"
+            );
+        }
         assert!(p.tag_def(base, "MaxTime").is_none());
     }
 
@@ -289,15 +260,16 @@ mod tests {
         let mut p = Profile::new("P");
         let base = p
             .stereotype("Base", Metaclass::Class)
-            .tag_with_default("Size", TagType::Int, 1i64)
+            .tag_full("Size", TagType::Int, Some(1i64.into()), "")
             .finish();
         let derived = p
             .specialize("Derived", base)
-            .tag_with_default("Size", TagType::Int, 2i64)
+            .tag_full("Size", TagType::Int, Some(2i64.into()), "")
             .finish();
-        let defs = p.tag_defs(derived);
-        assert_eq!(defs.len(), 1);
-        assert_eq!(defs[0].default, Some(TagValue::Int(2)));
+        let def = p.tag_def(derived, "Size").unwrap();
+        assert_eq!(def.default, Some(TagValue::Int(2)));
+        let def = p.tag_def(base, "Size").unwrap();
+        assert_eq!(def.default, Some(TagValue::Int(1)));
     }
 
     #[test]
@@ -305,7 +277,7 @@ mod tests {
     fn mismatched_default_panics() {
         let mut p = Profile::new("P");
         p.stereotype("S", Metaclass::Class)
-            .tag_with_default("T", TagType::Bool, 3i64)
+            .tag_full("T", TagType::Bool, Some(3i64.into()), "")
             .finish();
     }
 

@@ -56,7 +56,7 @@ impl TagType {
     }
 
     /// Checks that `value` conforms to this type.
-    pub fn admits(&self, value: &TagValue) -> bool {
+    pub(crate) fn admits(&self, value: &TagValue) -> bool {
         match (self, value) {
             (TagType::Int, TagValue::Int(_)) => true,
             (TagType::Bool, TagValue::Bool(_)) => true,
@@ -117,17 +117,8 @@ impl TagValue {
         }
     }
 
-    /// Returns the numeric content of `Real` or `Int` tags.
-    pub fn as_real(&self) -> Option<f64> {
-        match self {
-            TagValue::Real(r) => Some(*r),
-            TagValue::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
     /// Short description of the value's type for error messages.
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             TagValue::Int(_) => "Int",
             TagValue::Bool(_) => "Bool",
@@ -213,13 +204,14 @@ impl Stereotype {
     }
 
     /// Tag definitions declared directly on this stereotype (not
-    /// inherited ones — use [`crate::Profile::tag_defs`] for the full set).
+    /// inherited ones — [`crate::Profile::tag_def`] searches the whole
+    /// chain).
     pub fn own_tags(&self) -> &[TagDef] {
         &self.tags
     }
 
     /// The stereotype this one specialises, if any.
-    pub fn specializes(&self) -> Option<StereotypeId> {
+    pub(crate) fn specializes(&self) -> Option<StereotypeId> {
         self.specializes
     }
 
@@ -251,7 +243,6 @@ mod tests {
     #[test]
     fn tag_value_accessors() {
         assert_eq!(TagValue::Int(5).as_int(), Some(5));
-        assert_eq!(TagValue::Int(5).as_real(), Some(5.0));
         assert_eq!(TagValue::Enum("dsp".into()).as_str(), Some("dsp"));
         assert_eq!(TagValue::Bool(true).as_bool(), Some(true));
         assert_eq!(TagValue::Str("x".into()).as_int(), None);

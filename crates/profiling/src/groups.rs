@@ -60,31 +60,6 @@ impl ProcessGroupInfo {
     pub(crate) fn group_of_mut(&mut self) -> &mut BTreeMap<String, String> {
         &mut self.group_of
     }
-
-    /// Builds a group info directly from `(process, group)` pairs — the
-    /// in-memory path used when exploring alternative groupings without a
-    /// model rewrite.
-    pub fn from_assignments<I, S>(assignments: I) -> ProcessGroupInfo
-    where
-        I: IntoIterator<Item = (S, S)>,
-        S: Into<String>,
-    {
-        let mut info = ProcessGroupInfo::default();
-        for (process, group) in assignments {
-            let process = process.into();
-            let group = group.into();
-            if let Some(entry) = info.groups.iter_mut().find(|g| g.name == group) {
-                entry.processes.push(process.clone());
-            } else {
-                info.groups.push(GroupEntry {
-                    name: group.clone(),
-                    processes: vec![process.clone()],
-                });
-            }
-            info.group_of.insert(process, group);
-        }
-        info
-    }
 }
 
 /// Parses the XML form of a system model (produced by
@@ -163,6 +138,15 @@ pub fn gather_groups(system: &SystemModel) -> Result<ProcessGroupInfo, Profiling
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The class called `name`.
+    fn class_named(model: &tut_uml::Model, name: &str) -> tut_uml::ids::ClassId {
+        model
+            .classes()
+            .find(|(_, c)| c.name() == name)
+            .map(|(id, _)| id)
+            .expect("class exists")
+    }
     use tut_profile::application::ProcessType;
     use tut_uml::statemachine::{StateMachine, Trigger};
 
@@ -225,12 +209,12 @@ mod tests {
         let mut s = sample();
         // Wrap another process inside a structural component.
         let shell = s.model.add_class("Shell");
-        let comp = s.model.find_class("Worker").unwrap();
+        let comp = class_named(&s.model, "Worker");
         let inner = s.model.add_part(shell, "inner", comp);
         s.apply(inner, |t| t.application_process).unwrap();
-        let top = s.model.find_class("Top").unwrap();
+        let top = class_named(&s.model, "Top");
         s.model.add_part(top, "shell", shell);
-        let g1 = s.model.find_class("group1").unwrap();
+        let g1 = class_named(&s.model, "group1");
         s.assign_to_group(inner, g1);
 
         let info = gather_groups(&s).unwrap();

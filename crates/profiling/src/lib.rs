@@ -27,8 +27,9 @@
 //!
 //! # Example
 //!
-//! See `examples/tutmac_flow.rs` at the repository root for the complete
-//! Figure 2 pipeline.
+//! `repro fig2`, `repro table4` and `repro transfers` run the complete
+//! Figure 2 pipeline on the TUTMAC case study; `examples/quickstart.rs`
+//! runs it on the smallest complete system.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -161,7 +161,7 @@ mod tests {
         system.apply(platform, |t| t.platform).unwrap();
         let nios = system.add_platform_component("Nios", ComponentKind::General, 50, 1.0, 0.1);
         let cpu = system.add_platform_instance(platform, "cpu1", nios, 1, 0);
-        let group = system.model.find_class("group1").unwrap();
+        let group = system.application().groups()[0].class;
         system.map_group(group, cpu, false);
 
         let report = profile_system(&system, SimConfig::with_horizon_ns(50_000)).unwrap();

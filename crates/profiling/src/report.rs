@@ -122,15 +122,6 @@ impl ProfilingReport {
             .max_by(|a, b| a.cycles.cmp(&b.cycles))
     }
 
-    /// Total of one named counter for one group (0 when absent).
-    pub fn group_counter(&self, group: &str, counter: &str) -> i64 {
-        self.group_counters
-            .iter()
-            .filter(|c| c.group == group && c.counter == counter)
-            .map(|c| c.total)
-            .sum()
-    }
-
     /// Total of one named counter across all groups.
     pub fn counter_total(&self, counter: &str) -> i64 {
         self.group_counters
@@ -360,8 +351,6 @@ mod tests {
     #[test]
     fn counter_lookups_and_rendering() {
         let r = sample();
-        assert_eq!(r.group_counter("Group1", "arq.retries"), 4);
-        assert_eq!(r.group_counter("Group1", "nope"), 0);
         assert_eq!(r.counter_total("arq.tx"), 9);
         let text = render_counters(&r);
         assert!(text.contains("arq.retries"));

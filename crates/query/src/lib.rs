@@ -26,7 +26,7 @@ use tut_trace::perf;
 /// A 64-bit content fingerprint used as a query key component.
 ///
 /// Every fingerprint in the engine — document and segment texts
-/// ([`Fp::of_bytes`]), composed keys ([`FpBuilder`]), stage names and
+/// ([`Fp::of_str`]), composed keys ([`FpBuilder`]), stage names and
 /// the disk format hash — runs through one word-at-a-time FNV-1a
 /// variant: eight input bytes per multiply, a length prefix per field,
 /// and a final avalanche. It is stable across processes and platforms,
@@ -78,7 +78,7 @@ impl Fp {
     }
 
     /// Fingerprints raw bytes.
-    pub fn of_bytes(bytes: &[u8]) -> Fp {
+    pub(crate) fn of_bytes(bytes: &[u8]) -> Fp {
         Fp(avalanche(absorb(FNV_OFFSET, bytes)))
     }
 }
@@ -153,7 +153,7 @@ impl CacheStats {
 
     /// Hit percentage over all lookups (100.0 when nothing was looked
     /// up, which only happens before the first query runs).
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let hits = self.total_hits();
         let total = hits + self.total_misses();
         if total == 0 {

@@ -8,7 +8,7 @@ use tut_hibi::topology::{
     Arbitration as HibiArbitration, BridgeConfig, NetworkBuilder, SegmentConfig, WrapperConfig,
 };
 use tut_hibi::{AgentId, Network};
-use tut_platform::{PeDescriptor, PeKind};
+use tut_platform::{CostModel, PeDescriptor, PeKind};
 use tut_profile::platform::{Arbitration, ComponentKind};
 use tut_profile::SystemModel;
 use tut_trace::perf::{self, Prof};
@@ -140,10 +140,6 @@ struct PeRt {
     descriptor: PeDescriptor,
     /// HIBI agent of this element, if attached to the network.
     agent: Option<AgentId>,
-    /// The process that ran last (for context-switch accounting).
-    last_process: Option<ProcIndex>,
-    /// Round-robin pointer for the RoundRobin policy.
-    rr_next: ProcIndex,
     free_at_ns: u64,
     busy_ns: u64,
     busy_cycles: u64,
@@ -184,6 +180,8 @@ enum DeliverKind {
 /// A runnable co-simulation built from a [`SystemModel`].
 pub struct Simulation {
     config: SimConfig,
+    /// Prices every step: [`CostModel::paper_defaults`].
+    cost_model: CostModel,
     processes: Vec<ProcessRt>,
     pes: Vec<PeRt>,
     /// Processes mapped to each element, ascending process-index order
@@ -266,8 +264,6 @@ impl Simulation {
         pes.push(PeRt {
             descriptor: PeDescriptor::new("environment", PeKind::GeneralCpu, 1_000_000),
             agent: None,
-            last_process: None,
-            rr_next: 0,
             free_at_ns: 0,
             busy_ns: 0,
             busy_cycles: 0,
@@ -316,15 +312,11 @@ impl Simulation {
                 ComponentKind::Dsp => PeKind::DspCpu,
                 ComponentKind::HwAccelerator => PeKind::HwAccelerator,
             };
-            let mut descriptor = PeDescriptor::new(
+            let descriptor = PeDescriptor::new(
                 info.name.clone(),
                 kind,
                 param_u32(info.part, &info.name, "Frequency", info.frequency)?,
             );
-            descriptor.int_memory_bytes = info.int_memory.max(0) as u64;
-            descriptor.priority = info.priority;
-            descriptor.area = info.area.unwrap_or(1.0);
-            descriptor.power = info.power.unwrap_or(0.1);
             let mut agent = None;
             if let Some(a) = attachments.iter().find(|a| a.pe == info.part) {
                 if let Some(&segment) = segment_ids.get(&a.segment) {
@@ -362,8 +354,6 @@ impl Simulation {
             pes.push(PeRt {
                 descriptor,
                 agent,
-                last_process: None,
-                rr_next: 0,
                 free_at_ns: 0,
                 busy_ns: 0,
                 busy_cycles: 0,
@@ -517,6 +507,7 @@ impl Simulation {
 
         let mut sim = Simulation {
             config,
+            cost_model: CostModel::paper_defaults(),
             processes,
             pes,
             pe_procs,
@@ -771,55 +762,22 @@ impl Simulation {
                 return Ok(());
             }
         }
-        // Scan only this element's (static, ascending) process list.
-        let chosen = match self.config.scheduler.policy {
-            // Highest priority first; ties broken by lowest process
-            // index for determinism (strict-max scan over an ascending
-            // list).
-            crate::config::SchedPolicy::Priority => {
-                let mut best: Option<ProcIndex> = None;
-                for &index in &self.pe_procs[pe] {
-                    if self.processes[index].queue.is_empty() {
-                        continue;
-                    }
-                    match best {
-                        Some(b) if self.processes[index].priority <= self.processes[b].priority => {
-                        }
-                        _ => best = Some(index),
-                    }
-                }
-                best
+        // Fixed-priority dispatch over this element's (static, ascending)
+        // process list: highest priority first, ties broken by lowest
+        // process index for determinism (strict-max scan).
+        let mut best: Option<ProcIndex> = None;
+        for &index in &self.pe_procs[pe] {
+            if self.processes[index].queue.is_empty() {
+                continue;
             }
-            // Fair rotation: first ready process at or after the
-            // rotating pointer, wrapping to the first ready.
-            crate::config::SchedPolicy::RoundRobin => {
-                let start = self.pes[pe].rr_next;
-                let mut first: Option<ProcIndex> = None;
-                let mut at_or_after: Option<ProcIndex> = None;
-                for &index in &self.pe_procs[pe] {
-                    if self.processes[index].queue.is_empty() {
-                        continue;
-                    }
-                    if first.is_none() {
-                        first = Some(index);
-                    }
-                    if at_or_after.is_none() && index >= start {
-                        at_or_after = Some(index);
-                        break;
-                    }
-                }
-                at_or_after.or(first)
+            match best {
+                Some(b) if self.processes[index].priority <= self.processes[b].priority => {}
+                _ => best = Some(index),
             }
-        };
-        let Some(proc_index) = chosen else {
+        }
+        let Some(proc_index) = best else {
             return Ok(());
         };
-        if matches!(
-            self.config.scheduler.policy,
-            crate::config::SchedPolicy::RoundRobin
-        ) {
-            self.pes[pe].rr_next = proc_index + 1;
-        }
         self.execute_step(proc_index, faults, tracer, prof)?;
         Ok(())
     }
@@ -947,7 +905,7 @@ impl Simulation {
 
         // ---- Cost accounting -------------------------------------------
         let pe_kind = self.pes[pe_index].descriptor.kind;
-        let cost_model = &self.config.cost_model;
+        let cost_model = &self.cost_model;
         let mut cycles =
             cost_model.step_overhead_cycles(pe_kind) + cost_model.weight_cycles(pe_kind, weight);
         let mut send_bytes_total = 0u64;
@@ -964,14 +922,6 @@ impl Simulation {
         }
         let mem_units = send_bytes_total / BYTES_PER_MEM_UNIT;
         cycles += cost_model.compute_cycles(pe_kind, tut_uml::action::CostClass::Mem, mem_units);
-        // RTOS context switch: charged when the element switches to a
-        // different process than the one that ran last.
-        if self.pes[pe_index].last_process != Some(proc_index) {
-            if self.pes[pe_index].last_process.is_some() {
-                cycles += self.config.scheduler.context_switch_cycles;
-            }
-            self.pes[pe_index].last_process = Some(proc_index);
-        }
         if self.pes[pe_index].is_env {
             cycles = 0;
         }
@@ -1796,7 +1746,7 @@ mod tests {
         // own (the pre-interning code path).
         let mut manual = String::from("# TUT-Profile simulation log-file v1\n");
         for record in report.log.iter() {
-            manual.push_str(&record.to_owned().to_line());
+            manual.push_str(&record.to_owned().to_string());
             manual.push('\n');
         }
         assert_eq!(text, manual);

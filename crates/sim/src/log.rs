@@ -204,7 +204,7 @@ impl<N> Record<N> {
 
     /// The same record with every name field mapped through `f`, called
     /// in field order.
-    pub fn map_names<M>(&self, mut f: impl FnMut(&N) -> M) -> Record<M> {
+    pub(crate) fn map_names<M>(&self, mut f: impl FnMut(&N) -> M) -> Record<M> {
         match self {
             Record::Exec {
                 time_ns,
@@ -380,17 +380,12 @@ impl<N> Record<N> {
 }
 
 impl LogRecord {
-    /// The record's canonical text line (no trailing newline).
-    pub fn to_line(&self) -> String {
-        self.to_string()
-    }
-
     /// Parses one log line.
     ///
     /// Returns `None` for blank lines and lines starting with `#`
     /// (comments); malformed records produce an error string naming the
     /// problem.
-    pub fn parse_line(line: &str) -> Result<Option<LogRecord>, String> {
+    pub(crate) fn parse_line(line: &str) -> Result<Option<LogRecord>, String> {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             return Ok(None);
@@ -514,10 +509,10 @@ pub struct SimLog {
     interner: Interner,
     records: Vec<Record<Sym>>,
     /// `CNT` totals accumulated at push time, so report queries never
-    /// rescan the log: indexed by the process symbol, each holding
-    /// `(counter, total)` pairs in first-use order. A process counts
-    /// under a handful of names, so the pair scan hashes nothing.
-    counters: Vec<Vec<(Sym, i64)>>,
+    /// rescan the log: `(counter, total)` pairs in first-use order, summed
+    /// over every process. A run counts under a handful of names, so the
+    /// pair scan hashes nothing.
+    counters: Vec<(Sym, i64)>,
 }
 
 /// Decimal digit count of a `u64` (every value prints at least one).
@@ -628,19 +623,12 @@ impl SimLog {
     /// Appends one interned record, maintaining the counter tallies.
     fn push_compact(&mut self, record: Record<Sym>) {
         if let Record::Count {
-            process,
-            counter,
-            amount,
-            ..
+            counter, amount, ..
         } = record
         {
-            if self.counters.len() <= process.index() {
-                self.counters.resize(process.index() + 1, Vec::new());
-            }
-            let tallies = &mut self.counters[process.index()];
-            match tallies.iter_mut().find(|(c, _)| *c == counter) {
+            match self.counters.iter_mut().find(|(c, _)| *c == counter) {
                 Some((_, total)) => *total += amount,
-                None => tallies.push((counter, amount)),
+                None => self.counters.push((counter, amount)),
             }
         }
         self.records.push(record);
@@ -654,7 +642,7 @@ impl SimLog {
 
     /// Appends an `EXEC` record from pre-interned symbols (hot path).
     #[allow(clippy::too_many_arguments)]
-    pub fn push_exec(
+    pub(crate) fn push_exec(
         &mut self,
         time_ns: u64,
         process: Sym,
@@ -676,7 +664,7 @@ impl SimLog {
     }
 
     /// Appends a `SIG` record from pre-interned symbols (hot path).
-    pub fn push_sig(
+    pub(crate) fn push_sig(
         &mut self,
         time_ns: u64,
         sender: Sym,
@@ -696,7 +684,7 @@ impl SimLog {
     }
 
     /// Appends a `DROP` record from pre-interned symbols (hot path).
-    pub fn push_drop(&mut self, time_ns: u64, process: Sym, signal: Sym) {
+    pub(crate) fn push_drop(&mut self, time_ns: u64, process: Sym, signal: Sym) {
         self.push_compact(Record::Drop {
             time_ns,
             process,
@@ -705,7 +693,7 @@ impl SimLog {
     }
 
     /// Appends a `LOST` record from pre-interned symbols.
-    pub fn push_lost(&mut self, time_ns: u64, process: Sym, port: Sym, signal: Sym) {
+    pub(crate) fn push_lost(&mut self, time_ns: u64, process: Sym, port: Sym, signal: Sym) {
         self.push_compact(Record::Lost {
             time_ns,
             process,
@@ -715,7 +703,7 @@ impl SimLog {
     }
 
     /// Appends a `USER` record; the message is interned on first use.
-    pub fn push_user(&mut self, time_ns: u64, process: Sym, message: &str) {
+    pub(crate) fn push_user(&mut self, time_ns: u64, process: Sym, message: &str) {
         let message = self.interner.intern(message);
         self.push_compact(Record::User {
             time_ns,
@@ -725,7 +713,7 @@ impl SimLog {
     }
 
     /// Appends a `FAULT` record from pre-interned symbols.
-    pub fn push_fault(&mut self, time_ns: u64, process: Sym, kind: Sym, signal: Sym) {
+    pub(crate) fn push_fault(&mut self, time_ns: u64, process: Sym, kind: Sym, signal: Sym) {
         self.push_compact(Record::Fault {
             time_ns,
             process,
@@ -735,7 +723,7 @@ impl SimLog {
     }
 
     /// Appends a `CNT` record from pre-interned symbols (hot path).
-    pub fn push_count(&mut self, time_ns: u64, process: Sym, counter: Sym, amount: i64) {
+    pub(crate) fn push_count(&mut self, time_ns: u64, process: Sym, counter: Sym, amount: i64) {
         self.push_compact(Record::Count {
             time_ns,
             process,
@@ -828,23 +816,8 @@ impl SimLog {
         };
         self.counters
             .iter()
-            .flatten()
-            .filter(|(c, _)| *c == counter)
-            .map(|(_, total)| total)
-            .sum()
-    }
-
-    /// Total of one named counter for one process, from the push-time
-    /// tallies.
-    pub fn process_counter(&self, process: &str, counter: &str) -> i64 {
-        match (self.interner.lookup(process), self.interner.lookup(counter)) {
-            (Some(p), Some(c)) => self
-                .counters
-                .get(p.index())
-                .and_then(|tallies| tallies.iter().find(|(counter, _)| *counter == c))
-                .map_or(0, |(_, total)| *total),
-            _ => 0,
-        }
+            .find(|(c, _)| *c == counter)
+            .map_or(0, |(_, total)| *total)
     }
 }
 
@@ -947,7 +920,7 @@ mod tests {
             process: "p".into(),
             message: "hello embedded\nworld".into(),
         };
-        let line = record.to_line();
+        let line = record.to_string();
         assert!(!line.contains('\n'), "record stays one line: {line}");
         let parsed = LogRecord::parse_line(&line).unwrap().unwrap();
         assert_eq!(parsed, record, "message survives exactly");
@@ -1112,7 +1085,7 @@ mod tests {
             }
         }
         for record in cases {
-            let line = record.to_line();
+            let line = record.to_string();
             let parsed = LogRecord::parse_line(&line)
                 .unwrap_or_else(|e| panic!("`{line}` failed: {e}"))
                 .unwrap();
@@ -1186,9 +1159,7 @@ mod tests {
         log.push_count(3, p2, tx, 10);
         log.push_count(4, p1, acked, 4);
         assert_eq!(log.counter_total("arq.tx"), 15);
-        assert_eq!(log.process_counter("p1", "arq.tx"), 5);
-        assert_eq!(log.process_counter("p1", "arq.acked"), 4);
+        assert_eq!(log.counter_total("arq.acked"), 4);
         assert_eq!(log.counter_total("nope"), 0);
-        assert_eq!(log.process_counter("nope", "arq.tx"), 0);
     }
 }

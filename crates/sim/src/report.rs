@@ -27,17 +27,6 @@ pub struct ProcessStats {
     pub max_queue_wait_ns: u64,
 }
 
-impl ProcessStats {
-    /// Mean queueing delay per step in nanoseconds.
-    pub fn mean_queue_wait_ns(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.queue_wait_ns as f64 / self.steps as f64
-        }
-    }
-}
-
 /// Per-processing-element counters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PeStats {
@@ -106,28 +95,11 @@ impl SimReport {
             .map(|(_, s)| s)
     }
 
-    /// Utilisation of one element over the simulated horizon.
-    pub fn pe_utilisation(&self, name: &str) -> Option<f64> {
-        if self.end_time_ns == 0 {
-            return None;
-        }
-        self.pes
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| s.busy_ns as f64 / self.end_time_ns as f64)
-    }
-
     /// Total of one named counter across all processes (from the log's
     /// `CNT` records; see `Statement::Count`). Served from the tallies
     /// the log accumulates at push time — no record rescan.
     pub fn counter_total(&self, counter: &str) -> i64 {
         self.log.counter_total(counter)
-    }
-
-    /// Total of one named counter for one process, from the log's
-    /// push-time tallies.
-    pub fn process_counter(&self, process: &str, counter: &str) -> i64 {
-        self.log.process_counter(process, counter)
     }
 
     /// One-paragraph human summary.
@@ -203,7 +175,6 @@ mod tests {
         let r = sample();
         assert_eq!(r.process("p1").unwrap().cycles, 500);
         assert!(r.process("nope").is_none());
-        assert!((r.pe_utilisation("cpu1").unwrap() - 0.6).abs() < 1e-12);
     }
 
     #[test]
@@ -235,8 +206,6 @@ mod tests {
             amount: 4,
         });
         assert_eq!(r.counter_total("arq.tx"), 15);
-        assert_eq!(r.process_counter("p1", "arq.tx"), 5);
-        assert_eq!(r.process_counter("p1", "arq.acked"), 4);
         assert_eq!(r.counter_total("nope"), 0);
     }
 }

@@ -1,11 +1,12 @@
-//! RTOS scheduling model tests (the paper's named future work): dispatch
-//! policy and context-switch cost on a contended processing element.
+//! RTOS scheduling model tests (the paper's named future work):
+//! fixed-priority dispatch and worst-case queueing delay on a contended
+//! processing element.
 
 use tut_profile::application::ProcessType;
 use tut_profile::platform::ComponentKind;
 use tut_profile::SystemModel;
 use tut_profile_core::TagValue;
-use tut_sim::config::{SchedPolicy, Scheduler};
+use tut_sim::report::ProcessStats;
 use tut_sim::{SimConfig, Simulation};
 use tut_uml::action::{CostClass, Expr, Statement};
 use tut_uml::statemachine::{StateMachine, Trigger};
@@ -13,7 +14,7 @@ use tut_uml::statemachine::{StateMachine, Trigger};
 /// A zero-cost environment generator drives two workers (`hi`, priority
 /// 10, and `lo`, priority 1) sharing one CPU: each Job costs ~50 us of
 /// CPU and jobs arrive every 80 us per worker — 125 % combined load, so
-/// someone must fall behind and the dispatch policy decides who.
+/// someone must fall behind and priority dispatch decides who.
 fn contended_system() -> SystemModel {
     let mut s = SystemModel::new("Contended");
     let top = s.model.add_class("Top");
@@ -138,32 +139,30 @@ fn contended_system() -> SystemModel {
     s
 }
 
-fn run(policy: SchedPolicy, context_switch_cycles: u64) -> tut_sim::SimReport {
-    let config = SimConfig {
-        scheduler: Scheduler {
-            policy,
-            context_switch_cycles,
-        },
-        ..SimConfig::with_horizon_ns(20_000_000)
-    };
-    Simulation::from_system(&contended_system(), config)
+fn run() -> tut_sim::SimReport {
+    Simulation::from_system(&contended_system(), SimConfig::with_horizon_ns(20_000_000))
         .expect("build")
         .run()
         .expect("run")
 }
 
+/// Mean queueing delay per step in nanoseconds.
+fn mean_wait_ns(stats: &ProcessStats) -> f64 {
+    stats.queue_wait_ns as f64 / stats.steps.max(1) as f64
+}
+
 #[test]
 fn priority_policy_favours_the_high_priority_process() {
-    let report = run(SchedPolicy::Priority, 0);
+    let report = run();
     let hi = report.process("hi").unwrap();
     let lo = report.process("lo").unwrap();
     // The overload lands entirely on the low-priority process: hi keeps
     // its response time bounded and serves every job, lo falls behind.
     assert!(
-        hi.mean_queue_wait_ns() < lo.mean_queue_wait_ns(),
+        mean_wait_ns(hi) < mean_wait_ns(lo),
         "hi waits {} ns, lo waits {} ns",
-        hi.mean_queue_wait_ns(),
-        lo.mean_queue_wait_ns()
+        mean_wait_ns(hi),
+        mean_wait_ns(lo)
     );
     assert!(
         hi.steps > lo.steps,
@@ -174,44 +173,10 @@ fn priority_policy_favours_the_high_priority_process() {
 }
 
 #[test]
-fn round_robin_evens_out_response_times() {
-    let priority = run(SchedPolicy::Priority, 0);
-    let round_robin = run(SchedPolicy::RoundRobin, 0);
-
-    let gap = |r: &tut_sim::SimReport| {
-        let hi = r.process("hi").unwrap().mean_queue_wait_ns();
-        let lo = r.process("lo").unwrap().mean_queue_wait_ns();
-        (lo - hi).abs()
-    };
-    assert!(
-        gap(&round_robin) < gap(&priority),
-        "round-robin gap {} should be smaller than priority gap {}",
-        gap(&round_robin),
-        gap(&priority)
-    );
-    // And throughput is shared evenly under round-robin.
-    let hi = round_robin.process("hi").unwrap().steps as i64;
-    let lo = round_robin.process("lo").unwrap().steps as i64;
-    assert!((hi - lo).abs() <= 1, "round-robin shares: {hi} vs {lo}");
-}
-
-#[test]
-fn context_switches_cost_cycles() {
-    let free = run(SchedPolicy::RoundRobin, 0);
-    let costly = run(SchedPolicy::RoundRobin, 500);
-    assert!(
-        costly.total_cycles() > free.total_cycles(),
-        "context switching must add cycles: {} vs {}",
-        costly.total_cycles(),
-        free.total_cycles()
-    );
-}
-
-#[test]
 fn worst_case_wait_is_reported() {
-    let report = run(SchedPolicy::Priority, 0);
+    let report = run();
     let lo = report.process("lo").unwrap();
-    assert!(lo.max_queue_wait_ns >= lo.mean_queue_wait_ns() as u64);
+    assert!(lo.max_queue_wait_ns >= mean_wait_ns(lo) as u64);
     assert!(
         lo.max_queue_wait_ns > 0,
         "contention must show up in the worst case"

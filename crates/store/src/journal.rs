@@ -93,8 +93,6 @@ impl std::error::Error for StoreError {
 pub struct Journal {
     file: File,
     path: PathBuf,
-    /// Valid on-disk bytes (header + committed/buffered whole frames).
-    len: u64,
     /// Whole records written (recovered + appended).
     records: u64,
     /// Appends since the last commit.
@@ -146,7 +144,6 @@ impl Journal {
         Ok(Journal {
             file,
             path: path.to_path_buf(),
-            len: HEADER_LEN,
             records: 0,
             dirty: 0,
         })
@@ -217,7 +214,6 @@ impl Journal {
             journal: Journal {
                 file,
                 path: path.to_path_buf(),
-                len: offset as u64,
                 records: records.len() as u64,
                 dirty: 0,
             },
@@ -241,7 +237,6 @@ impl Journal {
         self.file
             .write_all(&frame)
             .map_err(|e| io_err(&self.path, "append", e))?;
-        self.len += frame.len() as u64;
         self.records += 1;
         self.dirty += 1;
         Ok(())
@@ -263,11 +258,6 @@ impl Journal {
     /// Whole records in the journal (recovered + appended).
     pub fn records(&self) -> u64 {
         self.records
-    }
-
-    /// Valid journal bytes (header included).
-    pub fn len_bytes(&self) -> u64 {
-        self.len
     }
 
     /// The journal's path.
@@ -316,8 +306,8 @@ mod tests {
         let mut journal = Journal::create(&path, 1).expect("create");
         journal.append(b"whole record").expect("append");
         journal.commit().expect("commit");
-        let valid_len = journal.len_bytes();
         drop(journal);
+        let valid_len = std::fs::metadata(&path).expect("meta").len();
 
         // Simulate a crash mid-write: half a frame after the good record.
         let mut bytes = std::fs::read(&path).expect("read");

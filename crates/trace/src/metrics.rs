@@ -47,7 +47,7 @@ impl Histogram {
     }
 
     /// The bucket index a value falls into.
-    pub fn bucket_index(value: u64) -> usize {
+    fn bucket_index(value: u64) -> usize {
         if value < LINEAR_CUTOFF {
             value as usize
         } else {
@@ -61,8 +61,8 @@ impl Histogram {
     ///
     /// # Panics
     ///
-    /// Panics if `index >= Histogram::num_buckets()`.
-    pub fn bucket_bounds(index: usize) -> (u64, u64) {
+    /// Panics if `index` is not below the bucket count.
+    fn bucket_bounds(index: usize) -> (u64, u64) {
         assert!(index < NUM_BUCKETS, "bucket index out of range");
         if (index as u64) < LINEAR_CUTOFF {
             (index as u64, index as u64)
@@ -74,11 +74,6 @@ impl Histogram {
             let low = (1u64 << octave) + sub * width;
             (low, low.wrapping_add(width).wrapping_sub(1))
         }
-    }
-
-    /// Total number of buckets.
-    pub fn num_buckets() -> usize {
-        NUM_BUCKETS
     }
 
     /// Records one observation.
@@ -137,7 +132,7 @@ impl Histogram {
     }
 
     /// Iterates non-empty buckets as `(low, high, count)`.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+    pub(crate) fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
         self.counts
             .iter()
             .enumerate()
@@ -202,11 +197,6 @@ impl MetricsRegistry {
         self.counters.get(name).copied()
     }
 
-    /// The current value of gauge `name`.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// The histogram registered under `name`.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
@@ -218,12 +208,12 @@ impl MetricsRegistry {
     }
 
     /// All gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
+    pub(crate) fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
         self.gauges.iter().map(|(n, &v)| (n.as_str(), v))
     }
 
     /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
+    pub(crate) fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(n, h)| (n.as_str(), h))
     }
 
@@ -256,7 +246,7 @@ mod tests {
     fn bucket_boundaries_are_consistent() {
         // Every bucket's bounds contain exactly the values that map back
         // to it, probed at the edges.
-        for index in 0..Histogram::num_buckets() {
+        for index in 0..NUM_BUCKETS {
             let (low, high) = Histogram::bucket_bounds(index);
             assert_eq!(Histogram::bucket_index(low), index, "low edge of {index}");
             assert_eq!(Histogram::bucket_index(high), index, "high edge of {index}");
@@ -273,7 +263,7 @@ mod tests {
     #[test]
     fn u64_max_lands_in_the_last_bucket() {
         let index = Histogram::bucket_index(u64::MAX);
-        assert_eq!(index, Histogram::num_buckets() - 1);
+        assert_eq!(index, NUM_BUCKETS - 1);
         let (low, high) = Histogram::bucket_bounds(index);
         assert!(low < high);
         assert_eq!(high, u64::MAX);
@@ -333,7 +323,7 @@ mod tests {
         m.observe("latency", 10);
         m.observe("latency", 20);
         assert_eq!(m.counter("sim.steps"), Some(5));
-        assert_eq!(m.gauge_value("queue_depth"), Some(4.0));
+        assert!(m.gauges().eq([("queue_depth", 4.0)]));
         assert_eq!(m.histogram("latency").unwrap().count(), 2);
         assert!(m.counter("nope").is_none());
         assert!(!m.is_empty());

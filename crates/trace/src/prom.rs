@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 use crate::metrics::MetricsRegistry;
 
 /// Maps an in-tree metric name to a legal Prometheus metric name.
-pub fn sanitise(name: &str) -> String {
+pub(crate) fn sanitise(name: &str) -> String {
     let mut out: String = name
         .chars()
         .map(|c| {

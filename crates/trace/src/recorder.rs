@@ -94,11 +94,6 @@ impl Recorder {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Looks a track up by name without creating it.
-    pub fn find_track(&self, name: &str) -> Option<TrackId> {
-        self.by_name.get(name).copied()
-    }
 }
 
 impl TraceSink for Recorder {
@@ -171,8 +166,7 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(rec.tracks().len(), 2);
-        assert_eq!(rec.find_track("pe/cpu2"), Some(c));
-        assert_eq!(rec.find_track("nope"), None);
+        assert_eq!(rec.tracks()[c.index()].name, "pe/cpu2");
     }
 
     #[test]

@@ -54,14 +54,6 @@ impl SplitMix64 {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// Fills `buffer` with pseudo-random bytes.
-    pub fn fill_bytes(&mut self, buffer: &mut [u8]) {
-        for chunk in buffer.chunks_mut(8) {
-            let word = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&word[..chunk.len()]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -99,13 +91,5 @@ mod tests {
             seen[rng.next_index(7)] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues reached: {seen:?}");
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = SplitMix64::new(3);
-        let mut buffer = [0u8; 13];
-        rng.fill_bytes(&mut buffer);
-        assert!(buffer.iter().any(|&b| b != 0));
     }
 }

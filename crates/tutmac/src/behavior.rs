@@ -80,7 +80,7 @@ fn count(counter: &str, amount: i64) -> Statement {
 
 /// `msduRec` (UserInterface): accepts user MSDUs and hands them to
 /// fragmentation.
-pub fn msdu_rec(config: &TutmacConfig, signals: &Signals) -> StateMachine {
+pub(crate) fn msdu_rec(config: &TutmacConfig, signals: &Signals) -> StateMachine {
     let mut sm = StateMachine::new("MsduRecBehavior");
     sm.add_variable("accepted", DataType::Int, Value::Int(0));
     let run = sm.add_state("Run");
@@ -107,7 +107,7 @@ pub fn msdu_rec(config: &TutmacConfig, signals: &Signals) -> StateMachine {
 }
 
 /// `msduDel` (UserInterface): delivers reassembled MSDUs to the user.
-pub fn msdu_del(config: &TutmacConfig, signals: &Signals) -> StateMachine {
+pub(crate) fn msdu_del(config: &TutmacConfig, signals: &Signals) -> StateMachine {
     let mut sm = StateMachine::new("MsduDelBehavior");
     sm.add_variable("delivered", DataType::Int, Value::Int(0));
     let run = sm.add_state("Run");

@@ -91,11 +91,6 @@ impl Default for TutmacConfig {
 }
 
 impl TutmacConfig {
-    /// Number of fragments one MSDU splits into.
-    pub fn fragments_per_msdu(&self) -> i64 {
-        (self.msdu_bytes + self.fragment_bytes - 1) / self.fragment_bytes
-    }
-
     /// A light-load variant (fewer, smaller MSDUs) for quick tests.
     pub fn light_load() -> TutmacConfig {
         TutmacConfig {
@@ -110,12 +105,6 @@ impl TutmacConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn defaults_fragment_count() {
-        let c = TutmacConfig::default();
-        assert_eq!(c.fragments_per_msdu(), 6);
-    }
 
     #[test]
     fn backoff_cap_exceeds_initial_timeout() {

@@ -541,6 +541,15 @@ pub fn build_with_handles(
 mod tests {
     use super::*;
 
+    /// The class called `name`.
+    fn class_named(model: &tut_uml::Model, name: &str) -> ClassId {
+        model
+            .classes()
+            .find(|(_, c)| c.name() == name)
+            .map(|(id, _)| id)
+            .expect("class exists")
+    }
+
     #[test]
     fn system_builds_and_validates() {
         let system = build_tutmac_system(&TutmacConfig::default()).unwrap();
@@ -603,7 +612,7 @@ mod tests {
         let table = RoutingTable::build(&system.model, &tree);
 
         // user -> msduRec
-        let user_class = system.model.find_class("UserEnvironment").unwrap();
+        let user_class = class_named(&system.model, "UserEnvironment");
         let user_port = system.model.find_port(user_class, "pUi").unwrap();
         let user_index = tree
             .nodes()
@@ -618,7 +627,7 @@ mod tests {
         );
 
         // msduRec -> frag crosses two structural boundaries.
-        let rec_class = system.model.find_class("MsduReception").unwrap();
+        let rec_class = class_named(&system.model, "MsduReception");
         let rec_port = system.model.find_port(rec_class, "pDp").unwrap();
         let rec_index = tree
             .nodes()
@@ -633,7 +642,7 @@ mod tests {
         );
 
         // crc -> rca (outbound through the dp boundary).
-        let crc_class = system.model.find_class("CrcProcessing").unwrap();
+        let crc_class = class_named(&system.model, "CrcProcessing");
         let crc_port = system.model.find_port(crc_class, "pOut").unwrap();
         let crc_index = tree
             .nodes()

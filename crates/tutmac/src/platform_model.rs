@@ -32,7 +32,7 @@ pub struct TutwlanPlatform {
 /// # Errors
 ///
 /// Returns [`BuildTutmacError`] if a profile application fails.
-pub fn build_tutwlan_platform(
+pub(crate) fn build_tutwlan_platform(
     system: &mut SystemModel,
 ) -> Result<TutwlanPlatform, BuildTutmacError> {
     let platform = system.model.add_class("Tutwlan_Platform");
@@ -239,8 +239,16 @@ mod tests {
     fn wrapper_addresses_unique() {
         let mut system = SystemModel::new("P");
         build_tutwlan_platform(&mut system).unwrap();
-        let wrappers = system.platform().wrappers();
-        let mut addresses: Vec<_> = wrappers.iter().filter_map(|w| w.address).collect();
+        let attachments = system.platform().attachments();
+        assert_eq!(
+            attachments.len(),
+            4,
+            "every wrapper joins a PE to a segment"
+        );
+        let mut addresses: Vec<_> = attachments
+            .iter()
+            .filter_map(|a| a.wrapper.address)
+            .collect();
         addresses.sort();
         addresses.dedup();
         assert_eq!(addresses.len(), 4);

@@ -28,7 +28,7 @@ impl ProcessType {
     }
 
     /// Parses from the tagged-value literal.
-    pub fn from_literal(text: &str) -> Option<ProcessType> {
+    pub(crate) fn from_literal(text: &str) -> Option<ProcessType> {
         match text {
             "general" => Some(ProcessType::General),
             "dsp" => Some(ProcessType::Dsp),
@@ -58,7 +58,7 @@ pub enum RealTimeType {
 
 impl RealTimeType {
     /// Parses from the tagged-value literal.
-    pub fn from_literal(text: &str) -> Option<RealTimeType> {
+    pub(crate) fn from_literal(text: &str) -> Option<RealTimeType> {
         match text {
             "hard" => Some(RealTimeType::Hard),
             "soft" => Some(RealTimeType::Soft),
@@ -193,7 +193,7 @@ impl<'a> ApplicationView<'a> {
 
     /// The member processes of `group` (through `«ProcessGrouping»`
     /// dependencies).
-    pub fn members_of(&self, group: ClassId) -> Vec<PropertyId> {
+    pub(crate) fn members_of(&self, group: ClassId) -> Vec<PropertyId> {
         let s = self.system;
         s.model
             .dependencies()
@@ -230,15 +230,6 @@ impl<'a> ApplicationView<'a> {
                 s.has(*dep_id, s.tut.process_grouping) && dep.client() == ElementRef::Property(part)
             })
             .map(|(id, _)| id)
-    }
-
-    /// Processes that belong to no group.
-    pub fn ungrouped_processes(&self) -> Vec<PropertyId> {
-        self.processes()
-            .into_iter()
-            .map(|p| p.part)
-            .filter(|&part| self.group_of(part).is_none())
-            .collect()
     }
 }
 
@@ -351,7 +342,6 @@ mod tests {
         assert_eq!(groups[0].members, vec![p1]);
         assert_eq!(view.group_of(p1), Some(group));
         assert_eq!(view.group_of(p2), None);
-        assert_eq!(view.ungrouped_processes(), vec![p2]);
         assert!(view.grouping_dependency(p1).is_some());
     }
 
@@ -359,7 +349,7 @@ mod tests {
     fn top_and_components() {
         let (s, ..) = sample();
         let view = s.application();
-        assert_eq!(view.top(), s.model.find_class("Proto"));
+        assert_eq!(view.top().map(|c| s.model.class(c).name()), Some("Proto"));
         assert_eq!(view.components().len(), 1);
     }
 

@@ -71,7 +71,7 @@ impl FlowStage {
     }
 
     /// The crate of this repository implementing the stage.
-    pub fn implemented_by(self) -> &'static str {
+    fn implemented_by(self) -> &'static str {
         match self {
             FlowStage::Modelling => "tut-uml + tut-profile",
             FlowStage::Validation => "tut-profile (rules)",

@@ -81,17 +81,6 @@ impl<'a> MappingView<'a> {
         let group = self.system.application().group_of(process)?;
         self.instance_of(group)
     }
-
-    /// Groups with no mapping.
-    pub fn unmapped_groups(&self) -> Vec<ClassId> {
-        self.system
-            .application()
-            .groups()
-            .into_iter()
-            .map(|g| g.class)
-            .filter(|&g| self.instance_of(g).is_none())
-            .collect()
-    }
 }
 
 /// Mutating helper for building mappings.
@@ -159,7 +148,6 @@ mod tests {
         assert!(!mappings[1].fixed);
         assert_eq!(view.instance_of(g1), Some(cpu1));
         assert_eq!(view.groups_on(cpu1), vec![g1, g2]);
-        assert!(view.unmapped_groups().is_empty());
     }
 
     #[test]
@@ -168,13 +156,6 @@ mod tests {
         s.map_group(g1, cpu1, false);
         let proc1 = s.application().groups()[0].members[0];
         assert_eq!(s.mapping().instance_of_process(proc1), Some(cpu1));
-    }
-
-    #[test]
-    fn unmapped_groups_listed() {
-        let (mut s, g1, g2, cpu1, _) = sample();
-        s.map_group(g1, cpu1, false);
-        assert_eq!(s.mapping().unmapped_groups(), vec![g2]);
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl ComponentKind {
     }
 
     /// Parses from the tagged-value literal.
-    pub fn from_literal(text: &str) -> Option<ComponentKind> {
+    fn from_literal(text: &str) -> Option<ComponentKind> {
         match text {
             "general" => Some(ComponentKind::General),
             "dsp" => Some(ComponentKind::Dsp),
@@ -80,7 +80,7 @@ impl Arbitration {
     }
 
     /// Parses from the tagged-value literal.
-    pub fn from_literal(text: &str) -> Option<Arbitration> {
+    fn from_literal(text: &str) -> Option<Arbitration> {
         match text {
             "priority" => Some(Arbitration::Priority),
             "round-robin" => Some(Arbitration::RoundRobin),
@@ -109,16 +109,10 @@ pub struct InstanceInfo {
     pub kind: ComponentKind,
     /// Unique instance id (`ID` tag).
     pub id: Option<i64>,
-    /// Execution priority of the instance.
-    pub priority: i64,
     /// Internal memory in bytes.
     pub int_memory: i64,
     /// Component clock frequency in MHz.
     pub frequency: i64,
-    /// Component area (arbitrary units), if declared.
-    pub area: Option<f64>,
-    /// Component power (arbitrary units), if declared.
-    pub power: Option<f64>,
 }
 
 /// One communication segment instance (part typed by a
@@ -231,13 +225,10 @@ impl<'a> PlatformView<'a> {
                         .and_then(|v| v.as_str().and_then(ComponentKind::from_literal))
                         .unwrap_or_default(),
                     id: inst_tag("ID").and_then(|v| v.as_int()),
-                    priority: inst_tag("Priority").and_then(|v| v.as_int()).unwrap_or(0),
                     int_memory: inst_tag("IntMemory")
                         .and_then(|v| v.as_int())
                         .unwrap_or(65536),
                     frequency: comp_tag("Frequency").and_then(|v| v.as_int()).unwrap_or(50),
-                    area: comp_tag("Area").and_then(|v| v.as_real()),
-                    power: comp_tag("Power").and_then(|v| v.as_real()),
                 }
             })
             .collect()
@@ -291,16 +282,6 @@ impl<'a> PlatformView<'a> {
             buffer_size: tag("BufferSize").and_then(|v| v.as_int()).unwrap_or(8),
             max_time: tag("MaxTime").and_then(|v| v.as_int()).unwrap_or(16),
         }
-    }
-
-    /// All wrapper instances.
-    pub fn wrappers(&self) -> Vec<WrapperInfo> {
-        let s = self.system;
-        s.model
-            .properties()
-            .filter(|(_, prop)| s.has(prop.type_(), s.tut.communication_wrapper))
-            .map(|(id, _)| self.wrapper_info(id))
-            .collect()
     }
 
     /// Resolves the attachments: each wrapper part connected (by two
@@ -382,16 +363,6 @@ impl<'a> PlatformView<'a> {
             .into_iter()
             .find(|a| a.pe == pe)
             .map(|a| a.segment)
-    }
-
-    /// Total declared area of all instantiated components.
-    pub fn total_area(&self) -> f64 {
-        self.instances().iter().filter_map(|i| i.area).sum()
-    }
-
-    /// Total declared power of all instantiated components.
-    pub fn total_power(&self) -> f64 {
-        self.instances().iter().filter_map(|i| i.power).sum()
     }
 }
 
@@ -558,7 +529,6 @@ mod tests {
         assert_eq!(cpu1.kind, ComponentKind::General);
         assert_eq!(cpu1.id, Some(1));
         assert_eq!(cpu1.frequency, 50);
-        assert_eq!(cpu1.area, Some(2.0));
         let acc = view.instance(pes[2]).unwrap();
         assert_eq!(acc.kind, ComponentKind::HwAccelerator);
         assert_eq!(acc.frequency, 100);
@@ -591,14 +561,6 @@ mod tests {
         let bridges = view.bridges();
         assert_eq!(bridges.len(), 1);
         assert_eq!((bridges[0].a, bridges[0].b), (segs[0], segs[1]));
-    }
-
-    #[test]
-    fn totals() {
-        let (s, ..) = sample();
-        let view = s.platform();
-        assert!((view.total_area() - 4.2).abs() < 1e-9);
-        assert!((view.total_power() - 1.05).abs() < 1e-9);
     }
 
     #[test]

@@ -354,7 +354,7 @@ impl TutProfile {
 
     /// Ids of the eleven core stereotypes of Table 1 (without the HIBI
     /// specialisations), in the table's order.
-    pub fn table1_order(&self) -> [StereotypeId; 11] {
+    pub(crate) fn table1_order(&self) -> [StereotypeId; 11] {
         [
             self.application,
             self.application_component,

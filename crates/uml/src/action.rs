@@ -49,7 +49,7 @@ pub enum BinOp {
     Gt,
     /// `>=`.
     Ge,
-    /// Logical `&&` (operands coerced with [`Value::is_truthy`]).
+    /// Logical `&&` (operands coerced to truth values: nonzero, `true`, non-empty).
     And,
     /// Logical `||`.
     Or,
@@ -174,7 +174,7 @@ impl Builtin {
     ];
 
     /// Parses a builtin from its source name.
-    pub fn from_name(name: &str) -> Option<Builtin> {
+    pub(crate) fn from_name(name: &str) -> Option<Builtin> {
         Builtin::ALL.into_iter().find(|b| b.name() == name)
     }
 }
@@ -587,7 +587,7 @@ impl CostClass {
     }
 
     /// Parses from the stable name.
-    pub fn from_name(name: &str) -> Option<CostClass> {
+    pub(crate) fn from_name(name: &str) -> Option<CostClass> {
         match name {
             "control" => Some(CostClass::Control),
             "dsp" => Some(CostClass::Dsp),
@@ -625,7 +625,7 @@ pub enum Statement {
     },
     /// `if cond { … } else { … }`.
     If {
-        /// Condition (coerced with [`Value::is_truthy`]).
+        /// Condition (coerced to a truth value: nonzero, `true`, non-empty).
         cond: Expr,
         /// Statements executed when the condition holds.
         then_branch: Vec<Statement>,
@@ -684,7 +684,7 @@ pub enum Statement {
 
 /// Infers the static data type of an expression where possible (literals
 /// and builtins have known types; variables/parameters are `None`).
-pub fn static_type(expr: &Expr) -> Option<DataType> {
+pub(crate) fn static_type(expr: &Expr) -> Option<DataType> {
     match expr {
         Expr::Lit(v) => Some(v.data_type()),
         Expr::Var(_) | Expr::Param(_) => None,
@@ -747,7 +747,7 @@ pub const E_TYPE_MISMATCH: &str = "E0318";
 ///
 /// Diagnostics carry no element attribution; callers (the well-formedness
 /// checker) attach the owning class.
-pub fn type_check(
+pub(crate) fn type_check(
     model: &crate::model::Model,
     machine: &crate::statemachine::StateMachine,
 ) -> DiagnosticBag {
@@ -1060,7 +1060,9 @@ mod tests {
         let expr = Expr::call(Builtin::Crc32, vec![Expr::var("buf")]);
         for _ in 0..128 {
             let mut data = vec![0u8; rng.next_index(2049)];
-            rng.fill_bytes(&mut data);
+            for chunk in data.chunks_mut(8) {
+                chunk.copy_from_slice(&rng.next_u64().to_le_bytes()[..chunk.len()]);
+            }
             let expected = i64::from(crc32_bitwise(&data));
             let vars = [("buf", Value::from(data))];
             assert_eq!(

@@ -1,7 +1,7 @@
 //! Deterministic diagram renderings.
 //!
 //! The paper presents its models as UML diagrams (Figures 4–8). This module
-//! regenerates the same information as plain text and as Graphviz DOT:
+//! regenerates the same information as plain text:
 //!
 //! * [`class_diagram`] — the class hierarchy with composition associations
 //!   (Figure 4).
@@ -165,48 +165,6 @@ pub fn composite_structure_diagram(
     out
 }
 
-/// Renders the composite structure of `owner` as Graphviz DOT (one node per
-/// part, one edge per connector).
-pub fn composite_structure_dot(
-    model: &Model,
-    owner: ClassId,
-    options: &DiagramOptions<'_>,
-) -> String {
-    let mut out = String::new();
-    let class = model.class(owner);
-    let _ = writeln!(out, "digraph \"{}\" {{", class.name());
-    let _ = writeln!(out, "  rankdir=LR;");
-    let _ = writeln!(out, "  node [shape=box];");
-    for &part in class.parts() {
-        let p = model.property(part);
-        let label = options.label(part);
-        let _ = writeln!(
-            out,
-            "  \"{}\" [label=\"{}{} : {}\"];",
-            p.name(),
-            label.replace('"', "'"),
-            p.name(),
-            model.class(p.type_()).name()
-        );
-    }
-    for (_, conn) in model.connectors_of(owner) {
-        let [a, b] = conn.ends();
-        let end_name = |end: crate::model::ConnectorEnd| match end.part {
-            Some(part) => model.property(part).name().to_owned(),
-            None => class.name().to_owned(),
-        };
-        let _ = writeln!(
-            out,
-            "  \"{}\" -> \"{}\" [dir=both, label=\"{}\"];",
-            end_name(a),
-            end_name(b),
-            conn.name()
-        );
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,15 +224,6 @@ mod tests {
         });
         let text = class_diagram(&m, top, &options);
         assert!(text.contains("\u{ab}Application\u{bb} class Top"));
-    }
-
-    #[test]
-    fn dot_output_is_well_formed() {
-        let (m, top) = sample();
-        let dot = composite_structure_dot(&m, top, &DiagramOptions::default());
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.contains("\"a\" -> \"b\""));
-        assert!(dot.trim_end().ends_with('}'));
     }
 
     #[test]

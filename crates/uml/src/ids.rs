@@ -190,17 +190,6 @@ pub enum Metaclass {
 }
 
 impl Metaclass {
-    /// All metaclasses, in a stable order.
-    pub const ALL: [Metaclass; 7] = [
-        Metaclass::Class,
-        Metaclass::Property,
-        Metaclass::Port,
-        Metaclass::Connector,
-        Metaclass::Dependency,
-        Metaclass::Signal,
-        Metaclass::Package,
-    ];
-
     /// The metaclass name as it appears in UML (and in Table 1 of the paper).
     pub fn name(self) -> &'static str {
         match self {
@@ -212,11 +201,6 @@ impl Metaclass {
             Metaclass::Signal => "Signal",
             Metaclass::Package => "Package",
         }
-    }
-
-    /// Parses a metaclass from its UML name.
-    pub fn from_name(name: &str) -> Option<Metaclass> {
-        Metaclass::ALL.into_iter().find(|m| m.name() == name)
     }
 }
 
@@ -254,14 +238,6 @@ mod tests {
             ElementRef::Dependency(DependencyId::from_index(3)).metaclass(),
             Metaclass::Dependency
         );
-    }
-
-    #[test]
-    fn metaclass_names_round_trip() {
-        for m in Metaclass::ALL {
-            assert_eq!(Metaclass::from_name(m.name()), Some(m));
-        }
-        assert_eq!(Metaclass::from_name("NoSuch"), None);
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl InstanceTree {
             .collect()
     }
 
-    /// Finds the instance reached from the top by the given part chain.
-    pub fn find_by_path(&self, path: &[PropertyId]) -> Option<InstanceIndex> {
-        self.nodes.iter().position(|n| n.path == path)
-    }
-
     /// Finds the direct child of `parent` introduced by `part`.
     pub fn child(&self, parent: InstanceIndex, part: PropertyId) -> Option<InstanceIndex> {
         self.nodes
@@ -266,6 +261,15 @@ impl RoutingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The class called `name`.
+    fn class_named(model: &Model, name: &str) -> ClassId {
+        model
+            .classes()
+            .find(|(_, c)| c.name() == name)
+            .map(|(id, _)| id)
+            .expect("class exists")
+    }
     use crate::model::ConnectorEnd;
     use crate::statemachine::{StateMachine, Trigger};
 
@@ -348,7 +352,7 @@ mod tests {
         let table = RoutingTable::build(&m, &tree);
 
         let sig = m.find_signal("Data").unwrap();
-        let peer_class = m.find_class("Peer").unwrap();
+        let peer_class = class_named(&m, "Peer");
         let peer_out = m.find_port(peer_class, "out").unwrap();
         let peer_index = tree
             .nodes()
@@ -360,7 +364,7 @@ mod tests {
         assert_eq!(receivers.len(), 1);
         let receiver = receivers[0];
         assert_eq!(tree.display_name(&m, receiver.instance), "shell.inner");
-        let inner_class = m.find_class("Inner").unwrap();
+        let inner_class = class_named(&m, "Inner");
         assert_eq!(receiver.port, m.find_port(inner_class, "in").unwrap());
     }
 
@@ -375,19 +379,24 @@ mod tests {
     }
 
     #[test]
-    fn find_by_path_and_child() {
+    fn child_follows_the_part_chain() {
         let (m, top) = nested_model();
         let tree = InstanceTree::build(&m, top).unwrap();
-        let shell_class = m.find_class("Shell").unwrap();
-        let shell_part = m.find_part(top, "shell").unwrap();
-        let inner_part = m.find_part(shell_class, "inner").unwrap();
-        let shell_index = tree.find_by_path(&[shell_part]).unwrap();
+        let part_named = |owner: ClassId, name: &str| {
+            m.class(owner)
+                .parts()
+                .iter()
+                .copied()
+                .find(|&p| m.property(p).name() == name)
+                .unwrap()
+        };
+        let shell_part = part_named(top, "shell");
+        let inner_part = part_named(class_named(&m, "Shell"), "inner");
+        let shell_index = tree.child(0, shell_part).unwrap();
         let inner_index = tree.child(shell_index, inner_part).unwrap();
-        assert_eq!(tree.node(inner_index).class, m.find_class("Inner").unwrap());
-        assert_eq!(
-            tree.find_by_path(&[shell_part, inner_part]),
-            Some(inner_index)
-        );
+        assert_eq!(tree.node(inner_index).class, class_named(&m, "Inner"));
+        assert_eq!(tree.node(inner_index).path, [shell_part, inner_part]);
+        assert_eq!(tree.child(0, inner_part), None, "not a direct child");
     }
 
     #[test]

@@ -30,11 +30,10 @@
 //! let mut model = Model::new("Tiny");
 //! let sig = model.add_signal("Ping");
 //! let class = model.add_class("Echo");
-//! model.class_mut(class).set_active(true);
 //! let port = model.add_port(class, "pIn");
 //! model.port_mut(port).add_provided(sig);
 //! assert_eq!(model.class(class).name(), "Echo");
-//! assert!(model.class(class).is_active());
+//! assert_eq!(model.class(class).ports(), [port]);
 //! ```
 
 #![forbid(unsafe_code)]

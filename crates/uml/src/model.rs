@@ -78,7 +78,7 @@ impl Class {
     }
 
     /// Marks the class active or passive.
-    pub fn set_active(&mut self, active: bool) {
+    pub(crate) fn set_active(&mut self, active: bool) {
         self.is_active = active;
     }
 
@@ -88,7 +88,7 @@ impl Class {
     }
 
     /// Adds an attribute.
-    pub fn add_attribute(&mut self, name: impl Into<String>, data_type: DataType) {
+    pub(crate) fn add_attribute(&mut self, name: impl Into<String>, data_type: DataType) {
         self.attributes.push(Attribute {
             name: name.into(),
             data_type,
@@ -117,7 +117,7 @@ impl Class {
     }
 
     /// Sets the superclass.
-    pub fn set_general(&mut self, general: Option<ClassId>) {
+    pub(crate) fn set_general(&mut self, general: Option<ClassId>) {
         self.general = general;
     }
 }
@@ -149,7 +149,7 @@ impl Property {
     }
 
     /// The multiplicity (number of instances; 1 for scalar parts).
-    pub fn multiplicity(&self) -> u32 {
+    pub(crate) fn multiplicity(&self) -> u32 {
         self.multiplicity
     }
 }
@@ -414,7 +414,7 @@ impl Model {
     }
 
     /// Adds a package nested under `parent`.
-    pub fn add_package_in(
+    pub(crate) fn add_package_in(
         &mut self,
         parent: Option<PackageId>,
         name: impl Into<String>,
@@ -534,27 +534,11 @@ impl Model {
         id
     }
 
-    /// Finds a class by name.
-    pub fn find_class(&self, name: &str) -> Option<ClassId> {
-        self.classes()
-            .find(|(_, c)| c.name() == name)
-            .map(|(id, _)| id)
-    }
-
     /// Finds a signal by name.
-    pub fn find_signal(&self, name: &str) -> Option<SignalId> {
+    pub(crate) fn find_signal(&self, name: &str) -> Option<SignalId> {
         self.signals()
             .find(|(_, s)| s.name() == name)
             .map(|(id, _)| id)
-    }
-
-    /// Finds a part of `owner` by role name.
-    pub fn find_part(&self, owner: ClassId, name: &str) -> Option<PropertyId> {
-        self.class(owner)
-            .parts()
-            .iter()
-            .copied()
-            .find(|&p| self.property(p).name() == name)
     }
 
     /// Finds a port of `owner` by name.
@@ -572,7 +556,7 @@ impl Model {
     }
 
     /// The fully qualified name of a class (`Package::Class`).
-    pub fn qualified_class_name(&self, id: ClassId) -> String {
+    pub(crate) fn qualified_class_name(&self, id: ClassId) -> String {
         let class = self.class(id);
         let mut segments = vec![class.name().to_owned()];
         let mut pkg = class.package();
@@ -683,8 +667,6 @@ mod tests {
         let mut m = Model::new("M");
         let c = m.add_class("Alpha");
         let p = m.add_port(c, "north");
-        assert_eq!(m.find_class("Alpha"), Some(c));
-        assert_eq!(m.find_class("Beta"), None);
         assert_eq!(m.find_port(c, "north"), Some(p));
         assert_eq!(m.find_port(c, "south"), None);
     }

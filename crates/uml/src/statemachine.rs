@@ -269,7 +269,7 @@ impl StateMachine {
 
     /// The set of signal types this machine can consume (its input
     /// alphabet), used by validation and static analysis.
-    pub fn input_alphabet(&self) -> Vec<SignalId> {
+    pub(crate) fn input_alphabet(&self) -> Vec<SignalId> {
         let mut sigs: Vec<SignalId> = self
             .transitions
             .iter()

@@ -132,7 +132,7 @@ pub struct ParsedProgram {
 /// code.entry(state)
 ///     .run(&mut code.frame(&mut vars), &mut emitted, &mut weight)?;
 /// let value = vars[0].as_ref().expect("`v` is declared");
-/// assert_eq!(value.data_type(), DataType::Int);
+/// assert!(matches!(value.as_int(), Some(0..=255)));
 /// # Ok::<(), tut_uml::Error>(())
 /// ```
 pub fn parse_expr(text: &str) -> Result<Expr> {

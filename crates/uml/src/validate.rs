@@ -52,7 +52,7 @@ fn violation(code: &'static str, element: impl Into<ElementRef>, message: String
 
 /// Checks every structural invariant of `model` and returns all findings
 /// (empty when the model is well-formed). Includes the flow-insensitive
-/// action type-check ([`crate::action::type_check`]) over every behaviour.
+/// action type-check over every behaviour.
 ///
 /// Checked invariants:
 ///
@@ -294,7 +294,7 @@ pub fn check_composition_cycles(model: &Model, bag: &mut DiagnosticBag) {
 
 /// Pass 5: behaviour invariants (`E0312`–`E0314`, plus the action
 /// type-check's `E0316`–`E0318`) for every class, in class order.
-pub fn check_behaviors(model: &Model, bag: &mut DiagnosticBag) {
+pub(crate) fn check_behaviors(model: &Model, bag: &mut DiagnosticBag) {
     for (class_id, _) in model.classes() {
         check_behavior_of(model, class_id, bag);
     }

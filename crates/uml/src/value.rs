@@ -20,16 +20,6 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// A zero/empty value of this type.
-    pub fn default_value(self) -> Value {
-        match self {
-            DataType::Int => Value::Int(0),
-            DataType::Bool => Value::Bool(false),
-            DataType::Bytes => Value::Bytes(Bytes::new()),
-            DataType::Str => Value::Str(String::new()),
-        }
-    }
-
     /// The name used in XMI serialisation.
     pub fn name(self) -> &'static str {
         match self {
@@ -41,7 +31,7 @@ impl DataType {
     }
 
     /// Parses a type from its XMI name.
-    pub fn from_name(name: &str) -> Option<DataType> {
+    pub(crate) fn from_name(name: &str) -> Option<DataType> {
         match name {
             "Int" => Some(DataType::Int),
             "Bool" => Some(DataType::Bool),
@@ -74,7 +64,7 @@ pub enum Value {
 
 impl Value {
     /// Returns the [`DataType`] of this value.
-    pub fn data_type(&self) -> DataType {
+    pub(crate) fn data_type(&self) -> DataType {
         match self {
             Value::Int(_) => DataType::Int,
             Value::Bool(_) => DataType::Bool,
@@ -118,7 +108,7 @@ impl Value {
     /// True if the value is "truthy": non-zero int, `true`, non-empty buffer
     /// or string. Used by guard evaluation when a non-bool leaks into a
     /// boolean position.
-    pub fn is_truthy(&self) -> bool {
+    pub(crate) fn is_truthy(&self) -> bool {
         match self {
             Value::Int(i) => *i != 0,
             Value::Bool(b) => *b,
@@ -325,13 +315,6 @@ mod tests {
         assert_eq!(Value::Bool(true).data_type(), DataType::Bool);
         assert_eq!(Value::from(vec![1]).data_type(), DataType::Bytes);
         assert_eq!(Value::Str("x".into()).data_type(), DataType::Str);
-    }
-
-    #[test]
-    fn default_values_are_zeroish() {
-        assert_eq!(DataType::Int.default_value(), Value::Int(0));
-        assert_eq!(DataType::Bool.default_value(), Value::Bool(false));
-        assert!(!DataType::Bytes.default_value().is_truthy());
     }
 
     #[test]

@@ -922,7 +922,7 @@ pub fn decode_expr(node: &XmlNode<'_>) -> Result<Expr> {
 }
 
 /// Encodes a statement as a structural XML subtree.
-pub fn encode_statement(statement: &Statement) -> XmlNode<'_> {
+pub(crate) fn encode_statement(statement: &Statement) -> XmlNode<'_> {
     match statement {
         Statement::Assign { var, expr } => {
             let mut node = XmlNode::new("assign");
@@ -1016,7 +1016,7 @@ fn decode_statements(parent: &XmlNode<'_>) -> Result<Vec<Statement>> {
 ///
 /// Returns [`Error::XmiStructure`] for unknown node names or malformed
 /// children.
-pub fn decode_statement(node: &XmlNode<'_>) -> Result<Statement> {
+pub(crate) fn decode_statement(node: &XmlNode<'_>) -> Result<Statement> {
     let statement =
         match &*node.name {
             "assign" => Statement::Assign {

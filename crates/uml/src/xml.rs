@@ -40,7 +40,7 @@
 //! let text = root.to_xml_string();
 //! let parsed = XmlNode::parse(&text)?;
 //! assert_eq!(parsed.name, "library");
-//! assert_eq!(parsed.attr("name"), Some("TUT"));
+//! assert_eq!(parsed.required_attr("name")?, "TUT");
 //! # Ok::<(), tut_uml::Error>(())
 //! ```
 
@@ -128,7 +128,7 @@ impl<'a> XmlNode<'a> {
 
     /// Returns the source span of an attribute's value, when the node was
     /// parsed from a document. [`Span::NONE`] for built nodes.
-    pub fn attr_span(&self, key: &str) -> Option<Span> {
+    pub(crate) fn attr_span(&self, key: &str) -> Option<Span> {
         self.attrs
             .iter()
             .find(|(k, _, _)| k == key)
@@ -136,7 +136,7 @@ impl<'a> XmlNode<'a> {
     }
 
     /// Returns an attribute value by name.
-    pub fn attr(&self, key: &str) -> Option<&str> {
+    pub(crate) fn attr(&self, key: &str) -> Option<&str> {
         self.attrs
             .iter()
             .find(|(k, _, _)| k == key)
@@ -174,7 +174,7 @@ impl<'a> XmlNode<'a> {
     }
 
     /// Returns the first child with the given name, or an error.
-    pub fn required_child(&self, name: &str) -> Result<&XmlNode<'a>> {
+    pub(crate) fn required_child(&self, name: &str) -> Result<&XmlNode<'a>> {
         self.child(name).ok_or_else(|| {
             Error::XmiStructure(format!(
                 "element `{}` is missing required child `{name}`",

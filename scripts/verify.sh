@@ -23,6 +23,9 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+# tests/public_surface.rs (run just above) requires every uncalled `pub fn`
+# to have an allowlist line; print the list's length so every run shows it.
+echo "public fn allowlist: $(grep -c -v -e '^#' -e '^$' scripts/public_fn_allowlist.txt) entries"
 
 echo "==> cargo test --workspace -q (every crate's unit and integration tests)"
 # This also runs the root suites `exploration` (the pinned `repro

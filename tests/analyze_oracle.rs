@@ -11,6 +11,8 @@
 use std::collections::BTreeMap;
 
 use tut_profile_suite::faults::{FaultConfig, FaultPlan};
+use tut_profile_suite::profile::application::ProcessType;
+use tut_profile_suite::profile::SystemModel;
 use tut_profile_suite::profiling::analyze::{analyze, analyze_log};
 use tut_profile_suite::profiling::groups::{gather_groups, ProcessGroupInfo, ENVIRONMENT};
 use tut_profile_suite::profiling::report::{
@@ -19,6 +21,7 @@ use tut_profile_suite::profiling::report::{
 use tut_profile_suite::sim::{FaultTally, RecordRef, SimConfig, SimLog, Simulation};
 use tut_profile_suite::trace::NoopSink;
 use tut_profile_suite::tutmac::{build_tutmac_system, TutmacConfig};
+use tut_profile_suite::uml::statemachine::StateMachine;
 
 /// The string-keyed reference analysis.
 fn reference(groups: &ProcessGroupInfo, log: &SimLog) -> ProfilingReport {
@@ -179,9 +182,31 @@ fn faulted_light_load_matches_reference() {
     assert!(report.group_counters.len() > 1, "CNT records");
 }
 
+/// Two processes, `rca` in `group1` and `mng` in `group2`, with one-state
+/// behaviours: only their grouping matters to the analysis.
+fn two_group_system() -> SystemModel {
+    let mut s = SystemModel::new("Oracle");
+    let top = s.model.add_class("Top");
+    s.apply(top, |t| t.application).unwrap();
+    let worker = s.model.add_class("Worker");
+    s.apply(worker, |t| t.application_component).unwrap();
+    let mut behaviour = StateMachine::new("WorkerB");
+    let idle = behaviour.add_state("Idle");
+    behaviour.set_initial(idle);
+    s.model.add_state_machine(worker, behaviour);
+    for (process, group) in [("rca", "group1"), ("mng", "group2")] {
+        let part = s.model.add_part(top, process, worker);
+        s.apply(part, |t| t.application_process).unwrap();
+        let group = s.add_process_group(group, false, ProcessType::General);
+        s.assign_to_group(part, group);
+    }
+    s
+}
+
 #[test]
 fn hand_written_log_matches_reference() {
-    let groups = ProcessGroupInfo::from_assignments([("rca", "group1"), ("mng", "group2")]);
+    let groups = gather_groups(&two_group_system()).expect("groups");
+    assert_eq!(groups.labels(), ["group1", "group2", ENVIRONMENT]);
     let text = [
         "EXEC 0 rca 900 18000 Idle Busy start",
         "EXEC 10 mng 100 2000 Idle Idle start",
@@ -207,7 +232,26 @@ fn hand_written_log_matches_reference() {
     let log = SimLog::parse(&text).expect("hand-written log parses");
     let report = assert_matches_reference(&groups, &log);
     assert_eq!(report.group(ENVIRONMENT).map(|g| g.cycles), Some(7));
-    assert_eq!(report.group_counter(ENVIRONMENT, "arq.retries"), -1);
+    assert_eq!(
+        report.group_counters,
+        [
+            GroupCounter {
+                group: ENVIRONMENT.to_owned(),
+                counter: "arq.retries".to_owned(),
+                total: -1
+            },
+            GroupCounter {
+                group: "group1".to_owned(),
+                counter: "arq.retries".to_owned(),
+                total: 2
+            },
+            GroupCounter {
+                group: "group2".to_owned(),
+                counter: "arq.tx".to_owned(),
+                total: 5
+            },
+        ]
+    );
     assert_eq!(
         (
             report.faults.dropped,

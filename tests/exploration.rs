@@ -11,6 +11,12 @@ use tut_profile_suite::profiling;
 use tut_profile_suite::sim::{SimConfig, Simulation};
 use tut_profile_suite::trace::SplitMix64;
 use tut_profile_suite::tutmac::{self, TutmacConfig};
+use tut_profile_suite::uml::instances::{InstanceTree, RoutingTable};
+
+/// Index of the node called `name`.
+fn node(graph: &explore::CommGraph, name: &str) -> Option<usize> {
+    graph.nodes().iter().position(|n| n == name)
+}
 
 #[test]
 fn partitioner_reproduces_the_papers_grouping_intent() {
@@ -57,9 +63,9 @@ fn partitioner_reproduces_the_papers_grouping_intent() {
     );
 
     // Sanity: heavy communicators end up together.
-    let frag = graph.index_of("dp.frag").expect("frag node");
-    let crc = graph.index_of("dp.crc").expect("crc node");
-    let rca = graph.index_of("rca").expect("rca node");
+    let frag = node(&graph, "dp.frag").expect("frag node");
+    let crc = node(&graph, "dp.crc").expect("crc node");
+    let rca = node(&graph, "rca").expect("rca node");
     let same_cluster = solution.assignment[frag] == solution.assignment[crc]
         || solution.assignment[crc] == solution.assignment[rca];
     assert!(
@@ -239,7 +245,18 @@ fn static_and_dynamic_graphs_agree_on_the_heavy_edges() {
         &profiling::profile_system(&system, SimConfig::with_horizon_ns(10_000_000))
             .expect("profile"),
     );
-    let static_graph = explore::CommGraph::from_static(&system).expect("static");
+    // The static graph: every resolved signal route between two
+    // instances, weight 1, with no execution.
+    let app_top = system.application().top().expect("application top");
+    let tree = InstanceTree::build(&system.model, app_top).expect("instance tree");
+    let mut static_graph = explore::CommGraph::default();
+    for (&(sender, _, _), receivers) in RoutingTable::build(&system.model, &tree).iter() {
+        for receiver in receivers {
+            let a = static_graph.intern(&tree.display_name(&system.model, sender));
+            let b = static_graph.intern(&tree.display_name(&system.model, receiver.instance));
+            static_graph.add_edge(a, b, 1);
+        }
+    }
 
     // Every dynamically observed edge exists statically (the static graph
     // over-approximates: it knows connectivity, not traffic volume).
@@ -247,8 +264,8 @@ fn static_and_dynamic_graphs_agree_on_the_heavy_edges() {
         if w == 0 {
             continue;
         }
-        let sa = static_graph.index_of(&dynamic.nodes()[a]);
-        let sb = static_graph.index_of(&dynamic.nodes()[b]);
+        let sa = node(&static_graph, &dynamic.nodes()[a]);
+        let sb = node(&static_graph, &dynamic.nodes()[b]);
         let (Some(sa), Some(sb)) = (sa, sb) else {
             panic!("dynamic node missing statically");
         };

@@ -40,14 +40,23 @@ fn rand_text(rng: &mut SplitMix64) -> String {
         .collect()
 }
 
+/// `len` pseudo-random bytes: each successive 8-byte chunk is the
+/// little-endian form of the next `u64` draw.
+fn rand_bytes(rng: &mut SplitMix64, len: usize) -> Vec<u8> {
+    let mut bytes = vec![0u8; len];
+    for chunk in bytes.chunks_mut(8) {
+        chunk.copy_from_slice(&rng.next_u64().to_le_bytes()[..chunk.len()]);
+    }
+    bytes
+}
+
 fn rand_value(rng: &mut SplitMix64) -> Value {
     match rng.next_index(4) {
         0 => Value::Int(rng.next_u64() as i64),
         1 => Value::Bool(rng.next_index(2) == 0),
         2 => {
-            let mut bytes = vec![0u8; rng.next_index(32)];
-            rng.fill_bytes(&mut bytes);
-            Value::from(bytes)
+            let len = rng.next_index(32);
+            Value::from(rand_bytes(rng, len))
         }
         _ => Value::Str(rand_text(rng)),
     }
@@ -239,8 +248,8 @@ fn crc_implementations_agree() {
     use tut_profile_suite::uml::action::{crc32, crc32_bitwise};
     let mut rng = SplitMix64::new(0x0E17_0006);
     for _ in 0..CASES {
-        let mut data = vec![0u8; rng.next_index(1024)];
-        rng.fill_bytes(&mut data);
+        let len = rng.next_index(1024);
+        let data = rand_bytes(&mut rng, len);
         assert_eq!(crc32(&data), crc32_bitwise(&data));
     }
 }
